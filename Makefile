@@ -6,8 +6,8 @@ FUZZTIME ?= 10s
 
 .PHONY: all build test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak vet bench bench-matmul \
-	bench-agg bench-codecs bench-json bench-json-smoke poison-smoke \
-	obs-smoke serve-smoke stream-smoke fuzz check
+	bench-agg bench-codecs bench-json bench-json-smoke bench-smoke \
+	poison-smoke obs-smoke serve-smoke stream-smoke fuzz check
 
 all: build
 
@@ -105,6 +105,12 @@ bench-json:
 bench-json-smoke:
 	BENCH_SMOKE=1 sh scripts/bench-baseline.sh
 
+# Every BENCHMARK.json workload in -short mode plus one traced run (~20 s).
+# bench/ is a nested module that `go build ./...` and `go test ./...` never
+# compile, so this is what catches an internal-API change that breaks it.
+bench-smoke:
+	bash bench/smoke.sh
+
 # The pinned poisoning acceptance scenario, never from cache: 8 clients,
 # 2 Byzantine, robust aggregators must hold F1 while FedAvg degrades.
 poison-smoke:
@@ -136,4 +142,4 @@ fuzz:
 
 check: build vet test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \
-	bench-json-smoke obs-smoke serve-smoke stream-smoke
+	bench-json-smoke bench-smoke obs-smoke serve-smoke stream-smoke

@@ -3,7 +3,6 @@ package autodiff
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fexiot/internal/mat"
 )
@@ -60,7 +59,9 @@ func (p *ParamSet) NumLayers() int {
 	return max + 1
 }
 
-// LayerNames returns the names of parameters in layer l, sorted.
+// LayerNames returns the names of parameters in layer l in registration
+// order — the coordinate order of FlattenLayer, so a layer shipped tensor
+// by tensor and a layer flattened in place are the same vector.
 func (p *ParamSet) LayerNames(l int) []string {
 	var out []string
 	for _, n := range p.names {
@@ -68,7 +69,6 @@ func (p *ParamSet) LayerNames(l int) []string {
 			out = append(out, n)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -107,15 +107,6 @@ func (p *ParamSet) Clone() *ParamSet {
 func (p *ParamSet) CopyFrom(src *ParamSet) {
 	for _, n := range p.names {
 		p.vals[n].CopyFrom(src.vals[n])
-	}
-}
-
-// CopyLayerFrom copies only the parameters of layer l from src.
-func (p *ParamSet) CopyLayerFrom(src *ParamSet, l int) {
-	for _, n := range p.names {
-		if p.layerOf[n] == l {
-			p.vals[n].CopyFrom(src.vals[n])
-		}
 	}
 }
 
@@ -200,20 +191,6 @@ func WeightedAverage(dst *ParamSet, sets []*ParamSet, weights []float64) {
 		panic("autodiff: WeightedAverage length mismatch")
 	}
 	for _, n := range dst.names {
-		d := dst.vals[n]
-		d.Zero()
-		for i, s := range sets {
-			d.AddScaled(s.vals[n], weights[i])
-		}
-	}
-}
-
-// WeightedAverageLayer averages only layer l parameters into dst.
-func WeightedAverageLayer(dst *ParamSet, sets []*ParamSet, weights []float64, l int) {
-	for _, n := range dst.names {
-		if dst.layerOf[n] != l {
-			continue
-		}
 		d := dst.vals[n]
 		d.Zero()
 		for i, s := range sets {

@@ -6,8 +6,7 @@
 // Three injection surfaces, one per layer the runtime touches:
 //
 //   - Conn wraps a net.Conn with scriptable link faults — read/write delay,
-//     silent write blackholes, and hard mid-stream kills (the generalised
-//     descendant of fedproto's original FaultConn).
+//     silent write blackholes, and hard mid-stream kills.
 //   - FS implements the checkpoint filesystem seam with scripted
 //     write/sync/rename failures, modelling a full disk or a flaky volume
 //     that heals after a few attempts.

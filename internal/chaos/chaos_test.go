@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -147,8 +148,8 @@ func TestFaultFSArmsAndHeals(t *testing.T) {
 }
 
 // TestConnFaults pins the three link faults on a real TCP pair: delay
-// slows reads, DropAfter swallows writes while reporting success, Kill
-// surfaces as a peer-visible close.
+// slows reads, DropAfter swallows writes past its budget while reporting
+// success, Kill surfaces as a peer-visible close.
 func TestConnFaults(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -171,13 +172,38 @@ func TestConnFaults(t *testing.T) {
 	peer := <-accepted
 	defer peer.Close()
 
+	// Delay: a read waits out the configured latency first.
+	fc.SetDelay(50 * time.Millisecond)
+	if _, err := peer.Write([]byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	start := time.Now()
+	if _, err := fc.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Fatalf("read returned after %v, want ≥ ~50ms delay", d)
+	}
+	fc.SetDelay(0)
+
+	// Partial budget: the first 3 bytes of a 5-byte write get through, the
+	// sender is told all 5 did.
+	fc.DropAfter(3)
+	if n, err := fc.Write([]byte("hello")); n != 5 || err != nil {
+		t.Fatalf("budgeted write = %d, %v; want 5, nil — the sender must not notice", n, err)
+	}
+	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := io.ReadFull(peer, buf[:3]); err != nil || string(buf[:n]) != "hel" {
+		t.Fatalf("peer read %q, %v; want the 3-byte budget", buf[:n], err)
+	}
+
 	// Blackhole: writes report full success but the peer sees nothing.
 	fc.DropAfter(0)
 	if n, err := fc.Write([]byte("swallowed")); n != 9 || err != nil {
 		t.Fatalf("blackholed write = %d, %v; want 9, nil", n, err)
 	}
 	peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	buf := make([]byte, 16)
 	if n, err := peer.Read(buf); err == nil {
 		t.Fatalf("peer read %d bytes through a blackhole", n)
 	}
@@ -192,12 +218,18 @@ func TestConnFaults(t *testing.T) {
 		t.Fatalf("peer read %q, %v", buf[:n], err)
 	}
 
-	// Kill: the peer sees the close.
+	// Kill: the peer sees the close, the killed side cannot write.
+	if fc.Killed() {
+		t.Fatal("Killed() true before Kill")
+	}
 	if err := fc.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	if !fc.Killed() {
 		t.Fatal("Killed() false after Kill")
+	}
+	if _, err := fc.Write([]byte("x")); err == nil {
+		t.Fatal("write on a killed conn succeeded")
 	}
 	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := peer.Read(buf); err == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/chaos"
 	"fexiot/internal/embed"
 	"fexiot/internal/fedproto"
 	"fexiot/internal/fusion"
@@ -89,7 +90,7 @@ func ChaosFederation(s Setup) *Table {
 			cfg := gnn.DefaultTrainConfig(int64(id))
 			cfg.PairsPerEpoch = 8
 
-			var fc *fedproto.FaultConn
+			var fc *chaos.Conn
 			dials := 0
 			killed := false
 			clientCfg := fedproto.ClientConfig{
@@ -108,7 +109,7 @@ func ChaosFederation(s Setup) *Table {
 					}
 					dials++
 					if dials == 1 {
-						fc = fedproto.NewFaultConn(raw)
+						fc = chaos.NewConn(raw)
 						return fc, nil
 					}
 					return raw, nil

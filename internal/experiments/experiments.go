@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fexiot/internal/autodiff"
 	"fexiot/internal/datasets"
 	"fexiot/internal/fed"
 	"fexiot/internal/fusion"
@@ -183,5 +182,3 @@ func (t *Table) String() string {
 }
 
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
-
-var _ = autodiff.NewAdam // referenced by sibling files

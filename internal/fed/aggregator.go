@@ -332,20 +332,3 @@ func AggregateParams(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.Pa
 	}
 	dst.SetFlatten(agg.Aggregate(vecs, weights))
 }
-
-// AggregateParamsLayer aggregates only layer l — the layer-wise counterpart
-// used by FexIoT's clustered recursion.
-func AggregateParamsLayer(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.ParamSet, weights []float64, l int) {
-	if len(sets) != len(weights) {
-		panic("fed: AggregateParamsLayer length mismatch")
-	}
-	if _, ok := agg.(MeanAgg); ok || agg == nil {
-		autodiff.WeightedAverageLayer(dst, sets, weights, l)
-		return
-	}
-	vecs := make([][]float64, len(sets))
-	for i, s := range sets {
-		vecs[i] = s.FlattenLayer(l)
-	}
-	dst.SetFlattenLayer(l, agg.Aggregate(vecs, weights))
-}

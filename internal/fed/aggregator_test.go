@@ -138,14 +138,6 @@ func TestAggregateParamsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Layer-wise: only layer 1 changes.
-	dst = mk(-1, -1, 0, 0)
-	AggregateParamsLayer(MedianAgg{}, dst, sets, w, 1)
-	got := dst.Flatten()
-	if got[0] != -1 || got[1] != -1 || got[2] != 5 || got[3] != 4 {
-		t.Fatalf("layer median %v, want [-1 -1 5 4]", got)
-	}
-
 	// FedAvg path must equal WeightedAverage exactly.
 	a1, a2 := mk(0, 0, 0, 0), mk(0, 0, 0, 0)
 	AggregateParams(MeanAgg{}, a1, sets, w)

@@ -1,12 +1,6 @@
 package fed
 
-import (
-	"math"
-
-	"fexiot/internal/mat"
-)
-
-var _ = math.Inf // math used by binaryCluster
+import "fexiot/internal/mat"
 
 // --- FedAvg ----------------------------------------------------------------
 
@@ -23,11 +17,12 @@ func (FedAvg) Run(clients []*Client, cfg Config) *Result {
 	res := &Result{FinalClusters: uniformClusters(len(clients))}
 	sm := newSimMetrics(cfg.Metrics)
 	all := indexRange(len(clients))
+	sizes := trainSizes(clients)
 	modelParams := clients[0].Model.Params().NumElements()
 	for r := 0; r < cfg.Rounds; r++ {
 		localTrainAll(clients, cfg.roundTrain(r))
 		avg := clients[0].Model.Params().Clone()
-		AggregateParams(aggregatorOr(cfg.Aggregator), avg, paramsOf(clients, all), dataWeights(clients, all))
+		AggregateParams(aggregatorOr(cfg.Aggregator), avg, paramsOf(clients, all), QuorumWeights(sizes, all))
 		for _, c := range clients {
 			c.Model.Params().CopyFrom(avg)
 		}
@@ -54,7 +49,7 @@ func (ClientOnly) Name() string { return "Client" }
 
 // Run trains clients in isolation.
 func (ClientOnly) Run(clients []*Client, cfg Config) *Result {
-	res := &Result{FinalClusters: isolatedClusters(len(clients))}
+	res := &Result{FinalClusters: indexRange(len(clients))}
 	sm := newSimMetrics(cfg.Metrics)
 	for r := 0; r < cfg.Rounds; r++ {
 		localTrainAll(clients, cfg.roundTrain(r))
@@ -118,21 +113,20 @@ func (a *clusteredFL) Run(clients []*Client, cfg Config) *Result {
 	sm := newSimMetrics(cfg.Metrics)
 	modelParams := clients[0].Model.Params().NumElements()
 	clusters := [][]int{indexRange(len(clients))}
+	sizes := trainSizes(clients)
 	for r := 0; r < cfg.Rounds; r++ {
 		localTrainAll(clients, cfg.roundTrain(r))
 		signals := make([][]float64, len(clients))
+		updates := make([][]float64, len(clients))
 		for i, c := range clients {
 			signals[i] = a.signal(c)
+			updates[i] = c.Update().Flatten()
 		}
 		var next [][]int
 		for _, cluster := range clusters {
-			split := false
-			if len(cluster) >= 2 {
-				norms, meanNorm := wholeModelUpdateNorms(clients, cluster)
-				split = gateFromNorms(norms, meanNorm, cfg)
-			}
-			if split {
-				c1, c2 := binaryCluster(signals, cluster)
+			// Eq. (3) on the whole-model updates within the cluster.
+			if updateGate(at(updates), cluster, sizes, cfg.Eps1, cfg.Eps2) {
+				c1, c2 := binaryCluster(at(signals), cluster)
 				if len(c2) > 0 {
 					next = append(next, c1, c2)
 					continue
@@ -143,7 +137,7 @@ func (a *clusteredFL) Run(clients []*Client, cfg Config) *Result {
 		clusters = next
 		for _, cluster := range clusters {
 			avg := clients[cluster[0]].Model.Params().Clone()
-			AggregateParams(aggregatorOr(cfg.Aggregator), avg, paramsOf(clients, cluster), dataWeights(clients, cluster))
+			AggregateParams(aggregatorOr(cfg.Aggregator), avg, paramsOf(clients, cluster), QuorumWeights(sizes, cluster))
 			for _, i := range cluster {
 				clients[i].Model.Params().CopyFrom(avg)
 			}
@@ -162,22 +156,12 @@ func (a *clusteredFL) Run(clients []*Client, cfg Config) *Result {
 
 // --- Shared helpers ------------------------------------------------------------
 
-func indexRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 func uniformClusters(n int) []int { return make([]int, n) }
 
-func isolatedClusters(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// at adapts a per-client vector table to the accessor form updateGate and
+// binaryCluster take.
+func at(vecs [][]float64) func(i int) []float64 {
+	return func(i int) []float64 { return vecs[i] }
 }
 
 func clusterAssignment(n int, clusters [][]int) []int {
@@ -188,77 +172,4 @@ func clusterAssignment(n int, clusters [][]int) []int {
 		}
 	}
 	return out
-}
-
-// wholeModelUpdateNorms returns ‖ΔW_c‖ per cluster member plus the norm of
-// the data-weighted mean update.
-func wholeModelUpdateNorms(clients []*Client, cluster []int) ([]float64, float64) {
-	w := dataWeights(clients, cluster)
-	var mean []float64
-	norms := make([]float64, len(cluster))
-	for k, i := range cluster {
-		u := clients[i].Update().Flatten()
-		norms[k] = mat.Norm2(u)
-		if mean == nil {
-			mean = make([]float64, len(u))
-		}
-		mat.Axpy(mean, u, w[k])
-	}
-	return norms, mat.Norm2(mean)
-}
-
-// gateFromNorms applies the Eq. (3) gate: the aggregate update is nearly
-// stationary (ε1 bound) while at least one client still moves strongly
-// (ε2 bound) — the signature of clients pulling in different directions.
-// The paper states ε1, ε2 as absolute norms ("related to the size of model
-// weights"); to stay calibrated across model sizes and layer widths, this
-// implementation interprets them relative to the average individual update
-// norm: the gate fires when ‖Σ w_c ΔW_c‖ < ε1·avg‖ΔW_c‖ and
-// max‖ΔW_c‖ > ε2·avg‖ΔW_c‖.
-func gateFromNorms(norms []float64, meanNorm float64, cfg Config) bool {
-	maxNorm, avg := 0.0, 0.0
-	for _, n := range norms {
-		if n > maxNorm {
-			maxNorm = n
-		}
-		avg += n
-	}
-	if len(norms) == 0 || avg == 0 {
-		return false
-	}
-	avg /= float64(len(norms))
-	return meanNorm < cfg.Eps1*avg && maxNorm > cfg.Eps2*avg
-}
-
-// binaryCluster splits cluster members into two groups by cosine
-// similarity of their signals: the least similar pair seeds the groups and
-// every member joins the nearer seed.
-func binaryCluster(signals [][]float64, cluster []int) ([]int, []int) {
-	seedA, seedB := cluster[0], cluster[1]
-	worst := math.Inf(1)
-	for x := 0; x < len(cluster); x++ {
-		for y := x + 1; y < len(cluster); y++ {
-			s := mat.CosineSimilarity(signals[cluster[x]], signals[cluster[y]])
-			if s < worst {
-				worst = s
-				seedA, seedB = cluster[x], cluster[y]
-			}
-		}
-	}
-	var a, b []int
-	for _, i := range cluster {
-		sa := mat.CosineSimilarity(signals[i], signals[seedA])
-		sb := mat.CosineSimilarity(signals[i], signals[seedB])
-		if sa >= sb {
-			a = append(a, i)
-		} else {
-			b = append(b, i)
-		}
-	}
-	// Singleton clusters degenerate to isolated training and fragment the
-	// federation; keep the cluster whole instead.
-	if len(a) < 2 || len(b) < 2 {
-		return cluster, nil
-	}
-	return a, b
 }

@@ -85,11 +85,6 @@ func (c *Client) Update() *autodiff.ParamSet {
 	return c.Model.Params().Sub(c.prev)
 }
 
-// UpdateLayer returns the flattened layer-l slice of the latest update.
-func (c *Client) UpdateLayer(l int) []float64 {
-	return c.Update().FlattenLayer(l)
-}
-
 // FitLocalClassifier trains the client's SGD head on local embeddings and
 // returns the resulting detector.
 func (c *Client) FitLocalClassifier(seed int64) *gnn.Detector {
@@ -239,13 +234,13 @@ func QuorumWeights(sizes []int, idx []int) []float64 {
 	return w
 }
 
-// dataWeights returns the FedAvg weights |G_c|/|G| over a client subset.
-func dataWeights(clients []*Client, idx []int) []float64 {
+// trainSizes returns |G_c| per client.
+func trainSizes(clients []*Client) []int {
 	sizes := make([]int, len(clients))
-	for _, i := range idx {
-		sizes[i] = len(clients[i].Train)
+	for i, c := range clients {
+		sizes[i] = len(c.Train)
 	}
-	return QuorumWeights(sizes, idx)
+	return sizes
 }
 
 // paramsOf collects the parameter sets of a client subset.

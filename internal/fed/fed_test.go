@@ -205,17 +205,17 @@ func TestClusteredBaselinesProducePartitions(t *testing.T) {
 }
 
 func TestGateFromNormsProperty(t *testing.T) {
-	cfg := Config{Eps1: 0.4, Eps2: 0.95}
+	const eps1, eps2 = 0.4, 0.95
 	// Identical updates: meanNorm == avgNorm → no split.
-	if gateFromNorms([]float64{1, 1, 1}, 1, cfg) {
+	if gateFromNorms([]float64{1, 1, 1}, 1, eps1, eps2) {
 		t.Fatal("aligned clients must not split")
 	}
 	// Cancelling updates: tiny mean, others large → split.
-	if !gateFromNorms([]float64{1, 1, 1}, 0.05, cfg) {
+	if !gateFromNorms([]float64{1, 1, 1}, 0.05, eps1, eps2) {
 		t.Fatal("cancelling clients must split")
 	}
 	// Degenerate inputs never split.
-	if gateFromNorms(nil, 0, cfg) || gateFromNorms([]float64{0, 0}, 0, cfg) {
+	if gateFromNorms(nil, 0, eps1, eps2) || gateFromNorms([]float64{0, 0}, 0, eps1, eps2) {
 		t.Fatal("degenerate norms must not split")
 	}
 }
@@ -224,7 +224,7 @@ func TestBinaryClusterSeparatesOpposedSignals(t *testing.T) {
 	signals := [][]float64{
 		{1, 0}, {0.9, 0.1}, {-1, 0}, {-0.95, -0.05},
 	}
-	a, b := binaryCluster(signals, []int{0, 1, 2, 3})
+	a, b := binaryCluster(at(signals), []int{0, 1, 2, 3})
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("split sizes %d/%d", len(a), len(b))
 	}
@@ -261,7 +261,7 @@ func TestUpdateReflectsTraining(t *testing.T) {
 		t.Fatal("training must move weights")
 	}
 	for l := 0; l < c.Model.Params().NumLayers(); l++ {
-		if len(c.UpdateLayer(l)) == 0 {
+		if len(c.Update().FlattenLayer(l)) == 0 {
 			t.Fatalf("layer %d update empty", l)
 		}
 	}
@@ -369,8 +369,8 @@ func TestSybilFilterDownweightsDuplicates(t *testing.T) {
 }
 
 // TestQuorumWeights pins the weighting rule shared with the networked
-// fedproto server: FedAvg proportions over the surviving subset, uniform
-// degradation on zero total, and agreement with dataWeights.
+// fedproto server: FedAvg proportions over the surviving subset and
+// uniform degradation on zero total.
 func TestQuorumWeights(t *testing.T) {
 	sizes := []int{30, 10, 0, 60}
 	w := QuorumWeights(sizes, []int{0, 1, 3})
@@ -384,20 +384,5 @@ func TestQuorumWeights(t *testing.T) {
 	u := QuorumWeights([]int{0, 0}, []int{0, 1})
 	if u[0] != 0.5 || u[1] != 0.5 {
 		t.Fatalf("zero-total weights %v, want uniform", u)
-	}
-	// dataWeights is the same rule applied to client dataset sizes.
-	gs := testGraphs(40)
-	clients := NewClients(testBase(), splitFour(gs), 0.005)
-	idx := []int{0, 2}
-	dw := dataWeights(clients, idx)
-	sz := make([]int, len(clients))
-	for _, i := range idx {
-		sz[i] = len(clients[i].Train)
-	}
-	qw := QuorumWeights(sz, idx)
-	for k := range dw {
-		if dw[k] != qw[k] {
-			t.Fatalf("dataWeights %v != QuorumWeights %v", dw, qw)
-		}
 	}
 }

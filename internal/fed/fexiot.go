@@ -7,15 +7,9 @@ import (
 )
 
 // FexIoT is the paper's dynamic layer-wise clustering-based federated GNN
-// aggregation (Algorithm 1). Each round, after local training, the server
-// walks the model bottom-up: for every current client cluster it evaluates
-// the Eq. (3) gate on that layer's updates; when the gate fires, the
-// cluster bipartitions by cosine similarity of the layer weights and each
-// half aggregates the layer separately (lines 13-17); otherwise the whole
-// cluster averages the layer (line 19). The recursion then descends into
-// the next layer within each (possibly split) cluster, so upper layers are
-// clustered at a finer grain than lower ones — matching the observation
-// that deep-model similarity decreases from the bottom up.
+// aggregation (Algorithm 1) as an in-process simulation: local training,
+// then ClusterRound — the aggregation core shared with the networked
+// fedproto server — over every client's weights and ΔW = W − W_before.
 //
 // Communication: layer-wise aggregation enables layer-wise traffic. A
 // client uploads a layer only while that layer still changes materially —
@@ -56,103 +50,68 @@ func (f *FexIoT) Run(clients []*Client, cfg Config) *Result {
 		if cdc != nil {
 			codecBytes = applySimCodec(clients, cdc, numLayers)
 		}
-		// Per-layer flattened weights and update norms.
-		layerWeights := make([][][]float64, numLayers) // [layer][client]
-		layerNorms := make([][]float64, numLayers)
-		for l := 0; l < numLayers; l++ {
-			layerWeights[l] = make([][]float64, len(clients))
-			layerNorms[l] = make([]float64, len(clients))
-			for i, c := range clients {
-				layerWeights[l][i] = c.Model.Params().FlattenLayer(l)
-				n := mat.Norm2(c.UpdateLayer(l))
-				layerNorms[l][i] = n
-				if f.peakNorm != nil && n > f.peakNorm[[2]int{i, l}] {
-					f.peakNorm[[2]int{i, l}] = n
-				}
+		in := RoundInput{
+			Weights: make([][][]float64, len(clients)),
+			Updates: make([][][]float64, len(clients)),
+			Sizes:   trainSizes(clients),
+		}
+		for i, c := range clients {
+			p, u := c.Model.Params(), c.Update()
+			for l := 0; l < numLayers; l++ {
+				in.Weights[i] = append(in.Weights[i], p.FlattenLayer(l))
+				in.Updates[i] = append(in.Updates[i], u.FlattenLayer(l))
 			}
 		}
-
-		var leafClusters [][]int
-		var commUp, commDown int64
-		// RecursiveClusteringAgg(l, C) of Algorithm 1.
-		var recurse func(l int, cluster []int)
-		recurse = func(l int, cluster []int) {
-			if l >= numLayers {
-				leafClusters = append(leafClusters, cluster)
-				return
+		commUp, commDown := f.commBytes(in.Updates, codecBytes)
+		out := ClusterRound(in, cfg.Eps1, cfg.Eps2, cfg.Aggregator)
+		for i, c := range clients {
+			for l, v := range out.Layers[i] {
+				c.Model.Params().SetFlattenLayer(l, v)
 			}
-			layerElems := clients[cluster[0]].Model.Params().LayerElements(l)
-			// Upload accounting: members whose layer still moves (or that
-			// are being clustered) transmit it — at the codec's encoded wire
-			// size when one is active. Downloads are always dense: the
-			// server's models ship raw64 in the networked protocol too.
-			uploads := 0
-			for _, i := range cluster {
-				peak := 0.0
-				if f.peakNorm != nil {
-					peak = f.peakNorm[[2]int{i, l}]
-				}
-				if f.StaleFrac == 0 || layerNorms[l][i] > f.StaleFrac*peak {
-					uploads++
-					if codecBytes != nil {
-						commUp += codecBytes[l][i]
-					}
-				}
-			}
-			if codecBytes == nil {
-				commUp += int64(uploads) * bytesFor(layerElems)
-			}
-			commDown += int64(uploads) * bytesFor(layerElems)
-
-			split := false
-			if len(cluster) >= 2 {
-				// Eq. (3) on this layer's updates within the cluster.
-				w := dataWeights(clients, cluster)
-				var meanUpdate []float64
-				norms := make([]float64, len(cluster))
-				for k, i := range cluster {
-					u := clients[i].Update().FlattenLayer(l)
-					norms[k] = mat.Norm2(u)
-					if meanUpdate == nil {
-						meanUpdate = make([]float64, len(u))
-					}
-					mat.Axpy(meanUpdate, u, w[k])
-				}
-				split = gateFromNorms(norms, mat.Norm2(meanUpdate), cfg)
-			}
-			if split {
-				// Lines 13-17: cosine similarity over layer weights, binary
-				// clustering, per-sub-cluster aggregation of this layer.
-				c1, c2 := binaryCluster(layerWeights[l], cluster)
-				if len(c2) > 0 {
-					f.averageLayer(clients, c1, l, cfg.Aggregator)
-					f.averageLayer(clients, c2, l, cfg.Aggregator)
-					recurse(l+1, c1)
-					recurse(l+1, c2)
-					return
-				}
-			}
-			// Line 19: aggregate the whole cluster at this layer.
-			f.averageLayer(clients, cluster, l, cfg.Aggregator)
-			recurse(l+1, cluster)
 		}
-		recurse(0, indexRange(len(clients)))
 
 		res.Comm.UploadBytes += commUp
 		res.Comm.DownloadBytes += commDown
 		info := RoundInfo{
 			Round:       r,
-			NumClusters: len(leafClusters),
+			NumClusters: len(out.Leaves),
 			CommBytes:   commUp + commDown,
 		}
 		res.Rounds = append(res.Rounds, info)
 		sp.End()
 		sm.record(info)
-		finalBottom = leafClusters
+		finalBottom = out.Leaves
 	}
 	res.Comm.Rounds = cfg.Rounds
 	res.FinalClusters = clusterAssignment(len(clients), finalBottom)
 	return res
+}
+
+// commBytes is one round's upload/download accounting over
+// updates[client][layer]: a client transmits a layer while it still moves
+// (see StaleFrac) — at the codec's encoded wire size when one is active.
+// Downloads are always dense: the server's models ship raw64 in the
+// networked protocol too.
+func (f *FexIoT) commBytes(updates [][][]float64, codecBytes [][]int64) (up, down int64) {
+	for i := range updates {
+		for l, u := range updates[i] {
+			n, key := mat.Norm2(u), [2]int{i, l}
+			if f.peakNorm != nil && n > f.peakNorm[key] {
+				f.peakNorm[key] = n
+			}
+			if f.StaleFrac != 0 && n <= f.StaleFrac*f.peakNorm[key] {
+				continue
+			}
+			dense := bytesFor(len(u))
+			down += dense
+			if codecBytes != nil {
+				up += codecBytes[l][i]
+			} else {
+				up += dense
+			}
+		}
+	}
+	return up, down
 }
 
 // simCodec resolves a Config.Codec name to a lossy codec instance, or nil
@@ -204,19 +163,4 @@ func applySimCodec(clients []*Client, cdc codec.Codec, numLayers int) [][]int64 
 		}
 	})
 	return bytes
-}
-
-// averageLayer replaces layer l of every cluster member with the cluster's
-// aggregate of that layer (data-weighted mean under FedAvg, a robust
-// combination under the alternatives).
-func (f *FexIoT) averageLayer(clients []*Client, cluster []int, l int, agg Aggregator) {
-	if len(cluster) == 0 {
-		return
-	}
-	avg := clients[cluster[0]].Model.Params().Clone()
-	AggregateParamsLayer(aggregatorOr(agg), avg, paramsOf(clients, cluster),
-		dataWeights(clients, cluster), l)
-	for _, i := range cluster {
-		clients[i].Model.Params().CopyLayerFrom(avg, l)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/chaos"
 	"fexiot/internal/mat"
 )
 
@@ -99,9 +100,9 @@ func TestQuorumSurvivesKilledClient(t *testing.T) {
 				clientErrs[id] = err
 				return
 			}
-			var fc *FaultConn
+			var fc *chaos.Conn
 			if id == 3 {
-				fc = NewFaultConn(raw)
+				fc = chaos.NewConn(raw)
 				raw = fc
 			}
 			conn := Wrap(raw)
@@ -224,7 +225,7 @@ func TestEvictionAndRejoinResync(t *testing.T) {
 		defer wg.Done()
 		p := scriptParams()
 		params[2] = p
-		var fc *FaultConn
+		var fc *chaos.Conn
 		dials := 0
 		blackholed := false
 		stats[2], errs[2] = RunClientSession(context.Background(), ClientConfig{
@@ -241,7 +242,7 @@ func TestEvictionAndRejoinResync(t *testing.T) {
 				}
 				dials++
 				if dials == 1 {
-					fc = NewFaultConn(raw)
+					fc = chaos.NewConn(raw)
 					return fc, nil
 				}
 				return raw, nil

@@ -32,9 +32,8 @@ type Checkpoint struct {
 }
 
 // Checkpoint files end in a 40-byte integrity footer: the SHA-256 of the
-// gob body followed by an 8-byte magic. Loaders verify the hash when the
-// magic is present and fall back to plain gob decoding when it is not, so
-// footer-less checkpoints from older builds still load.
+// gob body followed by an 8-byte magic. A file without it is a torn write
+// and never loads.
 const (
 	ckptMagic      = "FEXCKPT1"
 	ckptFooterSize = sha256.Size + len(ckptMagic)
@@ -99,31 +98,29 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	// Rotate last-known-good: the current snapshot, already verified or
-	// legacy-loaded at startup, becomes the rollback target.
+	// Rotate last-known-good: the current snapshot becomes the rollback
+	// target.
 	if err := ckptFS.Rename(path, path+PrevSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return ckptFS.Rename(tmp.Name(), path)
 }
 
-// LoadCheckpoint reads one snapshot file, verifying the integrity footer
-// when present and falling back to legacy footer-less gob decoding when it
-// is not. Corruption (hash mismatch, truncation, undecodable body) is
-// reported as ErrCheckpointCorrupt, never a panic.
+// LoadCheckpoint reads one snapshot file and verifies its integrity
+// footer. Corruption (missing footer, hash mismatch, truncation,
+// undecodable body) is reported as ErrCheckpointCorrupt, never a panic.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := ckptFS.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	body := data
-	if len(data) >= ckptFooterSize &&
-		string(data[len(data)-len(ckptMagic):]) == ckptMagic {
-		body = data[: len(data)-ckptFooterSize : len(data)-ckptFooterSize]
-		want := data[len(data)-ckptFooterSize : len(data)-len(ckptMagic)]
-		if sum := sha256.Sum256(body); !bytes.Equal(sum[:], want) {
-			return nil, fmt.Errorf("%w: %s: SHA-256 mismatch", ErrCheckpointCorrupt, path)
-		}
+	if len(data) < ckptFooterSize || string(data[len(data)-len(ckptMagic):]) != ckptMagic {
+		return nil, fmt.Errorf("%w: %s: no integrity footer", ErrCheckpointCorrupt, path)
+	}
+	body := data[:len(data)-ckptFooterSize]
+	want := data[len(data)-ckptFooterSize : len(data)-len(ckptMagic)]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], want) {
+		return nil, fmt.Errorf("%w: %s: SHA-256 mismatch", ErrCheckpointCorrupt, path)
 	}
 	var ck Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&ck); err != nil {

@@ -1,9 +1,7 @@
 package fedproto
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io/fs"
 	"os"
@@ -71,9 +69,9 @@ func TestCheckpointRotationKeepsPrev(t *testing.T) {
 }
 
 // TestCheckpointCorruptionMatrix is the satellite matrix: bit-flip in the
-// body, bit-flip in the footer, truncation, a footer-less legacy file, and
-// both-files-corrupt — every case either rolls back to the previous good
-// snapshot or legacy-loads, and none ever panics.
+// body, bit-flip in the footer, truncation, a footer-less file, and
+// both-files-corrupt — every case rolls back to the previous good snapshot
+// or reports the corruption, and none ever panics.
 func TestCheckpointCorruptionMatrix(t *testing.T) {
 	save2 := func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "fed.ckpt")
@@ -128,22 +126,22 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		}
 	})
 
-	t.Run("legacy footer-less file loads", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "fed.ckpt")
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(testCheckpoint(5)); err != nil {
+	t.Run("footer-less file is rejected and rolls back", func(t *testing.T) {
+		// A torn final write: the gob body landed, the footer did not.
+		path := save2(t)
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, data[:len(data)-ckptFooterSize], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ck, err := LoadCheckpoint(path)
-		if err != nil || ck.Round != 5 {
-			t.Fatalf("legacy load = %+v, %v; want round 5", ck, err)
+		if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("footer-less file loaded: %v", err)
 		}
 		ck, from, err := LoadLatestCheckpoint(path)
-		if err != nil || ck.Round != 5 || from != path {
-			t.Fatalf("LoadLatest legacy = round %d from %q, %v", ck.Round, from, err)
+		if err != nil || ck.Round != 1 || from != path+PrevSuffix {
+			t.Fatalf("rollback = round %d from %q, %v; want 1 from .prev", ck.Round, from, err)
 		}
 	})
 

@@ -82,9 +82,9 @@ func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float6
 // dense absolute weights in place: after it returns nil, m.Layers carries
 // Data exactly as a raw64 client would have sent it, so ValidateUpdate,
 // CheckFiniteUpdate, the shape pin and every aggregator run unchanged.
-// base is the model snapshot the update's BaseSeq names (nil when the
-// update is not a delta). Remote input that fails any check is rejected
-// with an error wrapping ErrMalformedUpdate.
+// base is the model snapshot the update moved from (clientState.base); a
+// delta must name it by a non-zero BaseSeq. Remote input that fails any
+// check is rejected with an error wrapping ErrMalformedUpdate.
 func decodeUpdate(m *Message, base []LayerPayload) error {
 	scheme := m.Codec
 	if scheme == "" {
@@ -105,7 +105,7 @@ func decodeUpdate(m *Message, base []LayerPayload) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformedUpdate, err)
 	}
-	if m.Delta && base == nil {
+	if m.Delta && (m.BaseSeq == 0 || base == nil) {
 		return fmt.Errorf("%w: delta update against unknown base %d", ErrMalformedUpdate, m.BaseSeq)
 	}
 	for l := range m.Layers {

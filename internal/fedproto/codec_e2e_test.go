@@ -2,17 +2,15 @@ package fedproto
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/chaos"
 	"fexiot/internal/embed"
 	"fexiot/internal/fed"
 	"fexiot/internal/fedproto/codec"
@@ -280,9 +278,9 @@ func TestCodecChaosKillQ8(t *testing.T) {
 				clientErrs[id] = err
 				return
 			}
-			var fc *FaultConn
+			var fc *chaos.Conn
 			if id == 3 {
-				fc = NewFaultConn(raw)
+				fc = chaos.NewConn(raw)
 				raw = fc
 			}
 			conn := Wrap(raw)
@@ -331,127 +329,6 @@ func TestCodecChaosKillQ8(t *testing.T) {
 			if diff := math.Abs(got[i] - want); diff > 1e-6 {
 				t.Fatalf("survivor %d element %d = %v, want %v (|Δ|=%v)", id, i, got[i], want, diff)
 			}
-		}
-	}
-}
-
-// legacy checkpoint layout, exactly as a pre-codec build gob-encoded it
-// (no Enc field on payloads). Gob matches fields by name, so decoding the
-// modern Checkpoint from these bytes is the real old-snapshot upgrade path.
-type legacyLayerPayload struct {
-	Layer      int
-	Names      []string
-	Shapes     [][2]int
-	Data       [][]float64
-	UpdateNorm float64
-}
-
-type legacyCheckpoint struct {
-	Round   int
-	Shapes  [][][2]int
-	Names   [][]string
-	Global  []legacyLayerPayload
-	Strikes map[int]int
-	Sizes   map[int]int
-	Stats   ServerStats
-}
-
-// TestPreCodecCheckpointResumeBitIdentical pins checkpoint compatibility: a
-// raw64 federation resumed from a snapshot written by a pre-codec build
-// finishes with bit-identical models across clients and the exact dense
-// closed form — the codec fields must change nothing about the durable
-// format's semantics.
-func TestPreCodecCheckpointResumeBitIdentical(t *testing.T) {
-	// The "old build's" snapshot: rounds 0-1 closed, global = base + 1.
-	global := scriptParams()
-	addDelta(global, 1)
-	var legacy legacyCheckpoint
-	legacy.Round = 2
-	legacy.Shapes = [][][2]int{{{1, 2}}, {{1, 2}}}
-	legacy.Names = [][]string{{"l0.w"}, {"l1.w"}}
-	for l, pl := range EncodeLayers(global, []int{0, 1}, zeroNorms(global)) {
-		legacy.Global = append(legacy.Global, legacyLayerPayload{
-			Layer: l, Names: pl.Names, Shapes: pl.Shapes, Data: pl.Data})
-	}
-	legacy.Strikes = map[int]int{}
-	legacy.Sizes = map[int]int{0: 10, 1: 10}
-	legacy.Stats = ServerStats{RoundsCompleted: 2, Responders: []int{2, 2}}
-
-	ckpt := filepath.Join(t.TempDir(), "precodec.ckpt")
-	f, err := os.Create(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	addr := freeAddr(t)
-	srv := NewServer(ServerConfig{
-		Addr:           addr,
-		Clients:        2,
-		Rounds:         4,
-		NumLayers:      2,
-		Quorum:         1,
-		RoundTimeout:   5 * time.Second,
-		Eps1:           0.4,
-		Eps2:           0.95,
-		CheckpointPath: ckpt,
-	})
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(context.Background())
-		serverErr <- err
-	}()
-
-	params := make([]*autodiff.ParamSet, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := scriptParams()
-			params[id] = p
-			_, errs[id] = RunClientSession(context.Background(), ClientConfig{
-				Addr: addr, ID: id, DataSize: 10,
-				OpTimeout: 5 * time.Second, Seed: int64(id),
-			}, p, func(round int) map[int]float64 {
-				addDelta(p, float64(id+1)*0.1)
-				return zeroNorms(p)
-			})
-		}(id)
-	}
-	wg.Wait()
-	select {
-	case err := <-serverErr:
-		if err != nil {
-			t.Fatalf("resumed server: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not finish")
-	}
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", id, err)
-		}
-	}
-
-	// Rounds 2 and 3 ran. Bit-identity: both clients hold the exact same
-	// bits (raw64 stays lossless end to end), and the value matches the
-	// closed form — replayed global plus two rounds of mean delta 0.15 —
-	// up to summation order inside the aggregator.
-	a, b := params[0].Flatten(), params[1].Flatten()
-	want := scriptParams()
-	addDelta(want, 1)
-	wantFlat := want.Flatten()
-	for i := range wantFlat {
-		if a[i] != b[i] {
-			t.Fatalf("element %d diverged across clients: %v vs %v", i, a[i], b[i])
-		}
-		if diff := math.Abs(a[i] - (wantFlat[i] + 0.3)); diff > 1e-9 {
-			t.Fatalf("element %d = %v, want %v (|Δ|=%v)", i, a[i], wantFlat[i]+0.3, diff)
 		}
 	}
 }

@@ -77,11 +77,9 @@ func FuzzDecodeUpdate(f *testing.F) {
 			if err := CheckFiniteUpdate(&m); err != nil {
 				continue
 			}
-			// A message that passed every gate must be safely flattenable —
-			// this is what the round aggregation does with it.
-			for _, pl := range m.Layers {
-				_ = flatten(pl)
-			}
+			// A message that passed every gate must be safely flattened and
+			// diffed against the base — what the round does with it next.
+			_ = updateOf(flatLayers(m.Layers), b)
 		}
 	})
 }

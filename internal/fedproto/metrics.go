@@ -31,10 +31,6 @@ type serverMetrics struct {
 // newServerMetrics resolves the handle set against r for the configured
 // aggregation rule (the per-aggregator label on aggregation time).
 func newServerMetrics(r *obs.Registry, agg fed.Aggregator) serverMetrics {
-	rule := "fedavg"
-	if agg != nil {
-		rule = agg.Name()
-	}
 	return serverMetrics{
 		roundDur: r.Histogram("fexiot_round_duration_seconds",
 			"wall time of one federated round: collection, aggregation, checkpoint and replies", nil),
@@ -61,7 +57,7 @@ func newServerMetrics(r *obs.Registry, agg fed.Aggregator) serverMetrics {
 		ckptDur: r.Histogram("fexiot_checkpoint_duration_seconds",
 			"wall time of one durable checkpoint write (encode, fsync, rename)", nil),
 		aggDur: r.HistogramVec("fexiot_aggregate_duration_seconds",
-			"wall time of one round's layer-wise clustering aggregation", nil, "rule").With(rule),
+			"wall time of one round's layer-wise clustering aggregation", nil, "rule").With(agg.Name()),
 		updEnc: r.CounterVec("fexiot_update_encoded_bytes_total",
 			"wire bytes of accepted client updates, by codec scheme", "codec"),
 		updRaw: r.Counter("fexiot_update_raw_bytes_total",

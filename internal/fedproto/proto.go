@@ -1,7 +1,8 @@
 // Package fedproto implements a real wire protocol for FexIoT federated
 // training: clients connect to a server over TCP, exchange gob-encoded
-// layer payloads, and the server runs the same layer-wise clustering
-// aggregation as the in-process simulator. The communication costs of
+// layer payloads, and the server runs fed.ClusterRound — the same
+// layer-wise clustering aggregation as the in-process simulator — over
+// what arrived. The communication costs of
 // Fig. 7 can therefore be measured on actual serialized bytes rather than
 // estimated parameter counts.
 package fedproto
@@ -42,8 +43,9 @@ type LayerPayload struct {
 	Names  []string
 	Shapes [][2]int
 	Data   [][]float64
-	// UpdateNorm is ‖ΔW_l‖ of the client's last local round, used by the
-	// server's clustering gate without shipping the previous weights.
+	// UpdateNorm is ‖ΔW_l‖ of the client's last local round as the client
+	// reports it. Informational: the server checks it is finite and gates
+	// Eq. (3) on the ΔW it measures itself against the model it sent.
 	UpdateNorm float64
 	// Enc carries the codec-encoded tensors of a non-raw64 update, one per
 	// name, in Names order.

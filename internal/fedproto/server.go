@@ -13,7 +13,6 @@ import (
 
 	"fexiot/internal/fed"
 	"fexiot/internal/fedproto/codec"
-	"fexiot/internal/mat"
 	"fexiot/internal/obs"
 	"fexiot/internal/supervise"
 )
@@ -102,80 +101,60 @@ type ServerConfig struct {
 	OnRoundComplete func(round int, global []LayerPayload)
 }
 
-// roundTimeout resolves the configured deadline policy.
-func (s *Server) roundTimeout() time.Duration {
+// withDefaults resolves every zero-value convention documented on
+// ServerConfig, once, so the round loop reads plain fields: afterwards a
+// zero RoundTimeout means "no deadlines" and a zero MaxStrikes "never
+// evict".
+func (c ServerConfig) withDefaults() ServerConfig {
 	switch {
-	case s.cfg.RoundTimeout < 0:
-		return 0
-	case s.cfg.RoundTimeout == 0:
-		return DefaultRoundTimeout
-	default:
-		return s.cfg.RoundTimeout
+	case c.RoundTimeout < 0:
+		c.RoundTimeout = 0
+	case c.RoundTimeout == 0:
+		c.RoundTimeout = DefaultRoundTimeout
 	}
-}
-
-// quorumFrac resolves the configured quorum fraction.
-func (s *Server) quorumFrac() float64 {
 	switch {
-	case s.cfg.Quorum <= 0:
-		return DefaultQuorum
-	case s.cfg.Quorum > 1:
-		return 1
-	default:
-		return s.cfg.Quorum
+	case c.Quorum <= 0:
+		c.Quorum = DefaultQuorum
+	case c.Quorum > 1:
+		c.Quorum = 1
 	}
-}
-
-// maxStrikes resolves the eviction policy (0 = never evict).
-func (s *Server) maxStrikes() int {
 	switch {
-	case s.cfg.MaxStrikes < 0:
-		return 0
-	case s.cfg.MaxStrikes == 0:
-		return DefaultMaxStrikes
-	default:
-		return s.cfg.MaxStrikes
+	case c.MaxStrikes < 0:
+		c.MaxStrikes = 0
+	case c.MaxStrikes == 0:
+		c.MaxStrikes = DefaultMaxStrikes
 	}
+	if c.CheckpointEvery <= 0 {
+		c.CheckpointEvery = 1
+	}
+	if c.Aggregator == nil {
+		c.Aggregator = fed.MeanAgg{}
+	}
+	return c
 }
 
-// aggregator resolves the configured aggregation rule.
-func (s *Server) aggregator() fed.Aggregator {
-	if s.cfg.Aggregator == nil {
-		return fed.MeanAgg{}
-	}
-	return s.cfg.Aggregator
-}
-
-// checkpointEvery resolves the snapshot cadence.
-func (s *Server) checkpointEvery() int {
-	if s.cfg.CheckpointEvery <= 0 {
-		return 1
-	}
-	return s.cfg.CheckpointEvery
-}
-
-// quorumCount is the number of updates required out of n admitted clients.
+// quorumCount is the number of updates required out of n admitted clients
+// (frac ≤ 1): at least one, so a round nobody is left to answer — every
+// client dropped while the previous replies went out — loses quorum
+// instead of aggregating nothing.
 func quorumCount(frac float64, n int) int {
 	need := int(math.Ceil(frac*float64(n) - 1e-9))
 	if need < 1 {
 		need = 1
-	}
-	if need > n {
-		need = n
 	}
 	return need
 }
 
 // recvDeadline arms the read deadline on c according to the round policy.
 func (s *Server) recvDeadline(c *Conn) {
-	if d := s.roundTimeout(); d > 0 {
+	if d := s.cfg.RoundTimeout; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
 }
 
 // sendDeadline arms the write deadline on c according to the round policy.
 func (s *Server) sendDeadline(c *Conn) {
-	if d := s.roundTimeout(); d > 0 {
+	if d := s.cfg.RoundTimeout; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d))
 	}
 }
@@ -197,9 +176,11 @@ type clientState struct {
 	// codec is the update scheme negotiated at this session's admission.
 	codec string
 	// bases remembers the last maxBases model snapshots sent to this
-	// client, keyed by their ModelSeq stamp, so a delta update decodes
-	// against the exact base it was encoded against. baseOrder tracks
-	// insertion order for pruning. Guarded by Server.mu.
+	// client, keyed by their ModelSeq stamp: a delta update decodes against
+	// the exact base it was encoded against, and every update's ΔW — what
+	// the Eq. (3) gate reads — is measured against the model the client
+	// trained from. baseOrder tracks insertion order for pruning. Guarded
+	// by Server.mu.
 	bases     map[uint64][]LayerPayload
 	baseOrder []uint64
 }
@@ -219,6 +200,16 @@ func (st *clientState) rememberBase(seq uint64, layers []LayerPayload) {
 		delete(st.bases, st.baseOrder[0])
 		st.baseOrder = st.baseOrder[1:]
 	}
+}
+
+// base returns the model snapshot an update moved away from: the one it
+// names, or — unnamed (seq 0), as raw64 updates are — the last model sent
+// on this session. Nil when there is none. Caller holds Server.mu.
+func (st *clientState) base(seq uint64) []LayerPayload {
+	if seq == 0 && len(st.baseOrder) > 0 {
+		seq = st.baseOrder[len(st.baseOrder)-1]
+	}
+	return st.bases[seq]
 }
 
 // ServerStats summarises a federation run for logs and tests.
@@ -271,6 +262,7 @@ type Server struct {
 
 // NewServer creates a server.
 func NewServer(cfg ServerConfig) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, metrics: newServerMetrics(cfg.Metrics, cfg.Aggregator)}
 	s.cond = sync.NewCond(&s.mu)
 	s.sup = supervise.New(supervise.Options{
@@ -572,10 +564,12 @@ func (s *Server) dropIfCurrent(st *clientState, conn *Conn) {
 
 // recvResult is one client's outcome for a round's collection phase.
 type recvResult struct {
-	st     *clientState
-	conn   *Conn
-	layers []LayerPayload
-	err    error
+	st      *clientState
+	conn    *Conn
+	layers  []LayerPayload // the validated update, dense
+	weights [][]float64    // the same, one flat vector per layer
+	update  [][]float64    // ΔW per layer; nil when the client had no base
+	err     error
 }
 
 // runRound collects one round of updates from every live client, closes
@@ -619,12 +613,9 @@ func (s *Server) runRound(round int) error {
 			// Reconstruct dense absolute weights from whatever codec the
 			// update declares before any further validation — downstream
 			// checks and the aggregator only ever see raw64-shaped data.
-			var base []LayerPayload
-			if m.Delta {
-				s.mu.Lock()
-				base = r.st.bases[m.BaseSeq]
-				s.mu.Unlock()
-			}
+			s.mu.Lock()
+			base := r.st.base(m.BaseSeq)
+			s.mu.Unlock()
 			if err := decodeUpdate(m, base); err != nil {
 				r.err = err
 				return
@@ -642,6 +633,8 @@ func (s *Server) runRound(round int) error {
 				return
 			}
 			r.layers = m.Layers
+			r.weights = flatLayers(m.Layers)
+			r.update = updateOf(r.weights, base)
 			scheme := m.Codec
 			if scheme == "" {
 				scheme = codec.Raw64
@@ -657,16 +650,18 @@ func (s *Server) runRound(round int) error {
 	wg.Wait()
 
 	var responders []*clientState
-	var upd [][]LayerPayload
-	var sizes []int
+	var tmpl []LayerPayload // tensor layout of the round (pinned: any responder's)
+	var in fed.RoundInput
 	var errs []error
 	s.mu.Lock()
 	for i := range live {
 		r := &live[i]
 		if r.err == nil {
 			responders = append(responders, r.st)
-			upd = append(upd, r.layers)
-			sizes = append(sizes, r.st.size)
+			tmpl = r.layers
+			in.Weights = append(in.Weights, r.weights)
+			in.Updates = append(in.Updates, r.update)
+			in.Sizes = append(in.Sizes, r.st.size)
 			if r.st.conn == r.conn {
 				r.st.strikes = 0
 			}
@@ -682,7 +677,7 @@ func (s *Server) runRound(round int) error {
 			// Silence: strike, evict only after MaxStrikes in a row.
 			r.st.strikes++
 			s.metrics.strikes.Inc()
-			if ms := s.maxStrikes(); ms > 0 && r.st.strikes >= ms {
+			if ms := s.cfg.MaxStrikes; ms > 0 && r.st.strikes >= ms {
 				s.dropIfCurrent(r.st, r.conn)
 			}
 		} else {
@@ -694,7 +689,7 @@ func (s *Server) runRound(round int) error {
 	}
 	s.mu.Unlock()
 
-	need := quorumCount(s.quorumFrac(), len(live))
+	need := quorumCount(s.cfg.Quorum, len(live))
 	if len(responders) < need {
 		s.metrics.quorumLost.Inc()
 		errs = append([]error{fmt.Errorf("fedproto: round %d: %w (%d/%d updates, quorum %d)",
@@ -702,13 +697,24 @@ func (s *Server) runRound(round int) error {
 		return errors.Join(errs...)
 	}
 
-	// Layer-wise clustering aggregation over the responders, mirroring
-	// fed.FexIoT with the same FedAvg quorum weighting; the configured
-	// aggregator decides how each cluster's layer weights combine.
-	agg := newRoundAgg(s.cfg, s.aggregator(), upd, sizes)
+	// Algorithm 1 over the responders: the same fed.ClusterRound the
+	// in-process simulator runs, gated on the measured ΔW = W − base.
 	asp := obs.StartSpan(s.metrics.aggDur)
-	replies := agg.run()
-	global := agg.globalMean()
+	out := fed.ClusterRound(in, s.cfg.Eps1, s.cfg.Eps2, s.cfg.Aggregator)
+	// The whole-population aggregate of every layer is the model replayed
+	// to (re)joining clients, whichever cluster they will land in. Without
+	// a split that is what every responder got; after one it is the same
+	// core with no ΔW to split on.
+	globalVecs := out.Layers[0]
+	if len(out.Leaves) > 1 {
+		whole := fed.RoundInput{Weights: in.Weights, Sizes: in.Sizes}
+		globalVecs = fed.ClusterRound(whole, 0, 0, s.cfg.Aggregator).Layers[0]
+	}
+	global := unflatten(tmpl, globalVecs)
+	replies := make([][]LayerPayload, len(responders))
+	for k := range replies {
+		replies[k] = unflatten(tmpl, out.Layers[k])
+	}
 	asp.End()
 
 	s.mu.Lock()
@@ -724,7 +730,7 @@ func (s *Server) runRound(round int) error {
 
 	// Durability point: the round is closed and the global model final, so
 	// this is the state a restarted server must resume from.
-	if s.cfg.CheckpointPath != "" && (round+1)%s.checkpointEvery() == 0 {
+	if s.cfg.CheckpointPath != "" && (round+1)%s.cfg.CheckpointEvery == 0 {
 		csp := obs.StartSpan(s.metrics.ckptDur)
 		err := s.ckptRetry(round + 1)
 		csp.End()
@@ -814,197 +820,64 @@ func (s *Server) totalBytes() int64 {
 	return total
 }
 
-// --- Round aggregation -------------------------------------------------------
-
-// roundAgg runs one round of the layer-wise clustering aggregation
-// (Algorithm 1) over the validated updates of the round's responders. It
-// is connection-free so tests can pin clustering decisions on crafted
-// payloads.
-type roundAgg struct {
-	cfg      ServerConfig
-	agg      fed.Aggregator
-	payloads [][]LayerPayload // [responder][layer]
-	sizes    []int
-	flats    map[[2]int][]float64 // (responder, layer) → flattened weights
-	leaves   [][]int              // bottom-layer clusters (diagnostics/tests)
-}
-
-func newRoundAgg(cfg ServerConfig, agg fed.Aggregator, payloads [][]LayerPayload, sizes []int) *roundAgg {
-	if agg == nil {
-		agg = fed.MeanAgg{}
-	}
-	return &roundAgg{cfg: cfg, agg: agg, payloads: payloads, sizes: sizes,
-		flats: map[[2]int][]float64{}}
-}
-
-// run aggregates every layer and returns one reply (all layers) per
-// responder.
-func (a *roundAgg) run() [][]LayerPayload {
-	replies := make([][]LayerPayload, len(a.payloads))
-	a.aggregate(0, indexRange(len(a.payloads)), replies)
-	return replies
-}
-
-// globalMean is the whole-population weighted mean of every layer — the
-// model replayed to (re)joining clients so they resync with the
-// federation regardless of which cluster they will land in.
-func (a *roundAgg) globalMean() []LayerPayload {
-	all := indexRange(len(a.payloads))
-	out := make([]LayerPayload, 0, a.cfg.NumLayers)
-	for l := 0; l < a.cfg.NumLayers; l++ {
-		out = append(out, a.average(all, l))
+// flatLayers concatenates each layer's tensors into one vector — the form
+// fed.ClusterRound aggregates and clusters.
+func flatLayers(layers []LayerPayload) [][]float64 {
+	out := make([][]float64, len(layers))
+	for l, pl := range layers {
+		n := 0
+		for _, d := range pl.Data {
+			n += len(d)
+		}
+		out[l] = make([]float64, 0, n)
+		for _, d := range pl.Data {
+			out[l] = append(out[l], d...)
+		}
 	}
 	return out
 }
 
-// flat memoises the flattened layer weights of one responder.
-func (a *roundAgg) flat(i, layer int) []float64 {
-	key := [2]int{i, layer}
-	if f, ok := a.flats[key]; ok {
-		return f
-	}
-	f := flatten(a.payloads[i][layer])
-	a.flats[key] = f
-	return f
-}
-
-// aggregate recursively clusters and averages one layer, then descends.
-func (a *roundAgg) aggregate(layer int, cluster []int, replies [][]LayerPayload) {
-	if layer >= a.cfg.NumLayers {
-		a.leaves = append(a.leaves, cluster)
-		return
-	}
-	// Gate: relative Eq. (3) over the clients' reported update norms and
-	// the FedAvg-weighted mean direction. The server has no previous
-	// weights, so the dispersion of the current weights around their
-	// weighted mean stands in for update-direction disagreement:
-	// ‖Σ w ΔW‖ ≈ avg‖ΔW‖·(1 − dispersion).
-	split := false
-	if len(cluster) >= 2 {
-		avg, maxN := 0.0, 0.0
-		for _, i := range cluster {
-			n := a.payloads[i][layer].UpdateNorm
-			avg += n
-			if n > maxN {
-				maxN = n
-			}
+// unflatten is the inverse of flatLayers: it splits per-layer vectors back
+// along the tensor bounds of tmpl. The payloads alias vecs.
+func unflatten(tmpl []LayerPayload, vecs [][]float64) []LayerPayload {
+	out := make([]LayerPayload, len(tmpl))
+	for l, t := range tmpl {
+		out[l] = LayerPayload{Layer: t.Layer, Names: t.Names, Shapes: t.Shapes}
+		off := 0
+		for _, d := range t.Data {
+			end := off + len(d)
+			out[l].Data = append(out[l].Data, vecs[l][off:end:end])
+			off = end
 		}
-		avg /= float64(len(cluster))
-		if avg > 0 {
-			disp := a.dispersion(cluster, layer)
-			split = disp > 0 &&
-				maxN > a.cfg.Eps2*avg && avg*(1-disp) < a.cfg.Eps1*avg
-		}
-	}
-	if split {
-		c1, c2 := a.binaryCluster(cluster, layer)
-		if len(c2) > 0 {
-			a.averageInto(c1, layer, replies)
-			a.averageInto(c2, layer, replies)
-			a.aggregate(layer+1, c1, replies)
-			a.aggregate(layer+1, c2, replies)
-			return
-		}
-	}
-	a.averageInto(cluster, layer, replies)
-	a.aggregate(layer+1, cluster, replies)
-}
-
-// dispersion is the weighted-mean cosine disagreement of the cluster: the
-// mean (1 − cosine) between each member's layer weights and the
-// FedAvg-weighted cluster mean.
-func (a *roundAgg) dispersion(cluster []int, layer int) float64 {
-	w := fed.QuorumWeights(a.sizes, cluster)
-	var mean []float64
-	for k, i := range cluster {
-		f := a.flat(i, layer)
-		if mean == nil {
-			mean = make([]float64, len(f))
-		}
-		mat.Axpy(mean, f, w[k])
-	}
-	var d float64
-	for _, i := range cluster {
-		d += 1 - mat.CosineSimilarity(a.flat(i, layer), mean)
-	}
-	return d / float64(len(cluster))
-}
-
-// binaryCluster splits by cosine similarity of layer weights.
-func (a *roundAgg) binaryCluster(cluster []int, layer int) ([]int, []int) {
-	seedA, seedB := cluster[0], cluster[1]
-	worst := 2.0
-	for x := 0; x < len(cluster); x++ {
-		for y := x + 1; y < len(cluster); y++ {
-			sim := mat.CosineSimilarity(a.flat(cluster[x], layer), a.flat(cluster[y], layer))
-			if sim < worst {
-				worst = sim
-				seedA, seedB = cluster[x], cluster[y]
-			}
-		}
-	}
-	var c1, c2 []int
-	for _, i := range cluster {
-		if mat.CosineSimilarity(a.flat(i, layer), a.flat(seedA, layer)) >=
-			mat.CosineSimilarity(a.flat(i, layer), a.flat(seedB, layer)) {
-			c1 = append(c1, i)
-		} else {
-			c2 = append(c2, i)
-		}
-	}
-	// Match the in-process semantics: singleton clusters fragment the
-	// federation, so keep the cluster whole instead.
-	if len(c1) < 2 || len(c2) < 2 {
-		return cluster, nil
-	}
-	return c1, c2
-}
-
-// average returns the cluster's layer aggregate under the configured
-// aggregator (the quorum-weighted mean under FedAvg). The flattened layer
-// is aggregated as one vector — Krum's distance scores need the whole
-// layer, not per-tensor fragments — then split back along tensor bounds.
-func (a *roundAgg) average(cluster []int, layer int) LayerPayload {
-	w := fed.QuorumWeights(a.sizes, cluster)
-	vecs := make([][]float64, len(cluster))
-	for k, i := range cluster {
-		vecs[k] = a.flat(i, layer)
-	}
-	aggVec := a.agg.Aggregate(vecs, w)
-	tmpl := a.payloads[cluster[0]][layer]
-	avg := LayerPayload{Layer: tmpl.Layer, Names: tmpl.Names, Shapes: tmpl.Shapes}
-	off := 0
-	for di := range tmpl.Data {
-		n := len(tmpl.Data[di])
-		avg.Data = append(avg.Data, append([]float64(nil), aggVec[off:off+n]...))
-		off += n
-	}
-	return avg
-}
-
-// averageInto writes the weighted layer mean into every member's reply.
-func (a *roundAgg) averageInto(cluster []int, layer int, replies [][]LayerPayload) {
-	if len(cluster) == 0 {
-		return
-	}
-	avg := a.average(cluster, layer)
-	for _, i := range cluster {
-		replies[i] = append(replies[i], avg)
-	}
-}
-
-func flatten(p LayerPayload) []float64 {
-	var out []float64
-	for _, d := range p.Data {
-		out = append(out, d...)
 	}
 	return out
 }
 
-func indexRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// updateOf measures ΔW = weights − base per layer. It is nil — ΔW unknown,
+// so the member's cluster is not split this round — when the session has
+// no base yet or the base is laid out differently (a checkpoint from
+// another model).
+func updateOf(weights [][]float64, base []LayerPayload) [][]float64 {
+	if len(base) != len(weights) {
+		return nil
+	}
+	out := make([][]float64, len(weights))
+	for l, w := range weights {
+		d := make([]float64, len(w))
+		off := 0
+		for _, b := range base[l].Data {
+			if off+len(b) > len(w) {
+				return nil
+			}
+			for j, x := range b {
+				d[off+j] = w[off+j] - x
+			}
+			off += len(b)
+		}
+		if off != len(w) {
+			return nil
+		}
+		out[l] = d
 	}
 	return out
 }

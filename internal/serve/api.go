@@ -55,25 +55,15 @@ type APIError struct {
 
 // ErrorEnvelope is the error body of every /v1 endpoint:
 //
-//	{"error":{"code":"overloaded","message":"…"},"error_string":"…"}
-//
-// error_string mirrors error.message for clients of the pre-envelope
-// surface, which read a flat string from the error field; it is deprecated
-// and will be dropped one release after the envelope landed. (JSON cannot
-// carry both the object and the legacy string under the one "error" key,
-// so the flat mirror lives at error_string.)
+//	{"error":{"code":"overloaded","message":"…"}}
 type ErrorEnvelope struct {
-	Err    APIError `json:"error"`
-	Legacy string   `json:"error_string"`
+	Err APIError `json:"error"`
 }
 
 // Envelope builds the ErrorEnvelope for err using the shared mapping.
 func Envelope(err error) ErrorEnvelope {
 	_, code := ErrorStatus(err)
-	return ErrorEnvelope{
-		Err:    APIError{Code: code, Message: err.Error()},
-		Legacy: err.Error(),
-	}
+	return ErrorEnvelope{Err: APIError{Code: code, Message: err.Error()}}
 }
 
 // ErrorStatus is the single sentinel-error→(HTTP status, code) mapping of
@@ -133,10 +123,7 @@ func WriteError(w http.ResponseWriter, err error) error {
 	if code == CodeOverloaded {
 		w.Header().Set("Retry-After", "1")
 	}
-	return WriteJSON(w, status, ErrorEnvelope{
-		Err:    APIError{Code: code, Message: err.Error()},
-		Legacy: err.Error(),
-	})
+	return WriteJSON(w, status, Envelope(err))
 }
 
 // AllowMethods enforces the uniform method discipline: when the request's

@@ -28,10 +28,6 @@ func decodeEnvelope(t *testing.T, body []byte) ErrorEnvelope {
 	if env.Err.Code == "" || env.Err.Message == "" {
 		t.Fatalf("envelope missing code or message: %s", body)
 	}
-	if env.Legacy != env.Err.Message {
-		t.Fatalf("error_string %q does not mirror error.message %q",
-			env.Legacy, env.Err.Message)
-	}
 	return env
 }
 
@@ -45,7 +41,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty rules: status %d, want 400", resp.StatusCode)
 	}
-	const wantEmpty = `{"error":{"code":"bad_request","message":"serve: bad request: rules must be non-empty"},"error_string":"serve: bad request: rules must be non-empty"}` + "\n"
+	const wantEmpty = `{"error":{"code":"bad_request","message":"serve: bad request: rules must be non-empty"}}` + "\n"
 	if string(body) != wantEmpty {
 		t.Fatalf("empty-rules body:\n got %q\nwant %q", body, wantEmpty)
 	}
@@ -55,7 +51,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("pre-publish: status %d, want 503", resp.StatusCode)
 	}
-	const wantNotReady = `{"error":{"code":"not_ready","message":"serve: no model snapshot published yet"},"error_string":"serve: no model snapshot published yet"}` + "\n"
+	const wantNotReady = `{"error":{"code":"not_ready","message":"serve: no model snapshot published yet"}}` + "\n"
 	if string(body) != wantNotReady {
 		t.Fatalf("pre-publish body:\n got %q\nwant %q", body, wantNotReady)
 	}
