@@ -43,10 +43,11 @@ race-fed:
 	$(GO) test -race -count=1 ./internal/fed/...
 
 # The snapshot-isolated serving engine (swap-mid-storm, batching, HTTP)
-# plus the facade's detect-while-training race regression, never from
-# cache.
+# plus the facade's detect-while-training race regression and the shared
+# text encoder every request's fusion goes through, never from cache.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
+	$(GO) test -race -count=1 -run TestEncoderConcurrent ./internal/embed/
 	$(GO) test -race -count=1 -run 'TestConcurrentDetectWhileTraining|TestServeEndToEnd' .
 
 # The self-healing runtime under the race detector, never from cache: the
@@ -134,11 +135,15 @@ serve-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
-# Wire-protocol fuzzers (gob decode must error, never panic). FUZZTIME
-# bounds each target; raise it for long local runs.
+# Wire-protocol fuzzers (gob decode must error, never panic) and the /v1
+# body decoder's differential fuzzers (answered => deep-equal to
+# encoding/json, never panic). FUZZTIME bounds each target; raise it for
+# long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
+	$(GO) test -fuzz FuzzDecodeDetectRequest -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
 
 check: build vet test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \

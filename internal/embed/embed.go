@@ -186,7 +186,7 @@ func (e *Encoder) Sentence(s string) []float64 {
 		content = append(content, lemma)
 	}
 	if len(content) == 0 {
-		e.sentCache[s] = out
+		e.storeSentence(s, out)
 		return out
 	}
 	for i := range out {
@@ -204,8 +204,17 @@ func (e *Encoder) Sentence(s string) []float64 {
 			out[i] /= n
 		}
 	}
-	e.sentCache[s] = out
+	e.storeSentence(s, out)
 	return out
+}
+
+// storeSentence fills the sentence cache under the lock. As with Word, the
+// vector was computed outside it: racing misses on one sentence produce
+// identical vectors and either may win the slot.
+func (e *Encoder) storeSentence(s string, v []float64) {
+	e.mu.Lock()
+	e.sentCache[s] = v
+	e.mu.Unlock()
 }
 
 // PairEmbedding implements Eq. (1): the trigger-action pair embedding is the

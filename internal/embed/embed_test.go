@@ -1,7 +1,9 @@
 package embed
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -175,4 +177,35 @@ func TestWordCaching(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("cache should return the same slice")
 	}
+}
+
+// TestEncoderConcurrent drives every memoising entry point from several
+// goroutines on distinct and shared keys; under -race it fails on any cache
+// access outside the encoder's lock (a concurrent map write is fatal even
+// without the detector).
+func TestEncoderConcurrent(t *testing.T) {
+	e := NewEncoder(16, 24)
+	want := NewEncoder(16, 24).Sentence("turn on the shared hallway light")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				own := fmt.Sprintf("open valve %d when leak sensor %d trips", g, i)
+				e.Word(fmt.Sprintf("device%d_%d", g, i))
+				e.Sentence(own)
+				e.Sentence("") // the no-content-word store
+				e.RuleEmbedding(own)
+				got := e.Sentence("turn on the shared hallway light")
+				for k := range want {
+					if got[k] != want[k] {
+						t.Errorf("goroutine %d: shared sentence diverged at %d", g, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

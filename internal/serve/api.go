@@ -1,13 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"strings"
+
+	"fexiot/internal/eventlog"
+	"fexiot/internal/obs"
+	"fexiot/internal/rules"
 )
 
 // The /v1 surface speaks one error vocabulary: every endpoint — detect,
@@ -164,18 +170,100 @@ func RequireContentType(w http.ResponseWriter, req *http.Request, accepted ...st
 	return false
 }
 
-// ReadJSON decodes one JSON value from the request body under a byte cap,
-// classifying failures onto the shared sentinels: an overrun body wraps
-// ErrTooLarge, anything else undecodable wraps ErrBadRequest. The caller
-// passes the error straight to WriteError.
+// ReadJSON decodes the request body — exactly one JSON value, then only
+// whitespace — under a byte cap, classifying failures onto the shared
+// sentinels: an overrun body wraps ErrTooLarge, anything else undecodable
+// wraps ErrBadRequest. The caller passes the error straight to WriteError.
+//
+// A *DetectRequest in the plain shape json.Marshal emits is decoded by the
+// one-pass scanner in decode.go; every other body, and every other v, goes
+// through encoding/json, so what is accepted and every error message are
+// the stdlib's.
 func ReadJSON(w http.ResponseWriter, req *http.Request, maxBytes int64, v any) error {
-	req.Body = http.MaxBytesReader(w, req.Body, maxBytes)
-	if err := json.NewDecoder(req.Body).Decode(v); err != nil {
+	return ReadJSONCounted(w, req, maxBytes, v, nil)
+}
+
+// ReadJSONCounted is ReadJSON for a handler that exports metrics: fallbacks
+// (see DecodeFallbacks; nil is a no-op) counts the bodies that took the
+// encoding/json path.
+func ReadJSONCounted(w http.ResponseWriter, req *http.Request, maxBytes int64,
+	v any, fallbacks *obs.Counter) error {
+	body, err := readBody(w, req, maxBytes)
+	if err != nil {
+		return err
+	}
+	if in, ok := v.(*DetectRequest); ok && decodeDetectRequest(body, in) {
+		return nil
+	}
+	fallbacks.Inc()
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("%w: bad JSON: %v", ErrBadRequest, err)
+	}
+	return nil
+}
+
+// ReadEvents decodes an NDJSON event batch — one JSON event object per
+// line; any whitespace-separated concatenation of objects is accepted —
+// under a byte cap, with ReadJSONCounted's error classification and
+// fallback counting. A bad record's error names its 1-based position.
+func ReadEvents(w http.ResponseWriter, req *http.Request, maxBytes int64,
+	fallbacks *obs.Counter) ([]eventlog.Event, error) {
+	body, err := readBody(w, req, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	if evs, ok := decodeEvents(body); ok {
+		return evs, nil
+	}
+	fallbacks.Inc()
+	return stdlibEvents(body)
+}
+
+// stdlibEvents is the encoding/json decoding of an NDJSON batch: the
+// fallback of ReadEvents and the reference decodeEvents is tested against.
+func stdlibEvents(body []byte) ([]eventlog.Event, error) {
+	var evs []eventlog.Event
+	for dec := json.NewDecoder(bytes.NewReader(body)); ; {
+		var e eventlog.Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return evs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("%w: bad NDJSON at record %d: %v",
+				ErrBadRequest, len(evs)+1, err)
+		}
+		evs = append(evs, e)
+	}
+}
+
+// readBody reads the whole request body under the byte cap. The buffer is
+// sized from Content-Length when the client declared one, so a large event
+// log is read in one allocation instead of a doubling series.
+func readBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := req.ContentLength; n > 0 && n <= maxBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, maxBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return fmt.Errorf("%w: body exceeds %d bytes", ErrTooLarge, tooBig.Limit)
+			return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrTooLarge, tooBig.Limit)
 		}
-		return fmt.Errorf("%w: bad JSON: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// ValidateRules is the one admission check on a request's rule set, shared
+// by detect, explain and stream creation: fusion dereferences every rule,
+// so an empty set or a JSON null among the rules is refused here.
+func ValidateRules(rs []*rules.Rule) error {
+	if len(rs) == 0 {
+		return fmt.Errorf("%w: rules must be non-empty", ErrBadRequest)
+	}
+	for i, r := range rs {
+		if r == nil {
+			return fmt.Errorf("%w: rule %d is null", ErrBadRequest, i)
+		}
 	}
 	return nil
 }

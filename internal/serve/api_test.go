@@ -14,6 +14,7 @@ import (
 	"fexiot/internal/eventlog"
 	"fexiot/internal/fusion"
 	"fexiot/internal/graph"
+	"fexiot/internal/obs"
 	"fexiot/internal/rules"
 )
 
@@ -287,4 +288,65 @@ func readAll(t *testing.T, r *http.Response) []byte {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// TestNullRuleRejected is the regression for a JSON null among the rules:
+// it used to reach fusion and dereference nil — a 500 and a bumped panic
+// counter on detect and explain. It is a 400 from the shared admission
+// check, byte-for-byte, and nothing panics.
+func TestNullRuleRejected(t *testing.T) {
+	det, drf, _ := fixture(41)
+	reg := obs.NewRegistry()
+	e := NewEngine(Options{Workers: 1, Metrics: reg})
+	t.Cleanup(e.Close)
+	e.Publish(NewSnapshot(1, det, drf, searchCfg))
+	ts, _ := mountedServer(t, e)
+
+	const want = `{"error":{"code":"bad_request","message":"serve: bad request: rule 1 is null"}}` + "\n"
+	for _, path := range []string{"/v1/detect", "/v1/explain"} {
+		r, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(`{"rules":[{"ID":"r1"},null]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, r)
+		if r.StatusCode != http.StatusBadRequest || string(body) != want {
+			t.Fatalf("%s with a null rule: %d %q\nwant 400 %q", path, r.StatusCode, body, want)
+		}
+	}
+	if n := reg.Counter("fexiot_serve_panics_total", "").Value(); n != 0 {
+		t.Fatalf("panic counter = %d, want 0", n)
+	}
+}
+
+// TestTrailingBytesRejected is the regression for bytes after the JSON
+// value: Decoder.Decode stopped at the closing brace and answered 200.
+// Trailing whitespace stays fine; anything else is encoding/json's error.
+func TestTrailingBytesRejected(t *testing.T) {
+	ts, _, home := httpFixture(t, true)
+	good, err := json.Marshal(DetectRequest{Rules: home})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		r, err := http.Post(ts.URL+"/v1/detect", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.StatusCode, readAll(t, r)
+	}
+	if status, body := post(string(good) + " \r\n\t\n"); status != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d\n%s", status, body)
+	}
+	for _, tail := range []string{" trailing garbage", "{}", "]"} {
+		status, body := post(string(good) + tail)
+		if status != http.StatusBadRequest {
+			t.Fatalf("tail %q: status %d, want 400\n%s", tail, status, body)
+		}
+		env := decodeEnvelope(t, body)
+		if env.Err.Code != CodeBadRequest || !strings.Contains(env.Err.Message, "after top-level value") {
+			t.Fatalf("tail %q: envelope %+v, want encoding/json's after-top-level-value error", tail, env.Err)
+		}
+	}
 }

@@ -13,7 +13,9 @@ import (
 
 // GraphBuilder fuses a request's rules (and optional event log) into an
 // interaction graph. The facade supplies System.BuildGraph /
-// System.BuildOnlineGraph; it must be safe for concurrent use.
+// System.BuildOnlineGraph; it must be safe for concurrent use. The log is
+// lent, not given: a builder must neither mutate it nor retain it (or any
+// sub-slice) past its return — a streaming session passes its live window.
 type GraphBuilder func(rs []*rules.Rule, log eventlog.Log) (*graph.Graph, error)
 
 // DetectRequest is the JSON body of POST /v1/detect and /v1/explain: the
@@ -143,12 +145,12 @@ func (e *Engine) handle(w http.ResponseWriter, req *http.Request,
 		return
 	}
 	var in DetectRequest
-	if err := ReadJSON(w, req, e.opts.maxBodyBytes(), &in); err != nil {
+	if err := ReadJSONCounted(w, req, e.opts.maxBodyBytes(), &in, e.m.fallbacks); err != nil {
 		e.sendErr(w, err)
 		return
 	}
-	if len(in.Rules) == 0 {
-		e.sendErr(w, fmt.Errorf("%w: rules must be non-empty", ErrBadRequest))
+	if err := ValidateRules(in.Rules); err != nil {
+		e.sendErr(w, err)
 		return
 	}
 	g, err := build(in.Rules, in.Events)

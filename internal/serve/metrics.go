@@ -17,6 +17,15 @@ type metrics struct {
 	shed        *obs.Counter
 	panics      *obs.Counter
 	writeErrs   *obs.Counter
+	fallbacks   *obs.Counter
+}
+
+// DecodeFallbacks returns the registry's fexiot_serve_decode_fallback_total
+// counter (nil, a no-op handle, on a nil registry). The stream endpoints
+// decode with this package's readers and count into the same series.
+func DecodeFallbacks(r *obs.Registry) *obs.Counter {
+	return r.Counter("fexiot_serve_decode_fallback_total",
+		"request bodies outside the one-pass decoder's plain shape, decoded by encoding/json")
 }
 
 func newMetrics(r *obs.Registry) metrics {
@@ -48,6 +57,7 @@ func newMetrics(r *obs.Registry) metrics {
 			"panics recovered in inference workers and HTTP handlers"),
 		writeErrs: r.Counter("fexiot_serve_response_write_errors_total",
 			"JSON responses whose network write failed after the status line"),
+		fallbacks: DecodeFallbacks(r),
 	}
 }
 

@@ -2,25 +2,18 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
-	"fexiot/internal/eventlog"
-	"fexiot/internal/rules"
 	"fexiot/internal/serve"
 )
 
 // CreateRequest is the JSON body of POST /v1/streams: the session's
-// deployed rules, plus an optional initial event batch.
-type CreateRequest struct {
-	Rules  []*rules.Rule `json:"rules"`
-	Events eventlog.Log  `json:"events,omitempty"`
-}
+// deployed rules, plus an optional initial event batch — the same body
+// /v1/detect takes.
+type CreateRequest = serve.DetectRequest
 
 // CreateResponse is the JSON reply of POST /v1/streams.
 type CreateResponse struct {
@@ -38,18 +31,18 @@ type IngestResponse struct {
 // verdict plus enough provenance (snapshot seq, window shape, refusion
 // count) for a client to reason about how fresh it is.
 type VerdictResponse struct {
-	ID            string  `json:"id"`
-	Vulnerable    bool    `json:"vulnerable"`
-	Score         float64 `json:"score"`
-	Drifting      bool    `json:"drifting"`
-	DriftScore    float64 `json:"drift_score"`
-	Nodes         int     `json:"nodes"`
-	SnapshotSeq   uint64  `json:"snapshot_seq"`
-	WindowEvents  int     `json:"window_events"`
-	WindowSpan    int64   `json:"window_span_seconds"`
-	Refusions     int64   `json:"refusions"`
-	EventsTotal   int64   `json:"events_total"`
-	DroppedTotal  int64   `json:"dropped_total"`
+	ID           string  `json:"id"`
+	Vulnerable   bool    `json:"vulnerable"`
+	Score        float64 `json:"score"`
+	Drifting     bool    `json:"drifting"`
+	DriftScore   float64 `json:"drift_score"`
+	Nodes        int     `json:"nodes"`
+	SnapshotSeq  uint64  `json:"snapshot_seq"`
+	WindowEvents int     `json:"window_events"`
+	WindowSpan   int64   `json:"window_span_seconds"`
+	Refusions    int64   `json:"refusions"`
+	EventsTotal  int64   `json:"events_total"`
+	DroppedTotal int64   `json:"dropped_total"`
 }
 
 // DeleteResponse is the JSON reply of DELETE /v1/streams/{id}.
@@ -105,7 +98,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var in CreateRequest
-	if err := serve.ReadJSON(w, req, m.opts.maxBodyBytes(), &in); err != nil {
+	if err := serve.ReadJSONCounted(w, req, m.opts.maxBodyBytes(), &in, m.m.fallbacks); err != nil {
 		m.sendErr(w, err)
 		return
 	}
@@ -190,26 +183,10 @@ func (m *Manager) handleIngest(w http.ResponseWriter, req *http.Request, id stri
 	if !serve.RequireContentType(w, req, "application/x-ndjson", "application/json") {
 		return
 	}
-	req.Body = http.MaxBytesReader(w, req.Body, m.opts.maxBodyBytes())
-	dec := json.NewDecoder(req.Body)
-	var evs []eventlog.Event
-	for {
-		var e eventlog.Event
-		if err := dec.Decode(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				m.sendErr(w, fmt.Errorf("%w: body exceeds %d bytes",
-					serve.ErrTooLarge, tooBig.Limit))
-				return
-			}
-			m.sendErr(w, fmt.Errorf("%w: bad NDJSON at record %d: %v",
-				serve.ErrBadRequest, len(evs)+1, err))
-			return
-		}
-		evs = append(evs, e)
+	evs, err := serve.ReadEvents(w, req, m.opts.maxBodyBytes(), m.m.fallbacks)
+	if err != nil {
+		m.sendErr(w, err)
+		return
 	}
 	if len(evs) == 0 {
 		m.sendErr(w, fmt.Errorf("%w: empty event batch", serve.ErrBadRequest))

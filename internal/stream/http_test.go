@@ -196,3 +196,48 @@ func TestStreamHTTPErrors(t *testing.T) {
 		t.Fatalf("junk path: %d %s", resp.StatusCode, body)
 	}
 }
+
+// TestStreamCreateNullRuleRejected is the regression for the poisoned
+// session: a null rule used to create a session (201) whose every verdict
+// then panicked in fusion until idle eviction. Creation refuses it with the
+// same 400 detect and explain give, and no session exists afterwards.
+func TestStreamCreateNullRuleRejected(t *testing.T) {
+	ts, m, eng := httpStream(t, Options{})
+	eng.publish(1)
+	resp, body := do(t, "POST", ts.URL+"/v1/streams", "application/json", `{"rules":[null]}`)
+	const want = `{"error":{"code":"bad_request","message":"serve: bad request: rule 0 is null"}}` + "\n"
+	if resp.StatusCode != http.StatusBadRequest || string(body) != want {
+		t.Fatalf("null rule: %d %q\nwant 400 %q", resp.StatusCode, body, want)
+	}
+	if n := m.Sessions(); n != 0 {
+		t.Fatalf("%d sessions after a refused create, want 0", n)
+	}
+}
+
+// TestStreamTrailingBytes pins the two framings apart: the create body is
+// one JSON value (bytes after it are a 400), the events body is a
+// concatenation of values (a second object is the second event).
+func TestStreamTrailingBytes(t *testing.T) {
+	ts, _, eng := httpStream(t, Options{})
+	eng.publish(1)
+	resp, body := do(t, "POST", ts.URL+"/v1/streams", "application/json",
+		`{"rules":[{"ID":"r1"}]} trailing garbage`)
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != serve.CodeBadRequest {
+		t.Fatalf("create with trailing bytes: %d %s", resp.StatusCode, body)
+	}
+	resp, body = do(t, "POST", ts.URL+"/v1/streams", "application/json", `{"rules":[{"ID":"r1"}]}`+"\n")
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	var created CreateResponse
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = do(t, "POST", ts.URL+"/v1/streams/"+created.ID+"/events", "application/x-ndjson",
+		`{"Time":1,"Device":"a","Value":"on"} {"Time":2,"Device":"b","Value":"on"}`+"\n\n"+
+			`{"Time":3,"Device":"c","Value":"on"}{"Time":4,"Device":"d","Value":"on"}`)
+	var ing IngestResponse
+	if err := json.Unmarshal(body, &ing); err != nil || resp.StatusCode != http.StatusOK || ing.Ingested != 4 {
+		t.Fatalf("concatenated events: %d %s (err %v), want 4 ingested", resp.StatusCode, body, err)
+	}
+}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fexiot/internal/obs"
+	"fexiot/internal/serve"
 )
 
 // metrics bundles the fexiot_stream_* handles, resolved once at manager
@@ -19,6 +20,7 @@ type metrics struct {
 	verdictLag  *obs.Histogram
 	writeErrs   *obs.Counter
 	panics      *obs.Counter
+	fallbacks   *obs.Counter // serve's decode-fallback series, shared
 }
 
 func newMetrics(r *obs.Registry) metrics {
@@ -49,5 +51,6 @@ func newMetrics(r *obs.Registry) metrics {
 			"JSON responses whose network write failed after the status line"),
 		panics: r.Counter("fexiot_stream_panics_total",
 			"panics recovered in stream HTTP handlers"),
+		fallbacks: serve.DecodeFallbacks(r),
 	}
 }

@@ -221,8 +221,8 @@ func (m *Manager) now() time.Time {
 // Create opens a session over a deployed-rules set and returns its id.
 // A full session table sheds with serve.ErrOverloaded.
 func (m *Manager) Create(rs []*rules.Rule) (string, error) {
-	if len(rs) == 0 {
-		return "", fmt.Errorf("%w: rules must be non-empty", serve.ErrBadRequest)
+	if err := serve.ValidateRules(rs); err != nil {
+		return "", err
 	}
 	now := m.now()
 	m.mu.Lock()
@@ -376,7 +376,10 @@ func (m *Manager) Verdict(ctx context.Context, id string) (VerdictResult, error)
 	}
 
 	if s.dirty || s.graph == nil {
-		g, err := m.build(s.rules, append(eventlog.Log(nil), s.window...))
+		// The live window goes in uncopied: Ingest replaces s.window with a
+		// fresh slice and never writes into the old one, and a GraphBuilder
+		// neither mutates nor retains its log.
+		g, err := m.build(s.rules, s.window)
 		if err != nil {
 			return VerdictResult{}, fmt.Errorf("%w: fusing window: %v", serve.ErrBadRequest, err)
 		}

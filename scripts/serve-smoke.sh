@@ -130,6 +130,11 @@ grep -q '^fexiot_mat_arena_leases_total [1-9]' "$WORKDIR/metrics.txt" \
 grep -q '^fexiot_serve_request_duration_seconds_count{endpoint="detect"} [1-9]' "$WORKDIR/metrics.txt" \
     || { echo "serve-smoke: no detect latency samples recorded"; \
          grep fexiot_serve_request "$WORKDIR/metrics.txt" || true; exit 1; }
+# Every request so far sent the canonical sample: the one-pass decoder must
+# have answered all of them without encoding/json.
+grep -q '^fexiot_serve_decode_fallback_total 0$' "$WORKDIR/metrics.txt" \
+    || { echo "serve-smoke: canonical sample bodies took the encoding/json path:"; \
+         grep fexiot_serve_decode "$WORKDIR/metrics.txt" || true; exit 1; }
 
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true

@@ -103,6 +103,14 @@ code=$(code_of "$WORKDIR/status.out" GET "http://$ADDR/v1/status")
 grep -q '"stream_sessions":1' "$WORKDIR/status.out" \
     || { echo "stream-smoke: /v1/status not counting the session:"; cat "$WORKDIR/status.out"; exit 1; }
 
+# The canonical samples (create body, NDJSON batch) are the plain shape the
+# one-pass decoder answers: none of them may have needed encoding/json.
+fallbacks() {
+    curl -sf "http://$ADDR/metrics" | sed -n 's/^fexiot_serve_decode_fallback_total //p'
+}
+[ "$(fallbacks)" = 0 ] || { echo "stream-smoke: decode fallbacks = '$(fallbacks)' after" \
+    "the canonical samples, want 0"; exit 1; }
+
 # --- Structured error envelope ----------------------------------------
 
 expect_code() { # expect_code WANT_HTTP WANT_CODE METHOD URL [CT] [BODYFILE]
@@ -122,7 +130,9 @@ expect_code 415 unsupported_media_type POST "http://$ADDR/v1/streams" text/csv "
 printf '{broken\n' >"$WORKDIR/bad.ndjson"
 expect_code 400 bad_request POST "http://$ADDR/v1/streams/$SID/events" \
     application/x-ndjson "$WORKDIR/bad.ndjson"
-echo "stream-smoke: error envelope codes verified (404/405/415/400)"
+[ "$(fallbacks)" = 1 ] || { echo "stream-smoke: decode fallbacks = '$(fallbacks)' after" \
+    "one malformed batch, want 1"; exit 1; }
+echo "stream-smoke: error envelope codes verified (404/405/415/400), decode fallbacks 0 -> 1"
 
 # --- Metrics and teardown ----------------------------------------------
 
