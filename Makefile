@@ -43,11 +43,14 @@ race-fed:
 	$(GO) test -race -count=1 ./internal/fed/...
 
 # The snapshot-isolated serving engine (swap-mid-storm, batching, HTTP)
-# plus the facade's detect-while-training race regression and the shared
-# text encoder every request's fusion goes through, never from cache.
+# plus the facade's detect-while-training race regression, the shared
+# text encoder every request's fusion goes through and online fusion
+# itself (which holds the builder lock only for its graph ID), never from
+# cache.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
 	$(GO) test -race -count=1 -run TestEncoderConcurrent ./internal/embed/
+	$(GO) test -race -count=1 -run TestBuildOnlineConcurrent ./internal/fusion/
 	$(GO) test -race -count=1 -run 'TestConcurrentDetectWhileTraining|TestServeEndToEnd' .
 
 # The self-healing runtime under the race detector, never from cache: the
@@ -62,9 +65,11 @@ race-supervise:
 # The streaming session subsystem under the race detector, never from
 # cache: the manager's concurrent ingest/verdict/evict paths plus the
 # full-stack stream e2e (bit-identity vs batch, republish tracking, idle
-# eviction).
+# eviction), and concurrent online fusion, which every session's verdict
+# runs under its own lock only.
 race-stream:
 	$(GO) test -race -count=1 ./internal/stream/...
+	$(GO) test -race -count=1 -run TestBuildOnlineConcurrent ./internal/fusion/
 	$(GO) test -race -count=1 -run 'TestStream' .
 
 # The cross-layer chaos soak: a seeded plan kills a client link, hard-stops
@@ -135,15 +140,17 @@ serve-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
-# Wire-protocol fuzzers (gob decode must error, never panic) and the /v1
+# Wire-protocol fuzzers (gob decode must error, never panic), the /v1
 # body decoder's differential fuzzers (answered => deep-equal to
-# encoding/json, never panic). FUZZTIME bounds each target; raise it for
-# long local runs.
+# encoding/json, never panic) and online fusion's (perturbed log =>
+# deep-equal to the reference fusion). FUZZTIME bounds each target; raise
+# it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeDetectRequest -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/
 
 check: build vet test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \

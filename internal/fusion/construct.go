@@ -21,7 +21,9 @@ import (
 // EdgeOracle decides whether rule a's action triggers rule b's condition.
 // The dataset generator uses the ground-truth semantics
 // (rules.RuleCanTrigger); the deployed pipeline substitutes a trained
-// correlation classifier (§III-A3).
+// correlation classifier (§III-A3). An oracle must be safe for concurrent
+// calls and give the same answer for the same pair every time: BuildOnline
+// consults it outside the builder lock.
 type EdgeOracle func(a, b *rules.Rule) rules.MatchKind
 
 // Builder constructs interaction graphs from rule pools.
@@ -36,9 +38,10 @@ type Builder struct {
 	// three app platforms); homogeneous datasets set a single platform.
 	InjectPlatforms []rules.Platform
 
-	// mu serialises graph construction: the builder's RNG stream, graph
-	// counter and pool index are shared, and the serving engine builds
-	// graphs from concurrent HTTP handlers.
+	// mu guards the builder's RNG stream, graph counter and pool index,
+	// which the serving engine reaches from concurrent HTTP handlers.
+	// Offline holds it throughout (it draws from the RNG); BuildOnline only
+	// to draw a graph ID.
 	mu      sync.Mutex
 	r       *rng.RNG
 	nextID  int
@@ -50,7 +53,7 @@ type Builder struct {
 	// re-fusing a streaming session's window after every event batch must
 	// never re-tokenise and re-embed unchanged rule text. Keyed by a
 	// seeded FNV-64 content hash; guarded by its own mutex because
-	// NodeFeature runs while mu is already held.
+	// NodeFeature runs both under mu (Offline) and outside it (BuildOnline).
 	featMu     sync.Mutex
 	featSeed   uint64
 	featCache  map[uint64]featEntry

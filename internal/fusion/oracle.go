@@ -1,6 +1,8 @@
 package fusion
 
 import (
+	"sync"
+
 	"fexiot/internal/ml"
 	"fexiot/internal/rng"
 	"fexiot/internal/rules"
@@ -20,6 +22,10 @@ type ClassifierOracle struct {
 	// Threshold on the classifier score for declaring a correlation.
 	Threshold float64
 
+	// mu serialises the oracle (cache, classifier and featurizer alike):
+	// BuildOnline consults it outside the builder lock, so concurrent
+	// fuses reach it at once.
+	mu    sync.Mutex
 	cache map[[2]string]rules.MatchKind
 }
 
@@ -32,6 +38,8 @@ func NewClassifierOracle(c ml.Classifier, f *PairFeaturizer) *ClassifierOracle {
 // Oracle returns the EdgeOracle function.
 func (o *ClassifierOracle) Oracle() EdgeOracle {
 	return func(a, b *rules.Rule) rules.MatchKind {
+		o.mu.Lock()
+		defer o.mu.Unlock()
 		key := [2]string{a.ID, b.ID}
 		if k, ok := o.cache[key]; ok {
 			return k

@@ -7,8 +7,9 @@
 // The window is bounded twice over — by event count and by event-time age —
 // so a session's memory and refusion cost are O(window), not O(stream).
 // Fusion is incremental in the sense that matters: the graph is re-fused
-// only when the window actually changed (a batch of already-evicted or
-// duplicate-window events is a no-op), node features come from the
+// only when the window actually changed (a batch of events that have all
+// aged out is a no-op; a batch sent twice is NOT — ingest does not dedupe,
+// the window holds both copies and re-fuses), node features come from the
 // builder's seeded-hash embedding cache so unchanged rule text is never
 // re-embedded, and a cached verdict is re-scored only when the serving
 // engine publishes a new snapshot. Verdicts therefore track live
@@ -22,9 +23,10 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -130,9 +132,10 @@ type session struct {
 
 	mu          sync.Mutex
 	closed      bool
-	window      []eventlog.Event
-	maxTime     int64 // newest event time seen (window age anchor)
-	dirty       bool  // window changed since the graph was last fused
+	window      []eventlog.Event // sorted by time; a slice of buf
+	buf         []eventlog.Event // the window's backing array, reused across ingests
+	maxTime     int64            // newest event time seen (window age anchor)
+	dirty       bool             // window changed since the graph was last fused
 	graph       *graph.Graph
 	verdict     serve.Verdict
 	verdictSeq  uint64
@@ -266,10 +269,13 @@ type IngestResult struct {
 	Changed      bool  `json:"window_changed"`
 }
 
-// Ingest appends an event batch to the session's sliding window, applying
+// Ingest merges an event batch into the session's sliding window, applying
 // the age bound then the count bound, and marks the session dirty only when
-// the surviving window actually differs — ingesting stale or duplicate
-// events never triggers a refusion.
+// the surviving window actually differs: a batch whose events have all aged
+// out never triggers a refusion. Ingest does not dedupe — an event sent
+// twice is in the window twice, so a retried batch changes the window (the
+// graph it fuses into has the same nodes and edges: fusion asks whether
+// events exist, not how many).
 func (m *Manager) Ingest(id string, evs []eventlog.Event) (IngestResult, error) {
 	s, err := m.get(id)
 	if err != nil {
@@ -288,50 +294,123 @@ func (m *Manager) Ingest(id string, evs []eventlog.Event) (IngestResult, error) 
 		s.lastIngest = now
 	}
 
-	old := s.window
-	next := make([]eventlog.Event, 0, len(old)+len(evs))
-	next = append(next, old...)
-	next = append(next, evs...)
-	for _, e := range evs {
-		if e.Time > s.maxTime {
-			s.maxTime = e.Time
-		}
-	}
-	sort.SliceStable(next, func(i, j int) bool { return next[i].Time < next[j].Time })
-	// Age bound: an event older than the newest minus MaxWindowAge is out
-	// of scope (event time, so replays behave identically to live streams).
-	cutoff := s.maxTime - m.opts.maxWindowAge()
-	lo := sort.Search(len(next), func(i int) bool { return next[i].Time >= cutoff })
-	next = next[lo:]
-	// Count bound: keep the most recent MaxWindowEvents.
-	if over := len(next) - m.opts.maxWindowEvents(); over > 0 {
-		next = next[over:]
-	}
-
-	changed := len(next) != len(old)
-	if !changed {
-		for i := range next {
-			if next[i] != old[i] {
-				changed = true
-				break
-			}
-		}
-	}
+	was := len(s.window)
+	changed := s.merge(evs, m.opts.maxWindowAge(), m.opts.maxWindowEvents())
+	w := s.window
 	res := IngestResult{
 		Ingested:     len(evs),
-		Dropped:      len(old) + len(evs) - len(next),
-		WindowEvents: len(next),
+		Dropped:      was + len(evs) - len(w),
+		WindowEvents: len(w),
 		Changed:      changed,
 	}
-	if len(next) > 0 {
-		res.WindowSpan = next[len(next)-1].Time - next[0].Time
+	if len(w) > 0 {
+		res.WindowSpan = w[len(w)-1].Time - w[0].Time
 	}
-	s.window = next
 	s.dropped += int64(res.Dropped)
 	if changed {
 		s.dirty = true
 	}
 	return res, nil
+}
+
+func byTime(a, b eventlog.Event) int { return cmp.Compare(a.Time, b.Time) }
+
+// merge folds a batch into the sorted window and applies the age bound then
+// the count bound, reporting whether the window differs from what it was.
+// The result is what stable-sorting window‖batch by time and trimming would
+// give — at equal times the window's events stay ahead of the batch's — but
+// costs the batch plus the window events it displaces, not the window, and
+// after a session's first few batches allocates nothing: the window lives
+// in one buffer (see reserve). The caller's slice is left as it was.
+func (s *session) merge(evs []eventlog.Event, maxAge int64, maxEvents int) (changed bool) {
+	batch := evs
+	if !slices.IsSortedFunc(batch, byTime) {
+		batch = slices.Clone(evs)
+		slices.SortStableFunc(batch, byTime)
+	}
+	if n := len(batch); n > 0 && batch[n-1].Time > s.maxTime {
+		s.maxTime = batch[n-1].Time
+	}
+	// Age bound: an event older than the newest minus MaxWindowAge is out
+	// of scope (event time, so replays behave identically to live streams).
+	cutoff := s.maxTime - maxAge
+	atCutoff := func(e eventlog.Event, t int64) int { return cmp.Compare(e.Time, t) }
+
+	// Batch events neither bound can keep never enter the window: the
+	// stale ones, and all but the newest maxEvents.
+	stale, _ := slices.BinarySearchFunc(batch, cutoff, atCutoff)
+	batch = batch[stale:]
+	if over := len(batch) - maxEvents; over > 0 {
+		batch = batch[over:]
+	}
+
+	old := s.window
+	aged, _ := slices.BinarySearchFunc(old, cutoff, atCutoff)
+	drop := aged // how many events fall off the front of the merged window
+	if over := len(old) - aged + len(batch) - maxEvents; over > 0 {
+		drop += over // count bound: keep the most recent MaxWindowEvents
+	}
+	switch {
+	case len(batch) == 0:
+		changed = drop > 0
+	case drop != len(batch):
+		changed = true
+	default:
+		changed = !mergedTailIs(old, batch)
+	}
+
+	// Merge from the back, into the room reserve left behind the window;
+	// only the window events newer than the batch's oldest move.
+	w := s.reserve(len(batch))
+	i, k := len(w)-1, len(w)+len(batch)-1
+	w = w[:k+1]
+	for j := len(batch) - 1; j >= 0; k-- {
+		if i >= 0 && w[i].Time > batch[j].Time {
+			w[k] = w[i]
+			i--
+		} else {
+			w[k] = batch[j]
+			j--
+		}
+	}
+	s.window = w[drop:]
+	return changed
+}
+
+// mergedTailIs reports whether merging batch into old and dropping as many
+// events off the front as the batch added leaves exactly old — possible
+// only when events repeat (a duplicate of a full window's oldest event
+// pushes its twin out). It walks the merge without building it and stops
+// at the first difference, normally the first event kept.
+func mergedTailIs(old, batch []eventlog.Event) bool {
+	i, j := 0, 0
+	for k := 0; k < len(old)+len(batch); k++ {
+		var e *eventlog.Event
+		if j == len(batch) || i < len(old) && old[i].Time <= batch[j].Time {
+			e, i = &old[i], i+1
+		} else {
+			e, j = &batch[j], j+1
+		}
+		if k >= len(batch) && *e != old[k-len(batch)] {
+			return false
+		}
+	}
+	return true
+}
+
+// reserve returns the window with room for n more events behind it. When
+// the room runs out the window slides back to the front of its buffer —
+// first moving to a buffer a quarter larger than it needs when that one is
+// too small — so a session in steady state reuses one array.
+func (s *session) reserve(n int) []eventlog.Event {
+	if cap(s.window)-len(s.window) >= n {
+		return s.window
+	}
+	if need := len(s.window) + n; need > len(s.buf) {
+		s.buf = make([]eventlog.Event, need+need/4)
+	}
+	s.window = s.buf[:copy(s.buf, s.window)]
+	return s.window
 }
 
 // VerdictResult is a session's rolling verdict plus its provenance.
@@ -376,9 +455,9 @@ func (m *Manager) Verdict(ctx context.Context, id string) (VerdictResult, error)
 	}
 
 	if s.dirty || s.graph == nil {
-		// The live window goes in uncopied: Ingest replaces s.window with a
-		// fresh slice and never writes into the old one, and a GraphBuilder
-		// neither mutates nor retains its log.
+		// The live window goes in uncopied: Ingest rewrites it in place, but
+		// only under s.mu, which is held here until the build returns, and
+		// a GraphBuilder neither mutates nor retains its log.
 		g, err := m.build(s.rules, s.window)
 		if err != nil {
 			return VerdictResult{}, fmt.Errorf("%w: fusing window: %v", serve.ErrBadRequest, err)

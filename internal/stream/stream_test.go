@@ -56,7 +56,7 @@ func (s *stubEngine) detectCount() int {
 
 // testManager builds a manager over a stub engine and a builder that makes
 // one node per window event, counting build calls (= refusions).
-func testManager(t *testing.T, opts Options) (*Manager, *stubEngine, *atomic.Int64) {
+func testManager(t testing.TB, opts Options) (*Manager, *stubEngine, *atomic.Int64) {
 	t.Helper()
 	eng := &stubEngine{}
 	var builds atomic.Int64
@@ -153,20 +153,24 @@ func TestStreamRefusionOnlyOnChange(t *testing.T) {
 		t.Fatal("cached verdict differs from computed verdict")
 	}
 
-	// Re-ingesting the exact window is a no-op: no refusion on next read.
+	// Ingest does not dedupe: re-ingesting the same batch grows the window
+	// (a,a,b,b fits in 4), so it IS a change and the next read re-fuses.
 	res, _ := m.Ingest(id, []eventlog.Event{ev(1, "a"), ev(2, "b")})
-	if res.Changed {
-		// The duplicate batch doubles the window (a+a+b+b fits in 4), so it
-		// IS a change — assert the opposite case with a truly stale batch
-		// below instead.
-		t.Log("duplicate batch changed the window (expected: duplicates accumulate)")
+	if !res.Changed || res.WindowEvents != 4 || res.Dropped != 0 {
+		t.Fatalf("duplicate batch: changed=%v window=%d dropped=%d, want true/4/0",
+			res.Changed, res.WindowEvents, res.Dropped)
+	}
+	v3, _ := m.Verdict(ctx, id)
+	if !v3.Refused || builds.Load() != 2 || v3.Nodes != 4 {
+		t.Fatalf("after duplicate batch: refused=%v builds=%d nodes=%d, want true/2/4",
+			v3.Refused, builds.Load(), v3.Nodes)
 	}
 
 	// A genuinely new event changes the window → one more refusion.
 	m.Ingest(id, []eventlog.Event{ev(3, "c")})
-	v3, _ := m.Verdict(ctx, id)
-	if !v3.Refused || builds.Load() < 2 {
-		t.Fatalf("changed window: refused=%v builds=%d, want true/≥2", v3.Refused, builds.Load())
+	v4, _ := m.Verdict(ctx, id)
+	if !v4.Refused || builds.Load() != 3 {
+		t.Fatalf("changed window: refused=%v builds=%d, want true/3", v4.Refused, builds.Load())
 	}
 }
 
