@@ -44,12 +44,14 @@ race-fed:
 
 # The snapshot-isolated serving engine (swap-mid-storm, batching, HTTP)
 # plus the facade's detect-while-training race regression, the shared
-# text encoder every request's fusion goes through and online fusion
-# itself (which holds the builder lock only for its graph ID), never from
-# cache.
+# text encoder and the builder's node-feature tables every request's fusion
+# goes through (ten times each: filling them past their bounds from several
+# goroutines is the point) and online fusion itself (which holds the
+# builder lock only for its graph ID), never from cache.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
-	$(GO) test -race -count=1 -run TestEncoderConcurrent ./internal/embed/
+	$(GO) test -race -count=10 -run TestEncoderConcurrent ./internal/embed/
+	$(GO) test -race -count=10 -run TestNodeFeatureConcurrent ./internal/fusion/
 	$(GO) test -race -count=1 -run TestBuildOnlineConcurrent ./internal/fusion/
 	$(GO) test -race -count=1 -run 'TestConcurrentDetectWhileTraining|TestServeEndToEnd' .
 
@@ -142,15 +144,17 @@ stream-smoke:
 
 # Wire-protocol fuzzers (gob decode must error, never panic), the /v1
 # body decoder's differential fuzzers (answered => deep-equal to
-# encoding/json, never panic) and online fusion's (perturbed log =>
-# deep-equal to the reference fusion). FUZZTIME bounds each target; raise
-# it for long local runs.
+# encoding/json, never panic), online fusion's (perturbed log =>
+# deep-equal to the reference fusion) and the text encoder's (any bytes =>
+# bit-equal to the reference tokenise-and-embed path). FUZZTIME bounds each
+# target; raise it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeDetectRequest -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/
+	$(GO) test -fuzz FuzzRuleEmbedding -fuzztime $(FUZZTIME) ./internal/embed/
 
 check: build vet test test-debugarena race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \

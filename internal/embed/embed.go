@@ -16,28 +16,75 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+	"unicode/utf8"
 
 	"fexiot/internal/lexicon"
 	"fexiot/internal/mat"
 	"fexiot/internal/text"
 )
 
-// Encoder produces deterministic word and sentence embeddings. It memoises
-// aggressively behind a mutex, so it is safe for concurrent use: the
-// serving engine fuses request rules into graphs from many goroutines at
-// once, and every embedding is a pure function of its key, so concurrent
-// fills converge on identical vectors. Cached slices are shared — callers
-// must treat returned vectors as read-only (every call site copies or
-// accumulates into its own buffer).
+// Encoder produces deterministic word and sentence embeddings. Every
+// vector is a pure function of its text, so what it computes it interns,
+// in four tables behind one mutex, each bounded at maxTableEntries:
+//
+//   - toks: raw lower-cased token → stopword flag, lemma, and the lemma's
+//     vector at word and at sentence width (each filled on first use), so
+//     rule text is lemmatised and hashed into Gaussians once per distinct
+//     token, not once per occurrence;
+//   - wordCache: word → word-width vector, behind Word;
+//   - bigrams: consecutive content-lemma pair → the sentence encoder's
+//     order-sensitive mixing vector;
+//   - sentCache: whole sentence → its sentence embedding.
+//
+// A full table stops growing: a lookup that misses computes its vector and
+// returns it without storing, and keys longer than maxTokenLen (tokens) or
+// maxSentenceKeyLen (sentences) are never stored, so neither the number nor
+// the size of request texts can grow the encoder. Results never depend on
+// what is stored.
+//
+// The encoder is safe for concurrent use — the serving engine fuses request
+// rules into graphs from many goroutines at once. A sentence takes the lock
+// once to resolve all its tokens; a miss is computed outside the lock, and
+// since racing misses produce identical vectors either may win the slot.
+// Interned slices are shared — callers must treat returned vectors as
+// read-only (every call site copies or accumulates into its own buffer).
 type Encoder struct {
 	wordDim     int
 	sentenceDim int
 	lex         *lexicon.Lexicon
 
 	mu        sync.Mutex
+	toks      map[string]*token
 	wordCache map[string][]float64
+	bigrams   map[bigram][]float64
 	sentCache map[string][]float64
 }
+
+// token is what the encoder knows about one raw lower-cased token. stop and
+// lemma never change once the token exists; word and sent are written once,
+// under the encoder lock.
+type token struct {
+	stop  bool
+	lemma string
+	word  []float64 // Word(lemma), nil until a word-width caller asks
+	sent  []float64 // the lemma at sentence width, nil until Sentence asks
+}
+
+// bigram keys the mixing vector of two consecutive content lemmas.
+type bigram struct{ first, second string }
+
+const (
+	// maxTableEntries bounds each of the encoder's tables. The rule language
+	// has a few hundred distinct tokens and a deployment a few thousand
+	// distinct voice commands; the bound only matters for text a client
+	// makes up.
+	maxTableEntries = 8192
+	// maxTokenLen is the longest token the scanner lower-cases in place and
+	// the longest the token table stores.
+	maxTokenLen = 64
+	// maxSentenceKeyLen is the longest sentence the sentence table stores.
+	maxSentenceKeyLen = 512
+)
 
 // Default dimensions follow the paper: 300-d word vectors, 512-d sentence
 // vectors. Experiments may construct smaller encoders for speed; the
@@ -53,7 +100,9 @@ func NewEncoder(wordDim, sentenceDim int) *Encoder {
 		wordDim:     wordDim,
 		sentenceDim: sentenceDim,
 		lex:         lexicon.New(),
+		toks:        map[string]*token{},
 		wordCache:   map[string][]float64{},
+		bigrams:     map[bigram][]float64{},
 		sentCache:   map[string][]float64{},
 	}
 }
@@ -120,22 +169,145 @@ func (e *Encoder) wordAt(w string, dim int) []float64 {
 	return vec
 }
 
-// Word returns the word embedding (wordDim) for w, cached.
+// Word returns the word embedding (wordDim) for w, interned.
 func (e *Encoder) Word(w string) []float64 {
 	e.mu.Lock()
-	if v, ok := e.wordCache[w]; ok {
-		e.mu.Unlock()
+	v, ok := e.wordCache[w]
+	e.mu.Unlock()
+	if ok {
 		return v
 	}
-	e.mu.Unlock()
-	// Compute outside the lock: wordAt is a pure function of (w, dim), so
-	// two goroutines racing on a miss produce identical vectors and either
-	// may win the cache slot.
-	v := e.wordAt(w, e.wordDim)
+	v = e.wordAt(w, e.wordDim)
+	if len(w) > maxTokenLen {
+		return v
+	}
 	e.mu.Lock()
-	e.wordCache[w] = v
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	return intern(e.wordCache, w, v)
+}
+
+// intern returns the table's vector for k: the one a racing miss stored
+// first, else v — stored unless the table is full.
+func intern[K comparable](table map[K][]float64, k K, v []float64) []float64 {
+	if cur, ok := table[k]; ok {
+		return cur
+	}
+	if len(table) < maxTableEntries {
+		table[k] = v
+	}
 	return v
+}
+
+// lemmaVec is one content token of a text: its lemma and the lemma's vector
+// at the width asked for.
+type lemmaVec struct {
+	lemma string
+	vec   []float64
+}
+
+// content appends the content tokens of s — every token but the stopwords,
+// in order — to dst, resolving each through the token table. The scanner
+// reproduces text.Tokenize on ASCII without building strings: letters and
+// digits lower-cased into a stack buffer, a '.' kept after a digit,
+// everything else a separator. A non-ASCII byte or a token longer than the
+// buffer sends the whole text through text.Tokenize instead.
+func (e *Encoder) content(dst []lemmaVec, s string, sentence bool) []lemmaVec {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	base := len(dst)
+	var buf [maxTokenLen]byte
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return e.contentSlow(dst[:base], s, sentence)
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case c == '.' && n > 0 && '0' <= buf[n-1] && buf[n-1] <= '9':
+			// Keep decimal points inside numbers ("72.5").
+		default:
+			if n > 0 {
+				dst = e.appendToken(dst, buf[:n], sentence)
+				n = 0
+			}
+			continue
+		}
+		if n == len(buf) {
+			return e.contentSlow(dst[:base], s, sentence)
+		}
+		buf[n] = c
+		n++
+	}
+	if n > 0 {
+		dst = e.appendToken(dst, buf[:n], sentence)
+	}
+	return dst
+}
+
+// contentSlow is content over text.Tokenize's tokens, tokenising outside
+// the lock it is called and returns with.
+func (e *Encoder) contentSlow(dst []lemmaVec, s string, sentence bool) []lemmaVec {
+	e.mu.Unlock()
+	toks := text.Tokenize(s)
+	e.mu.Lock()
+	for _, w := range toks {
+		dst = e.appendToken(dst, []byte(w), sentence)
+	}
+	return dst
+}
+
+// appendToken appends the token spelled w, unless it is a stopword. Called
+// with the lock held.
+func (e *Encoder) appendToken(dst []lemmaVec, w []byte, sentence bool) []lemmaVec {
+	t := e.toks[string(w)]
+	if t == nil || !t.stop && *t.vec(sentence) == nil {
+		t = e.resolve(string(w), t, sentence)
+	}
+	if t.stop {
+		return dst
+	}
+	return append(dst, lemmaVec{t.lemma, *t.vec(sentence)})
+}
+
+func (t *token) vec(sentence bool) *[]float64 {
+	if sentence {
+		return &t.sent
+	}
+	return &t.word
+}
+
+// resolve returns key's token with the vector of the asked width filled,
+// creating the token when t is nil. Called with the lock held; it lemmatises
+// and computes the vector outside it, then stores what the table has room
+// for.
+func (e *Encoder) resolve(key string, t *token, sentence bool) *token {
+	e.mu.Unlock()
+	if t == nil {
+		t = &token{stop: text.IsStopword(key)}
+		if !t.stop {
+			t.lemma = text.Lemmatize(key)
+		}
+	}
+	var v []float64
+	switch {
+	case t.stop:
+	case sentence:
+		v = e.wordAt(t.lemma, e.sentenceDim)
+	default:
+		v = e.Word(t.lemma)
+	}
+	e.mu.Lock()
+	if cur := e.toks[key]; cur != nil {
+		t = cur
+	} else if len(key) <= maxTokenLen && len(e.toks) < maxTableEntries {
+		e.toks[key] = t
+	}
+	if slot := t.vec(sentence); *slot == nil {
+		*slot = v
+	}
+	return t
 }
 
 // WordsMatrix stacks the embeddings of words into a len(words)×wordDim
@@ -169,52 +341,66 @@ func (e *Encoder) KeyPhraseEmbedding(rule string) []float64 {
 // voice-assistant commands.
 func (e *Encoder) Sentence(s string) []float64 {
 	e.mu.Lock()
-	if v, ok := e.sentCache[s]; ok {
-		e.mu.Unlock()
+	v, ok := e.sentCache[s]
+	e.mu.Unlock()
+	if ok {
 		return v
 	}
-	e.mu.Unlock()
-	toks := text.Tokenize(s)
+	var cbuf [contentBuf]lemmaVec
+	var mbuf [contentBuf][]float64
+	content := e.content(cbuf[:0], s, true)
 	out := make([]float64, e.sentenceDim)
-	var content []string
-	for _, w := range toks {
-		if text.IsStopword(w) {
-			continue
-		}
-		lemma := text.Lemmatize(w)
-		mat.Axpy(out, e.wordAt(lemma, e.sentenceDim), 1)
-		content = append(content, lemma)
+	for _, c := range content {
+		mat.Axpy(out, c.vec, 1)
 	}
-	if len(content) == 0 {
-		e.storeSentence(s, out)
+	if len(content) > 0 {
+		for i := range out {
+			out[i] /= float64(len(content))
+		}
+		// Order-sensitive bigram mixing over consecutive content words keeps
+		// "light on if motion" distinct from "motion on if light".
+		for _, bg := range e.mixing(mbuf[:0], content) {
+			mat.Axpy(out, bg, 0.1/float64(len(content)))
+		}
+		n := mat.Norm2(out)
+		if n > 0 {
+			for i := range out {
+				out[i] /= n
+			}
+		}
+	}
+	if len(s) > maxSentenceKeyLen {
 		return out
 	}
-	for i := range out {
-		out[i] /= float64(len(content))
-	}
-	// Order-sensitive bigram mixing over consecutive content words keeps
-	// "light on if motion" distinct from "motion on if light".
-	for i := 0; i+1 < len(content); i++ {
-		bg := hashGaussian("bigram:"+content[i]+"_"+content[i+1], e.sentenceDim, 1.0)
-		mat.Axpy(out, bg, 0.1/float64(len(content)))
-	}
-	n := mat.Norm2(out)
-	if n > 0 {
-		for i := range out {
-			out[i] /= n
-		}
-	}
-	e.storeSentence(s, out)
-	return out
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return intern(e.sentCache, s, out)
 }
 
-// storeSentence fills the sentence cache under the lock. As with Word, the
-// vector was computed outside it: racing misses on one sentence produce
-// identical vectors and either may win the slot.
-func (e *Encoder) storeSentence(s string, v []float64) {
+// contentBuf sizes the stack buffers a text's content tokens are gathered
+// in; a longer text spills to the heap.
+const contentBuf = 24
+
+// mixing appends the bigram vector of every consecutive pair of content
+// lemmas to dst, under one hold of the lock but for the misses, which are
+// computed outside it.
+func (e *Encoder) mixing(dst [][]float64, content []lemmaVec) [][]float64 {
 	e.mu.Lock()
-	e.sentCache[s] = v
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	for i := 0; i+1 < len(content); i++ {
+		k := bigram{content[i].lemma, content[i+1].lemma}
+		v, ok := e.bigrams[k]
+		if !ok {
+			e.mu.Unlock()
+			v = hashGaussian("bigram:"+k.first+"_"+k.second, e.sentenceDim, 1.0)
+			e.mu.Lock()
+			if len(k.first) <= maxTokenLen && len(k.second) <= maxTokenLen {
+				v = intern(e.bigrams, k, v)
+			}
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // PairEmbedding implements Eq. (1): the trigger-action pair embedding is the
@@ -222,23 +408,13 @@ func (e *Encoder) storeSentence(s string, v []float64) {
 // action-sentence word embeddings.
 func (e *Encoder) PairEmbedding(trigger, action string) []float64 {
 	out := make([]float64, e.wordDim)
-	addMean := func(s string) {
-		toks := text.Tokenize(s)
-		var words []string
-		for _, w := range toks {
-			if !text.IsStopword(w) {
-				words = append(words, text.Lemmatize(w))
-			}
-		}
-		if len(words) == 0 {
-			return
-		}
-		for _, w := range words {
-			mat.Axpy(out, e.Word(w), 1/float64(len(words)))
+	var buf [contentBuf]lemmaVec
+	for _, s := range [...]string{trigger, action} {
+		content := e.content(buf[:0], s, false)
+		for _, c := range content {
+			mat.Axpy(out, c.vec, 1/float64(len(content)))
 		}
 	}
-	addMean(trigger)
-	addMean(action)
 	return out
 }
 
@@ -249,22 +425,24 @@ func (e *Encoder) PairEmbedding(trigger, action string) []float64 {
 // command the same kitchen light or different lights decides whether their
 // interaction is vulnerable.
 func (e *Encoder) RuleEmbedding(rule string) []float64 {
-	toks := text.Tokenize(rule)
 	out := make([]float64, e.wordDim)
-	n := 0
-	for _, w := range toks {
-		if text.IsStopword(w) {
-			continue
-		}
-		mat.Axpy(out, e.Word(text.Lemmatize(w)), 1)
-		n++
-	}
-	if n > 0 {
-		for i := range out {
-			out[i] /= float64(n)
-		}
-	}
+	e.RuleEmbeddingInto(out, rule)
 	return out
+}
+
+// RuleEmbeddingInto accumulates RuleEmbedding(rule) into dst, which must be
+// zero and wordDim long — the head of a node feature, say.
+func (e *Encoder) RuleEmbeddingInto(dst []float64, rule string) {
+	var buf [contentBuf]lemmaVec
+	content := e.content(buf[:0], rule, false)
+	for _, c := range content {
+		mat.Axpy(dst, c.vec, 1)
+	}
+	if n := len(content); n > 0 {
+		for i := range dst {
+			dst[i] /= float64(n)
+		}
+	}
 }
 
 // HashVector returns the deterministic pseudo-Gaussian unit vector for an

@@ -3,11 +3,13 @@ package embed
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"fexiot/internal/mat"
+	"fexiot/internal/rules"
 )
 
 func TestWordDeterminism(t *testing.T) {
@@ -179,28 +181,46 @@ func TestWordCaching(t *testing.T) {
 	}
 }
 
-// TestEncoderConcurrent drives every memoising entry point from several
-// goroutines on distinct and shared keys; under -race it fails on any cache
-// access outside the encoder's lock (a concurrent map write is fatal even
-// without the detector).
+// TestEncoderConcurrent drives every interning entry point from several
+// goroutines on distinct and shared keys — ASCII and not, enough distinct
+// tokens between them to fill the token table and run past its bound — and
+// compares the shared texts with the reference functions. Under -race it
+// fails on any table access outside the encoder's lock (a concurrent map
+// write is fatal even without the detector).
 func TestEncoderConcurrent(t *testing.T) {
-	e := NewEncoder(16, 24)
-	want := NewEncoder(16, 24).Sentence("turn on the shared hallway light")
+	e, ref := NewEncoder(16, 24), NewEncoder(16, 24)
+	const shared = "turn on the shared hallway light"
+	const sharedSlow = "set the café thermostat to 72.5°F"
+	wantSent, wantSlow := refSentence(ref, shared), refSentence(ref, sharedSlow)
+	wantRule := refRuleEmbedding(ref, shared)
+	wantPair := refPairEmbedding(ref, sharedSlow, shared)
+	const workers, rounds, perText = 4, 100, 25 // 10,000 distinct tokens > maxTableEntries
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				own := fmt.Sprintf("open valve %d when leak sensor %d trips", g, i)
+			for i := 0; i < rounds; i++ {
+				var own strings.Builder
+				fmt.Fprintf(&own, "open valve %d when leak sensor %d trips", g, i)
+				for k := 0; k < perText; k++ {
+					fmt.Fprintf(&own, " dev%dx%dx%d", g, i, k)
+				}
 				e.Word(fmt.Sprintf("device%d_%d", g, i))
-				e.Sentence(own)
+				e.Sentence(own.String())
 				e.Sentence("") // the no-content-word store
-				e.RuleEmbedding(own)
-				got := e.Sentence("turn on the shared hallway light")
-				for k := range want {
-					if got[k] != want[k] {
-						t.Errorf("goroutine %d: shared sentence diverged at %d", g, k)
+				e.RuleEmbedding(own.String())
+				for _, c := range []struct {
+					what      string
+					got, want []float64
+				}{
+					{"Sentence", e.Sentence(shared), wantSent},
+					{"Sentence (non-ASCII)", e.Sentence(sharedSlow), wantSlow},
+					{"RuleEmbedding", e.RuleEmbedding(shared), wantRule},
+					{"PairEmbedding", e.PairEmbedding(sharedSlow, shared), wantPair},
+				} {
+					if err := sameBits(c.got, c.want); err != nil {
+						t.Errorf("goroutine %d round %d: shared %s diverged: %v", g, i, c.what, err)
 						return
 					}
 				}
@@ -208,4 +228,46 @@ func TestEncoderConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if n := len(e.toks); n != maxTableEntries {
+		t.Errorf("token table holds %d entries after %d distinct tokens, bound %d",
+			n, workers*rounds*perText, maxTableEntries)
+	}
+}
+
+var sinkVec []float64
+
+// BenchmarkRuleEmbedding is rule text → semantic block on warmed tables:
+// the generated descriptions of one home per archetype, app platforms
+// through RuleEmbedding and voice platforms through Sentence, as
+// fusion.NodeFeature routes them. The sentence table is emptied every pass,
+// so the sentence row is the cost of a sentence seen for the first time.
+func BenchmarkRuleEmbedding(b *testing.B) {
+	var app, voice []string
+	for i, a := range rules.Archetypes() {
+		for _, r := range rules.NewGenerator(int64(100+i), a, "e-").RuleSet(40) {
+			if r.Platform.VoicePlatform() {
+				voice = append(voice, r.Description)
+			} else {
+				app = append(app, r.Description)
+			}
+		}
+	}
+	e := NewEncoder(48, 64)
+	b.Run("words", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkVec = e.RuleEmbedding(app[i%len(app)])
+		}
+	})
+	b.Run("sentence", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%len(voice) == 0 {
+				e.mu.Lock()
+				clear(e.sentCache)
+				e.mu.Unlock()
+			}
+			sinkVec = e.Sentence(voice[i%len(voice)])
+		}
+	})
 }

@@ -7,7 +7,7 @@ package fusion
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -38,25 +38,33 @@ type Builder struct {
 	// three app platforms); homogeneous datasets set a single platform.
 	InjectPlatforms []rules.Platform
 
-	// mu guards the builder's RNG stream, graph counter and pool index,
-	// which the serving engine reaches from concurrent HTTP handlers.
-	// Offline holds it throughout (it draws from the RNG); BuildOnline only
-	// to draw a graph ID.
+	// mu guards the builder's RNG stream, graph counter, pool index and
+	// Offline's scratch, which the serving engine reaches from concurrent
+	// HTTP handlers. Offline holds it throughout (it draws from the RNG);
+	// BuildOnline only to draw a graph ID.
 	mu      sync.Mutex
 	r       *rng.RNG
 	nextID  int
 	indexed []*rules.Rule
 	index   *PoolIndex
+	scratch offlineScratch
 
-	// Node-feature cache: NodeFeature is a pure function of the rule's
-	// content (description, platform, trigger, actions — NOT its ID), so
-	// re-fusing a streaming session's window after every event batch must
-	// never re-tokenise and re-embed unchanged rule text. Keyed by a
-	// seeded FNV-64 content hash; guarded by its own mutex because
+	// Rule text becomes a node feature through three layers, each a pure
+	// function of its key, so none can change a verdict, only the work to
+	// reach it: the Encoder's token tables (raw token → lemma and vectors),
+	// the signature table below (device instance → HashVector of its key),
+	// and on top the node-feature cache: a rule's whole feature under a
+	// seeded FNV-64 hash of its content (description, platform, trigger,
+	// actions — NOT its ID), so re-fusing a streaming session's window
+	// after every event batch copies the features of unchanged rules
+	// instead of summing their word vectors again. The lower two make a
+	// miss cheap; the cache makes a re-audited rule a copy. featMu guards
+	// the cache and the signature table, and is its own mutex because
 	// NodeFeature runs both under mu (Offline) and outside it (BuildOnline).
 	featMu     sync.Mutex
 	featSeed   uint64
 	featCache  map[uint64]featEntry
+	sigs       map[sigKey][]float64
 	featHits   atomic.Int64
 	featMisses atomic.Int64
 }
@@ -71,6 +79,11 @@ type featEntry struct {
 // steady-state — a bounded set of deployed rules per serving process —
 // permanently warm.
 const maxFeatCacheEntries = 8192
+
+// maxSigEntries bounds the signature table — one entry per distinct device
+// instance, environmental push or anomalous instance, a few hundred in a
+// deployment. A full table stops growing: further keys are hashed per use.
+const maxSigEntries = 8192
 
 // FeatureCacheStats reports node-feature cache effectiveness.
 type FeatureCacheStats struct {
@@ -87,58 +100,76 @@ func (b *Builder) FeatureCacheStats() FeatureCacheStats {
 // per builder. The rule ID is deliberately excluded: two rules with
 // identical text and structure embed identically and share a cache slot.
 func (b *Builder) ruleContentHash(r *rules.Rule) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	putU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		putU64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	cond := func(c rules.Condition) {
-		str(c.Device)
-		str(c.Room)
-		putU64(uint64(c.Channel))
-		str(c.State)
-	}
-	putU64(b.featSeed)
-	putU64(uint64(r.Platform))
-	str(r.Description)
-	cond(r.Trigger)
-	putU64(uint64(len(r.Actions)))
+	h := fnv64a(fnvOffset64)
+	h.u64(b.featSeed)
+	h.u64(uint64(r.Platform))
+	h.str(r.Description)
+	h.str(r.Trigger.Device)
+	h.str(r.Trigger.Room)
+	h.u64(uint64(r.Trigger.Channel))
+	h.str(r.Trigger.State)
+	h.u64(uint64(len(r.Actions)))
 	for _, a := range r.Actions {
-		str(a.Device)
-		str(a.Room)
-		str(a.Verb)
-		putU64(uint64(a.Channel))
-		str(a.State)
+		h.str(a.Device)
+		h.str(a.Room)
+		h.str(a.Verb)
+		h.u64(uint64(a.Channel))
+		h.str(a.State)
 		if a.Sensitive {
-			putU64(1)
+			h.u64(1)
 		} else {
-			putU64(0)
+			h.u64(0)
 		}
-		putU64(uint64(len(a.Env)))
+		h.u64(uint64(len(a.Env)))
 		for _, d := range a.Env {
-			putU64(uint64(d.Channel))
-			putU64(uint64(int64(d.Sign)))
+			h.u64(uint64(d.Channel))
+			h.u64(uint64(int64(d.Sign)))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-// indexFor returns a PoolIndex for pool, rebuilding only when the pool
-// changes.
+// fnv64a is hash/fnv's 64-bit FNV-1a as a value, so hashing a rule
+// allocates neither a hasher nor a byte copy of each string.
+type fnv64a uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// u64 mixes in v, low byte first.
+func (h *fnv64a) u64(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x = (x ^ fnv64a(byte(v>>(8*i)))) * fnvPrime64
+	}
+	*h = x
+}
+
+// str mixes in s's length, then its bytes.
+func (h *fnv64a) str(s string) {
+	h.u64(uint64(len(s)))
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ fnv64a(s[i])) * fnvPrime64
+	}
+	*h = x
+}
+
+// indexFor returns the builder's PoolIndex over pool, re-indexing — in the
+// storage of the last pool's index — only when the pool changes.
 func (b *Builder) indexFor(pool []*rules.Rule) *PoolIndex {
 	if b.index != nil && len(b.indexed) == len(pool) &&
 		(len(pool) == 0 || &b.indexed[0] == &pool[0]) {
 		return b.index
 	}
 	b.indexed = pool
-	b.index = NewPoolIndex(pool)
+	if b.index == nil {
+		b.index = NewPoolIndex(pool)
+	} else {
+		b.index.reset(pool)
+	}
 	return b.index
 }
 
@@ -151,6 +182,7 @@ func NewBuilder(seed int64, enc *embed.Encoder) *Builder {
 		r:          rng.New(seed),
 		featSeed:   uint64(seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
 		featCache:  map[uint64]featEntry{},
+		sigs:       map[sigKey][]float64{},
 	}
 }
 
@@ -175,82 +207,170 @@ func SentenceFeatureDim(enc *embed.Encoder) int { return enc.SentenceDim() + 2*S
 // sum aggregation while a duplicate pair's double, giving the network a
 // linear-algebraic handle on the vulnerability patterns.
 // The result is cached under a seeded content hash (see ruleContentHash):
-// a hit skips tokenisation, word-embedding lookups and the signature sums
-// entirely, and returns a fresh copy bit-identical to a recomputation —
-// the cache can never change a verdict, only the work to reach it.
+// a hit skips the word-vector and signature sums entirely and returns a
+// fresh copy bit-identical to a recomputation; a miss sums interned vectors
+// — the Encoder's per token, the signature table's per instance — straight
+// into the slice it returns.
 func (b *Builder) NodeFeature(r *rules.Rule) ([]float64, graph.FeatureSpace) {
 	key := b.ruleContentHash(r)
 	b.featMu.Lock()
-	if e, ok := b.featCache[key]; ok {
-		b.featMu.Unlock()
+	e, ok := b.featCache[key]
+	b.featMu.Unlock()
+	if ok {
 		b.featHits.Add(1)
 		return append([]float64(nil), e.feat...), e.space
 	}
-	b.featMu.Unlock()
 	b.featMisses.Add(1)
 
-	var base []float64
-	space := graph.WordSpace
+	dim, space := b.Encoder.WordDim(), graph.WordSpace
 	if r.Platform.VoicePlatform() {
-		base = b.Encoder.Sentence(r.Description)
-		space = graph.SentenceSpace
+		dim, space = b.Encoder.SentenceDim(), graph.SentenceSpace
+	}
+	feat := make([]float64, dim+2*SigDim)
+	if space == graph.SentenceSpace {
+		copy(feat, b.Encoder.Sentence(r.Description))
 	} else {
-		base = b.Encoder.RuleEmbedding(r.Description)
+		b.Encoder.RuleEmbeddingInto(feat[:dim], r.Description)
 	}
-	feat := make([]float64, 0, len(base)+2*SigDim)
-	feat = append(feat, base...)
-	feat = append(feat, actionSignature(r)...)
-	feat = append(feat, triggerSignature(r)...)
+	b.addActionSignature(feat[dim:dim+SigDim], r)
+	b.addTriggerSignature(feat[dim+SigDim:], r)
 
+	cached := append([]float64(nil), feat...)
 	b.featMu.Lock()
-	if b.featCache == nil {
-		b.featCache = map[uint64]featEntry{}
-	}
 	if len(b.featCache) >= maxFeatCacheEntries {
 		clear(b.featCache)
 	}
-	b.featCache[key] = featEntry{feat: append([]float64(nil), feat...), space: space}
+	b.featCache[key] = featEntry{feat: cached, space: space}
 	b.featMu.Unlock()
 	return feat, space
+}
+
+// sigKey names one signature vector: a device instance at a pole-free
+// state (sigState), a device instance whose state is one of two opposite
+// poles (sigPole, state left empty so both poles share the vector and
+// cancel), a room's environmental channel (sigEnv) or an anomalous
+// instance of an online graph (sigAnomaly).
+type sigKey struct {
+	room, dev string
+	ch        rules.Channel
+	state     string
+	kind      sigKind
+}
+
+type sigKind uint8
+
+const (
+	sigPole sigKind = iota
+	sigState
+	sigEnv
+	sigAnomaly
+)
+
+// String is the key HashVector is given.
+func (k sigKey) String() string {
+	switch k.kind {
+	case sigPole:
+		return fmt.Sprintf("inst:%s|%s|%d", k.room, k.dev, k.ch)
+	case sigState:
+		return fmt.Sprintf("inst:%s|%s|%d|%s", k.room, k.dev, k.ch, k.state)
+	case sigEnv:
+		return fmt.Sprintf("env:%s|%d", k.room, k.ch)
+	default:
+		return "anomaly:" + k.room + "|" + k.dev
+	}
+}
+
+// maxSigKeyLen is the most bytes of request text a stored signature key may
+// hold on to.
+const maxSigKeyLen = 128
+
+// sigVec returns the unit vector of k — embed.HashVector of its string —
+// formatting and hashing only the first time a key is seen while the table
+// has room for it.
+func (b *Builder) sigVec(k sigKey) []float64 {
+	b.featMu.Lock()
+	defer b.featMu.Unlock()
+	v, ok := b.sigs[k]
+	if !ok {
+		v = embed.HashVector(k.String(), SigDim)
+		if len(b.sigs) < maxSigEntries && len(k.room)+len(k.dev)+len(k.state) <= maxSigKeyLen {
+			b.sigs[k] = v
+		}
+	}
+	return v
 }
 
 // instanceKey maps a device state to its signature key and cancellation
 // coefficient: opposite poles get ±1 on the same instance key, sign-free
 // states get +1 on a state-qualified key.
-func instanceKey(room, dev string, ch rules.Channel, state string) (string, float64) {
+func instanceKey(room, dev string, ch rules.Channel, state string) (sigKey, float64) {
 	if s := rules.StateSign(state); s != 0 {
-		return fmt.Sprintf("inst:%s|%s|%d", room, dev, ch), float64(s)
+		return sigKey{room: room, dev: dev, ch: ch, kind: sigPole}, float64(s)
 	}
-	return fmt.Sprintf("inst:%s|%s|%d|%s", room, dev, ch, state), 1
+	return sigKey{room: room, dev: dev, ch: ch, state: state, kind: sigState}, 1
 }
 
-// actionSignature sums signed instance vectors over the rule's actions and
-// environmental pushes.
-func actionSignature(r *rules.Rule) []float64 {
-	sig := make([]float64, SigDim)
+// addActionSignature adds to sig the signed instance vectors of the rule's
+// actions and environmental pushes.
+func (b *Builder) addActionSignature(sig []float64, r *rules.Rule) {
 	for _, a := range r.Actions {
 		key, coef := instanceKey(a.Room, a.Device, a.Channel, a.State)
-		axpy(sig, embed.HashVector(key, SigDim), coef)
+		axpy(sig, b.sigVec(key), coef)
 		for _, d := range a.Env {
-			axpy(sig, embed.HashVector(fmt.Sprintf("env:%s|%d", a.Room, d.Channel), SigDim),
+			axpy(sig, b.sigVec(sigKey{room: a.Room, ch: d.Channel, kind: sigEnv}),
 				0.5*float64(d.Sign))
 		}
 	}
-	return sig
 }
 
-// triggerSignature encodes the watched instance with the trigger pole.
-func triggerSignature(r *rules.Rule) []float64 {
-	sig := make([]float64, SigDim)
+// addTriggerSignature adds to sig the watched instance with the trigger
+// pole.
+func (b *Builder) addTriggerSignature(sig []float64, r *rules.Rule) {
 	t := r.Trigger
 	key, coef := instanceKey(t.Room, t.Device, t.Channel, t.State)
-	axpy(sig, embed.HashVector(key, SigDim), coef)
-	return sig
+	axpy(sig, b.sigVec(key), coef)
 }
 
 func axpy(dst, src []float64, s float64) {
 	for i := range dst {
 		dst[i] += s * src[i]
+	}
+}
+
+// offlineScratch is what one Offline call gathers before it builds the
+// graph, kept between calls so that sampling allocates nothing.
+type offlineScratch struct {
+	chosen  []bool        // per pool number: already a member
+	members []*rules.Rule // the graph's nodes, in order
+	numbers []int32       // the pool numbers of the members drawn from the pool
+	near    []int32       // an anchor's partners
+	pending []pendingEdge
+}
+
+// pendingEdge is an oracle edge between two members, by member position.
+type pendingEdge struct {
+	from, to int
+	kind     rules.MatchKind
+}
+
+// add makes the pool rule numbered n a member unless it is one.
+func (sc *offlineScratch) add(pool []*rules.Rule, n int32) {
+	if !sc.chosen[n] {
+		sc.chosen[n] = true
+		sc.members = append(sc.members, pool[n])
+		sc.numbers = append(sc.numbers, n)
+	}
+}
+
+// connect records the oracle edges between members x and y (either or both
+// directions may hold).
+func (b *Builder) connect(x, y int) {
+	sc := &b.scratch
+	if k := b.Oracle(sc.members[x], sc.members[y]); k != rules.NoMatch {
+		sc.pending = append(sc.pending, pendingEdge{x, y, k})
+	}
+	if k := b.Oracle(sc.members[y], sc.members[x]); k != rules.NoMatch {
+		sc.pending = append(sc.pending, pendingEdge{y, x, k})
 	}
 }
 
@@ -271,34 +391,19 @@ func (b *Builder) Offline(pool []*rules.Rule, size int) *graph.Graph {
 		size = 50
 	}
 	b.nextID++
-	g := &graph.Graph{ID: fmt.Sprintf("g%d", b.nextID)}
+	g := &graph.Graph{ID: "g" + strconv.Itoa(b.nextID)}
 
 	ix := b.indexFor(pool)
-	chosen := map[*rules.Rule]bool{}
-	var members []*rules.Rule
-	type pendingEdge struct {
-		a, b *rules.Rule
+	sc := &b.scratch
+	if cap(sc.chosen) < len(pool) {
+		sc.chosen = make([]bool, len(pool))
 	}
-	var pending []pendingEdge
-	addRule := func(r *rules.Rule) bool {
-		if chosen[r] {
-			return false
-		}
-		chosen[r] = true
-		members = append(members, r)
-		return true
-	}
-	// connect records the oracle edges between two chained rules (either or
-	// both directions may hold).
-	connect := func(x, y *rules.Rule) {
-		if b.Oracle(x, y) != rules.NoMatch {
-			pending = append(pending, pendingEdge{x, y})
-		}
-		if b.Oracle(y, x) != rules.NoMatch {
-			pending = append(pending, pendingEdge{y, x})
-		}
-	}
-	addRule(pool[b.r.Intn(len(pool))])
+	sc.chosen = sc.chosen[:len(pool)]
+	clear(sc.chosen)
+	sc.members, sc.numbers, sc.pending = sc.members[:0], sc.numbers[:0], sc.pending[:0]
+	// seed starts a component at a uniformly drawn pool position.
+	seed := func() { sc.add(pool, ix.numberOf(pool[b.r.Intn(len(pool))])) }
+	seed()
 
 	// Grow path-like chains: extend from the most recent node most of the
 	// time, occasionally branch from an older node, and start a fresh
@@ -307,34 +412,33 @@ func (b *Builder) Offline(pool []*rules.Rule, size int) *graph.Graph {
 	// pairs rather than materialising every latent correlation — which
 	// yields the sparse, sometimes multi-component graphs of Fig. 8.
 	attempts := 0
-	for len(members) < size && attempts < size*25 {
+	for len(sc.members) < size && attempts < size*25 {
 		attempts++
-		var anchor *rules.Rule
-		if b.r.Bool(0.85) {
-			anchor = members[len(members)-1]
-		} else {
-			anchor = members[b.r.Intn(len(members))]
+		anchor := len(sc.members) - 1
+		if !b.r.Bool(0.85) {
+			anchor = b.r.Intn(len(sc.members))
 		}
-		var fresh []*rules.Rule
-		for _, c := range ix.Neighbors(anchor) {
-			if !chosen[c] {
-				fresh = append(fresh, c)
+		sc.near = ix.neighbors(sc.near[:0], sc.members[anchor], sc.numbers[anchor])
+		fresh := sc.near[:0]
+		for _, n := range sc.near {
+			if !sc.chosen[n] {
+				fresh = append(fresh, n)
 			}
 		}
 		if len(fresh) == 0 {
 			// Chain ran dry: seed a new component.
-			addRule(pool[b.r.Intn(len(pool))])
+			seed()
 			continue
 		}
-		cand := rng.Pick(b.r, fresh)
-		addRule(cand)
-		connect(anchor, cand)
+		sc.add(pool, rng.Pick(b.r, fresh))
+		cand := len(sc.members) - 1
+		b.connect(anchor, cand)
 		// Occasionally close a secondary correlation to an older member,
 		// letting forks and cycles arise organically.
-		if len(members) > 2 && b.r.Bool(0.12) {
-			other := members[b.r.Intn(len(members))]
+		if len(sc.members) > 2 && b.r.Bool(0.12) {
+			other := b.r.Intn(len(sc.members))
 			if other != cand && other != anchor {
-				connect(other, cand)
+				b.connect(other, cand)
 			}
 		}
 	}
@@ -343,30 +447,27 @@ func (b *Builder) Offline(pool []*rules.Rule, size int) *graph.Graph {
 	// fully wired among themselves and to the member whose action roots
 	// them.
 	if b.r.Bool(b.InjectProb) {
-		injected := b.injectPattern(members)
-		wire := append(append([]*rules.Rule(nil), members...), injected...)
-		for _, pr := range injected {
-			for _, other := range wire {
+		first := len(sc.members)
+		sc.members = append(sc.members, b.injectPattern(sc.members)...)
+		for pr := first; pr < len(sc.members); pr++ {
+			for other := range sc.members {
 				if other != pr {
-					connect(other, pr)
+					b.connect(other, pr)
 				}
 			}
 		}
-		members = append(members, injected...)
 	}
 
-	idx := make(map[*rules.Rule]int, len(members))
-	for i, r := range members {
+	g.Nodes = make([]graph.Node, 0, len(sc.members))
+	for _, r := range sc.members {
 		feat, space := b.NodeFeature(r)
 		g.AddNode(graph.Node{Rule: r, Feature: feat, Space: space})
-		idx[r] = i
 	}
-	for _, pe := range pending {
-		i, iok := idx[pe.a]
-		j, jok := idx[pe.b]
-		if iok && jok && i != j {
-			g.AddEdge(i, j, b.Oracle(pe.a, pe.b))
-		}
+	if len(sc.pending) > 0 {
+		g.Edges = make([]graph.Edge, 0, len(sc.pending))
+	}
+	for _, pe := range sc.pending {
+		g.AddEdge(pe.from, pe.to, pe.kind)
 	}
 	vuln.Label(g)
 	return g

@@ -91,9 +91,10 @@ func BuildPairDataset(f *PairFeaturizer, pool []*rules.Rule, nPos, nNeg int, see
 		ds.Y = append(ds.Y, label)
 	}
 	pos := 0
+	var partners []*rules.Rule
 	for guard := 0; pos < nPos && guard < nPos*200; guard++ {
 		a := pool[r.Intn(len(pool))]
-		partners := ix.Forward(a)
+		partners = ix.Forward(partners[:0], a)
 		if len(partners) == 0 {
 			continue
 		}

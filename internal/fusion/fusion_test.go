@@ -179,11 +179,11 @@ func TestPoolIndexMatchesOracle(t *testing.T) {
 	f := func(seed uint16) bool {
 		anchor := pool[int(seed)%len(pool)]
 		fwd := map[*rules.Rule]bool{}
-		for _, r := range ix.Forward(anchor) {
+		for _, r := range ix.Forward(nil, anchor) {
 			fwd[r] = true
 		}
 		bwd := map[*rules.Rule]bool{}
-		for _, r := range ix.Backward(anchor) {
+		for _, r := range ix.Backward(nil, anchor) {
 			bwd[r] = true
 		}
 		for _, r := range pool {

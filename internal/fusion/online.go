@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"fexiot/internal/embed"
 	"fexiot/internal/eventlog"
 	"fexiot/internal/graph"
 	"fexiot/internal/rules"
@@ -300,13 +299,11 @@ func (ix *logIndex) anomalies(log eventlog.Log) []*instance {
 func (b *Builder) addAnomalyNodes(g *graph.Graph, deployed []*rules.Rule, members []int,
 	idx map[*rules.Rule]int, anomalous []*instance) {
 	for _, k := range anomalous {
-		feat := make([]float64, 0, b.Encoder.WordDim()+2*SigDim)
-		feat = append(feat, b.Encoder.RuleEmbedding(
-			k.anomaly+" of the "+k.room+" "+k.dev)...)
-		sig := make([]float64, SigDim)
-		axpy(sig, embed.HashVector("anomaly:"+k.room+"|"+k.dev, SigDim), 1)
-		feat = append(feat, sig...)
-		feat = append(feat, make([]float64, SigDim)...)
+		// Its text, its instance's signature, and no trigger signature.
+		dim := b.Encoder.WordDim()
+		feat := make([]float64, dim+2*SigDim)
+		b.Encoder.RuleEmbeddingInto(feat[:dim], k.anomaly+" of the "+k.room+" "+k.dev)
+		axpy(feat[dim:dim+SigDim], b.sigVec(sigKey{room: k.room, dev: k.dev, kind: sigAnomaly}), 1)
 		node := g.AddNode(graph.Node{Feature: feat, Space: graph.WordSpace})
 		for _, m := range members {
 			r := deployed[m]

@@ -79,9 +79,10 @@ func EdgeAgreement(o EdgeOracle, pool []*rules.Rule, samples int, seed int64) (p
 	r := rng.New(seed)
 	tp, fp, fn := 0, 0, 0
 	// Positive pairs through the index (ground truth correlated).
+	var partners []*rules.Rule
 	for i := 0; i < samples; i++ {
 		a := pool[r.Intn(len(pool))]
-		partners := ix.Forward(a)
+		partners = ix.Forward(partners[:0], a)
 		if len(partners) == 0 {
 			continue
 		}

@@ -7,7 +7,9 @@
 package vuln
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"fexiot/internal/graph"
 	"fexiot/internal/rules"
@@ -58,76 +60,163 @@ type Finding struct {
 }
 
 // Detect runs the six graph-analytic detectors over an interaction graph
-// and returns all findings, deterministically ordered by (type, nodes).
+// and returns all findings, deterministically ordered by (type, nodes). The
+// node lists of the findings share one array.
 func Detect(g *graph.Graph) []Finding {
-	var out []Finding
-	out = append(out, detectLoop(g)...)
-	out = append(out, detectPairwise(g)...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		return lessIntSlice(out[i].Nodes, out[j].Nodes)
+	d := detectors.Get().(*detector)
+	defer detectors.Put(d)
+	d.load(g)
+	d.loop()
+	d.pairwise(g)
+	if len(d.found) == 0 {
+		return nil
+	}
+	nodes := append([]int(nil), d.nodes...)
+	out := make([]Finding, len(d.found))
+	for i, f := range d.found {
+		out[i] = Finding{Type: f.typ, Nodes: nodes[f.off : f.off+f.n : f.off+f.n]}
+	}
+	slices.SortFunc(out, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.Type, b.Type), slices.Compare(a.Nodes, b.Nodes))
 	})
 	return out
 }
 
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+// detector is the working storage of one Detect call, recycled through
+// detectors: the graph's adjacency both ways as offsets into flat lists,
+// the all-pairs hop matrix, and the findings as spans of one node list.
+// Nothing a caller receives points into it.
+type detector struct {
+	n      int
+	outAt  []int // node u's out-neighbours are out[outAt[u]:outAt[u+1]], in edge order
+	out    []int
+	inAt   []int // node v's parents are in[inAt[v]:inAt[v+1]], in edge order
+	in     []int
+	dist   []int // dist[u*n+v]: directed hops u→v (-1 unreachable, 0 on the diagonal)
+	queue  []int
+	color  []uint8 // loop's DFS: white, gray (on the current path), black
+	parent []int   // loop's DFS tree (-1: a root)
+	nodes  []int
+	found  []span
 }
 
-// detectLoop finds directed cycles ("action loop": a chain of rules that
-// re-triggers itself, like the camera on/off spreadsheet loop of Fig. 8).
-func detectLoop(g *graph.Graph) []Finding {
-	if !g.HasCycle() {
-		return nil
+const (
+	white = iota
+	gray
+	black
+)
+
+// span is one finding: its type and where its nodes are in detector.nodes.
+type span struct {
+	typ    Type
+	off, n int
+}
+
+var detectors = sync.Pool{New: func() any { return new(detector) }}
+
+// resized returns s with length n and every element zero, reallocating only
+// to grow.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	// Report the nodes on some cycle via DFS back-edge capture.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, g.N())
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// load reads g's edges into the adjacency lists and fills the hop matrix.
+func (d *detector) load(g *graph.Graph) {
+	n := g.N()
+	d.n = n
+	d.nodes, d.found = d.nodes[:0], d.found[:0]
+	d.outAt, d.inAt = resized(d.outAt, n+1), resized(d.inAt, n+1)
+	d.out, d.in = resized(d.out, len(g.Edges)), resized(d.in, len(g.Edges))
+	for _, e := range g.Edges {
+		d.outAt[e.From+1]++
+		d.inAt[e.To+1]++
 	}
-	var cyc []int
-	var dfs func(int) bool
-	dfs = func(u int) bool {
-		color[u] = gray
-		for _, v := range g.Out(u) {
-			if color[v] == gray {
-				// Walk back from u to v collecting the cycle.
-				cyc = append(cyc, v)
-				for x := u; x != v && x != -1; x = parent[x] {
-					cyc = append(cyc, x)
+	for i := 0; i < n; i++ {
+		d.outAt[i+1] += d.outAt[i]
+		d.inAt[i+1] += d.inAt[i]
+	}
+	// Fill through the offsets, which leaves each one slot to the right of
+	// where it started; shift them back.
+	for _, e := range g.Edges {
+		d.out[d.outAt[e.From]] = e.To
+		d.outAt[e.From]++
+		d.in[d.inAt[e.To]] = e.From
+		d.inAt[e.To]++
+	}
+	copy(d.outAt[1:], d.outAt[:n])
+	copy(d.inAt[1:], d.inAt[:n])
+	d.outAt[0], d.inAt[0] = 0, 0
+
+	d.dist = resized(d.dist, n*n)
+	for i := range d.dist {
+		d.dist[i] = -1
+	}
+	for s := 0; s < n; s++ {
+		row := d.dist[s*n : (s+1)*n]
+		row[s] = 0
+		d.queue = append(d.queue[:0], s)
+		for head := 0; head < len(d.queue); head++ {
+			cur := d.queue[head]
+			for _, next := range d.out[d.outAt[cur]:d.outAt[cur+1]] {
+				if row[next] < 0 {
+					row[next] = row[cur] + 1
+					d.queue = append(d.queue, next)
 				}
+			}
+		}
+	}
+}
+
+func (d *detector) pair(t Type, u, v int) {
+	d.found = append(d.found, span{t, len(d.nodes), 2})
+	d.nodes = append(d.nodes, u, v)
+}
+
+// loop finds a directed cycle ("action loop": a chain of rules that
+// re-triggers itself, like the camera on/off spreadsheet loop of Fig. 8):
+// the first one a DFS from the lowest-numbered nodes, following edges in
+// edge order, closes.
+func (d *detector) loop() {
+	d.color, d.parent = resized(d.color, d.n), resized(d.parent, d.n)
+	for i := range d.parent {
+		d.parent[i] = -1
+	}
+	for i := 0; i < d.n; i++ {
+		if d.color[i] == white && d.closesCycle(i) {
+			slices.Sort(d.nodes)
+			d.found = append(d.found, span{ActionLoop, 0, len(d.nodes)})
+			return
+		}
+	}
+}
+
+// closesCycle searches from u and, at the first edge back into the current
+// path, records the cycle's nodes.
+func (d *detector) closesCycle(u int) bool {
+	d.color[u] = gray
+	for _, v := range d.out[d.outAt[u]:d.outAt[u+1]] {
+		if d.color[v] == gray {
+			// Walk back from u to v collecting the cycle.
+			d.nodes = append(d.nodes, v)
+			for x := u; x != v && x != -1; x = d.parent[x] {
+				d.nodes = append(d.nodes, x)
+			}
+			return true
+		}
+		if d.color[v] == white {
+			d.parent[v] = u
+			if d.closesCycle(v) {
 				return true
 			}
-			if color[v] == white {
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := 0; i < g.N(); i++ {
-		if color[i] == white && dfs(i) {
-			break
 		}
 	}
-	sort.Ints(cyc)
-	return []Finding{{Type: ActionLoop, Nodes: cyc}}
+	d.color[u] = black
+	return false
 }
 
 // revertMaxHops bounds how long a causal chain still counts as an "action
@@ -135,129 +224,87 @@ func detectLoop(g *graph.Graph) []Finding {
 // action, mirroring HAWatcher's short-order interference semantics.
 const revertMaxHops = 2
 
-// detectPairwise scans rule pairs for the conflict, revert, duplicate,
-// bypass and block patterns. Conflict, duplicate and block require
-// *sibling activation* — the two rules fire from the same direct parent or
-// share an identical trigger condition — which is the simultaneity
-// requirement of the underlying iRuler/HAWatcher vulnerability semantics.
-func detectPairwise(g *graph.Graph) []Finding {
-	var out []Finding
-	n := g.N()
-	hasEdge := make(map[[2]int]bool, len(g.Edges))
-	inDeg := make([]int, n)
-	parents := make([][]int, n)
-	for _, e := range g.Edges {
-		hasEdge[[2]int{e.From, e.To}] = true
-		inDeg[e.To]++
-		parents[e.To] = append(parents[e.To], e.From)
+// siblings reports whether nodes u and v fire together: they share a
+// direct parent or an identical trigger condition.
+func (d *detector) siblings(g *graph.Graph, u, v int) bool {
+	if g.Nodes[u].Rule.Trigger == g.Nodes[v].Rule.Trigger {
+		return true
 	}
-	dist := hopDistances(g)
-	siblings := func(u, v int) bool {
-		ru, rv := g.Nodes[u].Rule, g.Nodes[v].Rule
-		if ru.Trigger == rv.Trigger {
-			return true
-		}
-		for _, pu := range parents[u] {
-			for _, pv := range parents[v] {
-				if pu == pv {
-					return true
-				}
+	for _, pu := range d.in[d.inAt[u]:d.inAt[u+1]] {
+		for _, pv := range d.in[d.inAt[v]:d.inAt[v+1]] {
+			if pu == pv {
+				return true
 			}
 		}
-		return false
+	}
+	return false
+}
+
+// pairwise scans rule pairs for the conflict, revert, duplicate, bypass
+// and block patterns. Conflict, duplicate and block require *sibling
+// activation* — the two rules fire from the same direct parent or share an
+// identical trigger condition — which is the simultaneity requirement of
+// the underlying iRuler/HAWatcher vulnerability semantics.
+func (d *detector) pairwise(g *graph.Graph) {
+	n := d.n
+	// Condition bypass: an environmental edge into a rule whose action is
+	// security-sensitive — the trigger can be satisfied artificially rather
+	// than by the genuine environment.
+	for _, e := range g.Edges {
+		if e.Kind != rules.EnvMatch || g.Nodes[e.From].Rule == nil {
+			continue
+		}
+		if rv := g.Nodes[e.To].Rule; rv != nil && anySensitive(rv) {
+			d.pair(ConditionBypass, e.From, e.To)
+		}
 	}
 	for u := 0; u < n; u++ {
 		ru := g.Nodes[u].Rule
 		if ru == nil {
 			continue
 		}
-		// Condition bypass: an environmental edge into a rule whose action
-		// is security-sensitive — the trigger can be satisfied artificially
-		// rather than by the genuine environment.
-		for _, e := range g.Edges {
-			if e.From != u || e.Kind != rules.EnvMatch {
-				continue
-			}
-			rv := g.Nodes[e.To].Rule
-			if rv == nil {
-				continue
-			}
-			for _, eff := range rv.Actions {
-				if eff.Sensitive {
-					out = append(out, Finding{Type: ConditionBypass,
-						Nodes: []int{u, e.To}})
-					break
-				}
-			}
-		}
 		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
 			rv := g.Nodes[v].Rule
-			if rv == nil {
+			if u == v || rv == nil {
 				continue
 			}
+			uv, vu := d.dist[u*n+v], d.dist[v*n+u]
 			// Action revert: a short downstream chain undoes the upstream
 			// action.
-			if d := dist[u][v]; d > 0 && d <= revertMaxHops {
-				if conflicting(ru, rv) {
-					out = append(out, Finding{Type: ActionRevert,
-						Nodes: []int{u, v}})
-				}
+			if uv > 0 && uv <= revertMaxHops && conflicting(ru, rv) {
+				d.pair(ActionRevert, u, v)
 			}
-			if u < v && siblings(u, v) && dist[u][v] < 0 && dist[v][u] < 0 {
+			unordered := u < v && uv < 0 && vu < 0
+			// uv == 1 is an edge u→v; a node with parents is meant to fire.
+			blockable := uv != 1 && d.inAt[v+1] > d.inAt[v]
+			if !(unordered || blockable) || !d.siblings(g, u, v) {
+				continue
+			}
+			if unordered {
 				// Simultaneous activation of causally unordered siblings.
 				if conflicting(ru, rv) {
-					out = append(out, Finding{Type: ActionConflict,
-						Nodes: []int{u, v}})
+					d.pair(ActionConflict, u, v)
 				}
 				if duplicating(ru, rv) {
-					out = append(out, Finding{Type: ActionDuplicate,
-						Nodes: []int{u, v}})
+					d.pair(ActionDuplicate, u, v)
 				}
 			}
 			// Condition block: a sibling's action forces v's trigger false
-			// while v is meant to fire (in-degree > 0).
-			if siblings(u, v) && !hasEdge[[2]int{u, v}] && inDeg[v] > 0 &&
-				blocksTrigger(ru, rv) {
-				out = append(out, Finding{Type: ConditionBlock,
-					Nodes: []int{u, v}})
+			// while v is meant to fire.
+			if blockable && blocksTrigger(ru, rv) {
+				d.pair(ConditionBlock, u, v)
 			}
 		}
 	}
-	return out
 }
 
-// hopDistances returns the directed BFS hop count between all node pairs
-// (-1 when unreachable; 0 on the diagonal).
-func hopDistances(g *graph.Graph) [][]int {
-	n := g.N()
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	dist := make([][]int, n)
-	for s := 0; s < n; s++ {
-		row := make([]int, n)
-		for i := range row {
-			row[i] = -1
+func anySensitive(r *rules.Rule) bool {
+	for _, eff := range r.Actions {
+		if eff.Sensitive {
+			return true
 		}
-		row[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, next := range adj[cur] {
-				if row[next] < 0 {
-					row[next] = row[cur] + 1
-					queue = append(queue, next)
-				}
-			}
-		}
-		dist[s] = row
 	}
-	return dist
+	return false
 }
 
 func conflicting(a, b *rules.Rule) bool {
@@ -296,13 +343,11 @@ func blocksTrigger(a, b *rules.Rule) bool {
 func Label(g *graph.Graph) []Finding {
 	findings := Detect(g)
 	g.Label = len(findings) > 0
-	seen := map[string]bool{}
 	g.Tags = nil
-	for _, f := range findings {
-		name := f.Type.String()
-		if !seen[name] {
-			seen[name] = true
-			g.Tags = append(g.Tags, name)
+	// Findings are ordered by type: a tag starts where the type changes.
+	for i, f := range findings {
+		if i == 0 || f.Type != findings[i-1].Type {
+			g.Tags = append(g.Tags, f.Type.String())
 		}
 	}
 	return findings

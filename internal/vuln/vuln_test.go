@@ -1,9 +1,11 @@
 package vuln
 
 import (
+	"reflect"
 	"testing"
 
 	"fexiot/internal/graph"
+	"fexiot/internal/rng"
 	"fexiot/internal/rules"
 )
 
@@ -219,5 +221,79 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if NumLabeledTypes != 6 {
 		t.Fatal("the paper defines six labelled types")
+	}
+}
+
+// TestLabelMatchesReference compares the flat-buffer detectors with the
+// reference ones on random graphs: nodes drawn with repetition from two
+// generated homes (so rules share triggers, one rule sits at two nodes),
+// the odd node with no rule (an online anomaly), random edges of both
+// kinds including self-loops and cycles, then the oracle's own edges on
+// top. The detector pool is shared, so graphs of different sizes follow
+// each other through the same buffers.
+func TestLabelMatchesReference(t *testing.T) {
+	r := rng.New(5)
+	var home []*rules.Rule
+	for i, a := range rules.Archetypes()[:2] {
+		home = append(home, rules.NewGenerator(int64(40+i), a, "v-").RuleSet(30)...)
+	}
+	seen := map[Type]int{}
+	cyclic, labelled := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		g := &graph.Graph{}
+		n := 1 + r.Intn(14)
+		for i := 0; i < n; i++ {
+			node := graph.Node{Rule: rng.Pick(r, home), Feature: []float64{0}}
+			if r.Bool(0.05) {
+				node.Rule = nil
+			}
+			g.AddNode(node)
+		}
+		for k := r.Intn(2 * n); k > 0; k-- {
+			kind := rules.DirectMatch
+			if r.Bool(0.4) {
+				kind = rules.EnvMatch
+			}
+			g.AddEdge(r.Intn(n), r.Intn(n), kind)
+		}
+		if trial%2 == 0 {
+			for i, a := range g.Nodes {
+				for j, b := range g.Nodes {
+					if i != j && a.Rule != nil && b.Rule != nil {
+						if k := rules.RuleCanTrigger(a.Rule, b.Rule); k != rules.NoMatch {
+							g.AddEdge(i, j, k)
+						}
+					}
+				}
+			}
+		}
+		ref := g.Clone()
+		want, got := refLabel(ref), Label(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d nodes, %d edges): findings\n got %v\nwant %v", trial, n, len(g.Edges), got, want)
+		}
+		if g.Label != ref.Label || !reflect.DeepEqual(g.Tags, ref.Tags) {
+			t.Fatalf("trial %d: label %v tags %v, want %v %v", trial, g.Label, g.Tags, ref.Label, ref.Tags)
+		}
+		if again := Detect(g); !reflect.DeepEqual(again, want) {
+			t.Fatalf("trial %d: Detect after Label differs: %v", trial, again)
+		}
+		for _, f := range want {
+			seen[f.Type]++
+		}
+		if g.HasCycle() {
+			cyclic++
+		}
+		if g.Label {
+			labelled++
+		}
+	}
+	for ty := Type(0); ty < NumLabeledTypes; ty++ {
+		if seen[ty] == 0 {
+			t.Errorf("no trial produced a %v finding: the comparison never exercised it", ty)
+		}
+	}
+	if cyclic < 20 || labelled == 400 {
+		t.Errorf("%d cyclic and %d labelled graphs of 400: the corpus is lopsided", cyclic, labelled)
 	}
 }
