@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-debugarena race race-fedproto race-fed \
+.PHONY: all build test test-debugarena test-purego cross race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak vet bench bench-matmul \
 	bench-agg bench-codecs bench-json bench-json-smoke bench-smoke \
 	poison-smoke obs-smoke serve-smoke stream-smoke fuzz check
@@ -20,9 +20,28 @@ test:
 # The arena's NaN-poison mode: released buffers are filled with NaN, so any
 # use-after-recycle in the tape/workspace layers fails loudly. Runs the
 # allocation-hot packages with the debugarena build tag, never from cache.
+# Ops that lease their value uncleared (autodiff's opFull) receive the poison
+# on every recycled buffer, so this is also what proves each of them assigns
+# every element; gnn's pooled-tape tests (TestTrainTapePoolBounded,
+# TestTrainTapePanicNotReused) ride along.
 test-debugarena:
 	$(GO) test -tags=debugarena -count=1 ./internal/mat/ \
 		./internal/autodiff/ ./internal/gnn/ ./internal/nn/
+
+# The portable fallback of the axpy kernel (internal/mat/axpy_generic.go),
+# on this host: purego is a build constraint for CI, not a user option. The
+# kernel oracle, the tape/GNN suites and the pinned-F1 experiment constants
+# must hold on the generic loop exactly as on the assembly.
+test-purego:
+	$(GO) test -tags purego ./internal/mat ./internal/autodiff ./internal/gnn \
+		./internal/nn ./internal/experiments
+
+# Every other GOARCH takes the same fallback: prove it still builds (the
+# module has no dependencies, so this works offline) and that vet accepts
+# the package without its assembly file.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat
 
 # The full suite under the race detector. The evaluation package alone
 # (pinned F1 sweeps under ~15x race instrumentation) legitimately needs
@@ -38,9 +57,12 @@ race:
 race-fedproto:
 	$(GO) test -race -count=1 ./internal/fedproto/...
 
-# The robust-aggregation and Byzantine-attack paths under the race detector.
+# The robust-aggregation and Byzantine-attack paths under the race detector,
+# and what every federated client's round shares with the others in its
+# process: eight concurrent TrainContrastive calls on the workspace pool.
 race-fed:
 	$(GO) test -race -count=1 ./internal/fed/...
+	$(GO) test -race -count=1 -run TestTrainContrastiveConcurrent ./internal/gnn/
 
 # The snapshot-isolated serving engine (swap-mid-storm, batching, HTTP)
 # plus the facade's detect-while-training race regression, the shared
@@ -146,8 +168,9 @@ stream-smoke:
 # body decoder's differential fuzzers (answered => deep-equal to
 # encoding/json, never panic), online fusion's (perturbed log =>
 # deep-equal to the reference fusion) and the text encoder's (any bytes =>
-# bit-equal to the reference tokenise-and-embed path). FUZZTIME bounds each
-# target; raise it for long local runs.
+# bit-equal to the reference tokenise-and-embed path) and the axpy kernel's
+# (any floats => bit-equal to the scalar loop, nothing touched outside the
+# operands). FUZZTIME bounds each target; raise it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
@@ -155,7 +178,8 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/
 	$(GO) test -fuzz FuzzRuleEmbedding -fuzztime $(FUZZTIME) ./internal/embed/
+	$(GO) test -fuzz FuzzAxpy -fuzztime $(FUZZTIME) ./internal/mat/
 
-check: build vet test test-debugarena race race-fedproto race-fed \
+check: build vet test test-debugarena test-purego cross race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \
 	bench-json-smoke bench-smoke obs-smoke serve-smoke stream-smoke

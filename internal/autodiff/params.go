@@ -113,7 +113,7 @@ func (p *ParamSet) CopyFrom(src *ParamSet) {
 // FlattenLayer concatenates the layer-l parameters into one vector; this is
 // the representation the FL server clusters by cosine similarity.
 func (p *ParamSet) FlattenLayer(l int) []float64 {
-	var out []float64
+	out := make([]float64, 0, p.LayerElements(l))
 	for _, n := range p.names {
 		if p.layerOf[n] == l {
 			out = append(out, p.vals[n].Data()...)
@@ -169,6 +169,34 @@ func (p *ParamSet) Sub(q *ParamSet) *ParamSet {
 	out := p.Clone()
 	for _, n := range out.names {
 		out.vals[n].AddScaled(q.vals[n], -1)
+	}
+	return out
+}
+
+// LayerDiffNorms returns, per layer, the Euclidean norm of p − q over the
+// layer's coordinates in FlattenLayer order — mat.Norm2 of
+// p.Sub(q).FlattenLayer(l), bit for bit (each coordinate is a + (−1·b),
+// squared and summed in registration order), without materialising the
+// difference or the flat vector: the result map is its only allocation.
+func (p *ParamSet) LayerDiffNorms(q *ParamSet) map[int]float64 {
+	layers := p.NumLayers()
+	out := make(map[int]float64, layers)
+	for l := 0; l < layers; l++ {
+		var s float64
+		for _, n := range p.names {
+			if p.layerOf[n] != l {
+				continue
+			}
+			a, b := p.vals[n].Data(), q.vals[n].Data()
+			if len(a) != len(b) {
+				panic(fmt.Sprintf("autodiff: LayerDiffNorms %q holds %d and %d values", n, len(a), len(b)))
+			}
+			for i, av := range a {
+				x := av + -1*b[i]
+				s += x * x
+			}
+		}
+		out[l] = math.Sqrt(s)
 	}
 	return out
 }

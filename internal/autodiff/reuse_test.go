@@ -180,3 +180,56 @@ func TestDetachOnLeafReturnsValue(t *testing.T) {
 		t.Fatal("Detach on a leaf should return the caller-owned matrix itself")
 	}
 }
+
+// TestRecycleForgetsTransposes pins the difference between the two resets:
+// Reset keeps the sparse-transpose cache (the same adjacencies come back
+// every pair of a round), Recycle — what a tape gets before it is parked
+// for an unrelated caller — empties it, so a parked tape pins no operator,
+// and so no graph, of its last borrower. The next pass rebuilds what it
+// needs and produces the same gradient bits.
+func TestRecycleForgetsTransposes(t *testing.T) {
+	r := rng.New(29)
+	w := r.Glorot(4, 3)
+	ops := make([]*mat.CSR, 5)
+	xs := make([]*mat.Dense, len(ops))
+	for i := range ops {
+		n := 3 + i
+		var is, js []int
+		var vs []float64
+		for k := 0; k < n; k++ {
+			is, js, vs = append(is, k, k), append(js, k, (k+1)%n), append(vs, 1, 0.5)
+		}
+		ops[i] = mat.NewCSR(n, n, is, js, vs)
+		xs[i] = r.Gaussian(n, 4, 1)
+	}
+	tape := NewTape()
+	pass := func(i int) []float64 {
+		tape.Reset()
+		wn := tape.Param(w)
+		h := tape.SpMM(ops[i], tape.MatMul(tape.Constant(xs[i]), wn))
+		tape.Backward(tape.SumAll(tape.Hadamard(h, h)))
+		return append([]float64(nil), wn.Grad.Data()...)
+	}
+	var want [][]float64
+	for i := range ops {
+		want = append(want, pass(i))
+	}
+	if len(tape.csrT) != len(ops) {
+		t.Fatalf("after %d operators the cache holds %d transposes", len(ops), len(tape.csrT))
+	}
+	tape.Reset()
+	if len(tape.csrT) != len(ops) {
+		t.Fatalf("Reset dropped the transpose cache (%d left)", len(tape.csrT))
+	}
+	tape.Recycle()
+	if len(tape.csrT) != 0 || tape.Len() != 0 {
+		t.Fatalf("a recycled tape still holds %d transposes and %d nodes", len(tape.csrT), tape.Len())
+	}
+	for i := range ops {
+		for j, g := range pass(i) {
+			if math.Float64bits(g) != math.Float64bits(want[i][j]) {
+				t.Fatalf("operator %d after Recycle: grad[%d] = %v, want %v", i, j, g, want[i][j])
+			}
+		}
+	}
+}

@@ -13,7 +13,10 @@
 // The tape owns a mat.Arena and recycles aggressively: Reset returns every
 // node struct to a free list and every tape-allocated Value/Grad backing
 // array to the arena, so a training step after warm-up runs at ~zero
-// steady-state allocations. The ownership rules (DESIGN.md §4.13):
+// steady-state allocations. A tape is meant to outlive the call that uses
+// it (package gnn parks its tapes in a pool between calls, so a federated
+// client's second round leases what its first released); Recycle is the
+// Reset for that hand-over. The ownership rules (DESIGN.md §4.13):
 //
 //   - Param/Constant values are caller-owned; the tape never recycles them.
 //   - Every other node's Value and Grad die at Reset. Any reference held
@@ -151,6 +154,16 @@ func (t *Tape) Reset() {
 	}
 }
 
+// Recycle is Reset for a tape about to be parked and handed to an unrelated
+// caller: it also forgets the sparse-transpose cache, whose keys are the
+// last caller's operators, so a parked tape pins no graph its borrower has
+// dropped. What it keeps is the arena (bounded per size class, trimmed
+// every arenaTrimEvery resets) and the node free list (one pass's worth).
+func (t *Tape) Recycle() {
+	t.Reset()
+	clear(t.csrT)
+}
+
 // ArenaStats exposes the tape arena's counters (tests and telemetry).
 func (t *Tape) ArenaStats() mat.ArenaStats { return t.arena.Stats() }
 
@@ -181,11 +194,24 @@ func (t *Tape) leaf(v *mat.Dense, needs bool) *Node {
 // op registers an operation node whose r×c value is a zeroed arena lease
 // (the same semantics mat.NewDense gave the pre-arena tape).
 func (t *Tape) op(r, c int, needs bool, back func(*Node)) *Node {
+	return t.node(r, c, t.arena.Lease(r*c), needs, back)
+}
+
+// opFull is op for an operation that assigns every element of its value
+// before anything reads it: the lease skips the clear that the product or
+// copy would immediately repeat. Each caller says why that holds; under
+// -tags=debugarena a recycled lease arrives as NaN, so an element the op
+// failed to assign poisons the pass instead of reading as a lucky zero.
+func (t *Tape) opFull(r, c int, needs bool, back func(*Node)) *Node {
+	return t.node(r, c, t.arena.LeaseUninit(r*c), needs, back)
+}
+
+func (t *Tape) node(r, c int, buf []float64, needs bool, back func(*Node)) *Node {
 	n := t.alloc()
 	n.tape = t
 	n.needs = needs
 	n.back = back
-	n.vhdr.Remake(r, c, t.arena.Lease(r*c))
+	n.vhdr.Remake(r, c, buf)
 	n.Value = &n.vhdr
 	t.nodes = append(t.nodes, n)
 	return n
@@ -260,34 +286,46 @@ func (t *Tape) csrTranspose(s *mat.CSR) *mat.CSR {
 
 // MatMul returns a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	out := t.op(a.Value.Rows(), b.Value.Cols(), anyNeeds(a, b), backMatMul)
+	// opFull: MulTo zeroes each output row before accumulating into it.
+	out := t.opFull(a.Value.Rows(), b.Value.Cols(), anyNeeds(a, b), backMatMul)
 	out.a, out.b = a, b
 	mat.MulTo(out.Value, a.Value, b.Value)
 	return out
 }
 
 func backMatMul(out *Node) {
-	a, b, t := out.a, out.b, out.tape
+	a, b := out.a, out.b
 	if a.needs {
-		ensureGrad(a)
 		// dA += dOut · Bᵀ
-		r, c := a.Value.Dims()
-		buf := t.arena.Lease(r * c)
-		t.scratch.Remake(r, c, buf)
-		mat.MulBTTo(&t.scratch, out.Grad, b.Value)
-		a.Grad.AddScaled(&t.scratch, 1)
-		t.arena.Release(buf)
+		accumulateProduct(a, mat.MulBTTo, out.Grad, b.Value)
 	}
 	if b.needs {
-		ensureGrad(b)
 		// dB += Aᵀ · dOut
-		r, c := b.Value.Dims()
-		buf := t.arena.Lease(r * c)
-		t.scratch.Remake(r, c, buf)
-		mat.MulTTo(&t.scratch, a.Value, out.Grad)
-		b.Grad.AddScaled(&t.scratch, 1)
-		t.arena.Release(buf)
+		accumulateProduct(b, mat.MulTTo, a.Value, out.Grad)
 	}
+}
+
+// accumulateProduct adds mul(x, y) to n's gradient. The first contribution
+// to a gradient is computed straight into an uncleared lease instead of
+// into a scratch that is then added to a zeroed gradient: the product
+// kernels assign every element, and each element is a sum accumulated from
+// +0, which is never −0 (x + y is −0 only when both are), so the 0 + x the
+// old path performed returned x bit for bit. Later contributions keep
+// scratch-then-add, so the association of the sum is unchanged.
+func accumulateProduct(n *Node, mul func(dst, x, y *mat.Dense), x, y *mat.Dense) {
+	t := n.tape
+	r, c := n.Value.Dims()
+	if n.Grad == nil {
+		n.ghdr.Remake(r, c, t.arena.LeaseUninit(r*c))
+		n.Grad = &n.ghdr
+		mul(n.Grad, x, y)
+		return
+	}
+	buf := t.arena.LeaseUninit(r * c)
+	t.scratch.Remake(r, c, buf)
+	mul(&t.scratch, x, y)
+	n.Grad.AddScaled(&t.scratch, 1)
+	t.arena.Release(buf)
 }
 
 // SpMM returns s·b for a constant sparse operator s (e.g. normalised graph
@@ -295,7 +333,7 @@ func backMatMul(out *Node) {
 func (t *Tape) SpMM(s *mat.CSR, b *Node) *Node {
 	r, _ := s.Dims()
 	_, c := b.Value.Dims()
-	out := t.op(r, c, b.needs, backSpMM)
+	out := t.opFull(r, c, b.needs, backSpMM) // SpMMTo zeroes dst first
 	out.a = b
 	out.sparse = s
 	mat.SpMMTo(out.Value, s, b.Value)
@@ -310,7 +348,7 @@ func backSpMM(out *Node) {
 	ensureGrad(b)
 	st := t.csrTranspose(out.sparse)
 	r, c := b.Value.Dims()
-	buf := t.arena.Lease(r * c)
+	buf := t.arena.LeaseUninit(r * c) // SpMMTo zeroes dst first
 	t.scratch.Remake(r, c, buf)
 	mat.SpMMTo(&t.scratch, st, out.Grad)
 	b.Grad.AddScaled(&t.scratch, 1)
@@ -320,7 +358,7 @@ func backSpMM(out *Node) {
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	r, c := a.Value.Dims()
-	out := t.op(r, c, anyNeeds(a, b), backAdd)
+	out := t.opFull(r, c, anyNeeds(a, b), backAdd) // the loop assigns every od[i]
 	out.a, out.b = a, b
 	od, ad, bd := out.Value.Data(), a.Value.Data(), b.Value.Data()
 	for i := range od {
@@ -343,7 +381,7 @@ func backAdd(out *Node) {
 // Sub returns a−b.
 func (t *Tape) Sub(a, b *Node) *Node {
 	r, c := a.Value.Dims()
-	out := t.op(r, c, anyNeeds(a, b), backSub)
+	out := t.opFull(r, c, anyNeeds(a, b), backSub) // the loop assigns every od[i]
 	out.a, out.b = a, b
 	od, ad, bd := out.Value.Data(), a.Value.Data(), b.Value.Data()
 	for i := range od {
@@ -429,7 +467,7 @@ func backHadamard(out *Node) {
 // Scale returns s*a for a constant scalar s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
 	r, c := a.Value.Dims()
-	out := t.op(r, c, a.needs, backScale)
+	out := t.opFull(r, c, a.needs, backScale) // the loop assigns every od[i]
 	out.a = a
 	out.scalar = s
 	od, ad := out.Value.Data(), a.Value.Data()
@@ -449,7 +487,7 @@ func backScale(out *Node) {
 // unary applies a static element-wise f with a static back function.
 func (t *Tape) unary(a *Node, f func(float64) float64, back func(*Node)) *Node {
 	r, c := a.Value.Dims()
-	out := t.op(r, c, a.needs, back)
+	out := t.opFull(r, c, a.needs, back) // the copy covers the whole value
 	out.a = a
 	copy(out.Value.Data(), a.Value.Data())
 	out.Value.Apply(f)
@@ -645,7 +683,8 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		}
 		total += c
 	}
-	out := t.op(rows, total, anyNeeds(parts...), backConcatCols)
+	// opFull: the parts' widths sum to total, so the row copies tile the value.
+	out := t.opFull(rows, total, anyNeeds(parts...), backConcatCols)
 	out.parents = append(out.parents[:0], parts...)
 	off := 0
 	for _, p := range parts {
@@ -677,7 +716,7 @@ func backConcatCols(out *Node) {
 // caller-owned and must stay valid until Reset.
 func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 	_, c := a.Value.Dims()
-	out := t.op(len(idx), c, a.needs, backGatherRows)
+	out := t.opFull(len(idx), c, a.needs, backGatherRows) // one row copy per output row
 	out.a = a
 	out.idx = idx
 	for i, r := range idx {

@@ -329,10 +329,5 @@ func CheckFiniteUpdate(m *Message) error {
 
 // LayerNorms computes per-layer update norms between two snapshots.
 func LayerNorms(before, after *autodiff.ParamSet) map[int]float64 {
-	out := map[int]float64{}
-	diff := after.Sub(before)
-	for l := 0; l < after.NumLayers(); l++ {
-		out[l] = mat.Norm2(diff.FlattenLayer(l))
-	}
-	return out
+	return after.LayerDiffNorms(before)
 }

@@ -2,6 +2,7 @@ package fedproto
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
+	"fexiot/internal/rng"
 )
 
 func TestEncodeApplyRoundTrip(t *testing.T) {
@@ -54,6 +56,54 @@ func TestLayerNorms(t *testing.T) {
 	for l := 1; l < m.Params().NumLayers(); l++ {
 		if norms[l] != 0 {
 			t.Fatalf("layer %d norm %v want 0", l, norms[l])
+		}
+	}
+}
+
+// refLayerNorms is LayerNorms as it stood at 6ba3676: clone-and-subtract the
+// whole model, flatten each layer, take its norm.
+func refLayerNorms(before, after *autodiff.ParamSet) map[int]float64 {
+	out := map[int]float64{}
+	diff := after.Sub(before)
+	for l := 0; l < after.NumLayers(); l++ {
+		out[l] = mat.Norm2(diff.FlattenLayer(l))
+	}
+	return out
+}
+
+// TestLayerNormsMatchesReference holds the one-pass LayerNorms to the
+// three-copy body it replaced, bit for bit, on every model's parameter
+// layout (GIN interleaves its readout layer with the others; MAGNN has the
+// most tensors per layer) after a perturbation that leaves some tensors
+// untouched, and pins that it allocates its result map and nothing else.
+func TestLayerNormsMatchesReference(t *testing.T) {
+	for name, m := range map[string]gnn.Model{
+		"gin":   gnn.NewGIN(16, 8, 4, 1),
+		"gcn":   gnn.NewGCN(16, 8, 4, 2),
+		"magnn": gnn.NewMAGNN(16, 24, 8, 4, 3),
+	} {
+		before := m.Params().Clone()
+		r := rng.New(7)
+		for i, n := range m.Params().Names() {
+			if i%4 == 3 {
+				continue
+			}
+			d := m.Params().Get(n).Data()
+			for j := range d {
+				d[j] += r.NormFloat64() * 1e-3
+			}
+		}
+		got, want := LayerNorms(before, m.Params()), refLayerNorms(before, m.Params())
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d layers, reference %d", name, len(got), len(want))
+		}
+		for l, w := range want {
+			if g, ok := got[l]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s layer %d: norm %v (present %v), reference %v", name, l, g, ok, w)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { LayerNorms(before, m.Params()) }); allocs > 2 {
+			t.Fatalf("%s: LayerNorms allocates %.0f times, want ≤ 2 (the result map)", name, allocs)
 		}
 	}
 }

@@ -22,7 +22,11 @@ type GIN struct {
 	Eps       float64
 
 	params *autodiff.ParamSet
+	names  []ginNames // per layer, formatted once: Forward runs per graph
 }
+
+// ginNames are one layer's parameter names.
+type ginNames struct{ w1, b1, w2, b2, out string }
 
 // NewGIN builds a GIN with Glorot-initialised weights.
 func NewGIN(inputDim, hiddenDim, outDim int, seed int64) *GIN {
@@ -32,12 +36,18 @@ func NewGIN(inputDim, hiddenDim, outDim int, seed int64) *GIN {
 	p := autodiff.NewParamSet()
 	in := inputDim
 	for l := 0; l < m.NumLayers; l++ {
-		p.Register(fmt.Sprintf("gin%d.w1", l), l, r.Glorot(in, hiddenDim))
-		p.Register(fmt.Sprintf("gin%d.b1", l), l, mat.NewDense(1, hiddenDim))
-		p.Register(fmt.Sprintf("gin%d.w2", l), l, r.Glorot(hiddenDim, hiddenDim))
-		p.Register(fmt.Sprintf("gin%d.b2", l), l, mat.NewDense(1, hiddenDim))
+		n := ginNames{
+			w1: fmt.Sprintf("gin%d.w1", l), b1: fmt.Sprintf("gin%d.b1", l),
+			w2: fmt.Sprintf("gin%d.w2", l), b2: fmt.Sprintf("gin%d.b2", l),
+			out: fmt.Sprintf("gin%d.out", l),
+		}
+		m.names = append(m.names, n)
+		p.Register(n.w1, l, r.Glorot(in, hiddenDim))
+		p.Register(n.b1, l, mat.NewDense(1, hiddenDim))
+		p.Register(n.w2, l, r.Glorot(hiddenDim, hiddenDim))
+		p.Register(n.b2, l, mat.NewDense(1, hiddenDim))
 		// Per-layer readout projection (jumping knowledge style).
-		p.Register(fmt.Sprintf("gin%d.out", l), m.NumLayers, r.Glorot(2*hiddenDim, outDim))
+		p.Register(n.out, m.NumLayers, r.Glorot(2*hiddenDim, outDim))
 		in = hiddenDim
 	}
 	m.params = p
@@ -60,20 +70,20 @@ func (m *GIN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *aut
 	agg := g.CachedSumAdjacency(m.Eps)
 	h := t.Constant(g.CachedPadFeatures(m.InputDim))
 	var readout *autodiff.Node
-	for l := 0; l < m.NumLayers; l++ {
+	for _, n := range m.names {
 		h = t.SpMM(agg, h)
-		h = t.MatMul(h, b.Node(fmt.Sprintf("gin%d.w1", l)))
-		h = t.AddRowBroadcast(h, b.Node(fmt.Sprintf("gin%d.b1", l)))
+		h = t.MatMul(h, b.Node(n.w1))
+		h = t.AddRowBroadcast(h, b.Node(n.b1))
 		h = t.ReLU(h)
-		h = t.MatMul(h, b.Node(fmt.Sprintf("gin%d.w2", l)))
-		h = t.AddRowBroadcast(h, b.Node(fmt.Sprintf("gin%d.b2", l)))
+		h = t.MatMul(h, b.Node(n.w2))
+		h = t.AddRowBroadcast(h, b.Node(n.b2))
 		h = t.ReLU(h)
 		// Pool this layer: size-normalised sum (so graph size does not
 		// dominate contrastive distances) concatenated with a max pool
 		// that preserves existence of localised vulnerability patterns.
 		mean := t.Scale(t.SumRows(h), 1/float64(maxInt(g.N(), 1)))
 		pooled := t.ConcatCols(mean, t.MaxRows(h))
-		proj := t.MatMul(pooled, b.Node(fmt.Sprintf("gin%d.out", l)))
+		proj := t.MatMul(pooled, b.Node(n.out))
 		if readout == nil {
 			readout = proj
 		} else {

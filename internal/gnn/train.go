@@ -95,10 +95,21 @@ func gradsFinite(grads map[string]*mat.Dense) bool {
 // with cfg.DivergeFactor set, a loss blow-up past DivergeFactor × the first
 // batch loss — aborts the round and restores the weights captured at entry.
 // It returns false on such an abort and true when the round completed.
+//
+// The tape comes from the package's workspace pool and goes back when the
+// round ends, so a caller that returns once per federated round finds its
+// arena warm instead of re-allocating every buffer.
 func TrainContrastive(m Model, graphs []*graph.Graph, cfg TrainConfig, opt *autodiff.Adam) bool {
 	if len(graphs) < 2 {
 		return true
 	}
+	ws := borrowWorkspace()
+	ok := ws.trainContrastive(m, graphs, cfg, opt)
+	ws.park()
+	return ok
+}
+
+func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainConfig, opt *autodiff.Adam) bool {
 	tm := newTrainMetrics(cfg.Metrics)
 	sp := obs.StartSpan(tm.roundDur)
 	defer sp.End()
@@ -133,15 +144,14 @@ func TrainContrastive(m Model, graphs []*graph.Graph, cfg TrainConfig, opt *auto
 		return graphs[pool[i]], graphs[pool[j]], false
 	}
 
-	// One tape and binder serve the whole round: Reset+Rebind per pair
-	// recycles every node and buffer, so the steady-state loop allocates
-	// nothing. Gradients accumulate into persistent buffers (acc) with a
-	// per-batch view restricted to the parameters actually touched this
-	// batch — Adam must only see touched names, exactly as the seed's
+	// The workspace's tape and binder serve the whole round: Reset+Rebind
+	// per pair recycles every node and buffer, so the steady-state loop
+	// allocates nothing. Gradients accumulate into persistent buffers (acc)
+	// with a per-batch view restricted to the parameters actually touched
+	// this batch — Adam must only see touched names, exactly as the seed's
 	// per-batch map gave it (MAGNN legitimately skips a projection when a
 	// graph has no nodes of that space).
-	tape := autodiff.NewTape()
-	binder := autodiff.Bind(tape, m.Params())
+	tape, binder := ws.tape, ws.binder
 	acc := map[string]*mat.Dense{}
 	grads := map[string]*mat.Dense{}
 	accumulate := func(name string, g *mat.Dense) {
@@ -236,9 +246,15 @@ func TrainSupervised(m Model, head *SupervisedHead, graphs []*graph.Graph,
 	if len(graphs) == 0 {
 		return
 	}
+	ws := borrowWorkspace()
+	ws.trainSupervised(m, head, graphs, cfg, opt, headOpt, classWeights)
+	ws.park()
+}
+
+func (ws *Workspace) trainSupervised(m Model, head *SupervisedHead, graphs []*graph.Graph,
+	cfg TrainConfig, opt, headOpt *autodiff.Adam, classWeights []float64) {
 	r := rng.New(cfg.Seed)
-	tape := autodiff.NewTape()
-	binder := autodiff.Bind(tape, m.Params())
+	tape, binder := ws.tape, ws.binder
 	hb := autodiff.Bind(tape, head.params)
 	lab := make([]int, 1)
 	for e := 0; e < cfg.Epochs; e++ {

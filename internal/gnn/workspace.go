@@ -8,11 +8,13 @@ import (
 	"fexiot/internal/mat"
 )
 
-// Workspace is the reusable inference scratch of one goroutine: a tape
-// (with its arena of recycled buffers), a binder, and an embedding output
-// slice. A long-lived worker — a serve.Engine worker, a stream refusion
-// loop — holds one Workspace so its forward passes stop allocating;
-// transient callers borrow one from the package pool via Embed/EmbedAll.
+// Workspace is the reusable scratch of one goroutine: a tape (with its
+// arena of recycled buffers), a binder, and an embedding output slice. A
+// long-lived worker — a serve.Engine worker, a stream refusion loop — holds
+// one Workspace so its forward passes stop allocating; transient callers
+// (Embed/EmbedAll, and the training loops, whose caller comes back once per
+// federated round) borrow one from the package pool, so a client's second
+// round leases the buffers its first released.
 //
 // A Workspace is NOT safe for concurrent use.
 type Workspace struct {
@@ -42,14 +44,29 @@ func (ws *Workspace) Embed(m Model, g *graph.Graph) []float64 {
 func (ws *Workspace) ArenaStats() mat.ArenaStats { return ws.tape.ArenaStats() }
 
 // wsPool recycles workspaces for callers without a long-lived one. Entries
-// are pointers, so Get/Put do not allocate on the steady state.
+// are pointers, so Get/Put do not allocate on the steady state. Everything
+// in the pool has been through park; a workspace whose pass panicked is
+// never parked — the GC takes it, half-built pass and all.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+
+func borrowWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
+
+// park returns ws to the pool holding nothing of its borrower's: Recycle
+// releases every buffer to the arena and drops the node and transpose-cache
+// references to the caller's graphs and parameters. What a parked workspace
+// retains is bounded by the arena's per-class cap and trim epochs
+// (TestTrainTapePoolBounded).
+func (ws *Workspace) park() {
+	ws.tape.Recycle()
+	ws.binder.Rebind(ws.tape, nil)
+	wsPool.Put(ws)
+}
 
 // Embed runs inference and returns the embedding as a caller-owned vector.
 func Embed(m Model, g *graph.Graph) []float64 {
-	ws := wsPool.Get().(*Workspace)
+	ws := borrowWorkspace()
 	out := append([]float64(nil), ws.Embed(m, g)...)
-	wsPool.Put(ws)
+	ws.park()
 	return out
 }
 

@@ -99,12 +99,35 @@ func NewArena(maxPerClass int) *Arena {
 // until it hands it back via Release (or keeps it forever — leaking to the
 // GC is always safe).
 func (a *Arena) Lease(n int) []float64 {
+	buf, recycled := a.lease(n)
+	if recycled {
+		// Zero on lease, not on release: NewDense semantics are preserved
+		// bit-identically, and the debugarena NaN poison stays visible for
+		// the whole time a freed buffer sits in the pool.
+		clear(buf)
+	}
+	return buf
+}
+
+// LeaseUninit is Lease without the clear, for a caller that assigns every
+// element before reading any (a product's destination, a copy's target): a
+// recycled buffer comes back holding whatever its last holder left — NaN
+// under -tags=debugarena, which is what proves the "assigns every element"
+// claim in the tests instead of a clear hiding a missed one.
+func (a *Arena) LeaseUninit(n int) []float64 {
+	buf, _ := a.lease(n)
+	return buf
+}
+
+// lease pops a buffer of length n from its class, or makes one; recycled
+// reports whether the contents are a previous holder's.
+func (a *Arena) lease(n int) (buf []float64, recycled bool) {
 	if n <= 0 {
-		return nil
+		return nil, false
 	}
 	if !arenaEnabled.Load() {
 		a.count(&a.leases, &a.misses, n)
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	a.mu.Lock()
 	a.leases++
@@ -121,10 +144,10 @@ func (a *Arena) Lease(n int) []float64 {
 			am.misses.Inc()
 			am.bytesLive.Add(float64(n) * 8)
 		}
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	a.hits++
-	buf := cl.bufs[len(cl.bufs)-1]
+	buf = cl.bufs[len(cl.bufs)-1]
 	cl.bufs = cl.bufs[:len(cl.bufs)-1]
 	a.bytesPooled -= int64(n) * 8
 	a.bytesLive += int64(n) * 8
@@ -135,11 +158,7 @@ func (a *Arena) Lease(n int) []float64 {
 		am.bytesLive.Add(float64(n) * 8)
 		am.bytesPooled.Add(float64(n) * -8)
 	}
-	// Zero on lease, not on release: NewDense semantics are preserved
-	// bit-identically, and the debugarena NaN poison stays visible for the
-	// whole time a freed buffer sits in the pool.
-	clear(buf)
-	return buf
+	return buf, true
 }
 
 // count records a disabled-path lease without touching the free lists.

@@ -137,16 +137,11 @@ func (m *Dense) AddScaled(b *Dense, s float64) *Dense {
 		if km := kmetrics.Load(); km != nil {
 			km.serial.Inc()
 		}
-		for i, v := range b.data {
-			m.data[i] += s * v
-		}
+		rowUpdate(m.data, b.data, s)
 		return m
 	}
 	parallelRows(len(m.data), serialElemCutoff, func(lo, hi int) {
-		d, src := m.data[lo:hi], b.data[lo:hi]
-		for i, v := range src {
-			d[i] += s * v
-		}
+		rowUpdate(m.data[lo:hi], b.data[lo:hi], s)
 	})
 	return m
 }
@@ -289,10 +284,7 @@ func mulToBlock(dst, a, b *Dense, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			bk := b.Row(k)
-			for j, bv := range bk {
-				ci[j] += av * bv
-			}
+			rowUpdate(ci, b.Row(k), av)
 		}
 	}
 }
@@ -335,9 +327,7 @@ func mulTToSerial(dst, a, b *Dense) {
 				continue
 			}
 			di := dst.Row(i)
-			for j, bv := range bk {
-				di[j] += av * bv
-			}
+			rowUpdate(di, bk, av)
 		}
 	}
 }
@@ -357,10 +347,7 @@ func mulTToBlock(dst, a, b *Dense, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			bk := b.Row(k)
-			for j, bv := range bk {
-				di[j] += av * bv
-			}
+			rowUpdate(di, b.Row(k), av)
 		}
 	}
 }
@@ -389,12 +376,29 @@ func MulBTTo(dst, a, b *Dense) {
 	})
 }
 
-// mulBTToBlock computes rows [lo, hi) of dst = A·Bᵀ.
+// mulBTToBlock computes rows [lo, hi) of dst = A·Bᵀ, four output columns
+// per pass over a row of A. Each of the four accumulators is its own dot
+// product — started at +0 and summed in ascending k, with no zero-skip,
+// exactly as the one-column tail does — so the pass only interleaves four
+// independent add chains the CPU can overlap; no output's rounding changes.
 func mulBTToBlock(dst, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
 		di := dst.Row(i)
-		for j := 0; j < b.rows; j++ {
+		j := 0
+		for ; j+4 <= b.rows; j += 4 {
+			b0, b1 := b.Row(j)[:len(ai)], b.Row(j + 1)[:len(ai)]
+			b2, b3 := b.Row(j + 2)[:len(ai)], b.Row(j + 3)[:len(ai)]
+			var s0, s1, s2, s3 float64
+			for k, av := range ai {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.rows; j++ {
 			bj := b.Row(j)
 			var s float64
 			for k, av := range ai {

@@ -100,19 +100,31 @@ func (m *CSR) RowNZ(i int, fn func(j int, v float64)) {
 	}
 }
 
-// T returns the transpose as a new CSR matrix.
+// T returns the transpose as a new CSR matrix: a counting sort of the
+// entries by column. Rows of m are visited in ascending order, so row j of
+// the result lists its entries by ascending i — the order NewCSR would give
+// the same triplets, which fixes the summation order of an SpMM over it —
+// and m holds no duplicate coordinates (NewCSR merged them), so neither
+// does the result.
 func (m *CSR) T() *CSR {
-	is := make([]int, 0, m.NNZ())
-	js := make([]int, 0, m.NNZ())
-	vs := make([]float64, 0, m.NNZ())
-	for i := 0; i < m.rows; i++ {
-		m.RowNZ(i, func(j int, v float64) {
-			is = append(is, j)
-			js = append(js, i)
-			vs = append(vs, v)
-		})
+	indptr := make([]int, m.cols+1)
+	for _, j := range m.indices {
+		indptr[j+1]++
 	}
-	return NewCSR(m.cols, m.rows, is, js, vs)
+	for j := 0; j < m.cols; j++ {
+		indptr[j+1] += indptr[j]
+	}
+	indices := make([]int, len(m.indices))
+	vals := make([]float64, len(m.vals))
+	next := append([]int(nil), indptr[:m.cols]...)
+	for i := 0; i < m.rows; i++ {
+		for k := m.indptr[i]; k < m.indptr[i+1]; k++ {
+			p := next[m.indices[k]]
+			next[m.indices[k]]++
+			indices[p], vals[p] = i, m.vals[k]
+		}
+	}
+	return &CSR{rows: m.cols, cols: m.rows, indptr: indptr, indices: indices, vals: vals}
 }
 
 // SpMMTo computes dst = S·B where S is sparse and B, dst are dense.
@@ -127,11 +139,7 @@ func SpMMTo(dst *Dense, s *CSR, b *Dense) {
 	for i := 0; i < s.rows; i++ {
 		di := dst.Row(i)
 		for k := s.indptr[i]; k < s.indptr[i+1]; k++ {
-			j, v := s.indices[k], s.vals[k]
-			bj := b.Row(j)
-			for c, bv := range bj {
-				di[c] += v * bv
-			}
+			rowUpdate(di, b.Row(s.indices[k]), s.vals[k])
 		}
 	}
 }

@@ -26,9 +26,7 @@ func Axpy(dst, src []float64, s float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mat: Axpy lengths %d and %d", len(dst), len(src)))
 	}
-	for i, v := range src {
-		dst[i] += s * v
-	}
+	rowUpdate(dst, src, s)
 }
 
 // Norm2 returns the Euclidean norm of v.
