@@ -69,7 +69,9 @@ race-fed:
 # text encoder and the builder's node-feature tables every request's fusion
 # goes through (ten times each: filling them past their bounds from several
 # goroutines is the point) and online fusion itself (which holds the
-# builder lock only for its graph ID), never from cache.
+# builder lock only for its graph ID), never from cache. The serve package
+# carries TestExplainConcurrent (eight searches, one snapshot, each on its
+# own scorer) and TestExplainCancelled.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
 	$(GO) test -race -count=10 -run TestEncoderConcurrent ./internal/embed/
@@ -170,7 +172,9 @@ stream-smoke:
 # deep-equal to the reference fusion) and the text encoder's (any bytes =>
 # bit-equal to the reference tokenise-and-embed path) and the axpy kernel's
 # (any floats => bit-equal to the scalar loop, nothing touched outside the
-# operands). FUZZTIME bounds each target; raise it for long local runs.
+# operands) and the explanation scorer's (any graph and run of node subsets
+# => bit-equal to scoring a freshly induced subgraph, at every memo bound).
+# FUZZTIME bounds each target; raise it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
@@ -179,6 +183,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/
 	$(GO) test -fuzz FuzzRuleEmbedding -fuzztime $(FUZZTIME) ./internal/embed/
 	$(GO) test -fuzz FuzzAxpy -fuzztime $(FUZZTIME) ./internal/mat/
+	$(GO) test -fuzz FuzzScorer -fuzztime $(FUZZTIME) ./internal/gnn/
 
 check: build vet test test-debugarena test-purego cross race race-fedproto race-fed \
 	race-serve race-supervise race-stream soak poison-smoke bench-codecs \

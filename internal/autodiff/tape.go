@@ -494,14 +494,14 @@ func (t *Tape) unary(a *Node, f func(float64) float64, back func(*Node)) *Node {
 	return out
 }
 
-// ReLU applies max(0,x) element-wise.
-func (t *Tape) ReLU(a *Node) *Node { return t.unary(a, reluF, backReLU) }
-
-func reluF(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
+// ReLU applies max(0,x) element-wise: x where x > 0, +0 otherwise (NaN and
+// −0 included).
+func (t *Tape) ReLU(a *Node) *Node {
+	r, c := a.Value.Dims()
+	out := t.opFull(r, c, a.needs, backReLU) // ReLUTo assigns every element
+	out.a = a
+	mat.ReLUTo(out.Value, a.Value)
+	return out
 }
 
 func backReLU(out *Node) {
@@ -647,16 +647,19 @@ func (t *Tape) MaxRows(a *Node) *Node {
 		out.ints = make([]int, c)
 	}
 	out.ints = out.ints[:c]
-	for j := 0; j < c; j++ {
-		best := a.Value.At(0, j)
-		bi := 0
-		for i := 1; i < n; i++ {
-			if v := a.Value.At(i, j); v > best {
-				best, bi = v, i
+	// One pass over the rows, each column keeping the first row that
+	// strictly beats the ones before it — the column-at-a-time scan's
+	// answer (ties to the lowest row, a NaN never winning nor, once in row
+	// 0, losing) without its stride.
+	best := out.Value.Row(0)
+	copy(best, a.Value.Row(0))
+	clear(out.ints)
+	for i := 1; i < n; i++ {
+		for j, v := range a.Value.Row(i) {
+			if v > best[j] {
+				best[j], out.ints[j] = v, i
 			}
 		}
-		out.Value.Set(0, j, best)
-		out.ints[j] = bi
 	}
 	return out
 }

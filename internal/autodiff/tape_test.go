@@ -288,6 +288,38 @@ func TestMaxRowsGradAndForward(t *testing.T) {
 	}
 }
 
+// TestMaxRowsMatchesColumnScan: the row-wise pass picks the value and the
+// arg-max row the column-at-a-time scan picked — ties to the lowest row,
+// NaN never winning and never losing from row 0, ±0 and ±Inf as compared.
+func TestMaxRowsMatchesColumnScan(t *testing.T) {
+	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, -2}
+	g := rng.New(21)
+	for trial := 0; trial < 200; trial++ {
+		n, c := 1+g.Intn(9), 1+g.Intn(7)
+		x := mat.NewDense(n, c)
+		for i := range x.Data() {
+			x.Data()[i] = float64(g.Intn(5)) - 2
+			if g.Intn(3) == 0 {
+				x.Data()[i] = special[g.Intn(len(special))]
+			}
+		}
+		tape := NewTape()
+		out := tape.MaxRows(tape.Constant(x))
+		for j := 0; j < c; j++ {
+			best, bi := x.At(0, j), 0
+			for i := 1; i < n; i++ {
+				if v := x.At(i, j); v > best {
+					best, bi = v, i
+				}
+			}
+			if math.Float64bits(out.Value.At(0, j)) != math.Float64bits(best) || out.ints[j] != bi {
+				t.Fatalf("trial %d column %d of %v: max %v at row %d, column scan %v at row %d",
+					trial, j, x, out.Value.At(0, j), out.ints[j], best, bi)
+			}
+		}
+	}
+}
+
 func TestScatterRowsGradAndForward(t *testing.T) {
 	g := rng.New(12)
 	w := g.Gaussian(2, 3, 1)

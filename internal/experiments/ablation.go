@@ -83,12 +83,6 @@ func AblationBeam(s Setup) *Table {
 	d := datasets.BuildIFTTT(s.Scale, s.Seed)
 	labeled := d.Shuffled(s.Seed)
 	det := trainDetectorOn(s, "GCN", d, labeled[:min(len(labeled), 300)])
-	h := func(g *graph.Graph) float64 {
-		if g.N() == 0 {
-			return 0
-		}
-		return det.Score(g)
-	}
 	var picks []*graph.Graph
 	for _, g := range labeled {
 		if g.Label && g.N() >= 6 && g.N() <= 16 {
@@ -108,8 +102,8 @@ func AblationBeam(s Setup) *Table {
 		var fids, sps []float64
 		for gi, g := range picks {
 			cfg.Seed = s.Seed + int64(gi)
-			ex := explain.FexIoTExplain(h, g, cfg)
-			fids = append(fids, explain.Fidelity(h, g, ex.Nodes))
+			ex, fid := explainWith(det, g, cfg, explain.MethodFexIoT)
+			fids = append(fids, fid)
 			sps = append(sps, explain.Sparsity(g, ex.Nodes))
 		}
 		t.Add(fmt.Sprint(beam), f3(mat.Mean(fids)), f3(mat.Mean(sps)))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,23 +9,36 @@ import (
 
 	"fexiot/internal/datasets"
 	"fexiot/internal/explain"
+	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
 )
 
 // explainMethods lists the three Fig. 8/9 explanation methods.
 func explainMethods() []struct {
-	Name string
-	Run  func(explain.ScoreFunc, *graph.Graph, explain.SearchConfig) explain.Explanation
+	Name   string
+	Method explain.Method
 } {
 	return []struct {
-		Name string
-		Run  func(explain.ScoreFunc, *graph.Graph, explain.SearchConfig) explain.Explanation
+		Name   string
+		Method explain.Method
 	}{
-		{"FexIoT", explain.FexIoTExplain},
-		{"SubgraphX", explain.SubgraphX},
-		{"MCTS_GNN", explain.MCTSGNN},
+		{"FexIoT", explain.MethodFexIoT},
+		{"SubgraphX", explain.MethodSubgraphX},
+		{"MCTS_GNN", explain.MethodMCTSGNN},
 	}
+}
+
+// explainWith runs one explanation method on g through the detector's own
+// scorer — the path serving takes — and returns the explanation with its
+// fidelity, both scored by the same scorer.
+func explainWith(det *gnn.Detector, g *graph.Graph, cfg explain.SearchConfig, m explain.Method) (explain.Explanation, float64) {
+	sc := det.Scorer(nil, g)
+	// Background is never cancelled, which is Search's only error.
+	ex, _ := explain.Search(context.Background(), sc, g, cfg, m)
+	fid := explain.FidelityOf(sc, g, ex.Nodes)
+	sc.Release()
+	return ex, fid
 }
 
 // FigureVIII reproduces the qualitative explanation comparison: for two
@@ -35,12 +49,6 @@ func FigureVIII(s Setup) string {
 	d := datasets.BuildIFTTT(s.Scale, s.Seed)
 	labeled := d.Shuffled(s.Seed)
 	det := trainDetectorOn(s, "GCN", d, labeled)
-	h := func(g *graph.Graph) float64 {
-		if g.N() == 0 {
-			return 0
-		}
-		return det.Score(g)
-	}
 
 	// Pick two vulnerable graphs the detector flags, preferring mid-sized
 	// ones like the paper's examples (~10-16 nodes).
@@ -60,7 +68,7 @@ func FigureVIII(s Setup) string {
 		fmt.Fprintf(&b, "\nExample %d: graph %s (%d nodes, tags %v)\n",
 			ei+1, g.ID, g.N(), g.Tags)
 		for _, m := range explainMethods() {
-			ex := m.Run(h, g, cfg)
+			ex, _ := explainWith(det, g, cfg, m.Method)
 			sort.Ints(ex.Nodes)
 			fmt.Fprintf(&b, "  %-10s subgraph %v (score %.3f)\n", m.Name, ex.Nodes, ex.Score)
 			if m.Name == "FexIoT" {
@@ -90,12 +98,6 @@ func FigureIX(s Setup, graphsToTest int) *Table {
 	d := datasets.BuildIFTTT(s.Scale, s.Seed)
 	labeled := d.Shuffled(s.Seed)
 	det := trainDetectorOn(s, "GCN", d, labeled)
-	h := func(g *graph.Graph) float64 {
-		if g.N() == 0 {
-			return 0
-		}
-		return det.Score(g)
-	}
 	// The paper explains *detected* vulnerabilities ("100 interaction graphs
 	// that contain vulnerable interactions, which are reported by the GCN
 	// model"); fidelity is only meaningful when the detector is confident,
@@ -107,7 +109,7 @@ func FigureIX(s Setup, graphsToTest int) *Table {
 	var cands []scoredGraph
 	for _, g := range labeled {
 		if g.Label && g.N() >= 6 && g.N() <= 20 {
-			if sc := h(g); sc >= 0.5 {
+			if sc := det.Score(g); sc >= 0.5 {
 				cands = append(cands, scoredGraph{g, sc})
 			}
 		}
@@ -134,8 +136,8 @@ func FigureIX(s Setup, graphsToTest int) *Table {
 			var fids, sps []float64
 			for gi, g := range picks {
 				cfg.Seed = s.Seed + int64(gi)
-				ex := m.Run(h, g, cfg)
-				fids = append(fids, explain.Fidelity(h, g, ex.Nodes))
+				ex, fid := explainWith(det, g, cfg, m.Method)
+				fids = append(fids, fid)
 				sps = append(sps, explain.Sparsity(g, ex.Nodes))
 			}
 			t.Add(m.Name, fmt.Sprint(minNodes), f3(mat.Mean(fids)), f3(mat.Mean(sps)))
@@ -178,18 +180,12 @@ func TableIII(s Setup) *Table {
 		predPer := time.Since(start).Seconds() * 1000 / float64(len(evalSet))
 
 		// Vulnerability-analysis (explanation) time.
-		h := func(g *graph.Graph) float64 {
-			if g.N() == 0 {
-				return 0
-			}
-			return det.Score(g)
-		}
 		cfg := explain.DefaultSearchConfig(s.Seed)
 		var analysed int
 		start = time.Now()
 		for _, g := range evalSet {
 			if g.Label && g.N() >= 6 {
-				explain.FexIoTExplain(h, g, cfg)
+				explainWith(det, g, cfg, explain.MethodFexIoT)
 				analysed++
 				if analysed == 5 {
 					break

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -157,20 +158,21 @@ func TestFidelityBoundsProperty(t *testing.T) {
 func TestChildrenKeepConnectivity(t *testing.T) {
 	g, _ := planted() // chain 0-…-7
 	sub := []int{0, 1, 2, 3}
-	kids := children(g, sub)
+	s := newSearcher(context.Background(), nil, adjacency(g), DefaultSearchConfig(1), MethodFexIoT)
+	s.children(sub, 0)
 	// Only the endpoints can be pruned from a path without disconnecting.
-	if len(kids) != 2 {
-		t.Fatalf("children count %d want 2: %v", len(kids), kids)
+	if len(s.ss) != 2 {
+		t.Fatalf("children count %d want 2: %v", len(s.ss), s.ss)
 	}
-	for _, k := range kids {
-		if !connectedSubset(g, k) {
-			t.Fatalf("disconnected child %v", k)
+	for _, k := range s.ss {
+		if !connectedSubset(g, k.sub) {
+			t.Fatalf("disconnected child %v", k.sub)
 		}
-		if len(k) != 3 {
-			t.Fatalf("child size %d", len(k))
+		if len(k.sub) != 3 {
+			t.Fatalf("child size %d", len(k.sub))
 		}
 	}
-	if children(g, []int{4}) != nil {
+	if s.children([]int{4}, 0); len(s.ss) != 0 {
 		t.Fatal("singleton has no children")
 	}
 }
@@ -208,7 +210,7 @@ func TestRootComponentPicksLargest(t *testing.T) {
 	g.AddEdge(0, 1, rules.DirectMatch)
 	g.AddEdge(2, 3, rules.DirectMatch)
 	g.AddEdge(3, 4, rules.DirectMatch)
-	root := rootComponent(g)
+	root := rootComponent(adjacency(g))
 	if len(root) != 3 || !hasAll(root, 2, 3, 4) {
 		t.Fatalf("root component %v", root)
 	}

@@ -1,19 +1,32 @@
 package explain
 
 import (
-	"fmt"
+	"context"
 	"sort"
 
 	"fexiot/internal/graph"
 	"fexiot/internal/rng"
 )
 
-// RewardFunc scores a candidate subgraph of g under model h; the three
-// explanation methods differ only in this function. The reward draws all
-// randomness from the supplied generator — never from package-level or
-// struct-shared state — so two searches with the same config are
+// Method names the reward Algorithm 2's search maximises; the three
+// explanation methods of Fig. 8-9 differ only in it. A reward draws all its
+// randomness from the generator the search hands it — never from
+// package-level or shared state — so two searches with the same config are
 // bit-identical even when they run concurrently.
-type RewardFunc func(h ScoreFunc, g *graph.Graph, sub []int, r *rng.RNG) float64
+type Method int
+
+const (
+	// MethodFexIoT rewards a subgraph with its kernel-SHAP value: the
+	// paper's method.
+	MethodFexIoT Method = iota
+	// MethodSubgraphX rewards it with the sampled Shapley value under the
+	// player-independence assumption (Yuan et al. 2021).
+	MethodSubgraphX
+	// MethodMCTSGNN rewards it with its raw prediction score — the MCTS_GNN
+	// baseline, which the paper shows cannot capture connections among
+	// graph structures.
+	MethodMCTSGNN
+)
 
 // SearchConfig parameterises Algorithm 2.
 type SearchConfig struct {
@@ -38,158 +51,250 @@ type Explanation struct {
 	Score float64
 }
 
-// subKey canonically identifies a node subset.
-func subKey(sub []int) string {
-	s := append([]int(nil), sub...)
-	sort.Ints(s)
-	return fmt.Sprint(s)
+// subsetKey canonically identifies a node subset: a bitset, in one word
+// when the graph has at most 64 nodes and as the bitset's bytes otherwise.
+type subsetKey struct {
+	bits uint64
+	wide string
 }
 
-// children enumerates the connected subgraphs reachable by pruning one node
-// from sub (keeping the remainder weakly connected in g).
-func children(g *graph.Graph, sub []int) [][]int {
-	if len(sub) <= 1 {
-		return nil
-	}
-	var out [][]int
-	for drop := range sub {
-		next := make([]int, 0, len(sub)-1)
-		for i, v := range sub {
-			if i != drop {
-				next = append(next, v)
-			}
-		}
-		if connectedSubset(g, next) {
-			out = append(out, next)
-		}
-	}
-	return out
+// subsetStat is what the search knows of one visited subset: its reward
+// (evaluated once) and the Q statistics across playouts.
+type subsetStat struct {
+	reward      float64
+	visits      int
+	totalReward float64
 }
 
-// connectedSubset reports weak connectivity of the induced subgraph.
-func connectedSubset(g *graph.Graph, sub []int) bool {
-	if len(sub) <= 1 {
-		return true
-	}
-	in := map[int]bool{}
-	for _, v := range sub {
-		in[v] = true
-	}
-	visited := map[int]bool{sub[0]: true}
-	stack := []int{sub[0]}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.Edges {
-			var next int
-			switch {
-			case e.From == cur && in[e.To]:
-				next = e.To
-			case e.To == cur && in[e.From]:
-				next = e.From
-			default:
-				continue
-			}
-			if !visited[next] {
-				visited[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return len(visited) == len(sub)
+// scored is one candidate of a level.
+type scored struct {
+	sub  []int
+	stat int // index into searcher.stats
+	r    float64
 }
 
-// rootComponent picks the largest weakly connected component as the search
-// root N₀.
-func rootComponent(g *graph.Graph) []int {
-	seen := make([]bool, g.N())
-	var best []int
-	for i := 0; i < g.N(); i++ {
+// searcher is one run of Algorithm 2: the graph's adjacency lists (built
+// once), the per-subset statistics and the buffers every level reuses.
+type searcher struct {
+	ctx    context.Context
+	cfg    SearchConfig
+	method Method
+	eval   *evaluator
+	adj    [][]int // undirected neighbour lists, in edge order
+
+	index    map[subsetKey]int
+	stats    []subsetStat
+	rewardRN *rng.RNG // reseeded per reward evaluation
+	keyBuf   []byte
+
+	mark  []int // connectivity scratch: mark[v] == stamp ⇔ v is in the subset
+	seen  []int // … == stamp ⇔ v was reached
+	stamp int
+	stack []int
+	level [2][]int // candidate storage, alternating by depth
+	ss    []scored
+}
+
+// adjacency builds the undirected neighbour lists of g. A node's list is in
+// edge order and may repeat a neighbour; traversals skip what they have
+// already reached, so they visit nodes in the order graph.Neighbors gives.
+func adjacency(g *graph.Graph) [][]int {
+	deg := make([]int, g.N())
+	for _, e := range g.Edges {
+		deg[e.From]++
+		deg[e.To]++
+	}
+	flat := make([]int, 2*len(g.Edges))
+	adj := make([][]int, g.N())
+	for i, d := range deg {
+		adj[i], flat = flat[:0:d], flat[d:]
+	}
+	for _, e := range g.Edges {
+		adj[e.From] = append(adj[e.From], e.To)
+		adj[e.To] = append(adj[e.To], e.From)
+	}
+	return adj
+}
+
+// rootComponent picks the largest weakly connected component (the first of
+// equals, nodes in breadth-first discovery order) as the search root N₀.
+func rootComponent(adj [][]int) []int {
+	seen := make([]bool, len(adj))
+	var best, comp []int
+	for i := range adj {
 		if seen[i] {
 			continue
 		}
-		comp := g.ComponentOf(i)
-		for _, v := range comp {
-			seen[v] = true
+		comp = append(comp[:0], i)
+		seen[i] = true
+		for head := 0; head < len(comp); head++ {
+			for _, next := range adj[comp[head]] {
+				if !seen[next] {
+					seen[next] = true
+					comp = append(comp, next)
+				}
+			}
 		}
 		if len(comp) > len(best) {
-			best = comp
+			best = append(best[:0], comp...)
 		}
 	}
 	return best
 }
 
-// Search runs the Monte Carlo beam search of Algorithm 2 with the supplied
-// reward. Each playout descends from the root, keeping the Beam best
-// children per level and choosing the next node by Q(N,a) + λ·R(N,a)
-// (Eq. 7); subgraphs reaching N_min nodes are collected and the best-scoring
-// one is returned.
-func Search(h ScoreFunc, g *graph.Graph, cfg SearchConfig, reward RewardFunc) Explanation {
-	root := rootComponent(g)
-	if len(root) == 0 {
-		return Explanation{}
+func newSearcher(ctx context.Context, eval *evaluator, adj [][]int, cfg SearchConfig, method Method) *searcher {
+	n := len(adj)
+	s := &searcher{ctx: ctx, cfg: cfg, method: method, eval: eval,
+		adj: adj, rewardRN: rng.New(cfg.Seed),
+		index: map[subsetKey]int{}, mark: make([]int, n), seen: make([]int, n)}
+	if n > 64 {
+		s.keyBuf = make([]byte, (n+7)/8)
 	}
-	if len(root) <= cfg.MinNodes {
-		return Explanation{Nodes: root,
-			Score: reward(h, g, root, rng.New(cfg.Seed))}
-	}
-	r := rng.New(cfg.Seed)
+	return s
+}
 
-	// Q statistics across playouts.
-	visits := map[string]int{}
-	totalReward := map[string]float64{}
-	rewardCache := map[string]float64{}
-	evalReward := func(sub []int) float64 {
-		k := subKey(sub)
-		if v, ok := rewardCache[k]; ok {
-			return v
+func (s *searcher) key(sub []int) subsetKey {
+	if len(s.adj) <= 64 {
+		var k subsetKey
+		for _, v := range sub {
+			k.bits |= 1 << uint(v)
 		}
-		// Each cache miss gets its own generator at a deterministic
-		// cache-ordinal offset, so the reward stream is a pure function of
-		// the config regardless of evaluation interleaving.
-		v := reward(h, g, sub, rng.New(cfg.Seed+int64(len(rewardCache))))
-		rewardCache[k] = v
-		return v
+		return k
 	}
+	clear(s.keyBuf)
+	for _, v := range sub {
+		s.keyBuf[v>>3] |= 1 << uint(v&7)
+	}
+	return subsetKey{wide: string(s.keyBuf)}
+}
+
+// connected reports weak connectivity of the subgraph induced on sub.
+func (s *searcher) connected(sub []int) bool {
+	if len(sub) <= 1 {
+		return true
+	}
+	s.stamp++
+	for _, v := range sub {
+		s.mark[v] = s.stamp
+	}
+	s.seen[sub[0]] = s.stamp
+	s.stack = append(s.stack[:0], sub[0])
+	reached := 1
+	for len(s.stack) > 0 {
+		cur := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, next := range s.adj[cur] {
+			if s.mark[next] == s.stamp && s.seen[next] != s.stamp {
+				s.seen[next] = s.stamp
+				reached++
+				s.stack = append(s.stack, next)
+			}
+		}
+	}
+	return reached == len(sub)
+}
+
+// children fills s.ss with the connected subgraphs reachable by pruning one
+// node from sub (keeping the remainder weakly connected), in pruning order.
+// Their node lists live in the depth's buffer, which the depth after next
+// overwrites — by then the search has moved on from them.
+func (s *searcher) children(sub []int, depth int) {
+	s.ss = s.ss[:0]
+	if len(sub) <= 1 {
+		return
+	}
+	buf := grow(s.level[depth&1], len(sub)*(len(sub)-1))[:0]
+	s.level[depth&1] = buf
+	for drop := range sub {
+		next := append(append(buf[len(buf):], sub[:drop]...), sub[drop+1:]...)
+		if s.connected(next) {
+			buf = buf[:len(buf)+len(next)]
+			s.ss = append(s.ss, scored{sub: next})
+		}
+	}
+}
+
+// evalReward returns the index of sub's statistics, evaluating its reward
+// on first sight. Each first evaluation gets its own generator state at a
+// deterministic ordinal offset, so the reward stream is a pure function of
+// the config regardless of evaluation interleaving. The context is checked
+// here, once per reward evaluation: a cancelled search stops before its
+// next batch of scores, not in the middle of one.
+func (s *searcher) evalReward(sub []int) (int, error) {
+	k := s.key(sub)
+	if i, ok := s.index[k]; ok {
+		return i, nil
+	}
+	if err := s.ctx.Err(); err != nil {
+		return 0, err
+	}
+	s.rewardRN.Reseed(s.cfg.Seed + int64(len(s.stats)))
+	s.index[k] = len(s.stats)
+	s.stats = append(s.stats, subsetStat{
+		reward: s.eval.reward(s.method, sub, s.cfg.KernelSamples, s.rewardRN)})
+	return len(s.stats) - 1, nil
+}
+
+// Search runs the Monte Carlo beam search of Algorithm 2 over the node
+// subsets of g, scored by sc, with the method's reward. Each playout
+// descends from the root, keeping the Beam best children per level and
+// choosing the next node by Q(N,a) + λ·R(N,a) (Eq. 7); subgraphs reaching
+// N_min nodes are collected and the best-scoring one is returned. The only
+// error is ctx's, returned as soon as the next reward evaluation would
+// start.
+func Search(ctx context.Context, sc Scorer, g *graph.Graph, cfg SearchConfig, method Method) (Explanation, error) {
+	adj := adjacency(g)
+	root := rootComponent(adj)
+	if len(root) == 0 {
+		return Explanation{}, nil
+	}
+	eval := newEvaluator(sc, len(adj))
+	if len(root) <= cfg.MinNodes {
+		// Nothing to prune: the root is the explanation.
+		if err := ctx.Err(); err != nil {
+			return Explanation{}, err
+		}
+		return Explanation{Nodes: root,
+			Score: eval.reward(method, root, cfg.KernelSamples, rng.New(cfg.Seed))}, nil
+	}
+	s := newSearcher(ctx, eval, adj, cfg, method)
+	r := rng.New(cfg.Seed) // tie-breaks
 
 	best := Explanation{Score: -1e18}
 	consider := func(sub []int, score float64) {
 		if score > best.Score {
-			best = Explanation{Nodes: append([]int(nil), sub...), Score: score}
+			best.Nodes, best.Score = append(best.Nodes[:0], sub...), score
 		}
 	}
 
 	for it := 0; it < cfg.Iterations; it++ {
-		cur := append([]int(nil), root...)
-		for len(cur) > cfg.MinNodes {
-			cands := children(g, cur)
-			if len(cands) == 0 {
+		cur := root
+		for depth := 0; len(cur) > cfg.MinNodes; depth++ {
+			s.children(cur, depth)
+			ss := s.ss
+			if len(ss) == 0 {
 				break
 			}
 			// Score candidates; keep the beam.
-			type scored struct {
-				sub []int
-				r   float64
-			}
-			var ss []scored
-			for _, c := range cands {
-				ss = append(ss, scored{c, evalReward(c)})
+			for i := range ss {
+				stat, err := s.evalReward(ss[i].sub)
+				if err != nil {
+					return Explanation{}, err
+				}
+				ss[i].stat, ss[i].r = stat, s.stats[stat].reward
 			}
 			sort.Slice(ss, func(i, j int) bool { return ss[i].r > ss[j].r })
-			beam := cfg.Beam
-			if beam > len(ss) {
-				beam = len(ss)
+			if cfg.Beam < len(ss) {
+				ss = ss[:cfg.Beam]
 			}
-			ss = ss[:beam]
 			// Eq. (7): argmax Q + λR with a light random tie-break so
 			// playouts diversify.
 			bestIdx := 0
 			bestVal := -1e18
 			for i, cand := range ss {
-				k := subKey(cand.sub)
 				q := 0.0
-				if visits[k] > 0 {
-					q = totalReward[k] / float64(visits[k])
+				if st := s.stats[cand.stat]; st.visits > 0 {
+					q = st.totalReward / float64(st.visits)
 				}
 				val := q + cfg.Lambda*cand.r + 1e-6*r.Float64()
 				if val > bestVal {
@@ -198,39 +303,40 @@ func Search(h ScoreFunc, g *graph.Graph, cfg SearchConfig, reward RewardFunc) Ex
 				}
 			}
 			chosen := ss[bestIdx]
-			k := subKey(chosen.sub)
-			visits[k]++
-			totalReward[k] += chosen.r
+			s.stats[chosen.stat].visits++
+			s.stats[chosen.stat].totalReward += chosen.r
 			cur = chosen.sub
 			consider(cur, chosen.r)
 		}
 		// Leaf reached (|S| ≤ N_min): record it (line 15, S_l ∪ S_i).
-		consider(cur, evalReward(cur))
+		stat, err := s.evalReward(cur)
+		if err != nil {
+			return Explanation{}, err
+		}
+		consider(cur, s.stats[stat].reward)
 	}
-	return best
+	return best, nil
+}
+
+// blackBoxSearch is Search for a model known only as h(·).
+func blackBoxSearch(h ScoreFunc, g *graph.Graph, cfg SearchConfig, method Method) Explanation {
+	// Background is never cancelled, which is Search's only error.
+	ex, _ := Search(context.Background(), blackBox{h, g}, g, cfg, method)
+	return ex
 }
 
 // FexIoTExplain runs Algorithm 2 with the kernel-SHAP reward — the paper's
-// method.
+// method — against a black-box model.
 func FexIoTExplain(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
-	return Search(h, g, cfg, func(h ScoreFunc, g *graph.Graph, sub []int, r *rng.RNG) float64 {
-		return KernelSHAPRNG(h, g, sub, cfg.KernelSamples, r)
-	})
+	return blackBoxSearch(h, g, cfg, MethodFexIoT)
 }
 
-// SubgraphX runs the same search with the Shapley-value reward under the
-// player-independence assumption (Yuan et al. 2021).
+// SubgraphX runs the same search with the Shapley-value reward.
 func SubgraphX(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
-	return Search(h, g, cfg, func(h ScoreFunc, g *graph.Graph, sub []int, r *rng.RNG) float64 {
-		return ShapleyValueRNG(h, g, sub, cfg.KernelSamples, r)
-	})
+	return blackBoxSearch(h, g, cfg, MethodSubgraphX)
 }
 
-// MCTSGNN runs the search rewarding raw prediction scores of the subgraph —
-// the MCTS_GNN baseline, which the paper shows cannot capture connections
-// among graph structures.
+// MCTSGNN runs the search rewarding raw prediction scores of the subgraph.
 func MCTSGNN(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
-	return Search(h, g, cfg, func(h ScoreFunc, g *graph.Graph, sub []int, _ *rng.RNG) float64 {
-		return h(maskGraph(g, sub))
-	})
+	return blackBoxSearch(h, g, cfg, MethodMCTSGNN)
 }

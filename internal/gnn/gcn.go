@@ -52,12 +52,22 @@ func (m *GCN) Fresh(seed int64) Model {
 // Forward builds the embedding computation for one graph.
 func (m *GCN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
 	adj := g.CachedNormalizedAdjacency()
-	h := t.Constant(g.CachedPadFeatures(m.InputDim))
-	for l := 0; l < m.NumConv; l++ {
-		h = t.SpMM(adj, h)
-		h = t.MatMul(h, b.Node(fmt.Sprintf("conv%d.w", l)))
-		h = t.AddRowBroadcast(h, b.Node(fmt.Sprintf("conv%d.b", l)))
-		h = t.ReLU(h)
+	x := t.Constant(g.CachedPadFeatures(m.InputDim))
+	return m.rest(t, b, adj, m.conv(t, b, 0, t.SpMM(adj, x)))
+}
+
+// conv is convolution l after its aggregation: ReLU(agg·W_l + b_l), each
+// output row from its own input row only (see GIN.mlp).
+func (m *GCN) conv(t *autodiff.Tape, b *autodiff.Binder, l int, agg *autodiff.Node) *autodiff.Node {
+	h := t.MatMul(agg, b.Node(fmt.Sprintf("conv%d.w", l)))
+	h = t.AddRowBroadcast(h, b.Node(fmt.Sprintf("conv%d.b", l)))
+	return t.ReLU(h)
+}
+
+// rest finishes the forward pass from convolution 0's output h.
+func (m *GCN) rest(t *autodiff.Tape, b *autodiff.Binder, adj *mat.CSR, h *autodiff.Node) *autodiff.Node {
+	for l := 1; l < m.NumConv; l++ {
+		h = m.conv(t, b, l, t.SpMM(adj, h))
 	}
 	pooled := t.ConcatCols(t.MeanRows(h), t.MaxRows(h))
 	return t.MatMul(pooled, b.Node("out.w"))

@@ -167,6 +167,42 @@ func (m *Dense) Apply(f func(float64) float64) *Dense {
 	return m
 }
 
+// ReLUTo writes max(x, 0) of every element of src into dst (same shape; dst
+// may be src) in one pass. An element is kept exactly when x > 0, so NaN,
+// −0 and every negative map to +0 — what Apply with the comparison as a
+// function value gave, without the call per element. The serial/parallel
+// split and the dispatch count are Apply's.
+func ReLUTo(dst, src *Dense) {
+	if dst.rows != src.rows || dst.cols != src.cols {
+		panic(fmt.Sprintf("mat: ReLUTo %dx%d into %dx%d", src.rows, src.cols, dst.rows, dst.cols))
+	}
+	if len(src.data) < 2*serialElemCutoff || Parallelism() == 1 {
+		if km := kmetrics.Load(); km != nil {
+			km.serial.Inc()
+		}
+		reluBlock(dst.data, src.data)
+		return
+	}
+	parallelRows(len(src.data), serialElemCutoff, func(lo, hi int) {
+		reluBlock(dst.data[lo:hi], src.data[lo:hi])
+	})
+}
+
+// reluBlock keeps v where v > 0 and stores +0 elsewhere, as a mask over the
+// bits rather than a store on either side of a branch: half of a hidden
+// activation is negative in no order a predictor learns, and the compiler
+// turns the mask's condition into a conditional move.
+func reluBlock(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		var keep uint64
+		if v > 0 {
+			keep = ^uint64(0)
+		}
+		dst[i] = math.Float64frombits(math.Float64bits(v) & keep)
+	}
+}
+
 // Equalish reports whether m and b agree element-wise within tol.
 func (m *Dense) Equalish(b *Dense, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {

@@ -100,6 +100,28 @@ func (m *CSR) RowNZ(i int, fn func(j int, v float64)) {
 	}
 }
 
+// Row returns views of row i's column indices and values, in stored order
+// (NewCSR's: first occurrence of each coordinate in the triplet list). The
+// caller must not modify them.
+func (m *CSR) Row(i int) (cols []int, vals []float64) {
+	lo, hi := m.indptr[i], m.indptr[i+1]
+	return m.indices[lo:hi], m.vals[lo:hi]
+}
+
+// Remake retargets m at caller-owned CSR arrays without copying, the sparse
+// counterpart of Dense.Remake: indptr has rows+1 ascending offsets into
+// indices and vals, and no row repeats a column (nothing is merged or
+// checked beyond the lengths). A caller that rebuilds an operator of the
+// same shape many times keeps one CSR and three slices for all of them.
+func (m *CSR) Remake(rows, cols int, indptr, indices []int, vals []float64) {
+	if len(indptr) != rows+1 || len(indices) != len(vals) || indptr[rows] != len(vals) {
+		panic(fmt.Sprintf("mat: CSR.Remake %d rows with %d offsets, %d indices, %d values",
+			rows, len(indptr), len(indices), len(vals)))
+	}
+	m.rows, m.cols = rows, cols
+	m.indptr, m.indices, m.vals = indptr, indices, vals
+}
+
 // T returns the transpose as a new CSR matrix: a counting sort of the
 // entries by column. Rows of m are visited in ascending order, so row j of
 // the result lists its entries by ascending i — the order NewCSR would give

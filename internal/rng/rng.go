@@ -23,6 +23,11 @@ func New(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the stream exactly where New(seed) would start it, reusing
+// the generator's state instead of allocating another (math/rand's source
+// is 5 KB): a caller that needs a fresh stream per item keeps one RNG.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Split derives an independent child stream identified by name. The child is
 // a pure function of (parent seed state, name), so call order on siblings
 // does not matter as long as Split calls themselves are ordered identically.

@@ -372,7 +372,15 @@ func (e *Engine) answer(snap *Snapshot, r *request, ws *gnn.Workspace) (resp res
 	}
 	switch r.kind {
 	case reqExplain:
-		return response{expl: snap.Explain(r.g), seq: snap.Seq()}, nil
+		// The search stops at its next reward evaluation once the caller
+		// has gone, so an abandoned explain does not keep the worker from
+		// the requests queued behind it.
+		ex, st, err := snap.explain(r.ctx, ws, r.g)
+		e.m.explained(st)
+		if err != nil {
+			return response{err: err}, nil
+		}
+		return response{expl: ex, seq: snap.Seq()}, nil
 	default:
 		return response{verdict: snap.DetectWith(ws, r.g), seq: snap.Seq()}, nil
 	}

@@ -1,23 +1,29 @@
 package serve
 
-import "fexiot/internal/obs"
+import (
+	"fexiot/internal/gnn"
+	"fexiot/internal/obs"
+)
 
 // metrics bundles the fexiot_serve_* handles, resolved once at engine
 // construction. Every obs handle is nil-safe, so a nil registry keeps the
 // serving hot path on the zero-overhead branch.
 type metrics struct {
-	detectDur   *obs.Histogram
-	explainDur  *obs.Histogram
-	inflight    *obs.Gauge
-	queueDepth  *obs.Gauge
-	batchSize   *obs.Histogram
-	snapshotAge *obs.Gauge
-	snapshotSeq *obs.Gauge
-	published   *obs.Counter
-	shed        *obs.Counter
-	panics      *obs.Counter
-	writeErrs   *obs.Counter
-	fallbacks   *obs.Counter
+	detectDur    *obs.Histogram
+	explainDur   *obs.Histogram
+	inflight     *obs.Gauge
+	queueDepth   *obs.Gauge
+	batchSize    *obs.Histogram
+	snapshotAge  *obs.Gauge
+	snapshotSeq  *obs.Gauge
+	published    *obs.Counter
+	shed         *obs.Counter
+	panics       *obs.Counter
+	writeErrs    *obs.Counter
+	fallbacks    *obs.Counter
+	scoreCalls   *obs.Counter
+	rowsReused   *obs.Counter
+	rowsComputed *obs.Counter
 }
 
 // DecodeFallbacks returns the registry's fexiot_serve_decode_fallback_total
@@ -35,6 +41,9 @@ func newMetrics(r *obs.Registry) metrics {
 	dur := r.HistogramVec("fexiot_serve_request_duration_seconds",
 		"end-to-end request latency (queue wait + inference)",
 		obs.DefBuckets, "endpoint")
+	rows := r.CounterVec("fexiot_explain_first_layer_rows_total",
+		"first-layer rows looked up by explanation searches, by whether the search's memo had them",
+		"result")
 	return metrics{
 		detectDur:  dur.With("detect"),
 		explainDur: dur.With("explain"),
@@ -58,7 +67,18 @@ func newMetrics(r *obs.Registry) metrics {
 		writeErrs: r.Counter("fexiot_serve_response_write_errors_total",
 			"JSON responses whose network write failed after the status line"),
 		fallbacks: DecodeFallbacks(r),
+		scoreCalls: r.Counter("fexiot_explain_score_calls_total",
+			"model scores of node subsets evaluated by explanation searches"),
+		rowsReused:   rows.With("reused"),
+		rowsComputed: rows.With("computed"),
 	}
+}
+
+// explained adds one explanation's scorer counters, once per Explain.
+func (m metrics) explained(st gnn.ScorerStats) {
+	m.scoreCalls.Add(int64(st.Calls))
+	m.rowsReused.Add(int64(st.RowsReused))
+	m.rowsComputed.Add(int64(st.RowsComputed))
 }
 
 func (m metrics) latency(kind reqKind) *obs.Histogram {

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"context"
 	"time"
 
 	"fexiot/internal/drift"
@@ -130,23 +131,33 @@ func (s *Snapshot) verdictFromEmbedding(z []float64) Verdict {
 // concurrent Explain calls on the same snapshot and graph return identical
 // explanations.
 func (s *Snapshot) Explain(g *graph.Graph) Explanation {
-	h := func(sub *graph.Graph) float64 {
-		if sub.N() == 0 {
-			return 0
-		}
-		return s.det.Score(sub)
+	// Background is never cancelled, which is explain's only error.
+	out, _, _ := s.explain(context.Background(), nil, g)
+	return out
+}
+
+// explain is Explain on a caller-owned workspace (nil borrows a pooled one,
+// once for the whole search) under a context the search checks before each
+// reward evaluation. Every score of the search and of the fidelity goes
+// through one gnn.GraphScorer, whose counters come back with the result.
+func (s *Snapshot) explain(ctx context.Context, ws *gnn.Workspace, g *graph.Graph) (Explanation, gnn.ScorerStats, error) {
+	sc := s.det.Scorer(ws, g)
+	ex, err := explain.Search(ctx, sc, g, s.search, explain.MethodFexIoT)
+	if err != nil {
+		sc.Release()
+		return Explanation{}, sc.Stats(), err
 	}
-	ex := explain.FexIoTExplain(h, g, s.search)
 	out := Explanation{
 		NodeIndices: ex.Nodes,
 		Score:       ex.Score,
-		Fidelity:    explain.Fidelity(h, g, ex.Nodes),
+		Fidelity:    explain.FidelityOf(sc, g, ex.Nodes),
 		Sparsity:    explain.Sparsity(g, ex.Nodes),
 	}
+	sc.Release()
 	for _, idx := range ex.Nodes {
 		out.Rules = append(out.Rules, g.Nodes[idx].Rule)
 	}
-	return out
+	return out, sc.Stats(), nil
 }
 
 // Evaluate computes detection metrics over labelled graphs against the

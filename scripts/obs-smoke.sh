@@ -2,8 +2,9 @@
 # obs-smoke: end-to-end smoke test of the observability subsystem against
 # the real binaries. Runs a two-client federation with fexserver -http,
 # scrapes /metrics and /statusz from the live server, and fails if either
-# endpoint is empty or the acceptance metrics are missing. `make obs-smoke`
-# runs this as part of `make check`.
+# endpoint is empty or the acceptance metrics are missing; then starts
+# fexserve, sends one /v1/explain and fails unless the explanation-search
+# counters moved. `make obs-smoke` runs this as part of `make check`.
 set -eu
 
 WORKDIR=$(mktemp -d)
@@ -12,6 +13,7 @@ cleanup() {
     [ -n "${SERVER_PID:-}" ] && kill "$SERVER_PID" 2>/dev/null || true
     [ -n "${C0_PID:-}" ] && kill "$C0_PID" 2>/dev/null || true
     [ -n "${C1_PID:-}" ] && kill "$C1_PID" 2>/dev/null || true
+    [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT INT TERM
@@ -113,4 +115,36 @@ grep -q '^fexiot_update_compression_ratio_count [1-9]' "$WORKDIR/metrics.txt" \
 grep -q '"go_version"' "$WORKDIR/statusz.json" \
     || { echo "obs-smoke: /statusz is not a status snapshot"; cat "$WORKDIR/statusz.json"; exit 1; }
 
-echo "obs-smoke: OK (rounds advancing, q8 compression metrics live, /statusz live)"
+# The serving side: one /v1/explain against a freshly trained fexserve must
+# move the explanation-search counters — score calls, and first-layer rows
+# both computed and reused (the search's memo at work).
+go build -o "$WORKDIR/fexserve" ./cmd/fexserve
+"$WORKDIR/fexserve" -addr 127.0.0.1:0 -homes 4 -rules 16 -graphs 2 \
+    -rounds 1 -pairs 30 -sample "$WORKDIR/explain.json" >"$WORKDIR/serve.log" 2>&1 &
+SERVE_PID=$!
+SERVE_ADDR=""
+for _ in $(seq 1 300); do
+    SERVE_ADDR=$(sed -n 's#^fexserve listening on http://##p' "$WORKDIR/serve.log" | head -n1)
+    [ -n "$SERVE_ADDR" ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || { echo "obs-smoke: fexserve died:"; cat "$WORKDIR/serve.log"; exit 1; }
+    sleep 0.1
+done
+[ -n "$SERVE_ADDR" ] || { echo "obs-smoke: no listen address in fexserve log"; cat "$WORKDIR/serve.log"; exit 1; }
+code=$(curl -s -o "$WORKDIR/explain.out" -w '%{http_code}' -H 'Content-Type: application/json' \
+    --data-binary @"$WORKDIR/explain.json" "http://$SERVE_ADDR/v1/explain" || echo 000)
+[ "$code" = 200 ] || { echo "obs-smoke: /v1/explain returned $code:"; cat "$WORKDIR/explain.out"; exit 1; }
+curl -sf "http://$SERVE_ADDR/metrics" >"$WORKDIR/serve-metrics.txt" \
+    || { echo "obs-smoke: fexserve /metrics unreachable"; exit 1; }
+for series in 'fexiot_explain_score_calls_total' \
+    'fexiot_explain_first_layer_rows_total{result="computed"}' \
+    'fexiot_explain_first_layer_rows_total{result="reused"}'; do
+    grep -qF "$series " "$WORKDIR/serve-metrics.txt" \
+        && grep -F "$series " "$WORKDIR/serve-metrics.txt" | grep -q ' [1-9][0-9]*$' \
+        || { echo "obs-smoke: $series did not move after one /v1/explain:"; \
+             grep fexiot_explain "$WORKDIR/serve-metrics.txt" || true; exit 1; }
+done
+kill "$SERVE_PID" 2>/dev/null || true
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+
+echo "obs-smoke: OK (rounds advancing, q8 compression metrics live, /statusz live, explain counters live)"
