@@ -130,7 +130,7 @@ func BenchmarkMatMulSerial(b *testing.B) {
 }
 
 // BenchmarkMatMulParallel runs the same products at the configured
-// parallelism (FEXIOT_PROCS or all cores).
+// parallelism (GOMAXPROCS unless mat.SetParallelism was called).
 func BenchmarkMatMulParallel(b *testing.B) {
 	for _, n := range matMulSizes {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) { benchMatMul(b, n, mat.Parallelism()) })

@@ -21,7 +21,7 @@
 // Usage:
 //
 //	fexserve -addr :8080 -homes 10 -rules 22 -seed 7 \
-//	    -workers 4 -batch 8 -republish 2s
+//	    -workers 4 -republish 2s
 package main
 
 import (
@@ -48,11 +48,9 @@ func main() {
 	rounds := flag.Int("rounds", 3, "contrastive training rounds")
 	pairs := flag.Int("pairs", 80, "contrastive pairs per round")
 	seed := flag.Int64("seed", 7, "deterministic seed")
-	procs := flag.Int("procs", 0, "kernel parallelism bound (0 = FEXIOT_PROCS or all cores)")
+	procs := flag.Int("procs", 0, "kernel parallelism bound (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "inference workers (0 = kernel parallelism)")
 	queue := flag.Int("queue", 0, "request queue depth (0 = 4 × workers)")
-	batch := flag.Int("batch", 0, "micro-batch size (≤1 disables batching)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch fill window (0 = 2ms)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = 1 MiB)")
 	maxSnapAge := flag.Duration("max-snapshot-age", 0,
@@ -92,8 +90,6 @@ func main() {
 		Addr:           *addr,
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		BatchSize:      *batch,
-		BatchWindow:    *batchWindow,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		MaxSnapshotAge: *maxSnapAge,

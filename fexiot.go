@@ -74,8 +74,9 @@ type Options struct {
 	// Seed makes every component deterministic.
 	Seed int64
 	// Procs bounds the parallelism of the dense kernels and training
-	// fan-outs (0 keeps the current setting: FEXIOT_PROCS or all cores).
-	// Results are bit-identical at every setting.
+	// fan-outs process-wide (0 keeps the current setting: GOMAXPROCS as
+	// read at start-up, unless an earlier New set it). Results are
+	// bit-identical at every setting.
 	Procs int
 	// Metrics, when non-nil, instruments the whole pipeline — training,
 	// federation and the dense kernels — into the given observability
@@ -87,11 +88,6 @@ type Options struct {
 	// bytes by compressing per-round deltas at a bounded accuracy cost,
 	// mirroring the networked protocol's -codec flag.
 	Codec string
-	// DisableArena turns off the size-classed matrix arena process-wide
-	// (equivalent to FEXIOT_ARENA=off): every tape buffer lease falls
-	// through to a fresh allocation. Results are bit-identical either way;
-	// this is the escape hatch for leak hunts and memory profiling.
-	DisableArena bool
 }
 
 // DefaultOptions returns the documented defaults: a compact GIN sized for
@@ -159,9 +155,6 @@ func New(opts Options) (*System, error) {
 	}
 	if opts.Procs > 0 {
 		mat.SetParallelism(opts.Procs)
-	}
-	if opts.DisableArena {
-		mat.SetArenaEnabled(false)
 	}
 	if opts.Metrics != nil {
 		mat.InstrumentKernels(opts.Metrics)
@@ -391,22 +384,17 @@ func (s *System) Evaluate(graphs []*Graph) (Metrics, error) {
 }
 
 // ServeOptions configures fexiot.Serve. The zero value serves on an
-// ephemeral port with worker count following the kernel parallelism bound
-// and no micro-batching.
+// ephemeral port with worker count following the kernel parallelism bound.
 type ServeOptions struct {
 	// Addr is the HTTP listen address (empty or ":0" picks a free port).
 	Addr string
 	// Workers bounds concurrent inference goroutines (0 = kernel
 	// parallelism, i.e. mat.Parallelism).
 	Workers int
-	// QueueDepth bounds pending requests (0 = 4 × Workers); full queues
-	// make callers wait out their deadline instead of dropping work.
+	// QueueDepth bounds pending requests (0 = 4 × Workers); a request
+	// arriving at a full queue is shed at once — HTTP 429 with a
+	// Retry-After hint — rather than parked until its deadline.
 	QueueDepth int
-	// BatchSize > 1 groups same-shape detect requests arriving within
-	// BatchWindow into one batched forward pass.
-	BatchSize int
-	// BatchWindow is the batch fill deadline (0 = 2ms).
-	BatchWindow time.Duration
 	// RequestTimeout bounds each HTTP request's queue wait + inference
 	// (0 = 30s).
 	RequestTimeout time.Duration
@@ -484,8 +472,6 @@ func Serve(ctx context.Context, sys *System, opts ServeOptions) (*Server, error)
 	eng := serve.NewEngine(serve.Options{
 		Workers:      opts.Workers,
 		QueueDepth:   opts.QueueDepth,
-		BatchSize:    opts.BatchSize,
-		BatchWindow:  opts.BatchWindow,
 		MaxBodyBytes: opts.MaxBodyBytes,
 		Metrics:      sys.opts.Metrics,
 	})

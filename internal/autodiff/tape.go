@@ -115,7 +115,7 @@ const csrCacheMax = 512
 
 // NewTape creates an empty tape with its own arena.
 func NewTape() *Tape {
-	return &Tape{arena: mat.NewArena(0)}
+	return &Tape{arena: mat.NewArena()}
 }
 
 // Reset recycles every recorded node: tape-owned Value/Grad backing arrays

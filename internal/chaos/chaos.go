@@ -69,9 +69,6 @@ func (p *Plan) Float64() float64 {
 	return float64(p.next()>>11) / (1 << 53)
 }
 
-// Coin reports true with probability prob.
-func (p *Plan) Coin(prob float64) bool { return p.Float64() < prob }
-
 // Duration draws a uniform duration in [min, max).
 func (p *Plan) Duration(min, max time.Duration) time.Duration {
 	if max <= min {

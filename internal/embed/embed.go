@@ -310,16 +310,6 @@ func (e *Encoder) resolve(key string, t *token, sentence bool) *token {
 	return t
 }
 
-// WordsMatrix stacks the embeddings of words into a len(words)×wordDim
-// matrix.
-func (e *Encoder) WordsMatrix(words []string) *mat.Dense {
-	m := mat.NewDense(len(words), e.wordDim)
-	for i, w := range words {
-		m.SetRow(i, e.Word(w))
-	}
-	return m
-}
-
 // KeyPhraseEmbedding encodes a rule by averaging the word embeddings of its
 // extracted key phrases (the paper's treatment of verbose app descriptions:
 // "encoding key phrases can better model interaction logic").

@@ -56,7 +56,7 @@ func NewClients(base gnn.Model, datasets [][]*graph.Graph, lr float64) []*Client
 
 // localTrainAll runs one round of local training on every client in
 // parallel (clients are independent during the local phase), bounded by
-// the shared mat parallelism knob (FEXIOT_PROCS / mat.SetParallelism).
+// the shared mat parallelism bound (mat.SetParallelism).
 func localTrainAll(clients []*Client, cfg gnn.TrainConfig) {
 	mat.ParallelFor(len(clients), func(i int) {
 		clients[i].LocalTrain(cfg)

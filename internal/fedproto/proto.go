@@ -237,13 +237,6 @@ func (c *Conn) SetOpDeadline(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// OpDeadline reports the per-operation deadline installed by SetOpDeadline.
-func (c *Conn) OpDeadline() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.opDeadline
-}
-
 // Close closes the underlying socket.
 func (c *Conn) Close() error { return c.raw.Close() }
 

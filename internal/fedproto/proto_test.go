@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"fexiot/internal/autodiff"
 	"fexiot/internal/embed"
@@ -179,6 +180,10 @@ func TestEndToEndTCP(t *testing.T) {
 					conn = Wrap(raw)
 					break
 				}
+				// The server goroutine may not be listening yet: 50 refused
+				// dials take a few ms without this, and a client that gives
+				// up leaves the others waiting on the server's quorum forever.
+				time.Sleep(10 * time.Millisecond)
 			}
 			if conn == nil {
 				errs[id] = net.ErrClosed

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -33,7 +32,7 @@ type Arena struct {
 	mu      sync.Mutex
 	classes map[int]*arenaClass
 
-	// maxPerClass bounds each free list; 0 selects DefaultArenaCap.
+	// maxPerClass bounds each free list (arenaCap; tests lower it).
 	maxPerClass int
 
 	bytesPooled int64 // bytes currently held in free lists
@@ -55,43 +54,27 @@ type arenaClass struct {
 	used bool
 }
 
-// DefaultArenaCap is the default per-class free-list bound. Training keeps
-// at most a few buffers of each shape in flight at once (value + gradient +
-// a backward temporary), so a small cap retains every steady-state buffer
-// while bounding worst-case retention for one-off shapes.
-const DefaultArenaCap = 64
+// arenaCap is the per-class free-list bound. Training keeps at most a few
+// buffers of each shape in flight at once (value + gradient + a backward
+// temporary), so a small cap retains every steady-state buffer while
+// bounding worst-case retention for one-off shapes.
+const arenaCap = 64
 
-// arenaEnabled is the process-wide arena switch: when false every Lease
-// falls back to a plain make and Release drops the buffer, restoring the
-// exact allocation behaviour of the pre-arena runtime. Controlled by the
-// FEXIOT_ARENA environment variable ("off", "0" or "false" disable) and
-// SetArenaEnabled.
-var arenaEnabled atomic.Bool
-
-func init() {
-	on := true
-	switch os.Getenv("FEXIOT_ARENA") {
-	case "off", "0", "false":
-		on = false
-	}
-	arenaEnabled.Store(on)
-}
+// arenaOff is the process-wide arena switch: when set every Lease falls
+// back to a plain make and Release drops the buffer, restoring the exact
+// allocation behaviour of the pre-arena runtime. SetArenaEnabled is the
+// one way to flip it; pooling is on unless it has been called.
+var arenaOff atomic.Bool
 
 // SetArenaEnabled toggles buffer pooling process-wide. Disabling it does
 // not invalidate live leases; it only makes future leases allocate fresh
 // memory and future releases drop their buffers.
-func SetArenaEnabled(on bool) { arenaEnabled.Store(on) }
+func SetArenaEnabled(on bool) { arenaOff.Store(!on) }
 
-// ArenaEnabled reports whether buffer pooling is active.
-func ArenaEnabled() bool { return arenaEnabled.Load() }
-
-// NewArena creates an empty arena. maxPerClass bounds each size class's
-// free list (0 = DefaultArenaCap).
-func NewArena(maxPerClass int) *Arena {
-	if maxPerClass <= 0 {
-		maxPerClass = DefaultArenaCap
-	}
-	return &Arena{classes: map[int]*arenaClass{}, maxPerClass: maxPerClass}
+// NewArena creates an empty arena whose size classes each keep at most
+// arenaCap free buffers.
+func NewArena() *Arena {
+	return &Arena{classes: map[int]*arenaClass{}, maxPerClass: arenaCap}
 }
 
 // Lease returns a zeroed []float64 of length n, reusing a recycled buffer
@@ -125,7 +108,7 @@ func (a *Arena) lease(n int) (buf []float64, recycled bool) {
 	if n <= 0 {
 		return nil, false
 	}
-	if !arenaEnabled.Load() {
+	if arenaOff.Load() {
 		a.count(&a.leases, &a.misses, n)
 		return make([]float64, n), false
 	}
@@ -188,7 +171,7 @@ func (a *Arena) Release(buf []float64) {
 		am.releases.Inc()
 		am.bytesLive.Add(float64(n) * -8)
 	}
-	if !arenaEnabled.Load() {
+	if arenaOff.Load() {
 		a.mu.Lock()
 		a.releases++
 		a.bytesLive -= int64(n) * 8

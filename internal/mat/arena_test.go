@@ -11,7 +11,7 @@ import (
 // lease — fresh or recycled, even after the buffer was dirtied — observes
 // all-zero memory.
 func TestArenaLeaseZeroed(t *testing.T) {
-	a := NewArena(0)
+	a := NewArena()
 	for round := 0; round < 3; round++ {
 		buf := a.Lease(37)
 		if len(buf) != 37 {
@@ -36,7 +36,7 @@ func TestArenaLeaseZeroed(t *testing.T) {
 // TestArenaDistinctBacking pins alias safety: no two live leases may share
 // backing memory, regardless of interleaved releases.
 func TestArenaDistinctBacking(t *testing.T) {
-	a := NewArena(0)
+	a := NewArena()
 	live := map[*float64][]float64{}
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{4, 16, 16, 64, 256}
@@ -62,7 +62,8 @@ func TestArenaDistinctBacking(t *testing.T) {
 // TestArenaCap pins the per-class bound: releases beyond maxPerClass are
 // dropped, not retained.
 func TestArenaCap(t *testing.T) {
-	a := NewArena(2)
+	a := NewArena()
+	a.maxPerClass = 2
 	bufs := make([][]float64, 5)
 	for i := range bufs {
 		bufs[i] = a.Lease(8)
@@ -88,7 +89,7 @@ func TestArenaCap(t *testing.T) {
 // TestArenaTrim pins the epoch semantics: classes idle for one full epoch
 // are evicted, active classes survive.
 func TestArenaTrim(t *testing.T) {
-	a := NewArena(0)
+	a := NewArena()
 	a.Release(a.Lease(10))
 	a.Release(a.Lease(20))
 	a.Trim() // both classes were touched this epoch: both survive
@@ -115,12 +116,12 @@ func TestArenaTrim(t *testing.T) {
 	}
 }
 
-// TestArenaDisabled pins the FEXIOT_ARENA=off escape hatch: a disabled
-// arena never recycles, restoring pre-arena allocation behaviour.
+// TestArenaDisabled pins the SetArenaEnabled(false) escape hatch: a
+// disabled arena never recycles, restoring pre-arena allocation behaviour.
 func TestArenaDisabled(t *testing.T) {
 	SetArenaEnabled(false)
 	defer SetArenaEnabled(true)
-	a := NewArena(0)
+	a := NewArena()
 	a.Release(a.Lease(8))
 	buf := a.Lease(8)
 	for i := range buf {
@@ -140,7 +141,8 @@ func TestArenaDisabled(t *testing.T) {
 // TestArenaConcurrent hammers one arena from many goroutines; run under
 // -race this pins the locking discipline.
 func TestArenaConcurrent(t *testing.T) {
-	a := NewArena(16)
+	a := NewArena()
+	a.maxPerClass = 16
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -173,7 +175,7 @@ func TestArenaConcurrent(t *testing.T) {
 
 // TestArenaZeroLenLease pins the degenerate sizes.
 func TestArenaZeroLenLease(t *testing.T) {
-	a := NewArena(0)
+	a := NewArena()
 	if buf := a.Lease(0); buf != nil {
 		t.Fatalf("Lease(0) = %v, want nil", buf)
 	}
@@ -186,7 +188,7 @@ func TestArenaZeroLenLease(t *testing.T) {
 // TestLeaseDenseRemake pins the Dense integration: LeaseDense matches
 // NewDense semantics and Remake retargets a header in place.
 func TestLeaseDenseRemake(t *testing.T) {
-	a := NewArena(0)
+	a := NewArena()
 	m := a.LeaseDense(3, 4)
 	if r, c := m.Dims(); r != 3 || c != 4 {
 		t.Fatalf("LeaseDense dims = %dx%d", r, c)
@@ -252,7 +254,10 @@ func FuzzArena(f *testing.F) {
 	f.Add(int64(1), uint8(4))
 	f.Add(int64(42), uint8(64))
 	f.Fuzz(func(t *testing.T, seed int64, capHint uint8) {
-		a := NewArena(int(capHint % 8))
+		a := NewArena()
+		if c := int(capHint % 8); c > 0 {
+			a.maxPerClass = c
+		}
 		rng := rand.New(rand.NewSource(seed))
 		live := map[*float64][]float64{}
 		var held [][]float64

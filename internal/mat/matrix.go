@@ -445,18 +445,6 @@ func mulBTToBlock(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// AddM returns A+B as a new matrix.
-func AddM(a, b *Dense) *Dense {
-	out := a.Clone()
-	return out.AddScaled(b, 1)
-}
-
-// SubM returns A−B as a new matrix.
-func SubM(a, b *Dense) *Dense {
-	out := a.Clone()
-	return out.AddScaled(b, -1)
-}
-
 // Hadamard returns the element-wise product as a new matrix.
 func Hadamard(a, b *Dense) *Dense {
 	if a.rows != b.rows || a.cols != b.cols {

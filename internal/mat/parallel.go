@@ -8,16 +8,14 @@ package mat
 // every float is accumulated in exactly the same order as the serial
 // kernel and results are bit-identical regardless of the worker count.
 //
-// The pool is sized from runtime.NumCPU(), overridable with the
-// FEXIOT_PROCS environment variable or SetParallelism. Operations whose
-// FLOP count falls under a small threshold run the serial loops instead,
-// so the tiny matrices of individual autodiff steps never pay goroutine
-// hand-off overhead.
+// The degree of parallelism defaults to runtime.GOMAXPROCS(0) — the bound
+// the Go runtime already puts on running goroutines — and SetParallelism
+// is the one way to change it. Operations whose FLOP count falls under a
+// small threshold run the serial loops instead, so the tiny matrices of
+// individual autodiff steps never pay goroutine hand-off overhead.
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -42,15 +40,7 @@ var (
 	poolCh   chan blockTask
 )
 
-func init() {
-	n := runtime.NumCPU()
-	if s := os.Getenv("FEXIOT_PROCS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			n = v
-		}
-	}
-	parallelism.Store(int64(n))
-}
+func init() { parallelism.Store(int64(runtime.GOMAXPROCS(0))) }
 
 // SetParallelism fixes the degree of parallelism used by the dense kernels
 // and ParallelFor. Values below 1 are clamped to 1 (fully serial).
@@ -62,8 +52,8 @@ func SetParallelism(n int) {
 	parallelism.Store(int64(n))
 }
 
-// Parallelism reports the configured degree of parallelism (from
-// FEXIOT_PROCS, SetParallelism, or runtime.NumCPU()).
+// Parallelism reports the configured degree of parallelism: the last
+// SetParallelism, or GOMAXPROCS as it stood when the process started.
 func Parallelism() int { return int(parallelism.Load()) }
 
 // blockTask is one contiguous row block handed to a pool worker.

@@ -3,6 +3,9 @@ package mat
 import (
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -288,5 +291,25 @@ func TestSetParallelismClamps(t *testing.T) {
 	SetParallelism(6)
 	if Parallelism() != 6 {
 		t.Fatalf("Parallelism() = %d want 6", Parallelism())
+	}
+}
+
+// TestParallelismDefaultFollowsGOMAXPROCS pins the one default: a fresh
+// process starts at GOMAXPROCS and reads no variable of its own. The default
+// is taken at init, so the check re-executes the test binary with GOMAXPROCS
+// and the retired FEXIOT_PROCS both set and has the child print what it got.
+func TestParallelismDefaultFollowsGOMAXPROCS(t *testing.T) {
+	if os.Getenv("GO_WANT_HELPER_PROCESS") == "1" {
+		fmt.Printf("parallelism=%d\n", Parallelism())
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestParallelismDefaultFollowsGOMAXPROCS$")
+	cmd.Env = append(os.Environ(), "GO_WANT_HELPER_PROCESS=1", "GOMAXPROCS=1", "FEXIOT_PROCS=7")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("re-exec: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "parallelism=1\n") {
+		t.Fatalf("child with GOMAXPROCS=1 FEXIOT_PROCS=7 reported:\n%s\nwant parallelism=1", out)
 	}
 }

@@ -173,24 +173,6 @@ func (g *RNG) Dirichlet(k int, alpha float64) []float64 {
 	return out
 }
 
-// DirichletVec samples from Dirichlet(alphas).
-func (g *RNG) DirichletVec(alphas []float64) []float64 {
-	out := make([]float64, len(alphas))
-	var sum float64
-	for i, a := range alphas {
-		v := g.Gamma(a)
-		if v < 1e-300 {
-			v = 1e-300
-		}
-		out[i] = v
-		sum += v
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
 // Poisson samples from Poisson(lambda) via Knuth's method (adequate for the
 // small rates used by the event-log simulator).
 func (g *RNG) Poisson(lambda float64) int {

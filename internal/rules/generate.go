@@ -302,6 +302,3 @@ func (g *Generator) RuleSetOn(p Platform, n int) []*Rule {
 	}
 	return out
 }
-
-// Rooms returns the home's room list (copy).
-func (g *Generator) Rooms() []string { return append([]string(nil), g.rooms...) }

@@ -34,25 +34,17 @@ var ErrOverloaded = errors.New("serve: overloaded, queue full")
 var ErrPanicked = errors.New("serve: inference panicked")
 
 // Options tunes the engine. The zero value is usable: worker count follows
-// mat.Parallelism (the dense-kernel sizing discipline), the queue holds
-// 4× workers, batching is off.
+// mat.Parallelism (the dense-kernel sizing discipline) and the queue holds
+// 4× workers. NewEngine resolves the zero values once, when the pool starts.
 type Options struct {
-	// Workers bounds the concurrent inference goroutines (0 = the current
-	// mat.Parallelism setting).
+	// Workers bounds the concurrent inference goroutines (0 = the
+	// mat.Parallelism setting at NewEngine).
 	Workers int
 	// QueueDepth bounds the pending-request queue (0 = 4 × Workers). A
 	// request arriving at a full queue is shed immediately with
 	// ErrOverloaded — overload degrades into fast, explicit rejections the
 	// caller can back off from, never into silent queueing until timeout.
 	QueueDepth int
-	// BatchSize > 1 enables micro-batching: a worker that dequeues a
-	// detect request drains up to BatchSize−1 more same-shape (equal node
-	// count) detect requests arriving within BatchWindow and answers them
-	// with one batched forward pass.
-	BatchSize int
-	// BatchWindow is how long a worker waits to fill a batch (0 = 2ms,
-	// only meaningful when BatchSize > 1).
-	BatchWindow time.Duration
 	// MaxBodyBytes bounds HTTP request bodies on the mounted endpoints
 	// (0 = 1 MiB); oversized bodies are rejected with 413.
 	MaxBodyBytes int64
@@ -64,32 +56,20 @@ type Options struct {
 	FaultHook func(op string)
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// withDefaults resolves every zero-value convention documented on Options,
+// once: the engine starts its pool from the result and Stats reports it, so
+// a later mat.SetParallelism cannot make the two disagree.
+func (o Options) withDefaults() Options {
+	if o.Workers <= 0 {
+		o.Workers = mat.Parallelism()
 	}
-	return mat.Parallelism()
-}
-
-func (o Options) queueDepth() int {
-	if o.QueueDepth > 0 {
-		return o.QueueDepth
+	if o.QueueDepth <= 0 {
+		o.QueueDepth = 4 * o.Workers
 	}
-	return 4 * o.workers()
-}
-
-func (o Options) batchWindow() time.Duration {
-	if o.BatchWindow > 0 {
-		return o.BatchWindow
+	if o.MaxBodyBytes <= 0 {
+		o.MaxBodyBytes = 1 << 20
 	}
-	return 2 * time.Millisecond
-}
-
-func (o Options) maxBodyBytes() int64 {
-	if o.MaxBodyBytes > 0 {
-		return o.MaxBodyBytes
-	}
-	return 1 << 20
+	return o
 }
 
 type reqKind int
@@ -140,8 +120,9 @@ type Engine struct {
 // when metrics are enabled). The engine serves ErrNotReady until the first
 // Publish.
 func NewEngine(opts Options) *Engine {
+	opts = opts.withDefaults()
 	e := &Engine{
-		reqs:    make(chan *request, opts.queueDepth()),
+		reqs:    make(chan *request, opts.QueueDepth),
 		stop:    make(chan struct{}),
 		opts:    opts,
 		m:       newMetrics(opts.Metrics),
@@ -153,7 +134,7 @@ func NewEngine(opts Options) *Engine {
 		Policy:  supervise.Policy{Backoff: 2 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
 		Metrics: opts.Metrics,
 	})
-	for i := 0; i < opts.workers(); i++ {
+	for i := 0; i < opts.Workers; i++ {
 		e.sup.Go(ctx, "serve-worker", e.workerLoop)
 	}
 	if opts.Metrics != nil {
@@ -204,8 +185,8 @@ type EngineStats struct {
 // Stats reports pool sizing, queue load, shed count and snapshot identity.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		Workers:       e.opts.workers(),
-		QueueDepth:    e.opts.queueDepth(),
+		Workers:       e.opts.Workers,
+		QueueDepth:    e.opts.QueueDepth,
 		QueueLength:   len(e.reqs),
 		Shed:          e.sheds.Load(),
 		UptimeSeconds: time.Since(e.started).Seconds(),
@@ -332,40 +313,29 @@ func (e *Engine) workerLoop(ctx context.Context) error {
 	}
 }
 
-// process answers one dequeued request, micro-batching same-shape detect
-// requests when enabled. The snapshot is loaded exactly once per batch, so
-// every request in it — and each individual request — is answered by a
-// single consistent model even if Publish lands mid-flight. The returned
-// error is non-nil only when inference panicked (the request was still
-// answered); it propagates to the supervisor.
-func (e *Engine) process(r *request, ws *gnn.Workspace) error {
+// process answers one dequeued request on the worker's own workspace. The
+// snapshot is loaded exactly once, so the request is answered by a single
+// consistent model even if Publish lands mid-flight. Inference runs inside
+// a panic-recovery guard: a panic becomes an ErrPanicked response for the
+// caller plus a non-nil error for the supervisor, never an unwound process.
+func (e *Engine) process(r *request, ws *gnn.Workspace) (err error) {
 	if r.ctx != nil && r.ctx.Err() != nil {
 		r.done <- response{err: r.ctx.Err()}
 		return nil
-	}
-	if r.kind == reqDetect && e.opts.BatchSize > 1 {
-		return e.processBatch(r, ws)
 	}
 	snap := e.snap.Load()
 	if snap == nil {
 		r.done <- response{err: ErrNotReady}
 		return nil
 	}
-	resp, err := e.answer(snap, r, ws)
-	r.done <- resp
-	return err
-}
-
-// answer runs one request's inference inside the panic-recovery guard: a
-// panic becomes an ErrPanicked response for the caller plus a non-nil
-// error for the supervisor, never an unwound process.
-func (e *Engine) answer(snap *Snapshot, r *request, ws *gnn.Workspace) (resp response, err error) {
+	var resp response
 	defer func() {
 		if v := recover(); v != nil {
 			e.m.panics.Inc()
 			err = fmt.Errorf("%w: %v", ErrPanicked, v)
 			resp = response{err: err}
 		}
+		r.done <- resp
 	}()
 	if h := e.opts.FaultHook; h != nil {
 		h("infer")
@@ -375,96 +345,17 @@ func (e *Engine) answer(snap *Snapshot, r *request, ws *gnn.Workspace) (resp res
 		// The search stops at its next reward evaluation once the caller
 		// has gone, so an abandoned explain does not keep the worker from
 		// the requests queued behind it.
-		ex, st, err := snap.explain(r.ctx, ws, r.g)
+		ex, st, cancelled := snap.explain(r.ctx, ws, r.g)
 		e.m.explained(st)
-		if err != nil {
-			return response{err: err}, nil
-		}
-		return response{expl: ex, seq: snap.Seq()}, nil
-	default:
-		return response{verdict: snap.DetectWith(ws, r.g), seq: snap.Seq()}, nil
-	}
-}
-
-// detectBatch runs one batched forward pass inside the panic-recovery
-// guard.
-func (e *Engine) detectBatch(snap *Snapshot, gs []*graph.Graph) (vs []Verdict, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			e.m.panics.Inc()
-			err = fmt.Errorf("%w: %v", ErrPanicked, v)
-		}
-	}()
-	if h := e.opts.FaultHook; h != nil {
-		h("infer")
-	}
-	return snap.DetectBatch(gs), nil
-}
-
-// processBatch drains up to BatchSize−1 further detect requests with the
-// same node count arriving within BatchWindow, then answers the whole
-// batch with one DetectBatch pass. Requests that do not fit the batch
-// (explain, different shape) are answered individually afterwards by the
-// same worker. Every held request is answered even when a pass panics.
-func (e *Engine) processBatch(first *request, ws *gnn.Workspace) error {
-	batch := []*request{first}
-	var leftover []*request
-	shape := first.g.N()
-	timer := time.NewTimer(e.opts.batchWindow())
-	defer timer.Stop()
-fill:
-	for len(batch) < e.opts.BatchSize {
-		select {
-		case r := <-e.reqs:
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.done <- response{err: r.ctx.Err()}
-				continue
-			}
-			if r.kind == reqDetect && r.g.N() == shape {
-				batch = append(batch, r)
-			} else {
-				leftover = append(leftover, r)
-			}
-		case <-timer.C:
-			break fill
-		case <-e.stop:
-			// Shutting down: fail everything we hold.
-			for _, r := range append(batch, leftover...) {
-				r.done <- response{err: ErrClosed}
-			}
-			return nil
-		}
-	}
-	e.m.batchSize.Observe(float64(len(batch)))
-	var failErr error
-	snap := e.snap.Load()
-	if snap == nil {
-		for _, r := range batch {
-			r.done <- response{err: ErrNotReady}
-		}
-	} else {
-		gs := make([]*graph.Graph, len(batch))
-		for i, r := range batch {
-			gs[i] = r.g
-		}
-		verdicts, err := e.detectBatch(snap, gs)
-		if err != nil {
-			failErr = err
-			for _, r := range batch {
-				r.done <- response{err: err}
-			}
+		if cancelled != nil {
+			resp = response{err: cancelled}
 		} else {
-			for i, r := range batch {
-				r.done <- response{verdict: verdicts[i], seq: snap.Seq()}
-			}
+			resp = response{expl: ex, seq: snap.Seq()}
 		}
+	default:
+		resp = response{verdict: snap.DetectWith(ws, r.g), seq: snap.Seq()}
 	}
-	for _, r := range leftover {
-		if err := e.process(r, ws); err != nil && failErr == nil {
-			failErr = err
-		}
-	}
-	return failErr
+	return nil
 }
 
 // ageTicker keeps the snapshot-age gauge current between publishes.

@@ -145,7 +145,7 @@ func (e *Engine) handle(w http.ResponseWriter, req *http.Request,
 		return
 	}
 	var in DetectRequest
-	if err := ReadJSONCounted(w, req, e.opts.maxBodyBytes(), &in, e.m.fallbacks); err != nil {
+	if err := ReadJSONCounted(w, req, e.opts.MaxBodyBytes, &in, e.m.fallbacks); err != nil {
 		e.sendErr(w, err)
 		return
 	}

@@ -13,7 +13,6 @@ type metrics struct {
 	explainDur   *obs.Histogram
 	inflight     *obs.Gauge
 	queueDepth   *obs.Gauge
-	batchSize    *obs.Histogram
 	snapshotAge  *obs.Gauge
 	snapshotSeq  *obs.Gauge
 	published    *obs.Counter
@@ -51,9 +50,6 @@ func newMetrics(r *obs.Registry) metrics {
 			"requests currently queued or executing"),
 		queueDepth: r.Gauge("fexiot_serve_queue_depth",
 			"pending requests in the worker queue"),
-		batchSize: r.Histogram("fexiot_serve_batch_size",
-			"detect requests answered per batched forward pass",
-			[]float64{1, 2, 4, 8, 16, 32}),
 		snapshotAge: r.Gauge("fexiot_serve_snapshot_age_seconds",
 			"seconds since the live snapshot was frozen"),
 		snapshotSeq: r.Gauge("fexiot_serve_snapshot_seq",

@@ -16,6 +16,7 @@ import (
 	"fexiot/internal/fusion"
 	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
+	"fexiot/internal/mat"
 )
 
 // fixture builds a small trained detector + drift state + labelled graphs.
@@ -48,7 +49,14 @@ var searchCfg = explain.DefaultSearchConfig(7)
 func TestSnapshotFrozenAgainstTraining(t *testing.T) {
 	det, drf, gs := fixture(5)
 	snap := NewSnapshot(1, det, drf, searchCfg)
-	before := snap.DetectBatch(gs)
+	detectAll := func() []Verdict {
+		out := make([]Verdict, len(gs))
+		for i, g := range gs {
+			out[i] = snap.Detect(g)
+		}
+		return out
+	}
+	before := detectAll()
 
 	// Clobber everything the snapshot was built from: fresh random weights,
 	// a reversed-label classifier refit, and drift stats from junk.
@@ -67,7 +75,7 @@ func TestSnapshotFrozenAgainstTraining(t *testing.T) {
 		}
 	}
 
-	after := snap.DetectBatch(gs)
+	after := detectAll()
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("snapshot verdicts changed after retraining the originals:\nbefore %+v\nafter  %+v",
 			before[:2], after[:2])
@@ -93,16 +101,22 @@ func TestSnapshotMatchesSourceBitIdentically(t *testing.T) {
 	}
 }
 
-// TestDetectBatchMatchesSingle pins the micro-batching contract: a batched
-// pass must be bit-identical to per-graph detection.
-func TestDetectBatchMatchesSingle(t *testing.T) {
-	det, drf, gs := fixture(11)
-	snap := NewSnapshot(1, det, drf, searchCfg)
-	batch := snap.DetectBatch(gs)
-	for i, g := range gs {
-		if single := snap.Detect(g); single != batch[i] {
-			t.Fatalf("graph %d: batch verdict %+v != single %+v", i, batch[i], single)
-		}
+// TestStatsReportStartedPool pins that Stats describes the pool NewEngine
+// started, not whatever the kernel parallelism bound has become since.
+func TestStatsReportStartedPool(t *testing.T) {
+	old := mat.Parallelism()
+	defer mat.SetParallelism(old)
+	e := NewEngine(Options{})
+	defer e.Close()
+	started := e.Stats()
+	if started.Workers != old || started.QueueDepth != cap(e.reqs) {
+		t.Fatalf("Stats = %d workers, queue depth %d; the pool has %d workers, queue cap %d",
+			started.Workers, started.QueueDepth, old, cap(e.reqs))
+	}
+	mat.SetParallelism(old + 3)
+	if got := e.Stats(); got.Workers != started.Workers || got.QueueDepth != started.QueueDepth {
+		t.Fatalf("Stats drifted after SetParallelism: workers %d → %d, queue depth %d → %d",
+			started.Workers, got.Workers, started.QueueDepth, got.QueueDepth)
 	}
 }
 
@@ -216,22 +230,21 @@ func TestSwapMidStormNeverTears(t *testing.T) {
 	}
 }
 
-// TestEngineBatchingCorrectUnderLoad floods a batching engine and checks
-// every verdict is bit-identical to the unbatched path, and that batches
-// actually formed.
-func TestEngineBatchingCorrectUnderLoad(t *testing.T) {
+// TestEngineCorrectUnderLoad floods the engine with mixed-shape graphs and
+// checks every verdict is bit-identical to the direct snapshot path — the
+// one flood that checks values, not just the absence of tearing.
+func TestEngineCorrectUnderLoad(t *testing.T) {
 	det, drf, gs := fixture(29)
 	snap := NewSnapshot(1, det, drf, searchCfg)
-	// The queue should hold the whole storm: this test is about batching,
+	// The queue should hold the whole storm: this test is about verdicts,
 	// not overload. Size it generously; under -race the workers run slowly
 	// enough that a legal ErrOverloaded shed is still possible, so callers
 	// below back off and retry as real clients would.
-	e := NewEngine(Options{Workers: 2, BatchSize: 8, BatchWindow: 5 * time.Millisecond,
-		QueueDepth: 256})
+	e := NewEngine(Options{Workers: 2, QueueDepth: 256})
 	defer e.Close()
 	e.Publish(snap)
 
-	// Mixed shapes: batches must group by node count yet answer everything.
+	// Mixed shapes: each worker's workspace is reused across node counts.
 	want := make([]Verdict, len(gs))
 	for i, g := range gs {
 		want[i] = snap.Detect(g)
@@ -258,7 +271,7 @@ func TestEngineBatchingCorrectUnderLoad(t *testing.T) {
 					return
 				}
 				if v != want[i] {
-					errs <- fmt.Errorf("graph %d: batched verdict %+v != %+v", i, v, want[i])
+					errs <- fmt.Errorf("graph %d: engine verdict %+v != %+v", i, v, want[i])
 				}
 			}(i)
 		}

@@ -14,9 +14,8 @@
 //     a swap mid-request can never tear a verdict across two models.
 //
 // Requests run on a bounded worker pool sized from mat.Parallelism (the
-// same discipline the dense kernels use), with per-request context
-// deadlines and optional micro-batching that groups same-shape graphs into
-// one batched forward pass.
+// same discipline the dense kernels use), each on its worker's own
+// long-lived inference workspace, with per-request context deadlines.
 package serve
 
 import (
@@ -100,19 +99,6 @@ func (s *Snapshot) Detect(g *graph.Graph) Verdict {
 // consumed before the call returns. The verdict is bit-identical to Detect.
 func (s *Snapshot) DetectWith(ws *gnn.Workspace, g *graph.Graph) Verdict {
 	return s.verdictFromEmbedding(ws.Embed(s.det.Model, g))
-}
-
-// DetectBatch classifies a batch in one fan-out forward pass (gnn.EmbedAll
-// under the shared mat parallelism bound). Each graph's embedding — and
-// hence its verdict — is bit-identical to a standalone Detect call; the
-// batch only amortises scheduling.
-func (s *Snapshot) DetectBatch(gs []*graph.Graph) []Verdict {
-	emb := gnn.EmbedAll(s.det.Model, gs)
-	out := make([]Verdict, len(gs))
-	for i, z := range emb {
-		out[i] = s.verdictFromEmbedding(z)
-	}
-	return out
 }
 
 func (s *Snapshot) verdictFromEmbedding(z []float64) Verdict {

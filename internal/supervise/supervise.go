@@ -231,17 +231,6 @@ func (s *Supervisor) Restarts(name string) int64 {
 	return n
 }
 
-// TotalRestarts reports restarts across every supervised task.
-func (s *Supervisor) TotalRestarts() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, t := range s.tasks {
-		n += t.restarts
-	}
-	return n
-}
-
 // Wait blocks until every supervised task has returned (orderly exit,
 // cancellation, or tripped circuit).
 func (s *Supervisor) Wait() { s.wg.Wait() }

@@ -146,7 +146,7 @@ SERVER_PID=""
 # request must still be 2xx (shedding never corrupts accepted work).
 SHED_LOG="$WORKDIR/shed.log"
 "$WORKDIR/fexserve" -addr 127.0.0.1:0 -homes 4 -rules 16 -graphs 2 \
-    -rounds 1 -pairs 30 -workers 1 -queue 1 -batch 1 \
+    -rounds 1 -pairs 30 -workers 1 -queue 1 \
     -sample "$WORKDIR/shed.json" >"$SHED_LOG" 2>&1 &
 SHED_PID=$!
 
