@@ -178,7 +178,8 @@ stream-smoke:
 # bit-equal to the reference tokenise-and-embed path) and the axpy kernel's
 # (any floats => bit-equal to the scalar loop, nothing touched outside the
 # operands) and the explanation scorer's (any graph and run of node subsets
-# => bit-equal to scoring a freshly induced subgraph, at every memo bound).
+# => bit-equal to scoring a freshly induced subgraph, at every memo bound,
+# every layer).
 # FUZZTIME bounds each target; raise it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"fmt"
 	"testing"
 
 	"fexiot/internal/gnn"
@@ -11,8 +12,8 @@ import (
 // BenchmarkKernelSHAP measures one kernel-SHAP evaluation (K = 12) of a
 // four-node candidate inside an eight-node component at the paper's
 // dimensions, on a scorer of its own — a search's first reward, before the
-// memo has anything from earlier candidates — and the share of first-layer
-// rows the twelve coalitions reused among themselves.
+// memo has anything from earlier candidates — and the share of each
+// layer's rows the twelve coalitions reused among themselves.
 func BenchmarkKernelSHAP(b *testing.B) {
 	b.Run("dims=paper", func(b *testing.B) {
 		det := refDetector("GIN", 1)
@@ -31,6 +32,8 @@ func BenchmarkKernelSHAP(b *testing.B) {
 			newEvaluator(sc, g.N()).kernelSHAP(root[:4], 12, rng.New(1))
 			st = sc.Stats()
 		}
-		b.ReportMetric(float64(st.RowsReused)/float64(st.RowsReused+st.RowsComputed), "rows-reused")
+		for l, reused := range st.RowsReused {
+			b.ReportMetric(float64(reused)/float64(reused+st.RowsComputed[l]), fmt.Sprintf("rows-reused-l%d", l))
+		}
 	})
 }

@@ -20,7 +20,11 @@ type GCN struct {
 	NumConv   int
 
 	params *autodiff.ParamSet
+	names  []gcnNames // per convolution, formatted once, as GIN's are
 }
+
+// gcnNames are one convolution's parameter names.
+type gcnNames struct{ w, b string }
 
 // NewGCN builds a GCN with Glorot-initialised weights.
 func NewGCN(inputDim, hiddenDim, outDim int, seed int64) *GCN {
@@ -29,8 +33,10 @@ func NewGCN(inputDim, hiddenDim, outDim int, seed int64) *GCN {
 	p := autodiff.NewParamSet()
 	in := inputDim
 	for l := 0; l < m.NumConv; l++ {
-		p.Register(fmt.Sprintf("conv%d.w", l), l, r.Glorot(in, hiddenDim))
-		p.Register(fmt.Sprintf("conv%d.b", l), l, mat.NewDense(1, hiddenDim))
+		n := gcnNames{w: fmt.Sprintf("conv%d.w", l), b: fmt.Sprintf("conv%d.b", l)}
+		m.names = append(m.names, n)
+		p.Register(n.w, l, r.Glorot(in, hiddenDim))
+		p.Register(n.b, l, mat.NewDense(1, hiddenDim))
 		in = hiddenDim
 	}
 	p.Register("out.w", m.NumConv, r.Glorot(2*hiddenDim, outDim))
@@ -51,23 +57,21 @@ func (m *GCN) Fresh(seed int64) Model {
 
 // Forward builds the embedding computation for one graph.
 func (m *GCN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	adj := g.CachedNormalizedAdjacency()
-	x := t.Constant(g.CachedPadFeatures(m.InputDim))
-	return m.rest(t, b, adj, m.conv(t, b, 0, t.SpMM(adj, x)))
+	return forward(m, t, b, g)
 }
 
-// conv is convolution l after its aggregation: ReLU(agg·W_l + b_l), each
-// output row from its own input row only (see GIN.mlp).
-func (m *GCN) conv(t *autodiff.Tape, b *autodiff.Binder, l int, agg *autodiff.Node) *autodiff.Node {
-	h := t.MatMul(agg, b.Node(fmt.Sprintf("conv%d.w", l)))
-	h = t.AddRowBroadcast(h, b.Node(fmt.Sprintf("conv%d.b", l)))
+// layer is convolution l after its aggregation: ReLU(agg·W_l + b_l), each
+// output row from its own input row only (see GIN.layer).
+func (m *GCN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg *autodiff.Node) *autodiff.Node {
+	h := t.MatMul(agg, b.Node(m.names[l].w))
+	h = t.AddRowBroadcast(h, b.Node(m.names[l].b))
 	return t.ReLU(h)
 }
 
-// rest finishes the forward pass from convolution 0's output h.
-func (m *GCN) rest(t *autodiff.Tape, b *autodiff.Binder, adj *mat.CSR, h *autodiff.Node) *autodiff.Node {
-	for l := 1; l < m.NumConv; l++ {
-		h = m.conv(t, b, l, t.SpMM(adj, h))
+// readout pools the last convolution's output; the ones below it add nothing.
+func (m *GCN) readout(l int, t *autodiff.Tape, b *autodiff.Binder, h, _ *autodiff.Node) *autodiff.Node {
+	if l < m.NumConv-1 {
+		return nil
 	}
 	pooled := t.ConcatCols(t.MeanRows(h), t.MaxRows(h))
 	return t.MatMul(pooled, b.Node("out.w"))

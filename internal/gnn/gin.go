@@ -67,15 +67,14 @@ func (m *GIN) Fresh(seed int64) Model {
 
 // Forward builds the embedding computation for one graph.
 func (m *GIN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	agg := g.CachedSumAdjacency(m.Eps)
-	x := t.Constant(g.CachedPadFeatures(m.InputDim))
-	return m.rest(t, b, agg, m.mlp(t, b, m.names[0], t.SpMM(agg, x)))
+	return forward(m, t, b, g)
 }
 
-// mlp is one layer's two-layer perceptron over aggregated rows. Every op in
+// layer is layer l's two-layer perceptron over aggregated rows. Every op in
 // it computes an output row from its own input row only, which is what lets
 // an explanation's scorer run it on just the rows it has not seen.
-func (m *GIN) mlp(t *autodiff.Tape, b *autodiff.Binder, n ginNames, h *autodiff.Node) *autodiff.Node {
+func (m *GIN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, h *autodiff.Node) *autodiff.Node {
+	n := m.names[l]
 	h = t.MatMul(h, b.Node(n.w1))
 	h = t.AddRowBroadcast(h, b.Node(n.b1))
 	h = t.ReLU(h)
@@ -84,30 +83,16 @@ func (m *GIN) mlp(t *autodiff.Tape, b *autodiff.Binder, n ginNames, h *autodiff.
 	return t.ReLU(h)
 }
 
-// pool is one layer's readout: size-normalised sum (so graph size does not
-// dominate contrastive distances) concatenated with a max pool that
-// preserves existence of localised vulnerability patterns, projected to the
-// output width.
-func (m *GIN) pool(t *autodiff.Tape, b *autodiff.Binder, n ginNames, h *autodiff.Node) *autodiff.Node {
-	mean := t.Scale(t.SumRows(h), 1/float64(maxInt(h.Value.Rows(), 1)))
+// readout adds layer l's pooled output to acc, the layers' below it:
+// size-normalised sum (so graph size does not dominate contrastive
+// distances) concatenated with a max pool that preserves existence of
+// localised vulnerability patterns, projected to the output width.
+func (m *GIN) readout(l int, t *autodiff.Tape, b *autodiff.Binder, h, acc *autodiff.Node) *autodiff.Node {
+	mean := t.Scale(t.SumRows(h), 1/float64(max(h.Value.Rows(), 1)))
 	pooled := t.ConcatCols(mean, t.MaxRows(h))
-	return t.MatMul(pooled, b.Node(n.out))
-}
-
-// rest finishes the forward pass from layer 0's output h: its readout, then
-// the remaining layers over agg, each adding its own readout.
-func (m *GIN) rest(t *autodiff.Tape, b *autodiff.Binder, agg *mat.CSR, h *autodiff.Node) *autodiff.Node {
-	readout := m.pool(t, b, m.names[0], h)
-	for _, n := range m.names[1:] {
-		h = m.mlp(t, b, n, t.SpMM(agg, h))
-		readout = t.Add(readout, m.pool(t, b, n, h))
+	out := t.MatMul(pooled, b.Node(m.names[l].out))
+	if acc == nil {
+		return out
 	}
-	return readout
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return t.Add(acc, out)
 }

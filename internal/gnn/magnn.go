@@ -26,7 +26,11 @@ type MAGNN struct {
 	NumLayers int
 
 	params *autodiff.ParamSet
+	names  []magnnNames // per aggregation layer, formatted once, as GIN's are
 }
+
+// magnnNames are one aggregation layer's parameter names.
+type magnnNames struct{ self, direct, env, b string }
 
 // NewMAGNN builds the model.
 func NewMAGNN(wordDim, sentDim, hiddenDim, outDim int, seed int64) *MAGNN {
@@ -41,10 +45,15 @@ func NewMAGNN(wordDim, sentDim, hiddenDim, outDim int, seed int64) *MAGNN {
 	// Relation-aware aggregation layers.
 	for l := 0; l < m.NumLayers; l++ {
 		layer := l + 1
-		p.Register(fmt.Sprintf("agg%d.self", l), layer, r.Glorot(hiddenDim, hiddenDim))
-		p.Register(fmt.Sprintf("agg%d.direct", l), layer, r.Glorot(hiddenDim, hiddenDim))
-		p.Register(fmt.Sprintf("agg%d.env", l), layer, r.Glorot(hiddenDim, hiddenDim))
-		p.Register(fmt.Sprintf("agg%d.b", l), layer, mat.NewDense(1, hiddenDim))
+		n := magnnNames{
+			self: fmt.Sprintf("agg%d.self", l), direct: fmt.Sprintf("agg%d.direct", l),
+			env: fmt.Sprintf("agg%d.env", l), b: fmt.Sprintf("agg%d.b", l),
+		}
+		m.names = append(m.names, n)
+		p.Register(n.self, layer, r.Glorot(hiddenDim, hiddenDim))
+		p.Register(n.direct, layer, r.Glorot(hiddenDim, hiddenDim))
+		p.Register(n.env, layer, r.Glorot(hiddenDim, hiddenDim))
+		p.Register(n.b, layer, mat.NewDense(1, hiddenDim))
 	}
 	p.Register("out.w", m.NumLayers+1, r.Glorot(2*hiddenDim, outDim))
 	m.params = p
@@ -129,12 +138,12 @@ func (m *MAGNN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *a
 
 	aDirect := kindAdjacency(g, rules.DirectMatch)
 	aEnv := kindAdjacency(g, rules.EnvMatch)
-	for l := 0; l < m.NumLayers; l++ {
-		self := t.MatMul(h, b.Node(fmt.Sprintf("agg%d.self", l)))
-		dir := t.MatMul(t.SpMM(aDirect, h), b.Node(fmt.Sprintf("agg%d.direct", l)))
-		env := t.MatMul(t.SpMM(aEnv, h), b.Node(fmt.Sprintf("agg%d.env", l)))
+	for _, n := range m.names {
+		self := t.MatMul(h, b.Node(n.self))
+		dir := t.MatMul(t.SpMM(aDirect, h), b.Node(n.direct))
+		env := t.MatMul(t.SpMM(aEnv, h), b.Node(n.env))
 		sum := t.Add(t.Add(self, dir), env)
-		sum = t.AddRowBroadcast(sum, b.Node(fmt.Sprintf("agg%d.b", l)))
+		sum = t.AddRowBroadcast(sum, b.Node(n.b))
 		h = t.ReLU(sum)
 	}
 	pooled := t.ConcatCols(t.MeanRows(h), t.MaxRows(h))

@@ -84,7 +84,9 @@ func blackBoxScore(d *Detector, g *graph.Graph, keep []int) float64 {
 // FuzzScorer turns arbitrary bytes into a graph and a run of node subsets —
 // in shuffled orders, the identity order, empty, and earlier subsets again
 // in another order — and holds the scorer to the black box bit for bit,
-// with the memo unbounded in practice, full after two rows, and absent.
+// with every layer's memo unbounded in practice, full after two rows, and
+// absent. Its graphs have at most 12 nodes; TestScorerLargeGraphs has the
+// rest.
 func FuzzScorer(f *testing.F) {
 	f.Add([]byte{0, 5, 7, 1, 2, 3, 4, 0xff, 0x0f, 3, 0x15, 0, 9, 0xff, 0xff, 1})
 	f.Add([]byte{1, 11, 20, 9, 8, 7, 0x33, 0x03, 2, 0xcc, 0x0c, 5, 0xff, 0x0f, 0})
@@ -142,18 +144,64 @@ func FuzzScorer(f *testing.F) {
 			if st.Calls != len(subsets) {
 				t.Fatalf("%d calls counted, %d made", st.Calls, len(subsets))
 			}
-			if bound == 0 && st.RowsReused != 0 {
-				t.Fatalf("memo of bound 0 reused %d rows", st.RowsReused)
-			}
-			if len(sc.memo) > bound {
-				t.Fatalf("memo holds %d rows past its bound %d", len(sc.memo), bound)
+			for l, reused := range st.RowsReused {
+				if bound == 0 && reused != 0 {
+					t.Fatalf("layer %d: memo of bound 0 reused %d rows", l, reused)
+				}
+				if held := len(sc.layers[l].memo); held > bound {
+					t.Fatalf("layer %d: memo holds %d rows past its bound %d", l, held, bound)
+				}
 			}
 		}
 	})
 }
 
+// TestScorerLargeGraphs holds the scorer to the black box on what the fuzz
+// harness's 12 nodes leave out: a sparse graph of more than 64 nodes, and a
+// complete graph, where every hidden-layer row reads every other member's
+// and so repeats only when the whole coalition does — for GIN's three
+// layers and GCN's three convolutions.
+func TestScorerLargeGraphs(t *testing.T) {
+	sparse := scorerTestGraph(rng.New(41), 70, 90)
+	complete := scorerTestGraph(rng.New(43), 9, 0)
+	for i := 0; i < complete.N(); i++ {
+		for j := i + 1; j < complete.N(); j++ {
+			complete.AddEdge(i, j, rules.DirectMatch)
+		}
+	}
+	for _, det := range scorerTestDetectors()[:2] {
+		for _, g := range []*graph.Graph{sparse, complete} {
+			r := rng.New(47)
+			sc := det.Scorer(nil, g)
+			for i := 0; i < 60; i++ {
+				keep := r.Perm(g.N())[:1+r.Intn(g.N())]
+				if i%3 == 2 { // a connected neighbourhood, as the search grows them
+					keep = g.ComponentOf(keep[0])
+					keep = keep[:1+r.Intn(len(keep))]
+				}
+				got, want := sc.Score(keep), blackBoxScore(det, g, keep)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%T, %d nodes, keep %v: scorer %v, black box %v", det.Model, g.N(), keep, got, want)
+				}
+			}
+			st := sc.Stats()
+			sc.Release()
+			if len(st.RowsReused) != 3 || st.RowsReused[2] == 0 {
+				t.Fatalf("%T, %d nodes: rows reused per layer %v, want three layers, each with reuse",
+					det.Model, g.N(), st.RowsReused)
+			}
+			for l := range st.RowsReused {
+				if got, want := st.RowsReused[l]+st.RowsComputed[l], st.RowsReused[0]+st.RowsComputed[0]; got != want {
+					t.Fatalf("%T, %d nodes: layer %d looked up %d rows, layer 0 %d", det.Model, g.N(), l, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestScorerMemoBound: a memo at its row bound and a memo of bound 0 give
-// the explanations an unbounded one gives, and only the reuse differs.
+// the explanations an unbounded one gives, and only the reuse differs: at
+// every layer it is none at bound 0 and no more at 7 than unbounded.
 func TestScorerMemoBound(t *testing.T) {
 	r := rng.New(17)
 	cfg := explain.DefaultSearchConfig(3)
@@ -161,7 +209,7 @@ func TestScorerMemoBound(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			g := scorerTestGraph(r, 6+r.Intn(6), 8+r.Intn(10))
 			var want explain.Explanation
-			var reused [3]int
+			var reused [3][]int
 			for bi, bound := range []int{memoMaxRows, 7, 0} {
 				sc := det.Scorer(nil, g)
 				sc.maxRows = bound
@@ -178,25 +226,58 @@ func TestScorerMemoBound(t *testing.T) {
 					t.Fatalf("%T graph %d bound %d: %+v, unbounded %+v", det.Model, i, bound, got, want)
 				}
 			}
-			if reused[2] != 0 || reused[1] > reused[0] {
-				t.Fatalf("%T graph %d: rows reused %v at bounds [max 7 0]", det.Model, i, reused)
+			for l := range reused[0] {
+				if reused[2][l] != 0 || reused[1][l] > reused[0][l] {
+					t.Fatalf("%T graph %d layer %d: rows reused per layer %v at bounds [max 7 0]",
+						det.Model, i, l, reused)
+				}
 			}
 		}
 	}
 }
 
-// TestScorerReusesRows pins the ratio the memo exists for on a search-sized
-// graph: most first-layer rows an explanation looks up were computed before.
+// TestScorerReusesRows pins the ratio the memo exists for, per layer, on
+// the two ends of what a search meets. An audit_batch-shaped graph — 30
+// nodes, one 7-node component to search, the rest in components of one to
+// three — repeats nearly every row at every layer: a row's key is its few
+// neighbours' rows, and the other components' never change (0.97, 0.96,
+// 0.95 of layers 0, 1, 2). A dense 10-node graph, all one component, is
+// the unfavourable end: a hidden row there is two or three hops from most
+// of the graph and changes with most coalitions — and still 0.95, 0.92,
+// 0.90 are reuses, because a search asks about the same few coalitions
+// again and again. What a miss costs beyond the recomputation the
+// first-layer-only scorer did anyway is a key and a map insert.
 func TestScorerReusesRows(t *testing.T) {
-	det := scorerTestDetectors()[0]
-	g := scorerTestGraph(rng.New(29), 10, 14)
-	sc := det.Scorer(NewWorkspace(), g)
-	if _, err := explain.Search(context.Background(), sc, g, explain.DefaultSearchConfig(1), explain.MethodFexIoT); err != nil {
-		t.Fatal(err)
+	audit := scorerTestGraph(rng.New(31), 30, 0)
+	at := 0
+	for _, size := range []int{7, 3, 3, 2, 2, 2, 2} { // the other nine stay alone
+		for i := 1; i < size; i++ {
+			audit.AddEdge(at+i-1, at+i, rules.DirectMatch)
+		}
+		at += size
 	}
-	st := sc.Stats()
-	if ratio := float64(st.RowsReused) / float64(st.RowsReused+st.RowsComputed); ratio < 0.8 {
-		t.Fatalf("%d of %d first-layer rows reused (%.2f) over %d scores",
-			st.RowsReused, st.RowsReused+st.RowsComputed, ratio, st.Calls)
+	audit.AddEdge(1, 4, rules.EnvMatch)
+	audit.AddEdge(2, 6, rules.EnvMatch)
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		floor []float64 // per layer
+	}{
+		{"audit-shaped", audit, []float64{0.85, 0.85, 0.85}},
+		{"dense", scorerTestGraph(rng.New(29), 10, 14), []float64{0.8, 0.8, 0.8}},
+	} {
+		sc := scorerTestDetectors()[0].Scorer(NewWorkspace(), c.g)
+		if _, err := explain.Search(context.Background(), sc, c.g, explain.DefaultSearchConfig(1), explain.MethodFexIoT); err != nil {
+			t.Fatal(err)
+		}
+		st := sc.Stats()
+		for l, reused := range st.RowsReused {
+			total := reused + st.RowsComputed[l]
+			ratio := float64(reused) / float64(total)
+			t.Logf("%s layer %d: %d of %d rows reused (%.2f) over %d scores", c.name, l, reused, total, ratio, st.Calls)
+			if ratio < c.floor[l] {
+				t.Fatalf("%s layer %d: %.2f of rows reused, want at least %.2f", c.name, l, ratio, c.floor[l])
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"fexiot/internal/embed"
@@ -15,7 +16,7 @@ import (
 // BenchmarkExplain measures one explanation at the paper's dimensions (GIN
 // 332/64/32) through a one-worker engine, per size of the component the
 // search starts from — the sizes the audit_batch workload analyses — and
-// reports the share of first-layer rows the search's memo served, read
+// reports the share of each layer's rows the search's memo served, read
 // from the engine's registry the way an operator would.
 func BenchmarkExplain(b *testing.B) {
 	enc := embed.NewEncoder(300, 512)
@@ -53,8 +54,6 @@ func BenchmarkExplain(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			rows := reg.CounterVec("fexiot_explain_first_layer_rows_total", "", "result")
-			reused0, computed0 := rows.With("reused").Value(), rows.With("computed").Value()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -63,10 +62,24 @@ func BenchmarkExplain(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reused := float64(rows.With("reused").Value() - reused0)
-			if total := reused + float64(rows.With("computed").Value()-computed0); total > 0 {
-				b.ReportMetric(reused/total, "rows-reused")
-			}
+			// Counted since the engine started: the warm-up explained the
+			// same graphs.
+			reportRowsReused(b, reg)
 		})
+	}
+}
+
+// reportRowsReused reports, per GNN layer, the share of the rows reg's
+// explanation searches looked up that their memos served, as
+// rows-reused-l0, -l1, ….
+func reportRowsReused(b *testing.B, reg *obs.Registry) {
+	rows := reg.CounterVec("fexiot_explain_layer_rows_total", "", "layer", "result")
+	for l := 0; ; l++ {
+		layer := strconv.Itoa(l)
+		reused, computed := rows.With(layer, "reused").Value(), rows.With(layer, "computed").Value()
+		if reused+computed == 0 {
+			return
+		}
+		b.ReportMetric(float64(reused)/float64(reused+computed), "rows-reused-l"+layer)
 	}
 }

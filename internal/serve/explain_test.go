@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fexiot/internal/explain"
 	"fexiot/internal/graph"
 	"fexiot/internal/obs"
 )
@@ -115,24 +116,53 @@ func TestExplainCancelled(t *testing.T) {
 }
 
 // TestExplainMetrics: the engine adds each explanation's scorer counters to
-// the registry, and most first-layer rows are reuses.
+// the registry. Every layer looks up each scored coalition's rows once, so
+// reused + computed is the same at each — the sum of the coalitions' sizes
+// — and most of them are reuses.
 func TestExplainMetrics(t *testing.T) {
 	det, drf, gs := fixture(31)
 	reg := obs.NewRegistry()
 	e := NewEngine(Options{Workers: 1, Metrics: reg})
 	defer e.Close()
 	e.Publish(NewSnapshot(1, det, drf, searchCfg))
+	var calls, coalitionRows int64
 	for _, g := range searchable(gs) {
 		if _, _, err := e.Explain(context.Background(), g); err != nil {
 			t.Fatal(err)
 		}
+		// The same questions again, asked through a counter.
+		counted := countingScorer{Scorer: det.Scorer(nil, g)}
+		ex, err := explain.Search(context.Background(), &counted, g, searchCfg, explain.MethodFexIoT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explain.FidelityOf(&counted, g, ex.Nodes)
+		calls, coalitionRows = calls+counted.calls, coalitionRows+counted.rows
 	}
-	rows := reg.CounterVec("fexiot_explain_first_layer_rows_total", "", "result")
-	reused, computed := rows.With("reused").Value(), rows.With("computed").Value()
-	calls := reg.Counter("fexiot_explain_score_calls_total", "").Value()
-	if calls == 0 || computed == 0 || reused < 4*computed {
-		t.Fatalf("%d score calls, %d rows reused, %d computed", calls, reused, computed)
+	if got := reg.Counter("fexiot_explain_score_calls_total", "").Value(); got == 0 || got != calls {
+		t.Fatalf("%d score calls counted, %d made", got, calls)
 	}
+	rows := reg.CounterVec("fexiot_explain_layer_rows_total", "", "layer", "result")
+	for _, layer := range []string{"0", "1", "2"} {
+		reused, computed := rows.With(layer, "reused").Value(), rows.With(layer, "computed").Value()
+		if reused+computed != coalitionRows || computed == 0 || reused < 4*computed {
+			t.Fatalf("layer %s: %d rows reused, %d computed, %d looked up by the searches",
+				layer, reused, computed, coalitionRows)
+		}
+	}
+}
+
+// countingScorer counts the scores asked of a scorer and the sizes of their
+// coalitions.
+type countingScorer struct {
+	explain.Scorer
+	calls, rows int64
+}
+
+func (c *countingScorer) Score(keep []int) float64 {
+	c.calls++
+	c.rows += int64(len(keep))
+	return c.Scorer.Score(keep)
 }
 
 // TestExplainConcurrent explains the same and different graphs from eight

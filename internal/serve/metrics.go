@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"strconv"
+
 	"fexiot/internal/gnn"
 	"fexiot/internal/obs"
 )
@@ -9,20 +11,19 @@ import (
 // construction. Every obs handle is nil-safe, so a nil registry keeps the
 // serving hot path on the zero-overhead branch.
 type metrics struct {
-	detectDur    *obs.Histogram
-	explainDur   *obs.Histogram
-	inflight     *obs.Gauge
-	queueDepth   *obs.Gauge
-	snapshotAge  *obs.Gauge
-	snapshotSeq  *obs.Gauge
-	published    *obs.Counter
-	shed         *obs.Counter
-	panics       *obs.Counter
-	writeErrs    *obs.Counter
-	fallbacks    *obs.Counter
-	scoreCalls   *obs.Counter
-	rowsReused   *obs.Counter
-	rowsComputed *obs.Counter
+	detectDur   *obs.Histogram
+	explainDur  *obs.Histogram
+	inflight    *obs.Gauge
+	queueDepth  *obs.Gauge
+	snapshotAge *obs.Gauge
+	snapshotSeq *obs.Gauge
+	published   *obs.Counter
+	shed        *obs.Counter
+	panics      *obs.Counter
+	writeErrs   *obs.Counter
+	fallbacks   *obs.Counter
+	scoreCalls  *obs.Counter
+	layerRows   *obs.CounterVec
 }
 
 // DecodeFallbacks returns the registry's fexiot_serve_decode_fallback_total
@@ -40,9 +41,6 @@ func newMetrics(r *obs.Registry) metrics {
 	dur := r.HistogramVec("fexiot_serve_request_duration_seconds",
 		"end-to-end request latency (queue wait + inference)",
 		obs.DefBuckets, "endpoint")
-	rows := r.CounterVec("fexiot_explain_first_layer_rows_total",
-		"first-layer rows looked up by explanation searches, by whether the search's memo had them",
-		"result")
 	return metrics{
 		detectDur:  dur.With("detect"),
 		explainDur: dur.With("explain"),
@@ -65,16 +63,20 @@ func newMetrics(r *obs.Registry) metrics {
 		fallbacks: DecodeFallbacks(r),
 		scoreCalls: r.Counter("fexiot_explain_score_calls_total",
 			"model scores of node subsets evaluated by explanation searches"),
-		rowsReused:   rows.With("reused"),
-		rowsComputed: rows.With("computed"),
+		layerRows: r.CounterVec("fexiot_explain_layer_rows_total",
+			"GNN layer rows looked up by explanation searches, by layer (0 is the first) and whether the search's memo had them",
+			"layer", "result"),
 	}
 }
 
 // explained adds one explanation's scorer counters, once per Explain.
 func (m metrics) explained(st gnn.ScorerStats) {
 	m.scoreCalls.Add(int64(st.Calls))
-	m.rowsReused.Add(int64(st.RowsReused))
-	m.rowsComputed.Add(int64(st.RowsComputed))
+	for l, reused := range st.RowsReused {
+		layer := strconv.Itoa(l)
+		m.layerRows.With(layer, "reused").Add(int64(reused))
+		m.layerRows.With(layer, "computed").Add(int64(st.RowsComputed[l]))
+	}
 }
 
 func (m metrics) latency(kind reqKind) *obs.Histogram {

@@ -116,8 +116,9 @@ grep -q '"go_version"' "$WORKDIR/statusz.json" \
     || { echo "obs-smoke: /statusz is not a status snapshot"; cat "$WORKDIR/statusz.json"; exit 1; }
 
 # The serving side: one /v1/explain against a freshly trained fexserve must
-# move the explanation-search counters — score calls, and first-layer rows
-# both computed and reused (the search's memo at work).
+# move the explanation-search counters — score calls, and the rows of the
+# first and the last GNN layer (GIN's three: "0" and "2"), both computed
+# and reused (the search's per-layer memo at work).
 go build -o "$WORKDIR/fexserve" ./cmd/fexserve
 "$WORKDIR/fexserve" -addr 127.0.0.1:0 -homes 4 -rules 16 -graphs 2 \
     -rounds 1 -pairs 30 -sample "$WORKDIR/explain.json" >"$WORKDIR/serve.log" 2>&1 &
@@ -136,8 +137,10 @@ code=$(curl -s -o "$WORKDIR/explain.out" -w '%{http_code}' -H 'Content-Type: app
 curl -sf "http://$SERVE_ADDR/metrics" >"$WORKDIR/serve-metrics.txt" \
     || { echo "obs-smoke: fexserve /metrics unreachable"; exit 1; }
 for series in 'fexiot_explain_score_calls_total' \
-    'fexiot_explain_first_layer_rows_total{result="computed"}' \
-    'fexiot_explain_first_layer_rows_total{result="reused"}'; do
+    'fexiot_explain_layer_rows_total{layer="0",result="computed"}' \
+    'fexiot_explain_layer_rows_total{layer="0",result="reused"}' \
+    'fexiot_explain_layer_rows_total{layer="2",result="computed"}' \
+    'fexiot_explain_layer_rows_total{layer="2",result="reused"}'; do
     grep -qF "$series " "$WORKDIR/serve-metrics.txt" \
         && grep -F "$series " "$WORKDIR/serve-metrics.txt" | grep -q ' [1-9][0-9]*$' \
         || { echo "obs-smoke: $series did not move after one /v1/explain:"; \
