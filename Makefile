@@ -179,7 +179,9 @@ stream-smoke:
 # (any floats => bit-equal to the scalar loop, nothing touched outside the
 # operands) and the explanation scorer's (any graph and run of node subsets
 # => bit-equal to scoring a freshly induced subgraph, at every memo bound,
-# every layer).
+# every layer) and the testbed simulator's (any rule set and noise settings
+# => no panic, a log in time order, every state confirmation one second
+# after its command, a seed fixes the log).
 # FUZZTIME bounds each target; raise it for long local runs.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
@@ -190,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRuleEmbedding -fuzztime $(FUZZTIME) ./internal/embed/
 	$(GO) test -fuzz FuzzAxpy -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -fuzz FuzzScorer -fuzztime $(FUZZTIME) ./internal/gnn/
+	$(GO) test -fuzz FuzzSimulate -fuzztime $(FUZZTIME) ./internal/eventlog/
 
 check: build vet test test-debugarena test-purego cross race soak poison-smoke \
 	bench-codecs bench-json-smoke bench-smoke obs-smoke serve-smoke stream-smoke

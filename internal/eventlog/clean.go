@@ -14,44 +14,73 @@ import (
 //     descriptions use ("humidity is 32" → "humidity is low") with Jenks
 //     natural breaks over the device's own reading history.
 func Clean(log Log) Log {
-	// Pass 1: collect numeric histories per device instance.
-	histories := map[string][]float64{}
-	for _, e := range log {
+	// Pass 1: number the device instances — through the "room|device"
+	// string, so names that collide through the separator share a number as
+	// they shared a key — and collect each one's numeric history.
+	byName, byKey := map[Instance]int{}, map[string]int{}
+	ids := make([]int32, len(log)) // event → instance, kept for pass 2
+	var histories [][]float64
+	survivors := 0 // events that are not error records: out's upper bound
+	for i := range log {
+		e := &log[i]
+		inst := Instance{Device: e.Device, Room: e.Room}
+		id, ok := byName[inst]
+		if !ok {
+			if id = number(byKey, inst.key()); id == len(histories) {
+				histories = append(histories, nil)
+			}
+			byName[inst] = id
+		}
+		ids[i] = int32(id)
 		if e.IsNumeric && !e.Err {
-			k := Instance{Device: e.Device, Room: e.Room}.key()
-			histories[k] = append(histories[k], e.Numeric)
+			histories[id] = append(histories[id], e.Numeric)
+		}
+		if !e.Err && e.Kind != KindError {
+			survivors++
 		}
 	}
-	breaksFor := map[string][]float64{}
-	for k, h := range histories {
+	type scale struct {
+		breaks []float64
+		names  []string
+	}
+	scales := make([]scale, len(histories))
+	for id, h := range histories {
 		if len(h) >= 2 {
-			breaksFor[k] = jenks.Breaks(h, 2)
+			b := jenks.Breaks(h, 2)
+			scales[id] = scale{b, jenks.LevelNames(len(b) + 1)}
 		}
 	}
 
-	var out Log
-	lastValue := map[string]string{}
-	for _, e := range log {
+	// Pass 2. The last value is kept per (instance, channel); channels past
+	// the named ones all print "unknown" and so share an entry.
+	out := make(Log, 0, survivors)
+	lastValue := map[int]string{}
+	for i, e := range log {
 		if e.Err || e.Kind == KindError {
 			continue
 		}
+		id := int(ids[i])
 		if e.IsNumeric {
-			k := Instance{Device: e.Device, Room: e.Room}.key()
-			level := "low"
-			if b := breaksFor[k]; len(b) > 0 {
-				names := jenks.LevelNames(len(b) + 1)
-				level = names[jenks.Classify(e.Numeric, b)]
+			e.Value = "low"
+			if sc := scales[id]; len(sc.breaks) > 0 {
+				e.Value = sc.names[jenks.Classify(e.Numeric, sc.breaks)]
 			}
-			e.Value = level
 			e.IsNumeric = false
 			e.Numeric = 0
 		}
-		vk := Instance{Device: e.Device, Room: e.Room}.key() + "|" + e.Channel.String()
+		ch := int(e.Channel)
+		if ch > rules.NumChannels {
+			ch = rules.NumChannels
+		}
+		vk := id*(rules.NumChannels+1) + ch
 		if lastValue[vk] == e.Value && e.Kind == KindSensor {
 			continue // repetitive reading
 		}
 		lastValue[vk] = e.Value
 		out = append(out, e)
+	}
+	if len(out) == 0 {
+		return nil // as an append that never ran leaves it
 	}
 	return out
 }

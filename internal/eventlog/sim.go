@@ -1,7 +1,7 @@
 package eventlog
 
 import (
-	"sort"
+	"slices"
 
 	"fexiot/internal/rng"
 	"fexiot/internal/rules"
@@ -23,7 +23,6 @@ type Simulator struct {
 	r           *rng.RNG
 	deviceState map[string]string  // instance key → logical state
 	envLevel    map[string]float64 // room|channel → numeric level
-	clockState  string
 }
 
 // NewSimulator builds a simulator over a deployed rule set.
@@ -37,10 +36,6 @@ func NewSimulator(deployed []*rules.Rule, seed int64) *Simulator {
 		deviceState:         map[string]string{},
 		envLevel:            map[string]float64{},
 	}
-}
-
-func envKeyOf(room string, ch rules.Channel) string {
-	return room + "|" + ch.String()
 }
 
 // baselines per channel: typical numeric level and the shift one actuation
@@ -62,228 +57,180 @@ func channelBaseline(ch rules.Channel) (base, shift float64) {
 	}
 }
 
-// Run simulates `steps` ticks (1 tick = 1 simulated second) and returns the
-// raw event log, noise included.
-func (s *Simulator) Run(steps int64) Log {
-	var log Log
-	lastReport := map[string]int64{}
-	lastValue := map[string]float64{}
+// clockCycle is the schedule the clock walks through, one phase per 300
+// ticks, so time triggers ("at sunset, …") fire periodically.
+var clockCycle = [...]string{"morning", "sunset", "night", "sunrise"}
 
-	emitSensor := func(t int64, inst Instance, ch rules.Channel, value string, numeric float64, isNum bool) {
-		log = append(log, Event{Time: t, Device: inst.Device, Room: inst.Room,
-			Channel: ch, Value: value, Numeric: numeric, IsNumeric: isNum,
-			Kind: KindSensor})
+// debounceTicks: a rule fires at most once per this many ticks.
+const debounceTicks = 30
+
+// environment holds the numeric level of every environment slot of a plan.
+// A slot comes into being at its channel's baseline the first time it is
+// read or pushed, and only slots that exist relax.
+type environment struct {
+	level []float64
+	live  []bool
+}
+
+// at returns slot i's level, creating the slot at base when absent.
+func (e *environment) at(i int, base float64) *float64 {
+	if !e.live[i] {
+		e.live[i], e.level[i] = true, base
+	}
+	return &e.level[i]
+}
+
+// Run simulates `steps` ticks (1 tick = 1 simulated second) and returns the
+// raw event log, noise included. The rules are compiled into a plan first
+// and device states and environment levels are loaded from, and stored back
+// to, the simulator's maps, so consecutive Runs carry the home's state and
+// the exported fields may be edited between them.
+func (s *Simulator) Run(steps int64) Log {
+	p := s.compile()
+	state := make([]string, len(p.insts)) // "" = never set
+	for k, i := range p.insts {
+		state[i] = s.deviceState[k]
+	}
+	env := environment{make([]float64, len(p.envs)), make([]bool, len(p.envs))}
+	for k, i := range p.envs {
+		env.level[i], env.live[i] = s.envLevel[k]
+	}
+	lastReport := make([]int64, len(p.sensors)) // never reported reads as tick 0
+	lastFired := make([]int64, p.ruleIDs)
+	for i := range lastFired {
+		lastFired[i] = -debounceTicks // a first firing is never debounced
 	}
 
-	clockCycle := []string{"morning", "sunset", "night", "sunrise"}
+	// State confirmations are stamped t+1: they wait in pending and enter
+	// the log before anything tick t+1 emits — where a stable sort by time
+	// would put them, since tick t appended them before tick t+1 began.
+	var log, pending Log
 	for t := int64(0); t < steps; t++ {
-		// 0. The clock advances through the schedule states so time
-		// triggers ("at sunset, …") fire periodically.
-		s.clockState = clockCycle[(t/300)%int64(len(clockCycle))]
+		// Growing the log by append's quarters was half of a long Run: once
+		// a thousand events show the home's rate, a full log grows to the
+		// length that rate predicts for all steps, a tenth to spare.
+		if len(log) >= 1024 && cap(log)-len(log) < p.maxPerTick {
+			want := int(1.1 * float64(len(log)) * float64(steps) / float64(t))
+			log = slices.Grow(log, max(want-len(log), len(log)/4, p.maxPerTick))
+		}
+		log = append(log, pending...)
+		pending = pending[:0]
+		phase := clockCycle[t/300%int64(len(clockCycle))]
 
 		// 1. Spontaneous external happenings keep the home alive: motion,
 		// button presses, presence flips, manual door/lock operation.
-		if s.r.Bool(s.ExternalEventRate) {
-			s.externalHappening(t, &log)
+		if s.r.Bool(s.ExternalEventRate) && len(p.sensors) > 0 {
+			sn := &p.sensors[s.r.Intn(len(p.sensors))]
+			value := ""
+			switch sn.ch {
+			case rules.ChanMotion, rules.ChanButton:
+				value = positivePole(sn.ch)
+			case rules.ChanPresence, rules.ChanContact, rules.ChanLockState:
+				// Residents come and go, open and close doors and windows
+				// and toggle locks by hand.
+				if value = positivePole(sn.ch); state[sn.inst] == value {
+					value = negativePole(sn.ch)
+				}
+			case rules.ChanSmoke, rules.ChanCO, rules.ChanLeak:
+				// Hazards are rare but must occur for safety rules to exercise.
+				if s.r.Bool(0.15) {
+					value = positivePole(sn.ch)
+				} else if state[sn.inst] == positivePole(sn.ch) {
+					value = negativePole(sn.ch) // hazard clears
+				}
+			case rules.ChanWeather:
+				value = [...]string{"raining", "sunny", "windy", "snowing"}[s.r.Intn(4)]
+			default:
+				// Environmental nudge (weather, a window opened by hand, …).
+				*env.at(sn.env, sn.base) += s.r.Range(-sn.shift/2, sn.shift/2)
+			}
+			if value != "" {
+				state[sn.inst] = value
+				log = append(log, Event{Time: t, Device: sn.Device, Room: sn.Room,
+					Channel: sn.ch, Value: value, Kind: KindSensor})
+			}
 		}
 
 		// 2. Rule evaluation: a rule fires when its trigger condition holds
 		// in the current state; its actions mutate device state and
 		// environment and are logged.
-		for _, rule := range s.Rules {
-			if !s.conditionHolds(rule.Trigger) {
+		for i := range p.rules {
+			r := &p.rules[i]
+			holds := false
+			switch r.kind {
+			case triggerClock:
+				holds = r.state == phase
+			case triggerNumeric:
+				level := *env.at(r.env, r.base)
+				holds = r.sign > 0 && level > r.base+r.shift/2 ||
+					r.sign < 0 && level < r.base-r.shift/2
+			case triggerLogical:
+				holds = state[r.inst] == r.state
+			}
+			if !holds || t-lastFired[r.debounce] < debounceTicks {
 				continue
 			}
-			// Debounce: a rule fires at most once per 30 ticks.
-			dk := "fired|" + rule.ID
-			if last, ok := lastReport[dk]; ok && t-last < 30 {
-				continue
-			}
-			lastReport[dk] = t
-			for _, eff := range rule.Actions {
-				s.applyEffect(t, rule, eff, &log)
+			lastFired[r.debounce] = t
+			for j := range r.effects {
+				eff := &r.effects[j]
+				ev := eff.cmd
+				ev.Time = t
+				log = append(log, ev)
+				if s.r.Bool(s.ErrorProb) {
+					// Execution error: the command is logged, an error
+					// follows, and the state does not change — cleaning
+					// drops these (§III-A2).
+					ev.Err, ev.Kind = true, KindError
+					log = append(log, ev)
+					continue
+				}
+				state[eff.inst] = ev.Value
+				ev.Time, ev.Kind = t+1, KindState
+				pending = append(pending, ev)
+				for _, d := range eff.pushes {
+					*env.at(d.env, d.base) += d.delta
+				}
 			}
 		}
 
 		// 3. Periodic sensor reporting with drift — the repetitive-reading
 		// noise the cleaner must strip.
-		for _, inst := range s.sensorInstances() {
-			rk := "report|" + inst.key()
-			if t-lastReport[rk] < s.PeriodicReportEvery {
+		for i := range p.sensors {
+			sn := &p.sensors[i]
+			if t-lastReport[i] < s.PeriodicReportEvery {
 				continue
 			}
-			lastReport[rk] = t
-			ch := s.senseChannelOf(inst.Device)
-			if numericChannel(ch) {
-				level := s.level(inst.Room, ch)
-				level += s.r.NormFloat64() * 0.4 // sensor jitter
-				emitSensor(t, inst, ch, "", level, true)
-				lastValue[rk] = level
-			} else {
-				state := s.logicalSensorState(inst, ch)
-				emitSensor(t, inst, ch, state, 0, false)
+			lastReport[i] = t
+			ev := Event{Time: t, Device: sn.Device, Room: sn.Room, Channel: sn.ch,
+				Kind: KindSensor}
+			if sn.numeric {
+				ev.Numeric = *env.at(sn.env, sn.base) + s.r.NormFloat64()*0.4 // sensor jitter
+				ev.IsNumeric = true
+			} else if ev.Value = state[sn.inst]; ev.Value == "" {
+				ev.Value = negativePole(sn.ch)
+			}
+			log = append(log, ev)
+		}
+
+		// 4. Environment relaxation — toward zero, not toward the baseline:
+		// EXPERIMENTS.md "Known deviations" 6.
+		for i, live := range env.live {
+			if live {
+				env.level[i] *= 0.995
 			}
 		}
+	}
+	log = append(log, pending...)
 
-		// 4. Environment relaxation toward baseline.
-		for k := range s.envLevel {
-			s.envLevel[k] *= 0.995
+	for k, i := range p.insts {
+		s.deviceState[k] = state[i]
+	}
+	for k, i := range p.envs {
+		if env.live[i] {
+			s.envLevel[k] = env.level[i]
 		}
 	}
-	sort.SliceStable(log, func(i, j int) bool { return log[i].Time < log[j].Time })
 	return log
-}
-
-// externalHappening injects a spontaneous cause.
-func (s *Simulator) externalHappening(t int64, log *Log) {
-	insts := s.sensorInstances()
-	if len(insts) == 0 {
-		return
-	}
-	inst := insts[s.r.Intn(len(insts))]
-	ch := s.senseChannelOf(inst.Device)
-	emit := func(value string) {
-		s.deviceState[inst.key()] = value
-		*log = append(*log, Event{Time: t, Device: inst.Device, Room: inst.Room,
-			Channel: ch, Value: value, Kind: KindSensor})
-	}
-	switch ch {
-	case rules.ChanMotion, rules.ChanButton:
-		emit(positivePole(ch))
-	case rules.ChanPresence:
-		if s.deviceState[inst.key()] == "home" {
-			emit("away")
-		} else {
-			emit("home")
-		}
-	case rules.ChanContact, rules.ChanLockState:
-		// Residents open/close doors and windows and toggle locks by hand.
-		if s.deviceState[inst.key()] == positivePole(ch) {
-			emit(negativePole(ch))
-		} else {
-			emit(positivePole(ch))
-		}
-	case rules.ChanSmoke, rules.ChanCO, rules.ChanLeak:
-		// Hazards are rare but must occur for safety rules to exercise.
-		if s.r.Bool(0.15) {
-			emit(positivePole(ch))
-		} else if s.deviceState[inst.key()] == positivePole(ch) {
-			emit(negativePole(ch)) // hazard clears
-		}
-	case rules.ChanWeather:
-		emit([]string{"raining", "sunny", "windy", "snowing"}[s.r.Intn(4)])
-	default:
-		// Environmental nudge (weather, a window opened by hand, …).
-		base, shift := channelBaseline(ch)
-		k := envKeyOf(inst.Room, ch)
-		if _, ok := s.envLevel[k]; !ok {
-			s.envLevel[k] = base
-		}
-		s.envLevel[k] += s.r.Range(-shift/2, shift/2)
-	}
-}
-
-// applyEffect executes one rule action: logs the command, maybe errors,
-// updates device state, shifts environment levels, and logs the state
-// change.
-func (s *Simulator) applyEffect(t int64, rule *rules.Rule, eff rules.Effect, log *Log) {
-	inst := Instance{Device: eff.Device, Room: eff.Room}
-	*log = append(*log, Event{Time: t, Device: eff.Device, Room: eff.Room,
-		Channel: eff.Channel, Value: eff.State, RuleID: rule.ID, Kind: KindCommand})
-	if s.r.Bool(s.ErrorProb) {
-		// Execution error: the command is logged, an error follows, and the
-		// state does not change — cleaning drops these (§III-A2).
-		*log = append(*log, Event{Time: t, Device: eff.Device, Room: eff.Room,
-			Channel: eff.Channel, Value: eff.State, Err: true, RuleID: rule.ID,
-			Kind: KindError})
-		return
-	}
-	s.deviceState[inst.key()] = eff.State
-	*log = append(*log, Event{Time: t + 1, Device: eff.Device, Room: eff.Room,
-		Channel: eff.Channel, Value: eff.State, RuleID: rule.ID, Kind: KindState})
-	for _, d := range eff.Env {
-		base, shift := channelBaseline(d.Channel)
-		k := envKeyOf(eff.Room, d.Channel)
-		if _, ok := s.envLevel[k]; !ok {
-			s.envLevel[k] = base
-		}
-		s.envLevel[k] += float64(d.Sign) * shift
-	}
-}
-
-// conditionHolds evaluates a trigger against current state.
-func (s *Simulator) conditionHolds(c rules.Condition) bool {
-	switch c.Channel {
-	case rules.ChanTime:
-		return s.clockState == c.State
-	case rules.ChanVoice:
-		return false // voice commands arrive only as injected happenings
-	}
-	if numericChannel(c.Channel) {
-		level := s.level(c.Room, c.Channel)
-		base, shift := channelBaseline(c.Channel)
-		switch rules.StateSign(c.State) {
-		case 1:
-			return level > base+shift/2
-		case -1:
-			return level < base-shift/2
-		}
-		return false
-	}
-	key := Instance{Device: c.Device, Room: c.Room}.key()
-	return s.deviceState[key] == c.State
-}
-
-// level reads an environment level, initialising to baseline.
-func (s *Simulator) level(room string, ch rules.Channel) float64 {
-	k := envKeyOf(room, ch)
-	if v, ok := s.envLevel[k]; ok {
-		return v
-	}
-	base, _ := channelBaseline(ch)
-	s.envLevel[k] = base
-	return base
-}
-
-// logicalSensorState reports a binary sensor's current pole.
-func (s *Simulator) logicalSensorState(inst Instance, ch rules.Channel) string {
-	if v, ok := s.deviceState[inst.key()]; ok && v != "" {
-		return v
-	}
-	return negativePole(ch)
-}
-
-// sensorInstances enumerates the sensing instances referenced by the rules.
-func (s *Simulator) sensorInstances() []Instance {
-	seen := map[string]bool{}
-	var out []Instance
-	for _, r := range s.Rules {
-		t := r.Trigger
-		if t.Channel == rules.ChanTime || t.Channel == rules.ChanVoice {
-			continue
-		}
-		inst := Instance{Device: t.Device, Room: t.Room}
-		if !seen[inst.key()] {
-			seen[inst.key()] = true
-			out = append(out, inst)
-		}
-	}
-	return out
-}
-
-// senseChannelOf maps a device name to its sensing channel via the catalog
-// (device-state instances report their own channel through the trigger).
-func (s *Simulator) senseChannelOf(device string) rules.Channel {
-	if d, ok := rules.CatalogByName()[device]; ok && d.IsSensor() {
-		return d.SenseChannel
-	}
-	// Actuator state triggers: report power-ish state; find via rules.
-	for _, r := range s.Rules {
-		if r.Trigger.Device == device {
-			return r.Trigger.Channel
-		}
-	}
-	return rules.ChanPower
 }
 
 // numericChannel reports whether a channel logs numeric readings.

@@ -1,5 +1,7 @@
 package rules
 
+import "sync"
+
 // Device describes one kind of smart-home device: what it senses, what it
 // can be commanded to do, and the environmental side effects of each
 // command. The catalog below is the generative device model behind the
@@ -250,12 +252,17 @@ func Catalog() []Device {
 	}
 }
 
-// CatalogByName indexes the catalog by canonical device name.
-func CatalogByName() map[string]*Device {
+// catalogByName is built on first use from one private copy of the catalog.
+var catalogByName = sync.OnceValue(func() map[string]*Device {
 	cat := Catalog()
 	out := make(map[string]*Device, len(cat))
 	for i := range cat {
 		out[cat[i].Name] = &cat[i]
 	}
 	return out
-}
+})
+
+// CatalogByName indexes the catalog by canonical device name. Every call
+// returns the same map over the same devices: it is read-only, and callers
+// that want to reorder or edit devices take Catalog's fresh slice instead.
+func CatalogByName() map[string]*Device { return catalogByName() }

@@ -34,6 +34,33 @@ func TestCatalogWellFormed(t *testing.T) {
 	}
 }
 
+// TestCatalogByNameBuiltOnce: the index is one read-only map over one copy
+// of the catalog, and Catalog still hands out a slice of the caller's own.
+func TestCatalogByNameBuiltOnce(t *testing.T) {
+	first, second := CatalogByName(), CatalogByName()
+	if len(first) != len(Catalog()) {
+		t.Fatalf("index has %d devices, catalog %d", len(first), len(Catalog()))
+	}
+	for name, d := range first {
+		if second[name] != d {
+			t.Fatalf("two calls return different devices for %q", name)
+		}
+		if d.Name != name {
+			t.Fatalf("index entry %q names %q", name, d.Name)
+		}
+	}
+	a, b := Catalog(), Catalog()
+	for i := range a {
+		if &a[i] == &b[i] || &a[i] == first[a[i].Name] {
+			t.Fatalf("Catalog aliases device %q", a[i].Name)
+		}
+	}
+	a[0].Name = "reordered"
+	if _, ok := CatalogByName()["reordered"]; ok || Catalog()[0].Name == "reordered" {
+		t.Fatal("editing Catalog's slice reached the index or a later Catalog")
+	}
+}
+
 func TestStateSignAndOpposite(t *testing.T) {
 	if StateSign("on") != 1 || StateSign("off") != -1 || StateSign("sunset") != 0 {
 		t.Fatal("StateSign wrong")
