@@ -28,10 +28,11 @@ test-debugarena:
 	$(GO) test -tags=debugarena -count=1 ./internal/mat/ \
 		./internal/autodiff/ ./internal/gnn/ ./internal/nn/
 
-# The portable fallback of the axpy kernel (internal/mat/axpy_generic.go),
-# on this host: purego is a build constraint for CI, not a user option. The
-# kernel oracle, the tape/GNN suites and the pinned-F1 experiment constants
-# must hold on the generic loop exactly as on the assembly.
+# The portable fallback of the row routine under every product
+# (internal/mat/rowterms_generic.go), on this host: purego is a build
+# constraint for CI, not a user option. The kernel oracle, the tape/GNN
+# suites and the pinned-F1 experiment constants must hold on the generic
+# loop exactly as on the assembly.
 test-purego:
 	$(GO) test -tags purego ./internal/mat ./internal/autodiff ./internal/gnn \
 		./internal/nn ./internal/experiments
@@ -175,9 +176,9 @@ stream-smoke:
 # body decoder's differential fuzzers (answered => deep-equal to
 # encoding/json, never panic), online fusion's (perturbed log =>
 # deep-equal to the reference fusion) and the text encoder's (any bytes =>
-# bit-equal to the reference tokenise-and-embed path) and the axpy kernel's
-# (any floats => bit-equal to the scalar loop, nothing touched outside the
-# operands) and the explanation scorer's (any graph and run of node subsets
+# bit-equal to the reference tokenise-and-embed path) and the row routine's
+# (FuzzAxpy: any terms and floats => bit-equal to the scalar loop, nothing
+# touched outside the operands) and the explanation scorer's (any graph and run of node subsets
 # => bit-equal to scoring a freshly induced subgraph, at every memo bound,
 # every layer) and the testbed simulator's (any rule set and noise settings
 # => no panic, a log in time order, every state confirmation one second

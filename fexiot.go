@@ -223,8 +223,7 @@ func (s *System) TrainCentral(graphs []*Graph, rounds, pairsPerRound int) {
 		gnn.TrainContrastive(m, graphs, cfg, opt)
 	}
 	det := gnn.NewDetector(m, 3)
-	det.FitClassifier(graphs)
-	s.install(det, fitDrift(det, graphs))
+	s.install(det, fitDrift(det.FitClassifier(graphs), graphs))
 }
 
 // FederatedAlgorithm names a federated training strategy.
@@ -289,17 +288,16 @@ func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 		all = append(all, ds...)
 	}
 	det := gnn.NewDetector(clients[0].Model, 3)
-	det.FitClassifier(all)
-	s.install(det, fitDrift(det, all))
+	s.install(det, fitDrift(det.FitClassifier(all), all))
 	return &FederatedResult{
 		TransferredBytes: res.Comm.Total(),
 		Clusters:         res.FinalClusters,
 	}, nil
 }
 
-// fitDrift fits the MAD drift detector on training embeddings.
-func fitDrift(det *gnn.Detector, graphs []*Graph) *drift.Detector {
-	emb := gnn.EmbedAll(det.Model, graphs)
+// fitDrift fits the MAD drift detector on the training graphs' embeddings,
+// the ones FitClassifier computed for the same model.
+func fitDrift(emb [][]float64, graphs []*Graph) *drift.Detector {
 	labels := make([]int, len(graphs))
 	for i, g := range graphs {
 		if g.Label {

@@ -323,10 +323,12 @@ func NewDetector(m Model, seed int64) *Detector {
 
 // FitClassifier trains the linear head on the embeddings of the labelled
 // graphs, with inverse-frequency class weights (the paper's imbalance
-// handling).
-func (d *Detector) FitClassifier(graphs []*graph.Graph) {
+// handling), and returns those embeddings, one caller-owned row per graph
+// (nil for no graphs), so that whatever is fitted next on the same model and
+// graphs — the drift detector — need not embed them again.
+func (d *Detector) FitClassifier(graphs []*graph.Graph) [][]float64 {
 	if len(graphs) == 0 {
-		return
+		return nil
 	}
 	x := EmbedAll(d.Model, graphs)
 	y := make([]int, len(graphs))
@@ -344,6 +346,7 @@ func (d *Detector) FitClassifier(graphs []*graph.Graph) {
 			total / (2 * float64(pos))}
 	}
 	d.Clf.Fit(x, y)
+	return x
 }
 
 // Score returns the vulnerability probability of a graph.

@@ -118,12 +118,6 @@ func refAddScaled(m, b *Dense, s float64) {
 	}
 }
 
-func refAxpy(dst, src []float64, s float64) {
-	for i, v := range src {
-		dst[i] += s * v
-	}
-}
-
 // kernelWidths holds every tail length of the 8-wide body, its 2-wide and
 // scalar tails, and the widths around the paper's 64 and 332.
 func kernelWidths() []int {
@@ -219,8 +213,8 @@ func randCSR(r *rand.Rand, rows, cols int, sparsity float64, special bool) *CSR 
 // TestKernelsMatchReference holds every product kernel, SpMMTo and
 // AddScaled to the pre-kernel loops above: all tail lengths on the streamed
 // width, rows 1–40, left-operand sparsity from dense to all-zero, special
-// values, operands at odd element offsets, and both the serial and the
-// row-parallel dispatch.
+// values, operands at odd element offsets, both the serial and the
+// row-parallel dispatch, and the term-compaction edges of checkTermEdges.
 func TestKernelsMatchReference(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
@@ -262,8 +256,9 @@ func TestKernelsMatchReference(t *testing.T) {
 						name, i, got.data[max(i, 0)], want.data[max(i, 0)], intact())
 				}
 
-				// MulTTo: (k×rows)ᵀ · k×n; the serial and the row-owned
-				// kernels must both match both references.
+				// MulTTo: (k×rows)ᵀ · k×n; the row-owned kernel, through
+				// the dispatch and called directly, must match both the
+				// k-outer and the row-owned reference.
 				at, _ := paddedDense(k, rows, off)
 				fillRand(r, at, sparsity, special)
 				got, intact = paddedDense(rows, n, off)
@@ -341,6 +336,79 @@ func TestKernelsMatchReference(t *testing.T) {
 		if i := sameBits(big.data, want.data); i >= 0 || !intact() {
 			t.Fatalf("AddScaled(m, m) 401x331 at parallelism %d: element %d differs", procs, i)
 		}
+		checkTermEdges(t, r, procs)
+	}
+}
+
+// checkTermEdges holds MulTo and MulTTo to their references where the
+// compaction of A's terms could go wrong: inner dimensions either side of
+// one and two stack chunks, and at 300 columns across the shorter chunks
+// wide rows take; a row of +0 only and one of −0 only (no term
+// kept, the row stays +0); NaN in A (kept, so its row is NaN); and Inf in B
+// under a zero of A (skipped, so that row stays finite). Then the two
+// one-term callers and SpMMTo, which never skipped: AddScaled(m, m, 0) over
+// an Inf and an explicit 0 in a CSR over an Inf both give NaN, as the
+// scalar loops did.
+func checkTermEdges(t *testing.T, r *rand.Rand, procs int) {
+	negZero := math.Copysign(0, -1)
+	for _, k := range []int{termChunk - 1, termChunk, termChunk + 1, 2*termChunk + 3} {
+		for _, n := range []int{1, 5, 16, 27, 64, 300} {
+			name := fmt.Sprintf("procs=%d/5x%dx%d", procs, k, n)
+			a, b := NewDense(5, k), NewDense(k, n)
+			fillRand(r, a, 0.3, false)
+			fillRand(r, b, 0, false)
+			for j := 0; j < k; j++ {
+				a.Set(1, j, 0)
+				a.Set(2, j, negZero)
+			}
+			a.Set(3, k-1, math.NaN())
+			a.Set(4, k/2, 0)
+			b.Set(k/2, n-1, math.Inf(1))
+			at := a.T()
+
+			got, want := NewDense(5, n), NewDense(5, n)
+			for _, kernel := range []string{"MulTo", "MulTTo"} {
+				got.Fill(1)
+				if kernel == "MulTo" {
+					MulTo(got, a, b)
+					refMulToBlock(want, a, b, 0, 5)
+				} else {
+					MulTTo(got, at, b)
+					refMulTToSerial(want, at, b)
+				}
+				if i := sameBits(got.data, want.data); i >= 0 {
+					t.Fatalf("%s %s: element %d got %v want %v", kernel, name, i, got.data[i], want.data[i])
+				}
+				for j := 0; j < n; j++ {
+					if math.Float64bits(got.At(1, j)) != 0 || math.Float64bits(got.At(2, j)) != 0 {
+						t.Fatalf("%s %s: a row of zeros gave %v, %v; want +0", kernel, name, got.At(1, j), got.At(2, j))
+					}
+					if !math.IsNaN(got.At(3, j)) {
+						t.Fatalf("%s %s: NaN in A was dropped (column %d is %v)", kernel, name, j, got.At(3, j))
+					}
+				}
+				if !AllFinite(got.Row(4)) {
+					t.Fatalf("%s %s: Inf under a zero of A reached the row: %v", kernel, name, got.Row(4))
+				}
+			}
+		}
+	}
+
+	m := NewDenseData(1, 3, []float64{1, math.Inf(1), -2})
+	want := m.Clone()
+	m.AddScaled(m, 0)
+	refAddScaled(want, want, 0)
+	if sameBits(m.data, want.data) >= 0 || !math.IsNaN(m.At(0, 1)) {
+		t.Fatalf("AddScaled(m, m, 0) over an Inf = %v, want %v", m.data, want.data)
+	}
+
+	s := NewCSR(2, 2, []int{0, 0, 1}, []int{0, 1, 1}, []float64{0, 3, 2})
+	b := NewDenseData(2, 3, []float64{math.Inf(1), 1, 2, 4, 5, 6})
+	got, ref := NewDense(2, 3), NewDense(2, 3)
+	SpMMTo(got, s, b)
+	refSpMMTo(ref, s, b)
+	if sameBits(got.data, ref.data) >= 0 || !math.IsNaN(got.At(0, 0)) {
+		t.Fatalf("SpMMTo with an explicit 0 over an Inf = %v, want %v", got.data, ref.data)
 	}
 }
 
@@ -406,62 +474,87 @@ func TestMulBTChainsIndependent(t *testing.T) {
 	}
 }
 
-// FuzzAxpy turns arbitrary bytes into a scalar and two equal-length float
-// slices and holds the axpy kernel (assembly on amd64, the portable loop
-// elsewhere and under -tags purego) and rowUpdate to the reference loop:
-// same bits (any NaN for a NaN) and no access beyond len(src), checked with
-// canary elements either side of both operands, at an even and an odd
-// element offset.
+// FuzzAxpy holds rowTerms — the multi-term axpy under every product,
+// assembly on amd64, the portable loop elsewhere and under -tags purego —
+// to the scalar loop, one term at a time. The first byte picks up
+// to 39 terms, the second how many rows b has (1–4) and how far its stride
+// runs past the row (0–2 elements, filled with canaries the routine must
+// not read); the rest are floats: half the initial dst, half a source row
+// each row of b is a rotation of, and the pool the coefficients are drawn
+// from. The check is same bits (any NaN for a NaN), b untouched, and canary
+// elements either side of dst and of b intact, at an even and an odd element
+// offset.
 func FuzzAxpy(f *testing.F) {
-	seed := func(s float64, vals ...float64) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(s))
+	seed := func(nt, shape byte, vals ...float64) []byte {
+		b := []byte{nt, shape}
 		for _, v := range vals {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 		return b
 	}
-	f.Add(seed(2))
-	f.Add(seed(-1, 1, 2))
-	f.Add(seed(0.5, 1, math.Copysign(0, -1), 5e-324, 0, math.Inf(1), math.NaN()))
+	f.Add(seed(0, 0))
+	f.Add(seed(1, 0, 1, 2))
+	f.Add(seed(3, 5, 0.5, 1, math.Copysign(0, -1), 5e-324, 0, math.Inf(1), math.NaN(), 2))
 	long := make([]float64, 2*37)
 	for i := range long {
 		long[i] = float64(i) - 17.25
 	}
-	f.Add(seed(math.Pi, long...))
-	f.Add(seed(math.Inf(-1), long[:2*19]...))
+	f.Add(seed(17, 7, long...))
+	long[0] = math.Inf(-1)
+	f.Add(seed(39, 11, long[:2*19]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 8 {
+		if len(data) < 2 {
 			return
 		}
-		s := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		n := len(data) / 16
-		at := func(i int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		nt, nr, pad := int(data[0]%40), 1+int(data[1]%4), int(data[1]/4%3)
+		data = data[2:]
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		n, stride := len(vals)/2, len(vals)/2+pad
+		offs, coef := make([]int, nt), make([]float64, nt)
+		for i := range offs {
+			if len(data) > 0 {
+				offs[i] = int(data[i%len(data)]) % nr * stride
+			}
+			coef[i] = 1
+			if len(vals) > 0 {
+				coef[i] = vals[(5*i+1)%len(vals)]
+			}
 		}
 		for off := 1; off <= 2; off++ {
-			for _, kernel := range []func(dst, src []float64, s float64){axpy, rowUpdate} {
-				dm, dstIntact := paddedDense(1, n, off)
-				sm, srcIntact := paddedDense(1, n, off)
-				want := make([]float64, n)
-				for i := 0; i < n; i++ {
-					dm.data[i], sm.data[i] = at(i), at(n+i)
-					want[i] = at(i)
-				}
-				srcBefore := append([]float64(nil), sm.data...)
-				kernel(dm.data, sm.data, s)
-				refAxpy(want, srcBefore, s)
-				if i := sameBits(dm.data, want); i >= 0 {
-					t.Fatalf("n=%d off=%d s=%v: element %d got %v want %v", n, off, s, i, dm.data[i], want[i])
-				}
-				for i, v := range sm.data {
-					if math.Float64bits(v) != math.Float64bits(srcBefore[i]) {
-						t.Fatalf("n=%d off=%d: src[%d] was written", n, off, i)
+			dst, dstIntact := paddedDense(1, n, off)
+			b, bIntact := paddedDense(nr, stride, off)
+			want := make([]float64, n)
+			copy(dst.data, vals[:n])
+			copy(want, vals[:n])
+			for r := 0; r < nr; r++ {
+				row := b.Row(r)
+				for j := range row {
+					row[j] = math.Float64frombits(canary)
+					if j < n {
+						row[j] = vals[n+(j+3*r)%n]
 					}
 				}
-				if !dstIntact() || !srcIntact() {
-					t.Fatalf("n=%d off=%d: wrote outside the operands", n, off)
+			}
+			bBefore := append([]float64(nil), b.data...)
+			rowTerms(dst.data, b.data, offs, coef)
+			for i, o := range offs {
+				for j := range want {
+					want[j] += coef[i] * bBefore[o+j]
 				}
+			}
+			if i := sameBits(dst.data, want); i >= 0 {
+				t.Fatalf("%d terms n=%d off=%d: element %d got %v want %v", nt, n, off, i, dst.data[i], want[i])
+			}
+			for i, v := range b.data {
+				if math.Float64bits(v) != math.Float64bits(bBefore[i]) {
+					t.Fatalf("%d terms n=%d off=%d: b[%d] was written", nt, n, off, i)
+				}
+			}
+			if !dstIntact() || !bIntact() {
+				t.Fatalf("%d terms n=%d off=%d: wrote outside the operands", nt, n, off)
 			}
 		}
 	})

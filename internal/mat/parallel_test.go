@@ -76,9 +76,10 @@ func TestParallelMulToBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelMulTToBitIdentical checks the row-owned Aᵀ·B kernel against
-// the cache-friendly k-outer serial kernel: the two walk memory in
-// different orders but must accumulate every element identically.
+// TestParallelMulTToBitIdentical checks the row-owned Aᵀ·B kernel, split
+// across workers, against the k-outer reference loop in kernels_ref_test.go:
+// the two walk memory in different orders but must accumulate every element
+// identically.
 func TestParallelMulTToBitIdentical(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
@@ -87,7 +88,7 @@ func TestParallelMulTToBitIdentical(t *testing.T) {
 		fillDet(a, 3)
 		fillDet(b, 4)
 		serial := NewDense(sh.m, sh.n)
-		mulTToSerial(serial, a, b)
+		refMulTToSerial(serial, a, b)
 		for _, procs := range []int{2, 5, 16} {
 			SetParallelism(procs)
 			got := NewDense(sh.m, sh.n)

@@ -1,0 +1,9 @@
+//go:build amd64 && !purego
+
+package mat
+
+// rowTerms is the row routine in rowterms_amd64.s; rowterms_generic.go
+// documents the contract.
+//
+//go:noescape
+func rowTerms(dst, b []float64, offs []int, coef []float64)

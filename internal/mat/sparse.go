@@ -111,12 +111,18 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 // Remake retargets m at caller-owned CSR arrays without copying, the sparse
 // counterpart of Dense.Remake: indptr has rows+1 ascending offsets into
 // indices and vals, and no row repeats a column (nothing is merged or
-// checked beyond the lengths). A caller that rebuilds an operator of the
-// same shape many times keeps one CSR and three slices for all of them.
+// checked beyond the lengths and the column range, which SpMMTo's row
+// routine relies on). A caller that rebuilds an operator of the same shape
+// many times keeps one CSR and three slices for all of them.
 func (m *CSR) Remake(rows, cols int, indptr, indices []int, vals []float64) {
 	if len(indptr) != rows+1 || len(indices) != len(vals) || indptr[rows] != len(vals) {
 		panic(fmt.Sprintf("mat: CSR.Remake %d rows with %d offsets, %d indices, %d values",
 			rows, len(indptr), len(indices), len(vals)))
+	}
+	for _, j := range indices {
+		if uint(j) >= uint(cols) {
+			panic(fmt.Sprintf("mat: CSR.Remake column %d out of range %d", j, cols))
+		}
 	}
 	m.rows, m.cols = rows, cols
 	m.indptr, m.indices, m.vals = indptr, indices, vals
@@ -157,11 +163,18 @@ func SpMMTo(dst *Dense, s *CSR, b *Dense) {
 	if dst.rows != s.rows || dst.cols != b.cols {
 		panic(fmt.Sprintf("mat: SpMMTo dst %dx%d want %dx%d", dst.rows, dst.cols, s.rows, b.cols))
 	}
+	checkNoAlias("SpMMTo", dst, b)
 	dst.Zero()
+	var t terms
 	for i := 0; i < s.rows; i++ {
-		di := dst.Row(i)
-		for k := s.indptr[i]; k < s.indptr[i+1]; k++ {
-			rowUpdate(di, b.Row(s.indices[k]), s.vals[k])
+		cols, vals := s.Row(i)
+		for len(cols) > 0 { // every stored entry is a term: SpMM never skipped
+			n := min(len(cols), termChunk)
+			for k, j := range cols[:n] {
+				t.offs[k] = j * b.cols
+			}
+			rowTerms(dst.Row(i), b.data, t.offs[:n], vals[:n])
+			cols, vals = cols[n:], vals[n:]
 		}
 	}
 }

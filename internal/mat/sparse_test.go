@@ -64,6 +64,41 @@ func TestSpMMMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSpMMToAliasPanics is the aliasing regression for the sparse product:
+// with dst sharing b's memory, zeroing dst wiped the input and the call
+// returned zeros without a word; it must panic like the dense products.
+// Remake's column check keeps the row routine inside b.
+func TestSpMMToAliasPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected a panic", name)
+			}
+		}()
+		fn()
+	}
+	s := NewCSR(3, 3, []int{0, 1, 2}, []int{1, 2, 0}, []float64{1, 2, 3})
+	m := NewDenseData(3, 2, []float64{1, 2, 3, 4, 5, 6})
+	mustPanic("SpMMTo dst==b", func() { SpMMTo(m, s, m) })
+	if m.Data()[0] != 1 || m.Data()[5] != 6 {
+		t.Fatalf("the refused product still wrote b: %v", m.Data())
+	}
+	backing := make([]float64, 12)
+	mustPanic("SpMMTo partial overlap", func() {
+		SpMMTo(NewDenseData(3, 2, backing[:6]), s, NewDenseData(3, 2, backing[3:9]))
+	})
+	SpMMTo(NewDenseData(3, 2, backing[:6]), s, NewDenseData(3, 2, backing[6:])) // disjoint halves are fine
+
+	var r CSR
+	mustPanic("Remake column out of range", func() {
+		r.Remake(1, 2, []int{0, 1}, []int{2}, []float64{1})
+	})
+	mustPanic("Remake negative column", func() {
+		r.Remake(1, 2, []int{0, 1}, []int{-1}, []float64{1})
+	})
+}
+
 func TestCSRTranspose(t *testing.T) {
 	s := NewCSR(2, 3, []int{0, 1, 1}, []int{1, 0, 2}, []float64{1, 2, 3})
 	st := s.T()

@@ -26,7 +26,8 @@ func Axpy(dst, src []float64, s float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mat: Axpy lengths %d and %d", len(dst), len(src)))
 	}
-	rowUpdate(dst, src, s)
+	off, coef := [1]int{}, [1]float64{s}
+	rowTerms(dst, src, off[:], coef[:])
 }
 
 // Norm2 returns the Euclidean norm of v.
