@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: all build test test-debugarena test-purego cross race race-fedproto race-fed \
-	race-serve race-supervise race-stream soak vet bench bench-matmul \
+	race-serve race-supervise race-stream soak vet bench \
 	bench-agg bench-codecs bench-json bench-json-smoke bench-smoke \
 	poison-smoke obs-smoke serve-smoke stream-smoke fuzz check
 
@@ -116,10 +116,6 @@ vet:
 # The full evaluation as benches (one run per table/figure at CI scale).
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Dense kernel serial-vs-parallel comparison (GOMAXPROCS=n pins the workers).
-bench-matmul:
-	$(GO) test -run XXX -bench 'MatMul(Serial|Parallel)' .
 
 # Aggregation-rule throughput: FedAvg vs trimmed/median/norm-clip/Krum.
 bench-agg:

@@ -48,8 +48,7 @@ func main() {
 	rounds := flag.Int("rounds", 3, "contrastive training rounds")
 	pairs := flag.Int("pairs", 80, "contrastive pairs per round")
 	seed := flag.Int64("seed", 7, "deterministic seed")
-	procs := flag.Int("procs", 0, "kernel parallelism bound (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "inference workers (0 = kernel parallelism)")
+	workers := flag.Int("workers", 0, "inference workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "request queue depth (0 = 4 × workers)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = 1 MiB)")
@@ -71,7 +70,6 @@ func main() {
 	opts.Seed = *seed
 	opts.WordDim, opts.SentenceDim = 24, 32
 	opts.Hidden, opts.EmbedDim = 12, 8
-	opts.Procs = *procs
 	opts.Metrics = obs.NewRegistry()
 	sys, err := fexiot.New(opts)
 	if err != nil {

@@ -73,11 +73,6 @@ type Options struct {
 	Model string
 	// Seed makes every component deterministic.
 	Seed int64
-	// Procs bounds the parallelism of the dense kernels and training
-	// fan-outs process-wide (0 keeps the current setting: GOMAXPROCS as
-	// read at start-up, unless an earlier New set it). Results are
-	// bit-identical at every setting.
-	Procs int
 	// Metrics, when non-nil, instruments the whole pipeline — training,
 	// federation and the dense kernels — into the given observability
 	// registry (serve it with obs.StartHTTP). Nil disables instrumentation
@@ -116,9 +111,6 @@ func (o Options) validate() error {
 			"(WordDim=%d SentenceDim=%d Hidden=%d EmbedDim=%d); start from DefaultOptions",
 			o.WordDim, o.SentenceDim, o.Hidden, o.EmbedDim)
 	}
-	if o.Procs < 0 {
-		return fmt.Errorf("fexiot: Procs must be non-negative, got %d", o.Procs)
-	}
 	if _, err := codec.New(o.Codec); err != nil {
 		return fmt.Errorf("fexiot: %w", err)
 	}
@@ -152,9 +144,6 @@ type System struct {
 func New(opts Options) (*System, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
-	}
-	if opts.Procs > 0 {
-		mat.SetParallelism(opts.Procs)
 	}
 	if opts.Metrics != nil {
 		mat.InstrumentKernels(opts.Metrics)
@@ -382,12 +371,14 @@ func (s *System) Evaluate(graphs []*Graph) (Metrics, error) {
 }
 
 // ServeOptions configures fexiot.Serve. The zero value serves on an
-// ephemeral port with worker count following the kernel parallelism bound.
+// ephemeral port with worker count following the process's parallelism
+// bound.
 type ServeOptions struct {
 	// Addr is the HTTP listen address (empty or ":0" picks a free port).
 	Addr string
-	// Workers bounds concurrent inference goroutines (0 = kernel
-	// parallelism, i.e. mat.Parallelism).
+	// Workers bounds concurrent inference goroutines (0 = the process's
+	// parallelism bound, mat.Parallelism: GOMAXPROCS unless
+	// mat.SetParallelism changed it).
 	Workers int
 	// QueueDepth bounds pending requests (0 = 4 × Workers); a request
 	// arriving at a full queue is shed at once — HTTP 429 with a

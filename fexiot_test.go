@@ -167,11 +167,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := fexiot.New(bad); err == nil {
 		t.Fatal("negative dimension must be rejected")
 	}
-	bad = fexiot.DefaultOptions()
-	bad.Procs = -1
-	if _, err := fexiot.New(bad); err == nil {
-		t.Fatal("negative Procs must be rejected")
-	}
 }
 
 func TestArchetypeNames(t *testing.T) {

@@ -113,9 +113,6 @@ func TestGradBufferReuseAcrossPasses(t *testing.T) {
 // TestTapeSteadyStateZeroAlloc pins the tentpole number at the tape layer:
 // once warm, forward+backward+Reset runs without heap allocation.
 func TestTapeSteadyStateZeroAlloc(t *testing.T) {
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	params := reuseParams(9)
 	x := rng.New(11).Gaussian(5, 6, 1)
 	labels := []int{0, 1, 2, 3, 0}

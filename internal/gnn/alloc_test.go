@@ -9,18 +9,13 @@ import (
 
 // BenchmarkTrainStepAllocs pins the steady-state allocation cost of one
 // contrastive training pair on a reused tape — the hot loop the arena and
-// node recycling exist for. Parallelism is pinned to 1 because the parallel
-// kernel dispatch allocates goroutine bookkeeping that would drown the
-// signal. Seed baseline (fresh tape per pair): ~2400 allocs/op; pooled:
-// single digits.
+// node recycling exist for. Seed baseline (fresh tape per pair): ~2400
+// allocs/op; pooled: single digits.
 func BenchmarkTrainStepAllocs(b *testing.B) {
 	gs := benchGraphs(b, 8)
 	m := NewGIN(featDim, 32, 16, 7)
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, m.Params())
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	sink := func(string, *mat.Dense) {}
 	step := func(i int) {
 		tape.Reset()
@@ -48,9 +43,6 @@ func BenchmarkDetectAllocs(b *testing.B) {
 	gs := benchGraphs(b, 8)
 	m := NewGIN(featDim, 32, 16, 7)
 	ws := NewWorkspace()
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	for i := 0; i < 8; i++ {
 		ws.Embed(m, gs[i%len(gs)])
 	}
@@ -71,9 +63,6 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	m := NewGIN(featDim, 32, 16, 7)
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, m.Params())
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	sink := func(string, *mat.Dense) {}
 	step := func(i int) {
 		tape.Reset()
@@ -107,9 +96,6 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 // into a fresh matrix, per graph (65), and its eight names would make 73.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	gs := makeGraphs(4)
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	for _, c := range []struct {
 		m     Model
 		bound float64

@@ -6,19 +6,15 @@ import (
 	"fexiot/internal/embed"
 	"fexiot/internal/fusion"
 	"fexiot/internal/graph"
-	"fexiot/internal/mat"
 )
 
 // BenchmarkEmbed is the in-package ledger row for the Table III prediction
 // stage as audit_batch times it: one forward pass of GIN 332/64/32 (300-d
 // word vectors + 2×16 signature) through one long-lived workspace, over
 // graphs drawn the way audit_batch draws them (MultiHomePool(3, 40, 30),
-// Builder.OfflineSized), serial kernels as bench/ runs them. It uses only
-// API that exists at 4cc5255, so the same file measures the parent.
+// Builder.OfflineSized). It uses only API that exists at 4cc5255, so the
+// same file measures the parent.
 func BenchmarkEmbed(b *testing.B) {
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	b.Run("dims=paper", func(b *testing.B) {
 		enc := embed.NewEncoder(300, 512)
 		pool := fusion.MultiHomePool(3, 40, 30, nil)

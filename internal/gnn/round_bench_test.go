@@ -8,7 +8,6 @@ import (
 	"fexiot/internal/embed"
 	"fexiot/internal/fusion"
 	"fexiot/internal/graph"
-	"fexiot/internal/mat"
 	"fexiot/internal/rules"
 )
 
@@ -39,12 +38,9 @@ func paperRound() (round func(r int)) {
 }
 
 // BenchmarkTrainRound is the in-package ledger row for fed_round's local
-// training: one client's round per iteration, serial kernels as bench/ runs
-// them, two rounds of warm-up as its set-up federation gives.
+// training: one client's round per iteration, two rounds of warm-up as its
+// set-up federation gives.
 func BenchmarkTrainRound(b *testing.B) {
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	b.Run("dims=paper", func(b *testing.B) {
 		round := paperRound()
 		round(0)
@@ -74,9 +70,6 @@ func TestTrainRoundAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	old := mat.Parallelism()
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(old)
 	round := paperRound()
 	round(0)
 	round(1)

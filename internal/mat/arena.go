@@ -198,19 +198,6 @@ func (a *Arena) Release(buf []float64) {
 	}
 }
 
-// LeaseDense wraps a leased, zeroed buffer in a fresh r×c Dense header.
-// Prefer Dense.Remake onto a caller-owned header on hot paths.
-func (a *Arena) LeaseDense(r, c int) *Dense {
-	return NewDenseData(r, c, a.Lease(r*c))
-}
-
-// ReleaseDense recycles a Dense previously backed by this arena's memory.
-func (a *Arena) ReleaseDense(m *Dense) {
-	if m != nil {
-		a.Release(m.data)
-	}
-}
-
 // Trim is the epoch hook: it drops the free buffers of every class that has
 // not been leased from since the previous Trim, then starts a new epoch.
 // Callers invoke it at coarse boundaries (the tape does so automatically

@@ -185,16 +185,15 @@ func TestArenaZeroLenLease(t *testing.T) {
 	}
 }
 
-// TestLeaseDenseRemake pins the Dense integration: LeaseDense matches
-// NewDense semantics and Remake retargets a header in place.
+// TestLeaseDenseRemake pins the Dense integration: Remake retargets a header
+// in place onto a recycled lease, which comes back zeroed.
 func TestLeaseDenseRemake(t *testing.T) {
 	a := NewArena()
-	m := a.LeaseDense(3, 4)
-	if r, c := m.Dims(); r != 3 || c != 4 {
-		t.Fatalf("LeaseDense dims = %dx%d", r, c)
+	dirty := a.Lease(12)
+	for i := range dirty {
+		dirty[i] = 2.5
 	}
-	m.Fill(2.5)
-	a.ReleaseDense(m)
+	a.Release(dirty)
 
 	var h Dense
 	data := a.Lease(12)

@@ -12,14 +12,10 @@ import (
 // the latter also with a half-zero left operand, as a post-ReLU activation
 // is. mul is A·B (forward), mulT Aᵀ·dOut (weight gradient), mulBT dOut·Bᵀ
 // (input gradient), spmm an 18-node adjacency of degree ≈ 3 plus self loops
-// over an 18×k activation. Serial kernels (as bench/ runs them); the
-// GFLOP/s column counts the nominal 2·m·k·n (2·nnz·k for spmm), so a
-// zero-skip shows as a higher rate. This file uses only API that exists at 6ba3676, so the same
-// file produces the parent rows.
+// over an 18×k activation. The GFLOP/s column counts the nominal 2·m·k·n
+// (2·nnz·k for spmm), so a zero-skip shows as a higher rate. This file uses
+// only API that exists at 6ba3676, so the same file produces the parent rows.
 func BenchmarkKernels(b *testing.B) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	SetParallelism(1)
 	shapes := []struct {
 		name    string
 		m, k, n int

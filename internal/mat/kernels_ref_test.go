@@ -213,131 +213,115 @@ func randCSR(r *rand.Rand, rows, cols int, sparsity float64, special bool) *CSR 
 // TestKernelsMatchReference holds every product kernel, SpMMTo and
 // AddScaled to the pre-kernel loops above: all tail lengths on the streamed
 // width, rows 1–40, left-operand sparsity from dense to all-zero, special
-// values, operands at odd element offsets, both the serial and the
-// row-parallel dispatch, and the term-compaction edges of checkTermEdges.
+// values, operands at odd element offsets, and the term-compaction edges of
+// checkTermEdges.
 func TestKernelsMatchReference(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
 	widths := kernelWidths()
 	r := rand.New(rand.NewSource(17))
-	for _, procs := range []int{1, 4} {
-		SetParallelism(procs)
-		for wi, n := range widths {
-			rows := 1 + wi%40
-			// The inner width is any of them under a narrow output and one
-			// of 0–17 under a wide output, and the second pass keeps only
-			// the products large enough to split across workers (the rest
-			// would repeat the first pass): the test stays near a second.
-			k := widths[(wi*13+5)%len(widths)]
-			if n >= 299 {
-				k = widths[(wi*13+5)%18]
+	for wi, n := range widths {
+		rows := 1 + wi%40
+		// The inner width is any of them under a narrow output and one of
+		// 0–17 under a wide output: the test stays near a second.
+		k := widths[(wi*13+5)%len(widths)]
+		if n >= 299 {
+			k = widths[(wi*13+5)%18]
+		}
+		for si, sparsity := range []float64{0, 0.5, 0.9, 1} {
+			special := (wi+si)%2 == 1
+			off := (wi + si) % 2
+			name := fmt.Sprintf("%dx%dx%d/sparsity=%v/special=%v/off=%d",
+				rows, k, n, sparsity, special, off)
+
+			// MulTo: rows×k · k×n, streaming rows of width n.
+			a, _ := paddedDense(rows, k, off)
+			b, _ := paddedDense(k, n, off)
+			fillRand(r, a, sparsity, special)
+			fillRand(r, b, 0, special)
+			got, intact := paddedDense(rows, n, off)
+			want := NewDense(rows, n)
+			got.Fill(1) // a kernel must overwrite, never accumulate into, dst
+			MulTo(got, a, b)
+			refMulToBlock(want, a, b, 0, rows)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("MulTo %s: element %d got %v want %v (canaries intact: %v)",
+					name, i, got.data[max(i, 0)], want.data[max(i, 0)], intact())
 			}
-			if procs > 1 && 2*rows*k*n < serialFLOPCutoff {
-				continue
+
+			// MulTTo: (k×rows)ᵀ · k×n; the row-owned kernel must match
+			// both the k-outer and the row-owned reference.
+			at, _ := paddedDense(k, rows, off)
+			fillRand(r, at, sparsity, special)
+			got, intact = paddedDense(rows, n, off)
+			got.Fill(1)
+			MulTTo(got, at, b)
+			refMulTToSerial(want, at, b)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("MulTTo %s: element %d differs from the serial reference", name, i)
 			}
-			for si, sparsity := range []float64{0, 0.5, 0.9, 1} {
-				special := (wi+si)%2 == 1
-				off := (wi + si) % 2
-				name := fmt.Sprintf("procs=%d/%dx%dx%d/sparsity=%v/special=%v/off=%d",
-					procs, rows, k, n, sparsity, special, off)
+			refMulTToBlock(want, at, b, 0, rows)
+			if i := sameBits(got.data, want.data); i >= 0 {
+				t.Fatalf("MulTTo %s: element %d differs from the block reference", name, i)
+			}
 
-				// MulTo: rows×k · k×n, streaming rows of width n.
-				a, _ := paddedDense(rows, k, off)
-				b, _ := paddedDense(k, n, off)
-				fillRand(r, a, sparsity, special)
-				fillRand(r, b, 0, special)
-				got, intact := paddedDense(rows, n, off)
-				want := NewDense(rows, n)
-				got.Fill(1) // a kernel must overwrite, never accumulate into, dst
-				MulTo(got, a, b)
-				refMulToBlock(want, a, b, 0, rows)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("MulTo %s: element %d got %v want %v (canaries intact: %v)",
-						name, i, got.data[max(i, 0)], want.data[max(i, 0)], intact())
-				}
+			// MulBTTo: rows×k · (n×k)ᵀ: n output columns, four per pass,
+			// dot products of length k.
+			bt, _ := paddedDense(n, k, off)
+			fillRand(r, bt, 0, special)
+			got, intact = paddedDense(rows, n, off)
+			got.Fill(1)
+			MulBTTo(got, a, bt)
+			refMulBTToBlock(want, a, bt, 0, rows)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("MulBTTo %s: element %d differs", name, i)
+			}
 
-				// MulTTo: (k×rows)ᵀ · k×n; the row-owned kernel, through
-				// the dispatch and called directly, must match both the
-				// k-outer and the row-owned reference.
-				at, _ := paddedDense(k, rows, off)
-				fillRand(r, at, sparsity, special)
-				got, intact = paddedDense(rows, n, off)
-				got.Fill(1)
-				MulTTo(got, at, b)
-				refMulTToSerial(want, at, b)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("MulTTo %s: element %d differs from the serial reference", name, i)
-				}
-				refMulTToBlock(want, at, b, 0, rows)
-				if i := sameBits(got.data, want.data); i >= 0 {
-					t.Fatalf("MulTTo %s: element %d differs from the block reference", name, i)
-				}
-				got.Fill(1)
-				mulTToBlock(got, at, b, 0, rows)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("mulTToBlock %s: element %d differs", name, i)
-				}
+			// SpMMTo: a rows×rows operator over rows×n.
+			s := randCSR(r, rows, rows, sparsity, special)
+			sb, _ := paddedDense(rows, n, off)
+			fillRand(r, sb, 0, special)
+			got, intact = paddedDense(rows, n, off)
+			got.Fill(1)
+			SpMMTo(got, s, sb)
+			refSpMMTo(want, s, sb)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("SpMMTo %s: element %d differs", name, i)
+			}
 
-				// MulBTTo: rows×k · (n×k)ᵀ: n output columns, four per
-				// pass, dot products of length k.
-				bt, _ := paddedDense(n, k, off)
-				fillRand(r, bt, 0, special)
-				got, intact = paddedDense(rows, n, off)
-				got.Fill(1)
-				MulBTTo(got, a, bt)
-				refMulBTToBlock(want, a, bt, 0, rows)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("MulBTTo %s: element %d differs", name, i)
-				}
-
-				// SpMMTo: a rows×rows operator over rows×n.
-				s := randCSR(r, rows, rows, sparsity, special)
-				sb, _ := paddedDense(rows, n, off)
-				fillRand(r, sb, 0, special)
-				got, intact = paddedDense(rows, n, off)
-				got.Fill(1)
-				SpMMTo(got, s, sb)
-				refSpMMTo(want, s, sb)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("SpMMTo %s: element %d differs", name, i)
-				}
-
-				// AddScaled over rows·n elements, then exactly
-				// self-aliased: m += s·m.
-				scale := r.NormFloat64()
-				got, intact = paddedDense(rows, n, off)
-				fillRand(r, got, sparsity, special)
-				want.CopyFrom(got)
-				got.AddScaled(sb, scale)
-				refAddScaled(want, sb, scale)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("AddScaled %s: element %d differs", name, i)
-				}
-				got.AddScaled(got, scale)
-				refAddScaled(want, want, scale)
-				if i := sameBits(got.data, want.data); i >= 0 || !intact() {
-					t.Fatalf("AddScaled(m, m) %s: element %d differs", name, i)
-				}
+			// AddScaled over rows·n elements, then exactly self-aliased:
+			// m += s·m.
+			scale := r.NormFloat64()
+			got, intact = paddedDense(rows, n, off)
+			fillRand(r, got, sparsity, special)
+			want.CopyFrom(got)
+			got.AddScaled(sb, scale)
+			refAddScaled(want, sb, scale)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("AddScaled %s: element %d differs", name, i)
+			}
+			got.AddScaled(got, scale)
+			refAddScaled(want, want, scale)
+			if i := sameBits(got.data, want.data); i >= 0 || !intact() {
+				t.Fatalf("AddScaled(m, m) %s: element %d differs", name, i)
 			}
 		}
-		// One element-wise case past the parallel split's 2×serialElemCutoff.
-		big, intact := paddedDense(401, 331, 1)
-		src, _ := paddedDense(401, 331, 1)
-		fillRand(r, big, 0.5, true)
-		fillRand(r, src, 0.5, true)
-		want := big.Clone()
-		big.AddScaled(src, -0.37)
-		refAddScaled(want, src, -0.37)
-		if i := sameBits(big.data, want.data); i >= 0 || !intact() {
-			t.Fatalf("AddScaled 401x331 at parallelism %d: element %d differs", procs, i)
-		}
-		big.AddScaled(big, 1.5)
-		refAddScaled(want, want, 1.5)
-		if i := sameBits(big.data, want.data); i >= 0 || !intact() {
-			t.Fatalf("AddScaled(m, m) 401x331 at parallelism %d: element %d differs", procs, i)
-		}
-		checkTermEdges(t, r, procs)
 	}
+	// One element-wise case over 132,731 elements.
+	big, intact := paddedDense(401, 331, 1)
+	src, _ := paddedDense(401, 331, 1)
+	fillRand(r, big, 0.5, true)
+	fillRand(r, src, 0.5, true)
+	want := big.Clone()
+	big.AddScaled(src, -0.37)
+	refAddScaled(want, src, -0.37)
+	if i := sameBits(big.data, want.data); i >= 0 || !intact() {
+		t.Fatalf("AddScaled 401x331: element %d differs", i)
+	}
+	big.AddScaled(big, 1.5)
+	refAddScaled(want, want, 1.5)
+	if i := sameBits(big.data, want.data); i >= 0 || !intact() {
+		t.Fatalf("AddScaled(m, m) 401x331: element %d differs", i)
+	}
+	checkTermEdges(t, r)
 }
 
 // checkTermEdges holds MulTo and MulTTo to their references where the
@@ -349,11 +333,11 @@ func TestKernelsMatchReference(t *testing.T) {
 // one-term callers and SpMMTo, which never skipped: AddScaled(m, m, 0) over
 // an Inf and an explicit 0 in a CSR over an Inf both give NaN, as the
 // scalar loops did.
-func checkTermEdges(t *testing.T, r *rand.Rand, procs int) {
+func checkTermEdges(t *testing.T, r *rand.Rand) {
 	negZero := math.Copysign(0, -1)
 	for _, k := range []int{termChunk - 1, termChunk, termChunk + 1, 2*termChunk + 3} {
 		for _, n := range []int{1, 5, 16, 27, 64, 300} {
-			name := fmt.Sprintf("procs=%d/5x%dx%d", procs, k, n)
+			name := fmt.Sprintf("5x%dx%d", k, n)
 			a, b := NewDense(5, k), NewDense(k, n)
 			fillRand(r, a, 0.3, false)
 			fillRand(r, b, 0, false)
@@ -457,7 +441,7 @@ func TestMulBTChainsIndependent(t *testing.T) {
 			fillRand(r, a, 0.3, false)
 			fillRand(r, b, 0.3, false)
 			got := NewDense(3, cols)
-			mulBTToBlock(got, a, b, 0, 3)
+			MulBTTo(got, a, b)
 			for i := 0; i < 3; i++ {
 				for j := 0; j < cols; j++ {
 					var s float64

@@ -93,38 +93,25 @@ func (m *Dense) CopyFrom(src *Dense) {
 	copy(m.data, src.data)
 }
 
-// T returns the transpose as a newly allocated matrix. Large transposes
-// are split into row blocks of the output and run on the worker pool.
+// T returns the transpose as a newly allocated matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)
-	parallelRows(m.cols, minBlockRows(m.rows, serialElemCutoff), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			oj := out.data[j*m.rows : (j+1)*m.rows]
-			for i := range oj {
-				oj[i] = m.data[i*m.cols+j]
-			}
+	countDispatch()
+	for j := 0; j < m.cols; j++ {
+		oj := out.data[j*m.rows : (j+1)*m.rows]
+		for i := range oj {
+			oj[i] = m.data[i*m.cols+j]
 		}
-	})
+	}
 	return out
 }
 
 // Scale multiplies every element by s in place and returns m.
 func (m *Dense) Scale(s float64) *Dense {
-	if len(m.data) < 2*serialElemCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		for i := range m.data {
-			m.data[i] *= s
-		}
-		return m
+	countDispatch()
+	for i := range m.data {
+		m.data[i] *= s
 	}
-	parallelRows(len(m.data), serialElemCutoff, func(lo, hi int) {
-		d := m.data[lo:hi]
-		for i := range d {
-			d[i] *= s
-		}
-	})
 	return m
 }
 
@@ -133,75 +120,40 @@ func (m *Dense) AddScaled(b *Dense, s float64) *Dense {
 	if m.rows != b.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: AddScaled %dx%d with %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
-	if len(m.data) < 2*serialElemCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		off, coef := [1]int{}, [1]float64{s}
-		rowTerms(m.data, b.data, off[:], coef[:])
-		return m
-	}
-	parallelRows(len(m.data), serialElemCutoff, func(lo, hi int) {
-		off, coef := [1]int{}, [1]float64{s}
-		rowTerms(m.data[lo:hi], b.data[lo:hi], off[:], coef[:])
-	})
+	countDispatch()
+	off, coef := [1]int{}, [1]float64{s}
+	rowTerms(m.data, b.data, off[:], coef[:])
 	return m
 }
 
-// Apply replaces each element x with f(x) in place and returns m. Large
-// matrices evaluate f concurrently from pool workers, so f must be pure.
+// Apply replaces each element x with f(x) in place and returns m.
 func (m *Dense) Apply(f func(float64) float64) *Dense {
-	if len(m.data) < 2*serialElemCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		for i, v := range m.data {
-			m.data[i] = f(v)
-		}
-		return m
+	countDispatch()
+	for i, v := range m.data {
+		m.data[i] = f(v)
 	}
-	parallelRows(len(m.data), serialElemCutoff, func(lo, hi int) {
-		d := m.data[lo:hi]
-		for i, v := range d {
-			d[i] = f(v)
-		}
-	})
 	return m
 }
 
 // ReLUTo writes max(x, 0) of every element of src into dst (same shape; dst
 // may be src) in one pass. An element is kept exactly when x > 0, so NaN,
 // −0 and every negative map to +0 — what Apply with the comparison as a
-// function value gave, without the call per element. The serial/parallel
-// split and the dispatch count are Apply's.
+// function value gave, without the call per element. It keeps v as a mask
+// over the bits rather than a store on either side of a branch: half of a
+// hidden activation is negative in no order a predictor learns, and the
+// compiler turns the mask's condition into a conditional move.
 func ReLUTo(dst, src *Dense) {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		panic(fmt.Sprintf("mat: ReLUTo %dx%d into %dx%d", src.rows, src.cols, dst.rows, dst.cols))
 	}
-	if len(src.data) < 2*serialElemCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		reluBlock(dst.data, src.data)
-		return
-	}
-	parallelRows(len(src.data), serialElemCutoff, func(lo, hi int) {
-		reluBlock(dst.data[lo:hi], src.data[lo:hi])
-	})
-}
-
-// reluBlock keeps v where v > 0 and stores +0 elsewhere, as a mask over the
-// bits rather than a store on either side of a branch: half of a hidden
-// activation is negative in no order a predictor learns, and the compiler
-// turns the mask's condition into a conditional move.
-func reluBlock(dst, src []float64) {
-	dst = dst[:len(src)]
-	for i, v := range src {
+	countDispatch()
+	d := dst.data[:len(src.data)]
+	for i, v := range src.data {
 		var keep uint64
 		if v > 0 {
 			keep = ^uint64(0)
 		}
-		dst[i] = math.Float64frombits(math.Float64bits(v) & keep)
+		d[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 }
 
@@ -225,17 +177,6 @@ func (m *Dense) Norm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element, or 0 for an empty matrix.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Sum returns the sum of all elements.
@@ -280,10 +221,8 @@ func Mul(a, b *Dense) *Dense {
 }
 
 // MulTo computes dst = A·B; dst must be a.rows×b.cols and must not share
-// backing memory with a or b (checked, panics on aliasing). Products above
-// the serial FLOP cutoff split dst's rows across the worker pool; every
-// output row is computed by exactly one worker in serial accumulation
-// order, so the result is bit-identical at any parallelism.
+// backing memory with a or b (checked, panics on aliasing). Row i of dst is
+// row i of A's terms over the rows of B.
 func MulTo(dst, a, b *Dense) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -293,27 +232,9 @@ func MulTo(dst, a, b *Dense) {
 	}
 	checkNoAlias("MulTo", dst, a, b)
 	countFLOPs(2 * a.rows * a.cols * b.cols)
-	perRow := 2 * a.cols * b.cols
-	// Small products skip parallelRows entirely: the closure below escapes
-	// into the pool channel, so merely creating it allocates — a real cost
-	// in the autodiff hot loop, where most products are tiny.
-	if 2*a.rows*a.cols*b.cols < serialFLOPCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		mulToBlock(dst, a, b, 0, a.rows)
-		return
-	}
-	parallelRows(a.rows, minBlockRows(perRow, serialFLOPCutoff), func(lo, hi int) {
-		mulToBlock(dst, a, b, lo, hi)
-	})
-}
-
-// mulToBlock computes rows [lo, hi) of dst = A·B: row i of dst is row i of
-// A's terms over the rows of B.
-func mulToBlock(dst, a, b *Dense, lo, hi int) {
+	countDispatch()
 	var t terms
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.rows; i++ {
 		t.product(dst.Row(i), a.data, i*a.cols, 1, a.cols, b)
 	}
 }
@@ -356,7 +277,8 @@ func (t *terms) product(dst, a []float64, off, step, nk int, b *Dense) {
 }
 
 // MulTTo computes dst = Aᵀ·B without materialising the transpose; dst must
-// not share backing memory with a or b (checked, panics on aliasing).
+// not share backing memory with a or b (checked, panics on aliasing). Row i
+// of dst is column i of A's terms over the rows of B.
 func MulTTo(dst, a, b *Dense) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: MulT %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -366,31 +288,20 @@ func MulTTo(dst, a, b *Dense) {
 	}
 	checkNoAlias("MulTTo", dst, a, b)
 	countFLOPs(2 * a.rows * a.cols * b.cols)
-	flops := 2 * a.rows * a.cols * b.cols
-	if flops < serialFLOPCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		mulTToBlock(dst, a, b, 0, a.cols)
-		return
-	}
-	perRow := 2 * a.rows * b.cols
-	parallelRows(a.cols, minBlockRows(perRow, serialFLOPCutoff), func(lo, hi int) {
-		mulTToBlock(dst, a, b, lo, hi)
-	})
-}
-
-// mulTToBlock computes rows [lo, hi) of dst = Aᵀ·B: row i of dst is column i
-// of A's terms over the rows of B.
-func mulTToBlock(dst, a, b *Dense, lo, hi int) {
+	countDispatch()
 	var t terms
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.cols; i++ {
 		t.product(dst.Row(i), a.data, i, a.cols, a.rows, b)
 	}
 }
 
 // MulBTTo computes dst = A·Bᵀ without materialising the transpose; dst
 // must not share backing memory with a or b (checked, panics on aliasing).
+// It computes four output columns per pass over a row of A. Each of the
+// four accumulators is its own dot product — started at +0 and summed in
+// ascending k, with no zero-skip, exactly as the one-column tail does — so
+// the pass only interleaves four independent add chains the CPU can
+// overlap; no output's rounding changes.
 func MulBTTo(dst, a, b *Dense) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBT %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -400,26 +311,8 @@ func MulBTTo(dst, a, b *Dense) {
 	}
 	checkNoAlias("MulBTTo", dst, a, b)
 	countFLOPs(2 * a.rows * a.cols * b.rows)
-	perRow := 2 * b.rows * a.cols
-	if 2*a.rows*a.cols*b.rows < serialFLOPCutoff || Parallelism() == 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		mulBTToBlock(dst, a, b, 0, a.rows)
-		return
-	}
-	parallelRows(a.rows, minBlockRows(perRow, serialFLOPCutoff), func(lo, hi int) {
-		mulBTToBlock(dst, a, b, lo, hi)
-	})
-}
-
-// mulBTToBlock computes rows [lo, hi) of dst = A·Bᵀ, four output columns
-// per pass over a row of A. Each of the four accumulators is its own dot
-// product — started at +0 and summed in ascending k, with no zero-skip,
-// exactly as the one-column tail does — so the pass only interleaves four
-// independent add chains the CPU can overlap; no output's rounding changes.
-func mulBTToBlock(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	countDispatch()
+	for i := 0; i < a.rows; i++ {
 		ai := a.Row(i)
 		di := dst.Row(i)
 		j := 0
@@ -444,16 +337,4 @@ func mulBTToBlock(dst, a, b *Dense, lo, hi int) {
 			di[j] = s
 		}
 	}
-}
-
-// Hadamard returns the element-wise product as a new matrix.
-func Hadamard(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: Hadamard %dx%d with %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] *= v
-	}
-	return out
 }

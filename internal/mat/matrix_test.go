@@ -142,19 +142,6 @@ func TestNormSumMaxAbs(t *testing.T) {
 	if m.Sum() != -1 {
 		t.Fatalf("Sum = %v", m.Sum())
 	}
-	if m.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-}
-
-func TestHadamard(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{5, 6, 7, 8})
-	h := Hadamard(a, b)
-	want := NewDenseData(2, 2, []float64{5, 12, 21, 32})
-	if !h.Equalish(want, 0) {
-		t.Fatalf("Hadamard = %v", h)
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -176,11 +163,9 @@ func TestMulPanicsOnMismatch(t *testing.T) {
 }
 
 // TestReLUToMatchesApply: the one-pass ReLU equals Apply with the comparison
-// as a function — NaN, −0, ±Inf and denormals included — bit for bit,
-// serial and split across workers, in place and into another matrix.
+// as a function — NaN, −0, ±Inf and denormals included — bit for bit, in
+// place and into another matrix.
 func TestReLUToMatchesApply(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
 	relu := func(x float64) float64 {
 		if x > 0 {
 			return x
@@ -189,28 +174,25 @@ func TestReLUToMatchesApply(t *testing.T) {
 	}
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
 		5e-324, -5e-324, 1, -1, math.MaxFloat64, -math.MaxFloat64}
-	for _, procs := range []int{1, 4} {
-		SetParallelism(procs)
-		for _, n := range []int{0, 1, 7, 18 * 64, 2*serialElemCutoff + 13} {
-			src := NewDense(1, n)
-			for i := range src.data {
-				src.data[i] = math.Sin(float64(i)*0.7) * 3
-				if i%5 == 0 {
-					src.data[i] = special[(i/5)%len(special)]
-				}
+	for _, n := range []int{0, 1, 7, 18 * 64, 401 * 331} {
+		src := NewDense(1, n)
+		for i := range src.data {
+			src.data[i] = math.Sin(float64(i)*0.7) * 3
+			if i%5 == 0 {
+				src.data[i] = special[(i/5)%len(special)]
 			}
-			want := src.Clone().Apply(relu)
-			dst := NewDense(1, n)
-			dst.Fill(7)
-			ReLUTo(dst, src)
-			inPlace := src.Clone()
-			ReLUTo(inPlace, inPlace)
-			for i := range want.data {
-				w := math.Float64bits(want.data[i])
-				if math.Float64bits(dst.data[i]) != w || math.Float64bits(inPlace.data[i]) != w {
-					t.Fatalf("procs %d n %d element %d (%v): ReLUTo %v, in place %v, Apply %v",
-						procs, n, i, src.data[i], dst.data[i], inPlace.data[i], want.data[i])
-				}
+		}
+		want := src.Clone().Apply(relu)
+		dst := NewDense(1, n)
+		dst.Fill(7)
+		ReLUTo(dst, src)
+		inPlace := src.Clone()
+		ReLUTo(inPlace, inPlace)
+		for i := range want.data {
+			w := math.Float64bits(want.data[i])
+			if math.Float64bits(dst.data[i]) != w || math.Float64bits(inPlace.data[i]) != w {
+				t.Fatalf("n %d element %d (%v): ReLUTo %v, in place %v, Apply %v",
+					n, i, src.data[i], dst.data[i], inPlace.data[i], want.data[i])
 			}
 		}
 	}

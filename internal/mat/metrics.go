@@ -10,21 +10,18 @@ import (
 // kernels. The whole struct sits behind one atomic pointer: the disabled
 // state is a nil pointer, so the per-operation cost of instrumentation when
 // no registry is installed is a single atomic load and branch — unmeasurable
-// next to even the smallest matrix product (see BenchmarkMatMulParallel).
+// next to even the smallest matrix product (see BenchmarkKernels).
 type kernelMetrics struct {
 	flops    *obs.Counter // fexiot_mat_flops_total
-	serial   *obs.Counter // fexiot_mat_dispatch_total{mode="serial"}
-	parallel *obs.Counter // fexiot_mat_dispatch_total{mode="parallel"}
-	inflight *obs.Gauge   // fexiot_mat_pool_inflight_blocks
+	dispatch *obs.Counter // fexiot_mat_dispatch_total
 }
 
 var kmetrics atomic.Pointer[kernelMetrics]
 
 // InstrumentKernels installs observability for the dense kernels into r:
-// FLOPs executed by the matrix products, serial vs parallel dispatch
-// decisions, and worker-pool occupancy. A nil registry uninstalls the
-// instrumentation, restoring the zero-overhead fast path. The handles are
-// process-global because the worker pool is; installing a second registry
+// FLOPs executed by the matrix products and the number of kernel calls. A
+// nil registry uninstalls the instrumentation, restoring the zero-overhead
+// fast path. The handles are process-global; installing a second registry
 // replaces the first.
 func InstrumentKernels(r *obs.Registry) {
 	InstrumentArenas(r)
@@ -32,15 +29,11 @@ func InstrumentKernels(r *obs.Registry) {
 		kmetrics.Store(nil)
 		return
 	}
-	dispatch := r.CounterVec("fexiot_mat_dispatch_total",
-		"dense-kernel dispatch decisions by execution mode", "mode")
 	kmetrics.Store(&kernelMetrics{
 		flops: r.Counter("fexiot_mat_flops_total",
 			"floating-point operations executed by the matrix product kernels"),
-		serial:   dispatch.With("serial"),
-		parallel: dispatch.With("parallel"),
-		inflight: r.Gauge("fexiot_mat_pool_inflight_blocks",
-			"row blocks currently executing on the worker pool"),
+		dispatch: r.Counter("fexiot_mat_dispatch_total",
+			"dense-kernel calls: products, transposes and element-wise ops"),
 	})
 }
 
@@ -49,6 +42,14 @@ func InstrumentKernels(r *obs.Registry) {
 func countFLOPs(n int) {
 	if km := kmetrics.Load(); km != nil {
 		km.flops.Add(int64(n))
+	}
+}
+
+// countDispatch tallies one dense-kernel call when instrumentation is
+// installed.
+func countDispatch() {
+	if km := kmetrics.Load(); km != nil {
+		km.dispatch.Inc()
 	}
 }
 

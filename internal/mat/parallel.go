@@ -1,18 +1,15 @@
 package mat
 
-// Shared parallel execution layer for the dense kernels. All heavy
-// operations in this package (MulTo, MulTTo, MulBTTo, T and the
-// element-wise ops) split their output rows into contiguous blocks and run
-// the blocks on a package-level worker pool. The design is deliberately
-// work-stealing-free: each output row is owned by exactly one worker, so
-// every float is accumulated in exactly the same order as the serial
-// kernel and results are bit-identical regardless of the worker count.
+// The package's one concurrency bound. The dense kernels run on the calling
+// goroutine and never split a product: nothing in the module multiplies a
+// matrix big enough for a split to pay (EXPERIMENTS.md "Row-block kernel
+// parallelism (retired)"). Parallelism lives a level up, across clients,
+// graphs and requests: ParallelFor bounds the federated and evaluation
+// fan-outs, and the serving engine sizes its worker pool from the same bound.
 //
-// The degree of parallelism defaults to runtime.GOMAXPROCS(0) — the bound
-// the Go runtime already puts on running goroutines — and SetParallelism
-// is the one way to change it. Operations whose FLOP count falls under a
-// small threshold run the serial loops instead, so the tiny matrices of
-// individual autodiff steps never pay goroutine hand-off overhead.
+// The bound defaults to runtime.GOMAXPROCS(0) — the limit the Go runtime
+// already puts on running goroutines — and SetParallelism is the one way
+// to change it.
 
 import (
 	"runtime"
@@ -21,30 +18,14 @@ import (
 	"unsafe"
 )
 
-// serialFLOPCutoff is the approximate FLOP count below which the matrix
-// products stay on the serial code path; a product this small finishes in
-// a few microseconds, comparable to the cost of dispatching pool blocks.
-const serialFLOPCutoff = 128 * 1024
-
-// serialElemCutoff is the element-count analogue for the memory-bound
-// element-wise operations (Scale, AddScaled, Apply) and the transpose.
-const serialElemCutoff = 64 * 1024
-
-var (
-	// parallelism is the configured degree of parallelism: the maximum
-	// number of row blocks an operation is split into and the bound on
-	// ParallelFor's in-flight goroutines.
-	parallelism atomic.Int64
-
-	poolOnce sync.Once
-	poolCh   chan blockTask
-)
+// parallelism bounds ParallelFor's in-flight goroutines.
+var parallelism atomic.Int64
 
 func init() { parallelism.Store(int64(runtime.GOMAXPROCS(0))) }
 
-// SetParallelism fixes the degree of parallelism used by the dense kernels
-// and ParallelFor. Values below 1 are clamped to 1 (fully serial).
-// Results are bit-identical at every setting.
+// SetParallelism fixes the bound ParallelFor and the serving engine's
+// default worker count follow. Values below 1 are clamped to 1 (fully
+// serial). Results are bit-identical at every setting.
 func SetParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -56,89 +37,16 @@ func SetParallelism(n int) {
 // SetParallelism, or GOMAXPROCS as it stood when the process started.
 func Parallelism() int { return int(parallelism.Load()) }
 
-// blockTask is one contiguous row block handed to a pool worker.
-type blockTask struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-// startPool lazily launches the package-level workers. The pool is sized
-// once from the machine; Parallelism only controls how many blocks are in
-// flight, so reconfiguring it never requires restarting workers.
-func startPool() {
-	n := runtime.NumCPU()
-	poolCh = make(chan blockTask, 8*n)
-	for w := 0; w < n; w++ {
-		go func() {
-			for t := range poolCh {
-				t.fn(t.lo, t.hi)
-				t.wg.Done()
-			}
-		}()
-	}
-}
-
-// parallelRows partitions [0, n) into at most Parallelism() contiguous
-// blocks of at least minWork rows each and runs fn on every block, using
-// the worker pool for all blocks but the first (which runs on the calling
-// goroutine). It returns once every block has completed. fn must only
-// write rows inside its own [lo, hi) range; the blocks are disjoint, so no
-// two workers ever touch the same output row. With one block the call is a
-// plain fn(0, n), making the serial and parallel paths share one body.
-func parallelRows(n, minWork int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if minWork < 1 {
-		minWork = 1
-	}
-	p := Parallelism()
-	if max := n / minWork; p > max {
-		p = max
-	}
-	if p <= 1 {
-		if km := kmetrics.Load(); km != nil {
-			km.serial.Inc()
-		}
-		fn(0, n)
-		return
-	}
-	poolOnce.Do(startPool)
-	if km := kmetrics.Load(); km != nil {
-		km.parallel.Inc()
-		km.inflight.Add(float64(p))
-		defer km.inflight.Add(float64(-p))
-	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for b := 1; b < p; b++ {
-		poolCh <- blockTask{fn: fn, lo: b * n / p, hi: (b + 1) * n / p, wg: &wg}
-	}
-	fn(0, n/p)
-	wg.Wait()
-}
-
-// minBlockRows returns the minimum rows per block so that one block
-// amounts to at least cutoff units of work, given a per-row cost.
-func minBlockRows(perRow, cutoff int) int {
-	if perRow <= 0 {
-		return 1
-	}
-	r := cutoff / perRow
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
 // ParallelFor runs fn(i) for every i in [0, n) with at most Parallelism()
 // invocations in flight, replacing the ad-hoc per-item goroutine fan-outs
-// of the federated layers. It runs each fn on a fresh goroutine (not a
-// pool worker), so fn may itself invoke the parallel dense kernels without
-// risking pool starvation. fn must be safe to call concurrently and should
+// of the federated layers. fn must be safe to call concurrently and should
 // only write state owned by its own index. ParallelFor returns after all
 // invocations complete; with parallelism 1 it degrades to a plain loop.
+//
+// A panic in fn reaches the caller as it would from that loop: no index is
+// started after one has panicked, the started ones are waited for, and the
+// value re-panicked on the calling goroutine is the one of the lowest
+// panicking index.
 func ParallelFor(n int, fn func(i int)) {
 	p := Parallelism()
 	if p <= 1 || n <= 1 {
@@ -148,17 +56,40 @@ func ParallelFor(n int, fn func(i int)) {
 		return
 	}
 	sem := make(chan struct{}, p)
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards first and value
+		panicked atomic.Bool
+		first    = n // the lowest panicking index so far
+		value    any
+	)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
 		sem <- struct{}{}
+		// A panicking fn sets the flag before it frees its slot.
+		if panicked.Load() {
+			break
+		}
+		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					if i < first {
+						first, value = i, v
+					}
+					mu.Unlock()
+					panicked.Store(true)
+				}
+			}()
 			fn(i)
 		}(i)
 	}
 	wg.Wait()
+	if panicked.Load() {
+		panic(value)
+	}
 }
 
 // sharesBacking reports whether two float64 slices overlap in memory. The

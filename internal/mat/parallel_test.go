@@ -7,7 +7,9 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fillDet fills m with a deterministic, seed-dependent pattern including
@@ -19,146 +21,6 @@ func fillDet(m *Dense, seed int) {
 			v = 0
 		}
 		m.data[i] = v
-	}
-}
-
-// bitEqual reports exact bit-level equality of two matrices.
-func bitEqual(a, b *Dense) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// matmulShapes covers degenerate and non-divisible shapes: row/column
-// vectors, sizes with no common factor with any worker count, and blocks
-// that do not divide the row count evenly.
-var matmulShapes = []struct{ m, k, n int }{
-	{1, 1, 1},
-	{1, 17, 1},
-	{1, 5, 9},
-	{9, 5, 1},
-	{2, 3, 4},
-	{7, 13, 11},
-	{33, 17, 29},
-	{64, 64, 64},
-	{65, 31, 127},
-	{128, 1, 128},
-	{1, 128, 128},
-}
-
-// TestParallelMulToBitIdentical drives the row-block kernel through
-// parallelRows with minWork 1 (so even tiny shapes split across workers)
-// and asserts bit-identical output against the single-block serial run.
-func TestParallelMulToBitIdentical(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	for _, sh := range matmulShapes {
-		a, b := NewDense(sh.m, sh.k), NewDense(sh.k, sh.n)
-		fillDet(a, 1)
-		fillDet(b, 2)
-		serial := NewDense(sh.m, sh.n)
-		mulToBlock(serial, a, b, 0, sh.m)
-		for _, procs := range []int{2, 3, 8, 64} {
-			SetParallelism(procs)
-			got := NewDense(sh.m, sh.n)
-			parallelRows(sh.m, 1, func(lo, hi int) { mulToBlock(got, a, b, lo, hi) })
-			if !bitEqual(got, serial) {
-				t.Fatalf("MulTo %dx%dx%d at parallelism %d differs from serial",
-					sh.m, sh.k, sh.n, procs)
-			}
-		}
-	}
-}
-
-// TestParallelMulTToBitIdentical checks the row-owned Aᵀ·B kernel, split
-// across workers, against the k-outer reference loop in kernels_ref_test.go:
-// the two walk memory in different orders but must accumulate every element
-// identically.
-func TestParallelMulTToBitIdentical(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	for _, sh := range matmulShapes {
-		a, b := NewDense(sh.k, sh.m), NewDense(sh.k, sh.n) // dst is m×n
-		fillDet(a, 3)
-		fillDet(b, 4)
-		serial := NewDense(sh.m, sh.n)
-		refMulTToSerial(serial, a, b)
-		for _, procs := range []int{2, 5, 16} {
-			SetParallelism(procs)
-			got := NewDense(sh.m, sh.n)
-			parallelRows(sh.m, 1, func(lo, hi int) { mulTToBlock(got, a, b, lo, hi) })
-			if !bitEqual(got, serial) {
-				t.Fatalf("MulTTo %dx%dx%d at parallelism %d differs from serial",
-					sh.m, sh.k, sh.n, procs)
-			}
-		}
-	}
-}
-
-// TestParallelMulBTToBitIdentical does the same for A·Bᵀ.
-func TestParallelMulBTToBitIdentical(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	for _, sh := range matmulShapes {
-		a, b := NewDense(sh.m, sh.k), NewDense(sh.n, sh.k) // dst is m×n
-		fillDet(a, 5)
-		fillDet(b, 6)
-		serial := NewDense(sh.m, sh.n)
-		mulBTToBlock(serial, a, b, 0, sh.m)
-		for _, procs := range []int{2, 7, 32} {
-			SetParallelism(procs)
-			got := NewDense(sh.m, sh.n)
-			parallelRows(sh.m, 1, func(lo, hi int) { mulBTToBlock(got, a, b, lo, hi) })
-			if !bitEqual(got, serial) {
-				t.Fatalf("MulBTTo %dx%dx%d at parallelism %d differs from serial",
-					sh.m, sh.k, sh.n, procs)
-			}
-		}
-	}
-}
-
-// TestPublicAPIParallelMatchesSerial exercises the public entry points on
-// matrices large enough to cross the FLOP cutoff, comparing a run at
-// parallelism 1 with a heavily parallel run bit-for-bit, together with the
-// element-wise ops and transpose.
-func TestPublicAPIParallelMatchesSerial(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	a, b := NewDense(131, 67), NewDense(67, 93)
-	fillDet(a, 7)
-	fillDet(b, 8)
-
-	run := func() (mul, mulT, mulBT, tr, ew *Dense) {
-		mul = NewDense(131, 93)
-		MulTo(mul, a, b)
-		mulT = NewDense(67, 67)
-		MulTTo(mulT, a, a)
-		mulBT = NewDense(131, 131)
-		MulBTTo(mulBT, a, a)
-		tr = a.T()
-		ew = a.Clone()
-		ew.Scale(1.25)
-		ew.AddScaled(a, -0.5)
-		ew.Apply(func(x float64) float64 { return x * x })
-		return
-	}
-
-	SetParallelism(1)
-	s1, s2, s3, s4, s5 := run()
-	SetParallelism(16)
-	p1, p2, p3, p4, p5 := run()
-	for i, pair := range []struct{ s, p *Dense }{
-		{s1, p1}, {s2, p2}, {s3, p3}, {s4, p4}, {s5, p5},
-	} {
-		if !bitEqual(pair.s, pair.p) {
-			t.Fatalf("op %d: parallel result differs from serial", i)
-		}
 	}
 }
 
@@ -198,46 +60,61 @@ func TestMulToAliasPanics(t *testing.T) {
 	MulTo(out, sq, sq)
 }
 
-// TestPoolStress hammers the shared pool from many goroutines at once —
-// the usage pattern of federated clients training concurrently. Each
-// t.Parallel() subtest issues products through both parallelRows and the
-// public MulTo entry point and checks them against references computed up
-// front. The parent pins the knob via t.Cleanup (not defer) so it is only
-// restored after every parallel subtest has finished.
-func TestPoolStress(t *testing.T) {
+// TestKernelsAllocateNothing pins that no kernel allocates, whatever the
+// parallelism: products at 64×64×64 and element-wise ops over 401×331
+// elements, sizes a kernel that split its rows would split.
+func TestKernelsAllocateNothing(t *testing.T) {
 	old := Parallelism()
-	t.Cleanup(func() { SetParallelism(old) })
-	SetParallelism(8)
-	a, b := NewDense(96, 48), NewDense(48, 64)
-	fillDet(a, 10)
-	fillDet(b, 11)
-	want := NewDense(96, 64)
-	mulToBlock(want, a, b, 0, 96)
-	// Big enough to cross the FLOP cutoff through the public API.
-	bigA, bigB := NewDense(80, 80), NewDense(80, 80)
-	fillDet(bigA, 12)
-	fillDet(bigB, 13)
-	bigWant := NewDense(80, 80)
-	mulToBlock(bigWant, bigA, bigB, 0, 80)
-
-	for g := 0; g < 8; g++ {
-		g := g
-		t.Run(fmt.Sprintf("worker-%d", g), func(t *testing.T) {
-			t.Parallel()
-			got := NewDense(96, 64)
-			bigGot := NewDense(80, 80)
-			for it := 0; it < 25; it++ {
-				parallelRows(96, 1, func(lo, hi int) { mulToBlock(got, a, b, lo, hi) })
-				if !bitEqual(got, want) {
-					t.Fatalf("iteration %d: corrupted forced-parallel product", it)
-				}
-				MulTo(bigGot, bigA, bigB)
-				if !bitEqual(bigGot, bigWant) {
-					t.Fatalf("iteration %d: corrupted MulTo product", it)
-				}
-			}
-		})
+	defer SetParallelism(old)
+	SetParallelism(4)
+	a, b, dst := NewDense(64, 64), NewDense(64, 64), NewDense(64, 64)
+	fillDet(a, 1)
+	fillDet(b, 2)
+	m, src := NewDense(401, 331), NewDense(401, 331)
+	fillDet(m, 3)
+	fillDet(src, 4)
+	for name, op := range map[string]func(){
+		"MulTo":     func() { MulTo(dst, a, b) },
+		"MulTTo":    func() { MulTTo(dst, a, b) },
+		"MulBTTo":   func() { MulBTTo(dst, a, b) },
+		"Scale":     func() { m.Scale(1) },
+		"AddScaled": func() { m.AddScaled(src, 0.5) },
+		"Apply":     func() { m.Apply(math.Abs) },
+		"ReLUTo":    func() { ReLUTo(m, src) },
+	} {
+		if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		}
 	}
+}
+
+// TestParallelForPropagatesPanic: a panic in fn reaches ParallelFor's caller
+// as it would from the serial loop, with the value of the lowest panicking
+// index, after every started index has returned and before the rest of the
+// range is started.
+func TestParallelForPropagatesPanic(t *testing.T) {
+	old := Parallelism()
+	defer SetParallelism(old)
+	SetParallelism(3)
+	const n = 100
+	var started, finished atomic.Int64
+	defer func() {
+		if v := recover(); v != "index 5" {
+			t.Fatalf("recovered %v, want the panic of index 5", v)
+		}
+		if s, f := started.Load(), finished.Load(); s != f || s >= n {
+			t.Fatalf("%d indices started, %d returned; want all started returned, fewer than %d", s, f, n)
+		}
+	}()
+	ParallelFor(n, func(i int) {
+		started.Add(1)
+		defer finished.Add(1)
+		if i == 5 || i == 7 {
+			panic(fmt.Sprintf("index %d", i))
+		}
+		time.Sleep(time.Millisecond)
+	})
+	t.Fatal("ParallelFor returned normally")
 }
 
 // TestParallelForBoundsConcurrency checks that ParallelFor visits every

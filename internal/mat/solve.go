@@ -121,57 +121,6 @@ func WeightedLeastSquares(x *Dense, y, weights []float64, ridge float64) ([]floa
 	return w, nil
 }
 
-// SolveGauss solves the square system A·x = b with partial pivoting.
-// A and b are left unmodified.
-func SolveGauss(a *Dense, b []float64) ([]float64, error) {
-	n := a.rows
-	if a.cols != n || len(b) != n {
-		panic(fmt.Sprintf("mat: SolveGauss %dx%d with rhs %d", a.rows, a.cols, len(b)))
-	}
-	m := a.Clone()
-	x := append([]float64(nil), b...)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m.At(r, col)) > math.Abs(m.At(p, col)) {
-				p = r
-			}
-		}
-		if math.Abs(m.At(p, col)) < 1e-12 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			pr, cr := m.Row(p), m.Row(col)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-			x[p], x[col] = x[col], x[p]
-		}
-		piv := m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			rr, cr := m.Row(r), m.Row(col)
-			for j := col; j < n; j++ {
-				rr[j] -= f * cr[j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		ri := m.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
-		}
-		x[i] = s / ri[i]
-	}
-	return x, nil
-}
-
 // PCA projects the rows of x (n×d, not centered) onto its top-k principal
 // components using orthogonal power iteration. It returns the n×k projected
 // coordinates. Used to initialise t-SNE (Fig. 6).

@@ -144,21 +144,6 @@ func ArgMax(v []float64) int {
 	return idx
 }
 
-// ArgMin returns the index of the smallest element, or -1 for an empty slice.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	idx := 0
-	mn := v[0]
-	for i, x := range v {
-		if x < mn {
-			mn, idx = x, i
-		}
-	}
-	return idx
-}
-
 // Softmax writes the softmax of v into a new slice.
 func Softmax(v []float64) []float64 {
 	out := make([]float64, len(v))

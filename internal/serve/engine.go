@@ -34,8 +34,9 @@ var ErrOverloaded = errors.New("serve: overloaded, queue full")
 var ErrPanicked = errors.New("serve: inference panicked")
 
 // Options tunes the engine. The zero value is usable: worker count follows
-// mat.Parallelism (the dense-kernel sizing discipline) and the queue holds
-// 4× workers. NewEngine resolves the zero values once, when the pool starts.
+// mat.Parallelism (the bound the federated fan-outs use too) and the queue
+// holds 4× workers. NewEngine resolves the zero values once, when the pool
+// starts.
 type Options struct {
 	// Workers bounds the concurrent inference goroutines (0 = the
 	// mat.Parallelism setting at NewEngine).

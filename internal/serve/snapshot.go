@@ -14,7 +14,7 @@
 //     a swap mid-request can never tear a verdict across two models.
 //
 // Requests run on a bounded worker pool sized from mat.Parallelism (the
-// same discipline the dense kernels use), each on its worker's own
+// bound mat.ParallelFor's fan-outs use), each on its worker's own
 // long-lived inference workspace, with per-request context deadlines.
 package serve
 
