@@ -168,7 +168,9 @@ serve-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
-# Wire-protocol fuzzers (gob decode must error, never panic), the /v1
+# Wire-protocol fuzzers (gob decode must error, never panic), the
+# checkpoint loader's (any file bytes => no panic, no load without a valid
+# footer, and what loads re-saves and reloads bit-identically), the /v1
 # body decoder's differential fuzzers (answered => deep-equal to
 # encoding/json, never panic), online fusion's (perturbed log =>
 # deep-equal to the reference fusion) and the text encoder's (any bytes =>
@@ -183,6 +185,7 @@ stream-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/fedproto/
+	$(GO) test -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME) ./internal/fedproto/
 	$(GO) test -fuzz FuzzDecodeDetectRequest -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/

@@ -126,12 +126,12 @@ func BenchmarkMatMulSerial(b *testing.B) {
 
 // --- Robust aggregation benches (internal/fed) -----------------------------
 
-// benchAggregator times one rule over a 16-client federation with a 64k-
+// benchAggregator times one rule over an nClients federation with a 64k-
 // coordinate layer and reports aggregated coordinates per second — the
 // GFLOP-style throughput number that makes the robustness tax comparable
 // across rules (sorting for trimmed/median, O(n²) distances for Krum).
-func benchAggregator(b *testing.B, agg fed.Aggregator) {
-	const nClients, dim = 16, 1 << 16
+func benchAggregator(b *testing.B, agg fed.Aggregator, nClients int) {
+	const dim = 1 << 16
 	vecs := make([][]float64, nClients)
 	w := make([]float64, nClients)
 	for i := range vecs {
@@ -151,13 +151,18 @@ func benchAggregator(b *testing.B, agg fed.Aggregator) {
 }
 
 // BenchmarkAggregators compares the aggregation rules' throughput: FedAvg's
-// weighted mean vs the robust alternatives.
+// weighted mean vs the robust alternatives, at the four clients of a
+// fed_round federation and at sixteen.
 func BenchmarkAggregators(b *testing.B) {
-	for _, agg := range []fed.Aggregator{
-		fed.MeanAgg{}, fed.TrimmedMeanAgg{}, fed.MedianAgg{},
-		fed.NormClipAgg{}, fed.KrumAgg{M: 1}, fed.KrumAgg{},
-	} {
-		b.Run(agg.Name(), func(b *testing.B) { benchAggregator(b, agg) })
+	for _, n := range []int{4, 16} {
+		for _, agg := range []fed.Aggregator{
+			fed.MeanAgg{}, fed.TrimmedMeanAgg{}, fed.MedianAgg{},
+			fed.NormClipAgg{}, fed.KrumAgg{M: 1}, fed.KrumAgg{},
+		} {
+			b.Run(fmt.Sprintf("clients=%d/%s", n, agg.Name()), func(b *testing.B) {
+				benchAggregator(b, agg, n)
+			})
+		}
 	}
 }
 

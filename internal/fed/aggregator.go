@@ -83,6 +83,16 @@ func (a TrimmedMeanAgg) Aggregate(vecs [][]float64, weights []float64) []float64
 	out := make([]float64, len(vecs[0]))
 	col := make([]float64, n)
 	for j := range out {
+		if n == 4 {
+			// t = 1 at n = 4: the survivors are max(pairwise minima) and
+			// min(pairwise maxima), the sorted middle up to zero signs, which a
+			// sum from +0 cannot see; a NaN column takes the sort (DESIGN §4.9).
+			w, x, y, z := vecs[0][j], vecs[1][j], vecs[2][j], vecs[3][j]
+			if !math.IsNaN(w) && !math.IsNaN(x) && !math.IsNaN(y) && !math.IsNaN(z) {
+				out[j] = (0 + max(min(w, x), min(y, z)) + min(max(w, x), max(y, z))) / 2
+				continue
+			}
+		}
 		for i, v := range vecs {
 			col[i] = v[j]
 		}

@@ -2,6 +2,8 @@ package fed
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"fexiot/internal/autodiff"
@@ -41,6 +43,93 @@ func TestTrimmedMeanDropsOutliers(t *testing.T) {
 	// Trim so large it would empty the window degrades instead of panicking.
 	if got := (TrimmedMeanAgg{Trim: 10}).Aggregate(vecs, uniformW(5)); got[0] != 2 {
 		t.Fatalf("over-trimmed mean %v, want 2 (median survivor)", got[0])
+	}
+}
+
+// TestSortFreeAggregatorsMatchDefinition holds TrimmedMeanAgg and MedianAgg
+// to their definitions — sort each column with sort.Float64s, then sum the
+// middle — bit for bit, for n = 2…13 and every Trim, on columns drawn from a
+// small pool so that ties, −0 next to +0, ±Inf, denormals and NaNs with
+// different payloads meet often.
+func TestSortFreeAggregatorsMatchDefinition(t *testing.T) {
+	column := func(vecs [][]float64, j int) []float64 {
+		col := make([]float64, len(vecs))
+		for i, v := range vecs {
+			col[i] = v[j]
+		}
+		sort.Float64s(col)
+		return col
+	}
+	refTrimmed := func(vecs [][]float64, trim int) []float64 {
+		n := len(vecs)
+		out := make([]float64, len(vecs[0]))
+		for j := range out {
+			col := column(vecs, j)
+			var s float64
+			for i := trim; i < n-trim; i++ {
+				s += col[i]
+			}
+			out[j] = s / float64(n-2*trim)
+		}
+		return out
+	}
+	refMedian := func(vecs [][]float64) []float64 {
+		n := len(vecs)
+		out := make([]float64, len(vecs[0]))
+		for j := range out {
+			col := column(vecs, j)
+			if n%2 == 1 {
+				out[j] = col[n/2]
+			} else {
+				out[j] = (col[n/2-1] + col[n/2]) / 2
+			}
+		}
+		return out
+	}
+	pool := []float64{
+		0, math.Copysign(0, -1), 1, -1, 1, 2.5, -2.5, 1e-300, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc),
+	}
+	r := rand.New(rand.NewSource(11))
+	same := func(got, want []float64) int {
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				return j
+			}
+		}
+		return -1
+	}
+	for n := 2; n <= 13; n++ {
+		const dim = 4000
+		vecs := make([][]float64, n)
+		for i := range vecs {
+			vecs[i] = make([]float64, dim)
+			for j := range vecs[i] {
+				// Mostly finite columns, so the NaN-free paths see most of them.
+				if j%4 == 0 {
+					vecs[i][j] = pool[r.Intn(len(pool))]
+				} else {
+					vecs[i][j] = pool[r.Intn(len(pool)-3)]
+				}
+			}
+		}
+		w := uniformW(n)
+		for trim := 0; trim <= n; trim++ {
+			agg := TrimmedMeanAgg{Trim: trim}
+			want := refTrimmed(vecs, agg.trimFor(n))
+			if agg.trimFor(n) == 0 {
+				want = MeanAgg{}.Aggregate(vecs, w)
+			}
+			if j := same(agg.Aggregate(vecs, w), want); j >= 0 {
+				t.Fatalf("n=%d Trim=%d column %v: trimmed mean %v, definition %v",
+					n, trim, column(vecs, j), agg.Aggregate(vecs, w)[j], want[j])
+			}
+		}
+		if j := same(MedianAgg{}.Aggregate(vecs, w), refMedian(vecs)); j >= 0 {
+			t.Fatalf("n=%d column %v: median %v, definition %v",
+				n, column(vecs, j), MedianAgg{}.Aggregate(vecs, w)[j], refMedian(vecs)[j])
+		}
 	}
 }
 

@@ -68,7 +68,8 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 	}
 	lossy := cdc.Name() != codec.Raw64
 	// base/baseSeq name the last server model snapshot, the reference lossy
-	// deltas are encoded against. No snapshot yet → dense raw64 fallback.
+	// deltas are encoded against; every snapshot is copied into the one
+	// clone. Seq 0 (no snapshot yet) → dense raw64 fallback.
 	var base *autodiff.ParamSet
 	var baseSeq uint64
 	if len(syncMsg.Layers) > 0 {
@@ -76,9 +77,8 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 			return err
 		}
 	}
-	if lossy && syncMsg.ModelSeq != 0 {
-		base = params.Clone()
-		baseSeq = syncMsg.ModelSeq
+	if lossy {
+		base, baseSeq = params.Clone(), syncMsg.ModelSeq
 	}
 	if syncMsg.Final {
 		return nil
@@ -92,7 +92,11 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 			return context.Cause(ctx)
 		}
 		norms := localRound(round)
-		lay, scheme, isDelta := encodeUpdate(params, base, layers, norms, cdc)
+		from := base
+		if baseSeq == 0 {
+			from = nil
+		}
+		lay, scheme, isDelta := encodeUpdate(params, from, layers, norms, cdc)
 		up := &Message{Kind: MsgUpdate, ClientID: clientID, Round: round,
 			Layers: lay, Codec: scheme, Delta: isDelta}
 		if isDelta {
@@ -115,12 +119,8 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 			return err
 		}
 		if lossy {
-			if reply.ModelSeq != 0 {
-				base = params.Clone()
-				baseSeq = reply.ModelSeq
-			} else {
-				base, baseSeq = nil, 0
-			}
+			base.CopyFrom(params)
+			baseSeq = reply.ModelSeq
 		}
 		if reply.Final {
 			return nil

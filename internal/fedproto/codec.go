@@ -12,9 +12,8 @@ import (
 // Negotiation: a client's MsgHello advertises the schemes it can encode
 // (Message.Codecs); the server answers in the sync MsgModel with its
 // assignment (Message.Codec) — its configured scheme when the client
-// offers it, raw64 otherwise. Pre-codec peers interoperate for free: an
-// old client advertises nothing and is assigned raw64, and an old server
-// assigns nothing, which a new client reads as raw64.
+// offers it, raw64 otherwise. A client that advertises nothing is assigned
+// raw64, and an assignment left empty reads as raw64.
 //
 // Delta semantics: lossy schemes (f32, q8, topk) only ever encode
 // element-wise deltas against a model the server previously sent — deltas
@@ -48,10 +47,9 @@ func negotiateCodec(preferred string, offered []string) string {
 
 // encodeUpdate builds one round's update payloads under the negotiated
 // codec: per-tensor deltas of p against base under a lossy scheme, or the
-// legacy dense raw64 layers when the scheme is raw64 or no base is shared
-// yet. It returns the payloads, the wire scheme name (empty for raw64,
-// keeping raw64 frames byte-identical to pre-codec clients) and whether
-// the values are deltas.
+// dense raw64 layers when the scheme is raw64 or no base is shared yet. It
+// returns the payloads, the wire scheme name (empty for raw64, which
+// decodeUpdate reads as raw64) and whether the values are deltas.
 func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float64,
 	cdc codec.Codec) ([]LayerPayload, string, bool) {
 	if cdc == nil || cdc.Name() == codec.Raw64 || base == nil {
@@ -114,7 +112,7 @@ func decodeUpdate(m *Message, base []LayerPayload) error {
 			return fmt.Errorf("%w: %s update mixes dense and encoded tensors",
 				ErrMalformedUpdate, scheme)
 		}
-		pl.Data = make([][]float64, len(pl.Enc))
+		pl.Data = make([]Floats, len(pl.Enc))
 		for i, t := range pl.Enc {
 			vals, err := cdc.Decode(t)
 			if err != nil {

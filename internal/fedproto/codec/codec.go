@@ -9,7 +9,7 @@
 //
 // Schemes:
 //
-//	raw64  verbatim float64 values — lossless, the legacy wire format
+//	raw64  verbatim float64 values — lossless
 //	f32    values truncated to float32 precision (~relative 2^-24 error);
 //	       gob's trailing-zero float compression shrinks them to ≈5 bytes
 //	q8     per-tensor affine int8 quantisation: v ≈ Offset + Scale·q with
@@ -25,7 +25,7 @@ package codec
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -70,8 +70,8 @@ type Codec interface {
 // Names lists the registered schemes in negotiation-preference order.
 func Names() []string { return []string{Raw64, F32, Q8, TopK} }
 
-// New resolves a scheme by name; the empty string selects raw64 (the
-// legacy dense format, and the scheme of every pre-codec peer).
+// New resolves a scheme by name; the empty string selects raw64, the
+// dense format an update with no Codec declares.
 func New(name string) (Codec, error) {
 	switch name {
 	case "", Raw64:
@@ -214,26 +214,29 @@ func (c topkCodec) Encode(v []float64) Tensor {
 	if k > len(v) {
 		k = len(v)
 	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
+	// Rank: magnitude descending, index ascending. Magnitudes are the bits
+	// of |v[j]|, which order like the values and put NaN above +Inf, so a
+	// non-finite input is always kept and the server rejects the update.
+	// Values at the k-th largest magnitude are kept lowest index first.
+	mag := make([]uint64, len(v))
+	for j, x := range v {
+		mag[j] = math.Float64bits(x) &^ (1 << 63)
 	}
-	// Deterministic selection: magnitude descending, index ascending on
-	// ties, so equal inputs encode bit-identically.
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
-		if ma != mb {
-			return ma > mb
+	// cut is the k-th largest magnitude; kept starts at how many exceed it.
+	sorted := slices.Clone(mag)
+	slices.Sort(sorted)
+	cut := sorted[len(sorted)-k]
+	i, _ := slices.BinarySearch(sorted, cut+1)
+	kept := len(sorted) - i
+	t.Idx, t.Vals = make([]uint32, 0, k), make([]float64, 0, k)
+	for j, m := range mag {
+		if m > cut || m == cut && kept < k {
+			if m == cut {
+				kept++
+			}
+			t.Idx = append(t.Idx, uint32(j))
+			t.Vals = append(t.Vals, float64(float32(v[j])))
 		}
-		return idx[a] < idx[b]
-	})
-	kept := append([]int(nil), idx[:k]...)
-	sort.Ints(kept)
-	t.Idx = make([]uint32, k)
-	t.Vals = make([]float64, k)
-	for i, j := range kept {
-		t.Idx[i] = uint32(j)
-		t.Vals[i] = float64(float32(v[j]))
 	}
 	return t
 }

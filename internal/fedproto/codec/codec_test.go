@@ -1,8 +1,11 @@
 package codec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -154,6 +157,93 @@ func TestTopKKeepsLargestMagnitudes(t *testing.T) {
 			}
 		} else if x != 0 {
 			t.Fatalf("dropped coordinate %d decodes %v want 0", i, x)
+		}
+	}
+}
+
+// TestTopKRejectsNonFinite: a NaN or ±Inf anywhere in the input is kept,
+// so the reconstruction is non-finite and the server's finiteness gate
+// evicts the sender — exactly as a NaN dense update would be.
+func TestTopKRejectsNonFinite(t *testing.T) {
+	cdc, _ := New(TopK)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		v := make([]float64, 1000)
+		for i := range v {
+			v[i] = rng.NormFloat64() * 0.01
+		}
+		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[trial%3]
+		v[rng.Intn(len(v))] = bad
+		got, err := cdc.Decode(cdc.Encode(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		finite := true
+		for _, x := range got {
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+		}
+		if finite {
+			t.Fatalf("trial %d: a delta holding %v reconstructs finite", trial, bad)
+		}
+	}
+}
+
+// TestTopKSelectMatchesSort holds the magnitude-key selection to the
+// comparator sort it replaced (magnitude descending, index ascending, then
+// the kept indices ascending), frame for frame, on every vector of the
+// corpus and on tie-heavy ones.
+func TestTopKSelectMatchesSort(t *testing.T) {
+	sortTopK := func(v []float64, ratio float64) Tensor {
+		t := Tensor{N: len(v)}
+		if len(v) == 0 {
+			return t
+		}
+		k := min(max(int(math.Ceil(ratio*float64(len(v)))), 1), len(v))
+		idx := make([]int, len(v))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			ma, mb := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
+			if ma != mb {
+				return ma > mb
+			}
+			return idx[a] < idx[b]
+		})
+		kept := append([]int(nil), idx[:k]...)
+		sort.Ints(kept)
+		for _, j := range kept {
+			t.Idx = append(t.Idx, uint32(j))
+			t.Vals = append(t.Vals, float64(float32(v[j])))
+		}
+		return t
+	}
+	corpus := vectors()
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 3, 10, 37, 500, 4096} {
+		ties := make([]float64, n)
+		signs := make([]float64, n)
+		for i := range ties {
+			ties[i] = float64(rng.Intn(4)) * 0.5
+			signs[i] = math.Copysign(ties[i], float64(rng.Intn(2))-0.5)
+		}
+		corpus[fmt.Sprintf("ties%d", n)] = ties
+		corpus[fmt.Sprintf("signedties%d", n)] = signs
+		corpus[fmt.Sprintf("ascending%d", n)] = func() []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i)
+			}
+			return v
+		}()
+	}
+	for _, ratio := range []float64{DefaultTopKRatio, 0.01, 0.5, 1} {
+		cdc := topkCodec{Ratio: ratio}
+		for name, v := range corpus {
+			got, want := cdc.Encode(v), sortTopK(v, ratio)
+			if got.N != want.N || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) {
+				t.Fatalf("%s at ratio %v: select keeps %v, sort keeps %v", name, ratio, got.Idx, want.Idx)
+			}
 		}
 	}
 }

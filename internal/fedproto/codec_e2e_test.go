@@ -54,17 +54,17 @@ func varyDelta(p *autodiff.ParamSet, id, round int) {
 	}
 }
 
-// runScriptedCodecFed drives a clients×rounds scripted federation with the
-// given server codec preference and returns the server (its metrics still
-// readable) and every client's final params.
-func runScriptedCodecFed(t *testing.T, codecName string, nClients, rounds int) (*Server, []*autodiff.ParamSet) {
+// runScriptedCodecFed drives a clients×rounds scripted federation of
+// newParams(id) models with the given server codec preference and returns
+// the server (its metrics still readable) and every client's final params.
+func runScriptedCodecFed(t *testing.T, codecName string, newParams func(int64) *autodiff.ParamSet, nClients, rounds int) (*Server, []*autodiff.ParamSet) {
 	t.Helper()
 	addr := freeAddr(t)
 	srv := NewServer(ServerConfig{
 		Addr:         addr,
 		Clients:      nClients,
 		Rounds:       rounds,
-		NumLayers:    2,
+		NumLayers:    newParams(0).NumLayers(),
 		Quorum:       1,
 		RoundTimeout: 10 * time.Second,
 		Eps1:         0.4,
@@ -85,7 +85,7 @@ func runScriptedCodecFed(t *testing.T, codecName string, nClients, rounds int) (
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			p := bigParams(int64(id))
+			p := newParams(int64(id))
 			params[id] = p
 			var conn *Conn
 			for try := 0; try < 100; try++ {
@@ -132,7 +132,7 @@ func runScriptedCodecFed(t *testing.T, codecName string, nClients, rounds int) (
 // must land within quantisation error of a bit-exact raw64 twin run.
 func TestCodecQ8ByteReduction(t *testing.T) {
 	const nClients, rounds = 3, 4
-	srv, q8Params := runScriptedCodecFed(t, codec.Q8, nClients, rounds)
+	srv, q8Params := runScriptedCodecFed(t, codec.Q8, bigParams, nClients, rounds)
 
 	// Round 0 has no shared base, so its updates go dense and are recorded
 	// under raw64; rounds 1..3 ride q8 deltas. Compare per-update averages.
@@ -157,7 +157,7 @@ func TestCodecQ8ByteReduction(t *testing.T) {
 	// Twin run under raw64: identical scripts, lossless wire. The q8 run
 	// must agree within accumulated quantisation error (per-round error is
 	// ≤ Scale/2 per coordinate with Scale ≈ delta-range/255 ≈ 8e-5).
-	_, rawParams := runScriptedCodecFed(t, codec.Raw64, nClients, rounds)
+	_, rawParams := runScriptedCodecFed(t, codec.Raw64, bigParams, nClients, rounds)
 	for id := range rawParams {
 		want, got := rawParams[id].Flatten(), q8Params[id].Flatten()
 		for i := range want {
@@ -166,6 +166,25 @@ func TestCodecQ8ByteReduction(t *testing.T) {
 					id, i, got[i], want[i], d)
 			}
 		}
+	}
+}
+
+// TestDenseWireBytesMatchSimulator holds the real protocol to the
+// in-process simulator's byte accounting (fed.bytesFor, 8 bytes a
+// parameter, which Fig. 7 compares): in a two-client raw64 federation of a
+// paper-dims GIN, the updates cost at least 8 bytes a parameter on the
+// socket and at most 1 % plus 4 KiB more. Every dense update of one model
+// is the same length up to a few header bytes, so their sum is bounded.
+func TestDenseWireBytesMatchSimulator(t *testing.T) {
+	const nClients, rounds = 2, 3
+	srv, params := runScriptedCodecFed(t, codec.Raw64, paperGIN, nClients, rounds)
+	n, updates := int64(params[0].NumElements()), int64(nClients*rounds)
+	lo, hi := 8*n, 8*n*101/100+4096
+	wire := srv.metrics.updEnc.With(codec.Raw64).Value()
+	t.Logf("%d updates: %d socket bytes, %.3f a parameter", updates, wire, float64(wire)/float64(updates*n))
+	if wire < updates*lo || wire > updates*hi {
+		t.Fatalf("%d updates of %d parameters cost %d socket bytes (%.3f a parameter), want %d…%d each",
+			updates, n, wire, float64(wire)/float64(updates*n), lo, hi)
 	}
 }
 

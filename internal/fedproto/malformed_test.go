@@ -11,8 +11,8 @@ import (
 // goodLayers builds a well-formed two-layer update payload.
 func goodLayers() []LayerPayload {
 	return []LayerPayload{
-		{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: [][]float64{{1, 2}}},
-		{Layer: 1, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: [][]float64{{3, 4}}},
+		{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: []Floats{{1, 2}}},
+		{Layer: 1, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: []Floats{{3, 4}}},
 	}
 }
 
@@ -29,21 +29,21 @@ func TestValidateUpdate(t *testing.T) {
 		{"wrong kind", &Message{Kind: MsgHello, Layers: goodLayers()}},
 		{"short layers", &Message{Kind: MsgUpdate, Layers: goodLayers()[:1]}},
 		{"extra layers", &Message{Kind: MsgUpdate, Layers: append(goodLayers(),
-			LayerPayload{Layer: 2, Names: []string{"w"}, Shapes: [][2]int{{1, 1}}, Data: [][]float64{{9}}})},
+			LayerPayload{Layer: 2, Names: []string{"w"}, Shapes: [][2]int{{1, 1}}, Data: []Floats{{9}}})},
 		},
 		{"shuffled layer ids", &Message{Kind: MsgUpdate, Layers: []LayerPayload{
 			goodLayers()[1], goodLayers()[0]}},
 		},
 		{"names/data arity mismatch", &Message{Kind: MsgUpdate, Layers: []LayerPayload{
-			{Layer: 0, Names: []string{"w", "b"}, Shapes: [][2]int{{1, 2}}, Data: [][]float64{{1, 2}}},
+			{Layer: 0, Names: []string{"w", "b"}, Shapes: [][2]int{{1, 2}}, Data: []Floats{{1, 2}}},
 			goodLayers()[1]}},
 		},
 		{"data shorter than shape", &Message{Kind: MsgUpdate, Layers: []LayerPayload{
-			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: [][]float64{{1}}},
+			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: []Floats{{1}}},
 			goodLayers()[1]}},
 		},
 		{"negative shape", &Message{Kind: MsgUpdate, Layers: []LayerPayload{
-			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{-1, -2}}, Data: [][]float64{{1, 2}}},
+			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{-1, -2}}, Data: []Floats{{1, 2}}},
 			goodLayers()[1]}},
 		},
 	}
@@ -70,7 +70,7 @@ func TestCheckShapesPinning(t *testing.T) {
 	}
 	odd := goodLayers()
 	odd[1].Shapes = [][2]int{{1, 3}}
-	odd[1].Data = [][]float64{{3, 4, 5}}
+	odd[1].Data = []Floats{{3, 4, 5}}
 	if err := s.checkShapes(&Message{Kind: MsgUpdate, Layers: odd}); !errors.Is(err, ErrMalformedUpdate) {
 		t.Fatalf("mismatched shapes: want ErrMalformedUpdate, got %v", err)
 	}
@@ -95,10 +95,10 @@ func TestServerRejectsBadUpdates(t *testing.T) {
 			Layers: []LayerPayload{goodLayers()[1], goodLayers()[0]}}},
 		{"wrong kind", &Message{Kind: MsgModel, ClientID: 1, Layers: goodLayers()}},
 		{"data/shape mismatch", &Message{Kind: MsgUpdate, ClientID: 1, Layers: []LayerPayload{
-			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: [][]float64{{1, 2, 3}}},
+			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}}, Data: []Floats{{1, 2, 3}}},
 			goodLayers()[1]}}},
 		{"pinned-shape mismatch", &Message{Kind: MsgUpdate, ClientID: 1, Layers: []LayerPayload{
-			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 3}}, Data: [][]float64{{1, 2, 3}}},
+			{Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 3}}, Data: []Floats{{1, 2, 3}}},
 			goodLayers()[1]}}},
 	}
 	for _, tc := range bad {

@@ -8,9 +8,11 @@
 package fedproto
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -33,16 +35,42 @@ const (
 	MsgDone                  // server → client: training finished
 )
 
+// Floats is one dense tensor. On the wire and in checkpoints it is a gob
+// byte string of exactly 8 little-endian bytes per value, so every bit
+// pattern (NaN payloads, −0, denormals) round-trips unchanged.
+type Floats []float64
+
+// GobEncode writes the values' IEEE-754 bits.
+func (f Floats) GobEncode() ([]byte, error) {
+	b := make([]byte, 8*len(f))
+	for i, x := range f {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b, nil
+}
+
+// GobDecode rejects a byte string that is not whole values as malformed.
+func (f *Floats) GobDecode(b []byte) error {
+	if len(b)%8 != 0 {
+		return fmt.Errorf("%w: dense tensor of %d bytes", ErrMalformedUpdate, len(b))
+	}
+	*f = make(Floats, len(b)/8)
+	for i := range *f {
+		(*f)[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
+
 // LayerPayload carries one layer's parameters on the wire. Exactly one of
-// Data and Enc is populated: Data holds dense float64 tensors (the raw64
-// legacy format, and every server→client model), Enc holds codec-encoded
-// tensors on a compact MsgUpdate (decodeUpdate reconstructs Data from them
-// before anything downstream looks at the payload).
+// Data and Enc is populated: Data holds dense tensors (raw64 updates and
+// every server→client model), Enc holds codec-encoded tensors on a compact
+// MsgUpdate (decodeUpdate reconstructs Data from them before anything
+// downstream looks at the payload).
 type LayerPayload struct {
 	Layer  int
 	Names  []string
 	Shapes [][2]int
-	Data   [][]float64
+	Data   []Floats
 	// UpdateNorm is ‖ΔW_l‖ of the client's last local round as the client
 	// reports it. Informational: the server checks it is finite and gates
 	// Eq. (3) on the ΔW it measures itself against the model it sent.
@@ -53,8 +81,8 @@ type LayerPayload struct {
 }
 
 // Message is the single wire envelope. The codec fields gob-encode to
-// nothing at their zero values, so raw64 traffic stays byte-compatible
-// with pre-codec peers in both directions.
+// nothing at their zero values, so a raw64 update carries only its dense
+// layers.
 type Message struct {
 	Kind     MsgKind
 	ClientID int
@@ -63,7 +91,7 @@ type Message struct {
 	Final    bool           // set on the last MsgModel of a session
 	Layers   []LayerPayload // MsgUpdate / MsgModel
 	// Codecs (MsgHello) advertises the update schemes the client can
-	// encode, in preference order; absent for pre-codec clients.
+	// encode, in preference order; absent means raw64 only.
 	Codecs []string
 	// Codec names the scheme: on the sync MsgModel it is the server's
 	// assignment for the session's updates, on a MsgUpdate it declares how

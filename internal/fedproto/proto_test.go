@@ -235,3 +235,59 @@ func TestEndToEndTCP(t *testing.T) {
 		t.Fatal("no client shares layer-0 weights with client 0 after aggregation")
 	}
 }
+
+// specialBits are float64 bit patterns a dense tensor must carry unchanged:
+// NaNs with payloads (quiet, signalling, negative), both zeros, the
+// smallest and largest denormals, both infinities.
+func specialBits() Floats {
+	var out Floats
+	for _, b := range []uint64{
+		0x7ff8000000000123, 0x7ff0000000000001, 0xfff8000000000abc,
+		0x0000000000000000, 0x8000000000000000,
+		0x0000000000000001, 0x000fffffffffffff, 0x800fffffffffffff,
+		0x7ff0000000000000, 0xfff0000000000000, 0x3ff0000000000000,
+	} {
+		out = append(out, math.Float64frombits(b))
+	}
+	return out
+}
+
+// sameBits reports whether two tensors hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConnDenseBitsRoundTrip sends a model holding every special bit
+// pattern through a real Conn pair and compares what arrives bit for bit,
+// twice: the second message rides the stream without type descriptors.
+func TestConnDenseBitsRoundTrip(t *testing.T) {
+	a, b := pipeConns(t)
+	special := specialBits()
+	msg := &Message{Kind: MsgModel, Round: 1, Layers: []LayerPayload{{
+		Layer: 0, Names: []string{"w", "e"}, Shapes: [][2]int{{1, len(special)}, {0, 0}},
+		Data: []Floats{special, {}},
+	}}}
+	for i := 0; i < 2; i++ {
+		// A frame this small fits the socket buffer: Send returns before
+		// the peer reads.
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Layers) != 1 || len(got.Layers[0].Data) != 2 ||
+			!sameBits(got.Layers[0].Data[0], special) || len(got.Layers[0].Data[1]) != 0 {
+			t.Fatalf("message %d: sent %v, received %+v", i, special, got.Layers)
+		}
+	}
+}

@@ -145,15 +145,18 @@ func TestNaNClientEvicted(t *testing.T) {
 	}
 }
 
-// TestCheckpointSaveLoadRoundTrip pins the snapshot container itself.
+// TestCheckpointSaveLoadRoundTrip pins the snapshot container itself,
+// including a global-model tensor of every special float64 bit pattern.
 func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fed.ckpt")
 	p := scriptParams()
+	special := specialBits()
 	ck := &Checkpoint{
-		Round:   3,
-		Shapes:  [][][2]int{{{1, 2}}, {{1, 2}}},
-		Names:   [][]string{{"l0.w"}, {"l1.w"}},
-		Global:  EncodeLayers(p, []int{0, 1}, zeroNorms(p)),
+		Round:  3,
+		Shapes: [][][2]int{{{1, 2}}, {{1, 2}}, {{1, len(special)}}},
+		Names:  [][]string{{"l0.w"}, {"l1.w"}, {"l2.w"}},
+		Global: append(EncodeLayers(p, []int{0, 1}, zeroNorms(p)), LayerPayload{Layer: 2,
+			Names: []string{"l2.w"}, Shapes: [][2]int{{1, len(special)}}, Data: []Floats{special}}),
 		Strikes: map[int]int{2: 1},
 		Sizes:   map[int]int{0: 10, 1: 10, 2: 10},
 		Stats: ServerStats{RoundsCompleted: 3, Evicted: 1, Rejoined: 1,
@@ -172,8 +175,11 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if got.Stats.RoundsCompleted != 3 || len(got.Stats.Responders) != 3 {
 		t.Fatalf("stats lost: %+v", got.Stats)
 	}
-	if len(got.Global) != 2 || got.Global[1].Data[0][1] != p.Get("l1.w").Data()[1] {
+	if len(got.Global) != 3 || got.Global[1].Data[0][1] != p.Get("l1.w").Data()[1] {
 		t.Fatalf("global model lost: %+v", got.Global)
+	}
+	if !sameBits(got.Global[2].Data[0], special) {
+		t.Fatalf("special values saved as %v, loaded as %v", special, got.Global[2].Data[0])
 	}
 	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("loading a missing checkpoint must error")

@@ -12,7 +12,7 @@ import (
 // mkLayer builds a single-tensor layer payload around one weight vector.
 func mkLayer(layer int, data []float64, norm float64) LayerPayload {
 	return LayerPayload{Layer: layer, Names: []string{"w"},
-		Shapes: [][2]int{{1, len(data)}}, Data: [][]float64{append([]float64(nil), data...)},
+		Shapes: [][2]int{{1, len(data)}}, Data: []Floats{append([]float64(nil), data...)},
 		UpdateNorm: norm}
 }
 

@@ -73,8 +73,8 @@ type ServerConfig struct {
 	Aggregator fed.Aggregator
 	// Codec is the update scheme the server prefers clients to use
 	// ("raw64", "f32", "q8", "topk"); each session gets it iff the client's
-	// hello advertises it, raw64 otherwise. Empty selects raw64 — the dense
-	// legacy wire format, byte-identical to pre-codec servers.
+	// hello advertises it, raw64 otherwise. Empty selects raw64: dense
+	// updates, 8 bytes a parameter on the wire.
 	Codec string
 	// CheckpointPath, when set, makes the server durable: every
 	// CheckpointEvery closed rounds it gob-snapshots the round number,

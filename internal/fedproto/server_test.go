@@ -63,7 +63,7 @@ func TestServerHungClientFailsRound(t *testing.T) {
 	// The good client ships a round-0 update; the hung client sends nothing.
 	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, Layers: []LayerPayload{{
 		Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 2}},
-		Data: [][]float64{{1, 2}}, UpdateNorm: 1,
+		Data: []Floats{{1, 2}}, UpdateNorm: 1,
 	}}}
 	if err := good.Send(up); err != nil {
 		t.Fatalf("update: %v", err)
@@ -117,7 +117,7 @@ func TestServerSurfacesEveryFailedClient(t *testing.T) {
 	// Client 0 sends a well-formed update; clients 1 and 2 both go silent.
 	up := &Message{Kind: MsgUpdate, ClientID: 0, Round: 0, Layers: []LayerPayload{{
 		Layer: 0, Names: []string{"w"}, Shapes: [][2]int{{1, 1}},
-		Data: [][]float64{{3}}, UpdateNorm: 1,
+		Data: []Floats{{3}}, UpdateNorm: 1,
 	}}}
 	if err := conns[0].Send(up); err != nil {
 		t.Fatalf("update: %v", err)
