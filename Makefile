@@ -174,7 +174,9 @@ stream-smoke:
 # body decoder's differential fuzzers (answered => deep-equal to
 # encoding/json, never panic), online fusion's (perturbed log =>
 # deep-equal to the reference fusion) and the text encoder's (any bytes =>
-# bit-equal to the reference tokenise-and-embed path) and the row routine's
+# bit-equal to the reference tokenise-and-embed path) and the arena's
+# (FuzzArena: any lease/release/trim schedule => zeroed leases, no two live
+# buffers aliased, consistent stats) and the row routine's
 # (FuzzAxpy: any terms and floats => bit-equal to the scalar loop, nothing
 # touched outside the operands) and the explanation scorer's (any graph and run of node subsets
 # => bit-equal to scoring a freshly induced subgraph, at every memo bound,
@@ -190,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeEvents -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzBuildOnline -fuzztime $(FUZZTIME) ./internal/fusion/
 	$(GO) test -fuzz FuzzRuleEmbedding -fuzztime $(FUZZTIME) ./internal/embed/
+	$(GO) test -fuzz FuzzArena -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -fuzz FuzzAxpy -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -fuzz FuzzScorer -fuzztime $(FUZZTIME) ./internal/gnn/
 	$(GO) test -fuzz FuzzSimulate -fuzztime $(FUZZTIME) ./internal/eventlog/

@@ -267,7 +267,6 @@ func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 	clients := fed.NewClients(base, clientData, 0.005)
 	cfg := fed.DefaultConfig(s.opts.Seed)
 	cfg.Rounds = rounds
-	cfg.Eps1, cfg.Eps2 = 0.4, 0.95
 	cfg.Metrics = s.opts.Metrics
 	cfg.Codec = s.opts.Codec
 	res := a.Run(clients, cfg)

@@ -61,7 +61,7 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, labels []int, classWeights []fl
 	out := t.op(1, 1, logits.needs, backSoftmaxCrossEntropy)
 	out.a = logits
 	out.idx = labels
-	out.w1 = classWeights
+	out.weights = classWeights
 	// The softmax probabilities are needed again in backward; they live in
 	// the node's leased auxiliary buffer and die at Reset.
 	out.ahdr.Remake(n, c, t.arena.Lease(n*c))
@@ -95,7 +95,7 @@ func backSoftmaxCrossEntropy(out *Node) {
 	}
 	ensureGrad(logits)
 	n, c := logits.Value.Dims()
-	labels, classWeights, wsum := out.idx, out.w1, out.scalar
+	labels, classWeights, wsum := out.idx, out.weights, out.scalar
 	g := out.Grad.At(0, 0)
 	for i := 0; i < n; i++ {
 		w := 1.0
@@ -111,44 +111,6 @@ func backSoftmaxCrossEntropy(out *Node) {
 			}
 			gi[j] += g * w * d / wsum
 		}
-	}
-}
-
-// MSE computes mean squared error between pred and a constant target of the
-// same shape. target is caller-owned and must stay valid until Reset.
-func (t *Tape) MSE(pred *Node, target *mat.Dense) *Node {
-	r, c := pred.Value.Dims()
-	tr, tc := target.Dims()
-	if r != tr || c != tc {
-		panic(fmt.Sprintf("autodiff: MSE %dx%d vs target %dx%d", r, c, tr, tc))
-	}
-	out := t.op(1, 1, pred.needs, backMSE)
-	out.a = pred
-	out.auxRef = target
-	n := float64(r * c)
-	out.scalar = n
-	var loss float64
-	pd, td := pred.Value.Data(), target.Data()
-	for i := range pd {
-		d := pd[i] - td[i]
-		loss += d * d
-	}
-	loss /= n
-	out.Value.Set(0, 0, loss)
-	return out
-}
-
-func backMSE(out *Node) {
-	pred := out.a
-	if !pred.needs {
-		return
-	}
-	ensureGrad(pred)
-	g := out.Grad.At(0, 0)
-	n := out.scalar
-	pd, td, gd := pred.Value.Data(), out.auxRef.Data(), pred.Grad.Data()
-	for i := range pd {
-		gd[i] += g * 2 * (pd[i] - td[i]) / n
 	}
 }
 
@@ -169,60 +131,4 @@ func (t *Tape) ContrastiveLoss(za, zb *Node, differentClass bool, margin float64
 	neg := t.Scale(d2, -1)
 	shifted := t.AddConst(neg, margin)
 	return t.ReLU(shifted)
-}
-
-// BCEWithLogits computes mean binary cross-entropy between logits (n×1) and
-// targets in {0,1}, with optional per-sample weights. targets and
-// sampleWeights are caller-owned and must stay valid until Reset.
-func (t *Tape) BCEWithLogits(logits *Node, targets []float64, sampleWeights []float64) *Node {
-	n, c := logits.Value.Dims()
-	if c != 1 || len(targets) != n {
-		panic(fmt.Sprintf("autodiff: BCE logits %dx%d with %d targets", n, c, len(targets)))
-	}
-	out := t.op(1, 1, logits.needs, backBCEWithLogits)
-	out.a = logits
-	out.w1 = targets
-	out.w2 = sampleWeights
-	if cap(out.fls) < n {
-		out.fls = make([]float64, n)
-	}
-	out.fls = out.fls[:n]
-	var loss, wsum float64
-	for i := 0; i < n; i++ {
-		z := logits.Value.At(i, 0)
-		s := mat.Sigmoid(z)
-		out.fls[i] = s
-		w := 1.0
-		if sampleWeights != nil {
-			w = sampleWeights[i]
-		}
-		wsum += w
-		// Numerically stable BCE.
-		loss += w * (math.Max(z, 0) - z*targets[i] + math.Log(1+math.Exp(-math.Abs(z))))
-	}
-	if wsum == 0 {
-		wsum = 1
-	}
-	loss /= wsum
-	out.scalar = wsum
-	out.Value.Set(0, 0, loss)
-	return out
-}
-
-func backBCEWithLogits(out *Node) {
-	logits := out.a
-	if !logits.needs {
-		return
-	}
-	ensureGrad(logits)
-	n, _ := logits.Value.Dims()
-	targets, sampleWeights, wsum := out.w1, out.w2, out.scalar
-	g := out.Grad.At(0, 0)
-	for i := 0; i < n; i++ {
-		w := 1.0
-		if sampleWeights != nil {
-			w = sampleWeights[i]
-		}
-		logits.Grad.Add(i, 0, g*w*(out.fls[i]-targets[i])/wsum)
-	}
 }

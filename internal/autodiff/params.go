@@ -45,9 +45,6 @@ func (p *ParamSet) Get(name string) *mat.Dense {
 // Names returns the parameter names in registration order.
 func (p *ParamSet) Names() []string { return append([]string(nil), p.names...) }
 
-// Layer returns the layer index of a parameter.
-func (p *ParamSet) Layer(name string) int { return p.layerOf[name] }
-
 // NumLayers returns 1 + the largest layer index.
 func (p *ParamSet) NumLayers() int {
 	max := -1
@@ -199,17 +196,6 @@ func (p *ParamSet) LayerDiffNorms(q *ParamSet) map[int]float64 {
 		out[l] = math.Sqrt(s)
 	}
 	return out
-}
-
-// Norm returns the Frobenius norm over all parameters.
-func (p *ParamSet) Norm() float64 {
-	var s float64
-	for _, v := range p.vals {
-		for _, x := range v.Data() {
-			s += x * x
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // WeightedAverage overwrites dst with Σ w_i · sets_i (weights should sum to

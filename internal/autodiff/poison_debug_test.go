@@ -11,7 +11,7 @@ import (
 )
 
 // TestPoisonCatchesUseAfterRecycle proves the debugarena mode does its job:
-// a node value retained across Reset WITHOUT Detach reads back NaN poison,
+// a node value retained across Reset without a copy reads back NaN poison,
 // so any code that breaks the ownership rules of the package docs fails
 // loudly under `go test -tags=debugarena` instead of silently reading
 // whatever the next pass wrote.
@@ -24,7 +24,7 @@ func TestPoisonCatchesUseAfterRecycle(t *testing.T) {
 	tape := NewTape()
 	b := Bind(tape, params)
 	h := tape.ReLU(tape.MatMul(tape.Constant(x), b.Node("w1")))
-	stale := h.Value // ownership violation: kept without Detach/CloneOut
+	stale := h.Value // ownership violation: kept without Value.Clone()
 	tape.Reset()
 
 	poisoned := false
@@ -36,23 +36,5 @@ func TestPoisonCatchesUseAfterRecycle(t *testing.T) {
 	}
 	if !poisoned {
 		t.Fatal("recycled tape value not poisoned: use-after-recycle would go undetected")
-	}
-}
-
-// TestPoisonSparesDetached is the counterpart: the same retention THROUGH
-// Detach must stay clean, because Detach transfers ownership out of the
-// arena before Reset can poison it.
-func TestPoisonSparesDetached(t *testing.T) {
-	params := reuseParams(25)
-	x := rng.New(27).Gaussian(5, 6, 1)
-	tape := NewTape()
-	b := Bind(tape, params)
-	h := tape.ReLU(tape.MatMul(tape.Constant(x), b.Node("w1")))
-	kept := h.Detach()
-	tape.Reset()
-	for i, v := range kept.Data() {
-		if math.IsNaN(v) {
-			t.Fatalf("detached value[%d] was poisoned: Detach failed to escape the arena", i)
-		}
 	}
 }

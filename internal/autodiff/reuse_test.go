@@ -131,53 +131,6 @@ func TestTapeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDetachSurvivesReset pins the escape hatch: a detached value must keep
-// its contents after the tape is recycled and its buffers are reused by a
-// different pass.
-func TestDetachSurvivesReset(t *testing.T) {
-	params := reuseParams(13)
-	x := rng.New(19).Gaussian(5, 6, 1)
-	tape := NewTape()
-	b := Bind(tape, params)
-	h := tape.ReLU(tape.MatMul(tape.Constant(x), b.Node("w1")))
-	kept := h.Detach()
-	want := append([]float64(nil), kept.Data()...)
-
-	// Churn the tape hard: the detached backing must never be handed out.
-	for i := 0; i < 30; i++ {
-		tape.Reset()
-		b.Rebind(tape, params)
-		tape.Backward(reuseForward(tape, b, x, []int{0, 1, 2, 3, 0}))
-	}
-	for i, v := range kept.Data() {
-		if math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("detached value[%d] corrupted after Reset churn: %v != %v", i, v, want[i])
-		}
-	}
-
-	// CloneOut must copy, not alias: mutating the clone leaves the node
-	// untouched and vice versa.
-	tape.Reset()
-	b.Rebind(tape, params)
-	h = tape.ReLU(tape.MatMul(tape.Constant(x), b.Node("w1")))
-	clone := h.CloneOut()
-	clone.Set(0, 0, 12345)
-	if h.Value.At(0, 0) == 12345 {
-		t.Fatal("CloneOut aliases the node's backing")
-	}
-}
-
-// TestDetachOnLeafReturnsValue pins that detaching a parameter or constant
-// (caller-owned memory) is the identity, not a copy.
-func TestDetachOnLeafReturnsValue(t *testing.T) {
-	tape := NewTape()
-	x := mat.NewDense(2, 2)
-	n := tape.Constant(x)
-	if n.Detach() != x {
-		t.Fatal("Detach on a leaf should return the caller-owned matrix itself")
-	}
-}
-
 // TestRecycleForgetsTransposes pins the difference between the two resets:
 // Reset keeps the sparse-transpose cache (the same adjacencies come back
 // every pair of a round), Recycle — what a tape gets before it is parked

@@ -21,8 +21,7 @@
 //   - Param/Constant values are caller-owned; the tape never recycles them.
 //   - Every other node's Value and Grad die at Reset. Any reference held
 //     across Reset — including a Grads() map or a Node pointer — is invalid.
-//   - To keep a result past Reset, call Detach (zero-copy; pins the backing
-//     array so Reset skips it) or CloneOut (independent copy) first.
+//   - To keep a result past Reset, copy it (Value.Clone()) first.
 //   - Gradients must be consumed (opt.Step, AccumulateGrads) before Reset.
 //
 // Backward dispatch is closure-free: each op stores a package-level back
@@ -49,17 +48,14 @@ type Node struct {
 	parents  []*Node // variadic parents (ConcatCols); capacity reused
 	needs    bool
 	external bool // Value is caller-owned (Param/Constant): never recycled
-	escaped  bool // Detach pinned the Value backing: survives Reset
 	hasAux   bool // ahdr holds a leased auxiliary buffer (released on Reset)
 
 	// Per-op state read by the static back functions.
-	scalar float64    // Scale factor, LeakyReLU slope, AddConst c, 1/n, wsum…
-	ints   []int      // node-owned scratch (MaxRows argmax); capacity reused
-	fls    []float64  // node-owned scratch (BCE sigmoids); capacity reused
-	idx    []int      // caller-owned indices or labels (Gather/Scatter/SCE)
-	w1, w2 []float64  // caller-owned weights/targets (SCE, BCE)
-	auxRef *mat.Dense // caller-owned matrix (Dropout mask, MSE target)
-	sparse *mat.CSR   // SpMM operator
+	scalar  float64   // Scale factor, AddConst c, 1/n, wsum…
+	ints    []int     // node-owned scratch (MaxRows argmax); capacity reused
+	idx     []int     // caller-owned indices or labels (Scatter/SCE)
+	weights []float64 // caller-owned class weights (SCE)
+	sparse  *mat.CSR  // SpMM operator
 
 	// Inline headers backing Value, Grad and the auxiliary matrix when they
 	// are tape-owned; Remake retargets them at arena leases without
@@ -69,25 +65,6 @@ type Node struct {
 
 // Dims returns the node's value dimensions.
 func (n *Node) Dims() (int, int) { return n.Value.Dims() }
-
-// Detach pins the node's value so it survives Reset and returns a header
-// for it. The backing array is shared (zero-copy) but permanently escapes
-// the arena: the tape will never recycle or overwrite it. For caller-owned
-// leaves (Param/Constant) the value is returned as is.
-func (n *Node) Detach() *mat.Dense {
-	if n.external {
-		return n.Value
-	}
-	n.escaped = true
-	r, c := n.Value.Dims()
-	// A fresh header, not &n.vhdr: the node struct itself is recycled at
-	// Reset and its inline header will be retargeted at other memory.
-	return mat.NewDenseData(r, c, n.Value.Data())
-}
-
-// CloneOut returns an independent copy of the node's value, safe to hold
-// across Reset without pinning arena memory.
-func (n *Node) CloneOut() *mat.Dense { return n.Value.Clone() }
 
 // Tape records operations for reverse-mode differentiation and owns the
 // recycled memory behind them.
@@ -119,10 +96,10 @@ func NewTape() *Tape {
 }
 
 // Reset recycles every recorded node: tape-owned Value/Grad backing arrays
-// return to the arena (parameters, constants and Detach-pinned values are
-// skipped) and the node structs go to the free list for the next pass.
-// Everything obtained from the tape — Node pointers, Grads() maps — is
-// invalid afterwards; see the package doc for the ownership rules.
+// return to the arena (parameters and constants are skipped) and the node
+// structs go to the free list for the next pass. Everything obtained from
+// the tape — Node pointers, Grads() maps — is invalid afterwards; see the
+// package doc for the ownership rules.
 func (t *Tape) Reset() {
 	for _, n := range t.nodes {
 		if n.Grad != nil {
@@ -133,17 +110,16 @@ func (t *Tape) Reset() {
 			t.arena.Release(n.ahdr.Data())
 			n.hasAux = false
 		}
-		if !n.external && !n.escaped {
+		if !n.external {
 			t.arena.Release(n.Value.Data())
 		}
 		n.Value = nil
-		n.external, n.escaped, n.needs = false, false, false
+		n.external, n.needs = false, false
 		n.back = nil
 		n.a, n.b = nil, nil
 		n.parents = n.parents[:0]
 		n.scalar = 0
-		n.idx, n.w1, n.w2 = nil, nil, nil
-		n.auxRef = nil
+		n.idx, n.weights = nil, nil
 		n.sparse = nil
 		t.free = append(t.free, n)
 	}
@@ -164,7 +140,7 @@ func (t *Tape) Recycle() {
 	clear(t.csrT)
 }
 
-// ArenaStats exposes the tape arena's counters (tests and telemetry).
+// ArenaStats exposes the tape arena's counters (tests).
 func (t *Tape) ArenaStats() mat.ArenaStats { return t.arena.Stats() }
 
 // Len reports the number of recorded nodes.
@@ -520,40 +496,6 @@ func backReLU(out *Node) {
 	}
 }
 
-// LeakyReLU applies x>0 ? x : slope*x element-wise.
-func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	r, c := a.Value.Dims()
-	out := t.op(r, c, a.needs, backLeakyReLU)
-	out.a = a
-	out.scalar = slope
-	od, ad := out.Value.Data(), a.Value.Data()
-	for i, x := range ad {
-		if x > 0 {
-			od[i] = x
-		} else {
-			od[i] = slope * x
-		}
-	}
-	return out
-}
-
-func backLeakyReLU(out *Node) {
-	a := out.a
-	if !a.needs {
-		return
-	}
-	ensureGrad(a)
-	slope := out.scalar
-	ad, vd, gd := a.Grad.Data(), a.Value.Data(), out.Grad.Data()
-	for i := range ad {
-		d := slope
-		if vd[i] > 0 {
-			d = 1
-		}
-		ad[i] += gd[i] * d
-	}
-}
-
 // Sigmoid applies the logistic function element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node { return t.unary(a, mat.Sigmoid, backSigmoid) }
 
@@ -715,34 +657,9 @@ func backConcatCols(out *Node) {
 	}
 }
 
-// GatherRows selects rows idx from a into a new len(idx)×c node. idx is
-// caller-owned and must stay valid until Reset.
-func (t *Tape) GatherRows(a *Node, idx []int) *Node {
-	_, c := a.Value.Dims()
-	out := t.opFull(len(idx), c, a.needs, backGatherRows) // one row copy per output row
-	out.a = a
-	out.idx = idx
-	for i, r := range idx {
-		copy(out.Value.Row(i), a.Value.Row(r))
-	}
-	return out
-}
-
-func backGatherRows(out *Node) {
-	a := out.a
-	if !a.needs {
-		return
-	}
-	ensureGrad(a)
-	for i, r := range out.idx {
-		mat.Axpy(a.Grad.Row(r), out.Grad.Row(i), 1)
-	}
-}
-
 // ScatterRows builds an n×c node whose rows at idx come from a (len(idx)×c)
-// and whose other rows are zero — the inverse of GatherRows, used to merge
-// per-type projections in heterogeneous GNNs. idx is caller-owned and must
-// stay valid until Reset.
+// and whose other rows are zero, used to merge per-type projections in
+// heterogeneous GNNs. idx is caller-owned and must stay valid until Reset.
 func (t *Tape) ScatterRows(a *Node, idx []int, n int) *Node {
 	ar, c := a.Value.Dims()
 	if ar != len(idx) {
@@ -765,38 +682,5 @@ func backScatterRows(out *Node) {
 	ensureGrad(a)
 	for i, r := range out.idx {
 		mat.Axpy(a.Grad.Row(i), out.Grad.Row(r), 1)
-	}
-}
-
-// Dropout zeroes elements with probability p during training, scaling the
-// survivors by 1/(1-p). mask is sampled by the caller for determinism and
-// must stay valid until Reset.
-func (t *Tape) Dropout(a *Node, mask *mat.Dense, p float64) *Node {
-	if p <= 0 {
-		return a
-	}
-	r, c := a.Value.Dims()
-	out := t.op(r, c, a.needs, backDropout)
-	out.a = a
-	out.auxRef = mask
-	out.scalar = 1 / (1 - p)
-	scale := out.scalar
-	od, ad, md := out.Value.Data(), a.Value.Data(), mask.Data()
-	for i := range od {
-		od[i] = ad[i] * md[i] * scale
-	}
-	return out
-}
-
-func backDropout(out *Node) {
-	a := out.a
-	if !a.needs {
-		return
-	}
-	ensureGrad(a)
-	scale := out.scalar
-	ad, gd, md := a.Grad.Data(), out.Grad.Data(), out.auxRef.Data()
-	for i := range ad {
-		ad[i] += gd[i] * md[i] * scale
 	}
 }

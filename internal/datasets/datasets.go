@@ -184,48 +184,19 @@ func (d *Dataset) Shuffled(seed int64) []*graph.Graph {
 	return out
 }
 
-// TestbedHome describes one simulated deployment for the Table II testbed:
-// its deployed rules and the simulated event-log duration.
-type TestbedHome struct {
-	Deployed []*rules.Rule
-	Steps    int64
-}
-
-// BuildOnlineSamples produces the Table II online graphs following the
-// paper's testbed: ONE volunteer deployment ("a volunteer deploys the
-// off-the-shelf smart devices in a house"), simulated over many independent
-// time windows; half the windows are compromised by attacks cycling through
-// the five HAWatcher classes, giving the paper's 300/600 vulnerable split.
-func BuildOnlineSamples(sc Scale, seed int64) ([]*fusion.OnlineSample, *embed.Encoder) {
-	samples, enc, _ := BuildTestbed(sc, seed)
-	return samples, enc
-}
-
 // TestbedWindows simulates n additional windows of an existing deployment
 // (half attacked), used as training material disjoint from the test
 // windows.
-func TestbedWindows(sc Scale, deployed []*rules.Rule, enc *embed.Encoder,
-	seed int64, n int) []*fusion.OnlineSample {
-	b := fusion.NewBuilder(seed+1, enc)
-	r := rng.New(seed + 3)
-	var out []*fusion.OnlineSample
-	for i := 0; i < n; i++ {
-		sim := eventlog.NewSimulator(deployed, seed+int64(i)*29)
-		log := eventlog.Clean(sim.Run(1500))
-		sample := &fusion.OnlineSample{Log: log}
-		if i%2 == 1 {
-			attack := eventlog.Attack(i % int(eventlog.NumAttacks))
-			sample.Attacked = true
-			sample.Attack = attack
-			sample.Log = eventlog.Inject(log, attack, deployed, 0.2+0.2*r.Float64(), seed+int64(i))
-		}
-		sample.Graph = b.BuildOnline(deployed, sample.Log)
-		out = append(out, sample)
-	}
-	return out
+func TestbedWindows(deployed []*rules.Rule, enc *embed.Encoder, seed int64, n int) []*fusion.OnlineSample {
+	return testbedWindows(fusion.NewBuilder(seed+1, enc), rng.New(seed+3), deployed, seed, 29, n)
 }
 
-// BuildTestbed is BuildOnlineSamples plus the testbed deployment itself.
+// BuildTestbed produces the Table II online graphs following the paper's
+// testbed: ONE volunteer deployment ("a volunteer deploys the off-the-shelf
+// smart devices in a house"), simulated over many independent time windows;
+// half the windows are compromised by attacks cycling through the five
+// HAWatcher classes, giving the paper's 300/600 vulnerable split. It also
+// returns the encoder and the deployment itself.
 func BuildTestbed(sc Scale, seed int64) ([]*fusion.OnlineSample, *embed.Encoder, []*rules.Rule) {
 	enc := embed.NewEncoder(sc.WordDim, sc.SentenceDim)
 	b := fusion.NewBuilder(seed+11, enc)
@@ -244,10 +215,17 @@ func BuildTestbed(sc Scale, seed int64) ([]*fusion.OnlineSample, *embed.Encoder,
 			break
 		}
 	}
+	return testbedWindows(b, r, deployed, seed, 17, sc.OnlineGraphs), enc, deployed
+}
 
+// testbedWindows simulates n windows of the deployment, window i from
+// simulator seed seed+i·stride, cleans each log, compromises every odd
+// window with the next attack class at an intensity drawn from r, and fuses
+// each window's online graph with b.
+func testbedWindows(b *fusion.Builder, r *rng.RNG, deployed []*rules.Rule, seed, stride int64, n int) []*fusion.OnlineSample {
 	var out []*fusion.OnlineSample
-	for i := 0; i < sc.OnlineGraphs; i++ {
-		sim := eventlog.NewSimulator(deployed, seed+int64(i)*17)
+	for i := 0; i < n; i++ {
+		sim := eventlog.NewSimulator(deployed, seed+int64(i)*stride)
 		log := eventlog.Clean(sim.Run(1500))
 		sample := &fusion.OnlineSample{Log: log}
 		if i%2 == 1 {
@@ -259,5 +237,5 @@ func BuildTestbed(sc Scale, seed int64) ([]*fusion.OnlineSample, *embed.Encoder,
 		sample.Graph = b.BuildOnline(deployed, sample.Log)
 		out = append(out, sample)
 	}
-	return out, enc, deployed
+	return out
 }

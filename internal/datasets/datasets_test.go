@@ -90,7 +90,7 @@ func TestShuffledDeterministic(t *testing.T) {
 
 func TestBuildOnlineSamples(t *testing.T) {
 	sc := tinyScale()
-	samples, _ := BuildOnlineSamples(sc, 5)
+	samples, _, _ := BuildTestbed(sc, 5)
 	if len(samples) != sc.OnlineGraphs {
 		t.Fatalf("sample count %d", len(samples))
 	}

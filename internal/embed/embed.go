@@ -447,8 +447,3 @@ func HashVector(key string, dim int) []float64 {
 	}
 	return v
 }
-
-// Similarity returns the cosine similarity of the embeddings of two words.
-func (e *Encoder) Similarity(a, b string) float64 {
-	return mat.CosineSimilarity(e.Word(a), e.Word(b))
-}

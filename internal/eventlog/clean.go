@@ -85,19 +85,6 @@ func Clean(log Log) Log {
 	return out
 }
 
-// DeviceStates extracts the final observed logical state of every device
-// instance from a cleaned log.
-func DeviceStates(log Log) map[Instance]string {
-	out := map[Instance]string{}
-	for _, e := range log {
-		if e.Err {
-			continue
-		}
-		out[Instance{Device: e.Device, Room: e.Room}] = e.Value
-	}
-	return out
-}
-
 // EventTypes assigns a compact integer id to every distinct
 // (device, room, channel, value) event shape — the vocabulary DeepLog's
 // LSTM models (Table II).

@@ -245,21 +245,6 @@ func TestStatusVector(t *testing.T) {
 	}
 }
 
-func TestDeviceStates(t *testing.T) {
-	log := Log{
-		{Device: "light", Room: "kitchen", Value: "on"},
-		{Device: "light", Room: "kitchen", Value: "off"},
-		{Device: "fan", Room: "bedroom", Value: "running"},
-	}
-	states := DeviceStates(log)
-	if states[Instance{"light", "kitchen"}] != "off" {
-		t.Error("last state should win")
-	}
-	if states[Instance{"fan", "bedroom"}] != "running" {
-		t.Error("fan state missing")
-	}
-}
-
 func TestAttackStrings(t *testing.T) {
 	for a := Attack(0); a < NumAttacks; a++ {
 		if a.String() == "unknown" {

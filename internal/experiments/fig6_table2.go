@@ -138,7 +138,7 @@ func TableII(s Setup) *Table {
 	// Auxiliary training windows from the SAME testbed deployment (disjoint
 	// simulator seeds, so no window overlaps the test set) teach the
 	// detector the online graph distribution of this home.
-	auxSamples := datasets.TestbedWindows(s.Scale, deployed, enc,
+	auxSamples := datasets.TestbedWindows(deployed, enc,
 		s.Seed+41+int64(s.Scale.OnlineGraphs)*17+991, s.Scale.OnlineGraphs/2)
 	for _, sm := range auxSamples {
 		if sm.Graph.N() == 0 {

@@ -316,8 +316,8 @@ func refKernelSHAPRNG(h ScoreFunc, g *graph.Graph, sub []int, k int, r *rng.RNG)
 	return coef[1]
 }
 
-// refShapleyValueRNG is ShapleyValue with an explicit caller-owned generator
-// (see refKernelSHAPRNG for the concurrency contract).
+// refShapleyValueRNG is the Shapley estimator with an explicit caller-owned
+// generator (see refKernelSHAPRNG for the concurrency contract).
 func refShapleyValueRNG(h ScoreFunc, g *graph.Graph, sub []int, samples int, r *rng.RNG) float64 {
 	n := g.N()
 	inSub := make([]bool, n)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"fexiot/internal/graph"
+	"fexiot/internal/rng"
 	"fexiot/internal/rules"
 )
 
@@ -67,8 +68,10 @@ func TestKernelSHAPFindsResponsibleSubgraph(t *testing.T) {
 
 func TestShapleyValueAgreesOnPlanted(t *testing.T) {
 	g, h := planted()
-	core := ShapleyValue(h, g, []int{2, 3}, 60, 1)
-	offCore := ShapleyValue(h, g, []int{5, 6}, 60, 1)
+	shapley := func(sub []int) float64 {
+		return newEvaluator(blackBox{h, g}, g.N()).shapleyValue(sub, 60, rng.New(1))
+	}
+	core, offCore := shapley([]int{2, 3}), shapley([]int{5, 6})
 	if core <= offCore {
 		t.Fatalf("core Shapley %v should exceed off-core %v", core, offCore)
 	}
@@ -94,12 +97,12 @@ func TestSearchMethodsRecoverPlantedCore(t *testing.T) {
 	cfg := DefaultSearchConfig(7)
 	cfg.MinNodes = 2
 	cfg.Iterations = 4
-	for name, method := range map[string]func(ScoreFunc, *graph.Graph, SearchConfig) Explanation{
-		"fexiot":    FexIoTExplain,
-		"subgraphx": SubgraphX,
-		"mcts_gnn":  MCTSGNN,
+	for name, method := range map[string]Method{
+		"fexiot":    MethodFexIoT,
+		"subgraphx": MethodSubgraphX,
+		"mcts_gnn":  MethodMCTSGNN,
 	} {
-		ex := method(h, g, cfg)
+		ex := blackBoxSearch(h, g, cfg, method)
 		if len(ex.Nodes) == 0 {
 			t.Fatalf("%s returned empty explanation", name)
 		}

@@ -130,11 +130,10 @@ func TestExplainMatchesReference(t *testing.T) {
 		name   string
 		method Method
 		ref    func(ScoreFunc, *graph.Graph, SearchConfig) Explanation
-		box    func(ScoreFunc, *graph.Graph, SearchConfig) Explanation
 	}{
-		{"FexIoT", MethodFexIoT, refFexIoTExplain, FexIoTExplain},
-		{"SubgraphX", MethodSubgraphX, refSubgraphX, SubgraphX},
-		{"MCTSGNN", MethodMCTSGNN, refMCTSGNN, MCTSGNN},
+		{"FexIoT", MethodFexIoT, refFexIoTExplain},
+		{"SubgraphX", MethodSubgraphX, refSubgraphX},
+		{"MCTSGNN", MethodMCTSGNN, refMCTSGNN},
 	}
 	for d, dm := range refDims {
 		for _, model := range []string{"GIN", "GCN", "MAGNN"} {
@@ -182,7 +181,7 @@ func TestExplainMatchesReference(t *testing.T) {
 						check("scorer", got, gotFid, sc.Stats().Calls)
 						if dm.name == "ci" {
 							calls = 0
-							box := m.box(h, g, cfg)
+							box := blackBoxSearch(h, g, cfg, m.method)
 							boxFid := Fidelity(h, g, box.Nodes)
 							check("black box", box, boxFid, calls)
 						}
@@ -193,8 +192,9 @@ func TestExplainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelSHAPMatchesReference: the exported single evaluations equal the
-// reference's with an equal-seeded generator.
+// TestKernelSHAPMatchesReference: the single evaluations — exported
+// KernelSHAP and the evaluator's Shapley estimator — equal the reference's
+// with an equal-seeded generator.
 func TestKernelSHAPMatchesReference(t *testing.T) {
 	det := refDetector("GIN", 0)
 	h := blackBoxOf(det)
@@ -211,8 +211,9 @@ func TestKernelSHAPMatchesReference(t *testing.T) {
 			if got, want := KernelSHAP(h, g, sub, k, int64(i)), refKernelSHAPRNG(h, g, sub, k, rng.New(int64(i))); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("graph %d sub %v k %d: KernelSHAP %v, reference %v", i, sub, k, got, want)
 			}
-			if got, want := ShapleyValue(h, g, sub, k, int64(i)), refShapleyValueRNG(h, g, sub, k, rng.New(int64(i))); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("graph %d sub %v k %d: ShapleyValue %v, reference %v", i, sub, k, got, want)
+			shapley := newEvaluator(blackBox{h, g}, g.N()).shapleyValue(sub, k, rng.New(int64(i)))
+			if want := refShapleyValueRNG(h, g, sub, k, rng.New(int64(i))); math.Float64bits(shapley) != math.Float64bits(want) {
+				t.Fatalf("graph %d sub %v k %d: shapleyValue %v, reference %v", i, sub, k, shapley, want)
 			}
 		}
 	}

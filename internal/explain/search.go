@@ -330,13 +330,3 @@ func blackBoxSearch(h ScoreFunc, g *graph.Graph, cfg SearchConfig, method Method
 func FexIoTExplain(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
 	return blackBoxSearch(h, g, cfg, MethodFexIoT)
 }
-
-// SubgraphX runs the same search with the Shapley-value reward.
-func SubgraphX(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
-	return blackBoxSearch(h, g, cfg, MethodSubgraphX)
-}
-
-// MCTSGNN runs the search rewarding raw prediction scores of the subgraph.
-func MCTSGNN(h ScoreFunc, g *graph.Graph, cfg SearchConfig) Explanation {
-	return blackBoxSearch(h, g, cfg, MethodMCTSGNN)
-}

@@ -226,15 +226,10 @@ func binom(n, k int) float64 {
 	return out
 }
 
-// ShapleyValue is the sampling estimator SubgraphX uses: the average
+// shapleyValue is the sampling estimator SubgraphX uses: the average
 // marginal contribution of the subgraph over random permutations of the
 // other players, assuming player independence (the assumption the paper
-// criticises).
-func ShapleyValue(h ScoreFunc, g *graph.Graph, sub []int, samples int, seed int64) float64 {
-	return newEvaluator(blackBox{h, g}, g.N()).shapleyValue(sub, samples, rng.New(seed))
-}
-
-// shapleyValue draws from the caller-owned r only (see kernelSHAP for the
+// criticises). It draws from the caller-owned r only (see kernelSHAP for the
 // concurrency contract).
 func (e *evaluator) shapleyValue(sub []int, samples int, r *rng.RNG) float64 {
 	others := e.split(sub)

@@ -18,8 +18,8 @@ import (
 
 // Attack corrupts one client's pending update after local training. prev is
 // the weight snapshot before the round's training (never nil when invoked);
-// implementations mutate c.Model.Params() in place, exactly like the DP
-// hook, so the server-facing weights are the corrupted ones.
+// implementations mutate c.Model.Params() in place, so the server-facing
+// weights are the corrupted ones.
 type Attack interface {
 	Name() string
 	Corrupt(c *Client)
@@ -153,9 +153,8 @@ func applyDelta(c *Client, f func(float64) float64) {
 }
 
 // MakeByzantine turns a client hostile: atk corrupts every subsequent
-// update right after local training (and after any DP hook). LabelFlip
-// additionally flips the client's local dataset labels immediately. A nil
-// attack restores honesty.
+// update right after local training. LabelFlip additionally flips the
+// client's local dataset labels immediately. A nil attack restores honesty.
 func MakeByzantine(c *Client, atk Attack) {
 	c.byz = atk
 	if _, ok := atk.(LabelFlip); ok {
@@ -164,9 +163,6 @@ func MakeByzantine(c *Client, atk Attack) {
 		}
 	}
 }
-
-// Byzantine reports the attack installed on a client, or nil when honest.
-func (c *Client) Byzantine() Attack { return c.byz }
 
 // CorruptUpdate applies atk to a parameter set holding prev + ΔW, returning
 // the corrupted weights — the connection-free form used by networked

@@ -65,11 +65,11 @@ func TestMakeByzantineLabelFlip(t *testing.T) {
 	if c.Train[0].Label || !c.Train[1].Label {
 		t.Fatal("label-flip left the local labels intact")
 	}
-	if c.Byzantine() == nil {
+	if c.byz == nil {
 		t.Fatal("attack not installed")
 	}
 	MakeByzantine(c, nil)
-	if c.Byzantine() != nil {
+	if c.byz != nil {
 		t.Fatal("nil attack must restore honesty")
 	}
 }
@@ -97,7 +97,7 @@ func TestNewAttackRegistry(t *testing.T) {
 }
 
 // TestByzantineHookFiresInLocalTrain checks the wrapper corrupts updates
-// through the same hook chain as DP: after a real LocalTrain the sign-flip
+// through LocalTrain's hook: after a real LocalTrain the sign-flip
 // client's update is the exact negation of its honest twin's.
 func TestByzantineHookFiresInLocalTrain(t *testing.T) {
 	ds := [][]*graph.Graph{testGraphs(20)}

@@ -27,9 +27,6 @@ type Client struct {
 	// prev snapshots the weights before the most recent local training, so
 	// the server can inspect update directions ΔW.
 	prev *autodiff.ParamSet
-	// dp, when set, privatises every update before the server sees it
-	// (installed by PrivateAlgorithm).
-	dp *DPConfig
 	// byz, when set, corrupts every update before the server sees it
 	// (installed by MakeByzantine) — the simulated attacker of the
 	// robustness evaluation.
@@ -69,9 +66,6 @@ func (c *Client) LocalTrain(cfg gnn.TrainConfig) {
 	c.prev = c.Model.Params().Clone()
 	cfg.Seed = cfg.Seed*1000003 + int64(c.ID)
 	gnn.TrainContrastive(c.Model, c.Train, cfg, c.Opt)
-	if c.dp != nil {
-		c.Privatize(*c.dp)
-	}
 	if c.byz != nil {
 		c.byz.Corrupt(c)
 	}

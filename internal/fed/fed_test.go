@@ -73,7 +73,7 @@ func TestDirichletSkewGrowsAsAlphaShrinks(t *testing.T) {
 	gs := testGraphs(300)
 	skew := func(alpha float64) float64 {
 		shards := DirichletSplit(gs, 6, alpha, LabelArchetypeClass(5), 3)
-		// Std of positive-label fraction across clients.
+		// Variance of positive-label fraction across clients.
 		var fracs []float64
 		for _, shard := range shards {
 			pos := 0
@@ -84,7 +84,8 @@ func TestDirichletSkewGrowsAsAlphaShrinks(t *testing.T) {
 			}
 			fracs = append(fracs, float64(pos)/float64(len(shard)))
 		}
-		return mat.Std(fracs)
+		m := mat.Mean(fracs)
+		return mat.Dot(fracs, fracs)/float64(len(fracs)) - m*m
 	}
 	if skew(0.1) <= skew(100) {
 		t.Fatalf("label skew at α=0.1 (%v) should exceed α=100 (%v)",
@@ -276,95 +277,6 @@ func TestLabelArchetypeClassStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPrivatizeClipsAndNoises(t *testing.T) {
-	gs := testGraphs(30)
-	clients := NewClients(testBase(), splitFour(gs), 0.005)
-	c := clients[0]
-	c.LocalTrain(smallConfig().Train)
-	raw := c.Update().Flatten()
-	// Privatise with a tight clip: the resulting update norm must sit near
-	// the clip bound plus bounded noise.
-	c.Privatize(DPConfig{ClipNorm: 0.1, NoiseSigma: 0.01, Seed: 3})
-	private := c.Update().Flatten()
-	if mat.Norm2(private) > 0.5 {
-		t.Fatalf("privatised update norm %v far above clip", mat.Norm2(private))
-	}
-	if mat.Norm2(raw) <= 0.1 {
-		t.Skip("raw update already tiny; clipping unobservable")
-	}
-	if mat.Norm2(private) >= mat.Norm2(raw) {
-		t.Fatal("clipping should shrink a large update")
-	}
-	// Privatising without a snapshot is a no-op.
-	fresh := NewClients(testBase(), splitFour(gs), 0.005)[0]
-	before := fresh.Model.Params().Flatten()
-	fresh.Privatize(DPConfig{ClipNorm: 0.1, NoiseSigma: 1})
-	after := fresh.Model.Params().Flatten()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("Privatize before training must be a no-op")
-		}
-	}
-}
-
-func TestPrivateAlgorithmStillLearnsButPerturbs(t *testing.T) {
-	gs := testGraphs(60)
-	shards := splitFour(gs)
-	plain := NewClients(testBase(), shards, 0.005)
-	FedAvg{}.Run(plain, smallConfig())
-	priv := NewClients(testBase(), shards, 0.005)
-	dp := &PrivateAlgorithm{Inner: FedAvg{}, DP: DPConfig{ClipNorm: 1, NoiseSigma: 0.05, Seed: 9}}
-	if dp.Name() != "FedAvg+DP" {
-		t.Fatalf("name %q", dp.Name())
-	}
-	dp.Run(priv, smallConfig())
-	// The DP run must differ from the plain run (noise was injected).
-	a := plain[0].Model.Params().Flatten()
-	b := priv[0].Model.Params().Flatten()
-	diff := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		diff += d * d
-	}
-	if diff == 0 {
-		t.Fatal("DP training identical to plain training")
-	}
-	// dp hooks are removed afterwards.
-	if priv[0].Privatized() {
-		t.Fatal("dp hook leaked")
-	}
-}
-
-func TestSybilFilterDownweightsDuplicates(t *testing.T) {
-	gs := testGraphs(60)
-	clients := NewClients(testBase(), splitFour(gs), 0.005)
-	for _, c := range clients {
-		c.LocalTrain(smallConfig().Train)
-	}
-	// Make clients 2 and 3 Sybil copies of client 1's update.
-	sybilParams := clients[1].Model.Params()
-	clients[2].Model.Params().CopyFrom(sybilParams)
-	clients[2].prev = clients[1].prev.Clone()
-	clients[3].Model.Params().CopyFrom(sybilParams)
-	clients[3].prev = clients[1].prev.Clone()
-
-	idx := []int{0, 1, 2, 3}
-	weights := []float64{0.25, 0.25, 0.25, 0.25}
-	filtered := SybilFilter(clients, idx, weights, 0.99)
-	// The three duplicates share their mass; the honest client gains.
-	if filtered[0] <= filtered[1] {
-		t.Fatalf("honest weight %v should exceed sybil weight %v",
-			filtered[0], filtered[1])
-	}
-	var total float64
-	for _, w := range filtered {
-		total += w
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("weights not normalised: %v", filtered)
 	}
 }
 

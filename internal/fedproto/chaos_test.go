@@ -107,7 +107,7 @@ func TestQuorumSurvivesKilledClient(t *testing.T) {
 			}
 			conn := Wrap(raw)
 			defer conn.Close()
-			clientErrs[id] = RunClientLoop(context.Background(), conn, id, 10, p,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
 				func(round int) map[int]float64 {
 					if id == 3 && round == 1 {
 						fc.Kill() // crash mid-federation, mid-round

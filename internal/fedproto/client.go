@@ -18,7 +18,7 @@ const (
 	DefaultMaxAttempts    = 5
 )
 
-// RunClientLoop drives one client over an established connection: it sends
+// runClientLoop drives one client over an established connection: it sends
 // hello, waits for the server's sync reply (the round to resume at plus,
 // for rejoiners, the current aggregated model), then for each round trains
 // locally via the callback, ships all layers, and installs the aggregated
@@ -27,20 +27,15 @@ const (
 // announcements, so a client that reconnects mid-federation resumes at the
 // federation's round rather than its own.
 //
+// offered is the codec offer: the schemes advertised in the hello, in
+// preference order (nil offers everything this build supports). The
+// server's sync reply assigns one; lossy schemes make the loop keep a clone
+// of each model the server sends (the delta base) and echo its ModelSeq
+// stamp with every update.
+//
 // Cancelling ctx closes the connection, unblocking any in-flight Send or
 // Recv; the loop then returns context.Cause(ctx) instead of the socket
 // error the teardown provoked.
-func RunClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
-	params *autodiff.ParamSet,
-	localRound func(round int) map[int]float64) error {
-	return runClientLoop(ctx, conn, clientID, dataSize, params, nil, localRound)
-}
-
-// runClientLoop is RunClientLoop with an explicit codec offer: the schemes
-// advertised in the hello, in preference order (nil offers everything this
-// build supports). The server's sync reply assigns one; lossy schemes make
-// the loop keep a clone of each model the server sends (the delta base) and
-// echo its ModelSeq stamp with every update.
 func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 	params *autodiff.ParamSet, offered []string,
 	localRound func(round int) map[int]float64) error {
@@ -195,7 +190,7 @@ type SessionStats struct {
 	OutBytes   int64
 }
 
-// RunClientSession runs RunClientLoop against cfg.Addr and survives
+// RunClientSession runs runClientLoop against cfg.Addr and survives
 // connection failure: any error short of federation completion tears the
 // connection down and reconnects with exponential backoff plus jitter,
 // resuming at the server-announced round. It returns once the server

@@ -101,7 +101,7 @@ func runScriptedCodecFed(t *testing.T, codecName string, newParams func(int64) *
 				return
 			}
 			defer conn.Close()
-			errs[id] = RunClientLoop(context.Background(), conn, id, 10, p,
+			errs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
 				func(round int) map[int]float64 {
 					varyDelta(p, id, round)
 					return zeroNorms(p)
@@ -304,7 +304,7 @@ func TestCodecChaosKillQ8(t *testing.T) {
 			}
 			conn := Wrap(raw)
 			defer conn.Close()
-			clientErrs[id] = RunClientLoop(context.Background(), conn, id, 10, p,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
 				func(round int) map[int]float64 {
 					if id == 3 && round == 1 {
 						fc.Kill()
@@ -425,7 +425,7 @@ func TestCodecPoisonF1Parity(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				errs[id] = RunClientLoop(context.Background(), conn, id, len(data), m.Params(),
+				errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(), nil,
 					func(round int) map[int]float64 {
 						before := m.Params().Clone()
 						cfg.Seed = int64(id*100 + round)

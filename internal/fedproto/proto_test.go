@@ -190,7 +190,7 @@ func TestEndToEndTCP(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			errs[id] = RunClientLoop(context.Background(), conn, id, len(data), m.Params(),
+			errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(), nil,
 				func(round int) map[int]float64 {
 					before := m.Params().Clone()
 					cfg.Seed = int64(id*100 + round)

@@ -84,7 +84,7 @@ func TestNaNClientEvicted(t *testing.T) {
 			}
 			conn := Wrap(raw)
 			defer conn.Close()
-			clientErrs[id] = RunClientLoop(context.Background(), conn, id, 10, p,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
 				func(round int) map[int]float64 {
 					addDelta(p, float64(id+1)*0.1)
 					if id == 3 && round == 1 {

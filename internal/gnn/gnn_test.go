@@ -222,7 +222,7 @@ func TestGNNGradientsFlowToAllLayers(t *testing.T) {
 		}
 		var total float64
 		for _, g := range grads {
-			total += g.Norm()
+			total += mat.Norm2(g.Data())
 		}
 		if total == 0 {
 			t.Fatalf("%s gradients all zero", name)

@@ -68,13 +68,13 @@ func TestTrainTapePoolBounded(t *testing.T) {
 		if ws.tape.Len() != 0 {
 			t.Fatalf("round %d: parked tape still records %d nodes", round, ws.tape.Len())
 		}
-		st := ws.ArenaStats()
+		st := ws.tape.ArenaStats()
 		if st.BytesLive != 0 {
 			t.Fatalf("round %d: parked tape still leases %d bytes", round, st.BytesLive)
 		}
 		peak = max(peak, st.BytesPooled)
 	}
-	st := ws.ArenaStats()
+	st := ws.tape.ArenaStats()
 	t.Logf("peak pooled %d KB; at the end %d KB in %d classes after %d trims",
 		peak>>10, st.BytesPooled>>10, st.Classes, st.Trims)
 	if peak > poolBytesCeiling {

@@ -40,9 +40,6 @@ func (ws *Workspace) Embed(m Model, g *graph.Graph) []float64 {
 	return ws.emb
 }
 
-// ArenaStats exposes the workspace tape's arena counters (tests).
-func (ws *Workspace) ArenaStats() mat.ArenaStats { return ws.tape.ArenaStats() }
-
 // wsPool recycles workspaces for callers without a long-lived one. Entries
 // are pointers, so Get/Put do not allocate on the steady state. Everything
 // in the pool has been through park; a workspace whose pass panicked is

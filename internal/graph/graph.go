@@ -2,9 +2,8 @@
 // are automation rules with embedding features, directed edges are
 // action→trigger causal correlations between rules, and each graph carries
 // a binary vulnerability label. It also provides the structural operations
-// the rest of the system needs — normalised adjacency operators for GNNs,
-// subgraph extraction for the explainer, reachability and cycle queries for
-// the ground-truth labeler.
+// the rest of the system needs — normalised adjacency operators for GNNs and
+// subgraph extraction for the explainer.
 package graph
 
 import (
@@ -92,17 +91,6 @@ func (g *Graph) Out(i int) []int {
 	return out
 }
 
-// In returns the in-neighbour indices of node i.
-func (g *Graph) In(i int) []int {
-	var in []int
-	for _, e := range g.Edges {
-		if e.To == i {
-			in = append(in, e.From)
-		}
-	}
-	return in
-}
-
 // Neighbors returns the undirected neighbour set of node i.
 func (g *Graph) Neighbors(i int) []int {
 	seen := map[int]bool{}
@@ -123,25 +111,6 @@ func (g *Graph) Neighbors(i int) []int {
 		}
 	}
 	return out
-}
-
-// FeatureMatrix stacks node features into an n×d matrix. All nodes must
-// share a dimension; heterogeneous graphs should be projected per-space
-// first (see PadFeatures).
-func (g *Graph) FeatureMatrix() *mat.Dense {
-	if g.N() == 0 {
-		return mat.NewDense(0, 0)
-	}
-	d := len(g.Nodes[0].Feature)
-	m := mat.NewDense(g.N(), d)
-	for i, n := range g.Nodes {
-		if len(n.Feature) != d {
-			panic(fmt.Sprintf("graph: node %d feature dim %d want %d — pad heterogeneous graphs first",
-				i, len(n.Feature), d))
-		}
-		m.SetRow(i, n.Feature)
-	}
-	return m
 }
 
 // PadFeatures returns a feature matrix where every node's feature vector is
@@ -210,30 +179,6 @@ func (g *Graph) SumAdjacency(eps float64) *mat.CSR {
 	return mat.NewCSR(n, n, is, js, vs)
 }
 
-// Reachable reports whether there is a directed path from u to v (u ≠ v).
-func (g *Graph) Reachable(u, v int) bool {
-	if u == v {
-		return false
-	}
-	visited := make([]bool, g.N())
-	stack := []int{u}
-	visited[u] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range g.Out(cur) {
-			if next == v {
-				return true
-			}
-			if !visited[next] {
-				visited[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return false
-}
-
 // HasCycle reports whether the directed graph contains a cycle.
 func (g *Graph) HasCycle() bool {
 	const (
@@ -260,24 +205,6 @@ func (g *Graph) HasCycle() bool {
 	}
 	for i := 0; i < g.N(); i++ {
 		if color[i] == white && dfs(i) {
-			return true
-		}
-	}
-	return false
-}
-
-// CommonAncestor reports whether some node reaches both u and v (or is u
-// reaching v / v reaching u themselves); this is the "forked from one
-// cause" relation the conflict and duplicate detectors use.
-func (g *Graph) CommonAncestor(u, v int) bool {
-	if g.Reachable(u, v) || g.Reachable(v, u) {
-		return true
-	}
-	for w := 0; w < g.N(); w++ {
-		if w == u || w == v {
-			continue
-		}
-		if g.Reachable(w, u) && g.Reachable(w, v) {
 			return true
 		}
 	}

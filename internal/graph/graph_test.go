@@ -42,48 +42,20 @@ func TestNeighborsInOut(t *testing.T) {
 	if out := g.Out(0); len(out) != 1 || out[0] != 1 {
 		t.Fatalf("Out(0) = %v", out)
 	}
-	if in := g.In(1); len(in) != 1 || in[0] != 0 {
-		t.Fatalf("In(1) = %v", in)
-	}
 	nb := g.Neighbors(1)
 	if len(nb) != 2 {
 		t.Fatalf("Neighbors(1) = %v", nb)
 	}
 }
 
-func TestReachableAndCycle(t *testing.T) {
+func TestHasCycle(t *testing.T) {
 	g := chain(4)
-	if !g.Reachable(0, 3) {
-		t.Fatal("0 should reach 3")
-	}
-	if g.Reachable(3, 0) {
-		t.Fatal("3 must not reach 0")
-	}
 	if g.HasCycle() {
 		t.Fatal("chain has no cycle")
 	}
 	g.AddEdge(3, 0, rules.DirectMatch)
 	if !g.HasCycle() {
 		t.Fatal("cycle not detected")
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	// 0→1, 0→2: fork.
-	g := &Graph{}
-	for i := 0; i < 4; i++ {
-		g.AddNode(Node{Feature: []float64{0}})
-	}
-	g.AddEdge(0, 1, rules.DirectMatch)
-	g.AddEdge(0, 2, rules.DirectMatch)
-	if !g.CommonAncestor(1, 2) {
-		t.Fatal("fork children share an ancestor")
-	}
-	if g.CommonAncestor(1, 3) {
-		t.Fatal("3 is isolated")
-	}
-	if !g.CommonAncestor(0, 2) {
-		t.Fatal("direct reachability counts")
 	}
 }
 
@@ -120,24 +92,17 @@ func TestSumAdjacency(t *testing.T) {
 	}
 }
 
-func TestFeatureMatrixAndPad(t *testing.T) {
+func TestPadFeatures(t *testing.T) {
 	g := chain(3)
-	m := g.FeatureMatrix()
-	if m.Rows() != 3 || m.Cols() != 1 {
-		t.Fatalf("feature dims %dx%d", m.Rows(), m.Cols())
-	}
 	p := g.PadFeatures(4)
-	if p.Cols() != 4 || p.At(2, 0) != 2 || p.At(2, 3) != 0 {
+	if p.Rows() != 3 || p.Cols() != 4 || p.At(2, 0) != 2 || p.At(2, 3) != 0 {
 		t.Fatalf("pad: %v", p)
 	}
-	// Mixed dims panic without padding.
+	// Mixed dims pad (or truncate) to one width.
 	g.Nodes[0].Feature = []float64{1, 2}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mixed dims")
-		}
-	}()
-	g.FeatureMatrix()
+	if p := g.PadFeatures(1); p.Cols() != 1 || p.At(0, 0) != 1 {
+		t.Fatalf("truncate: %v", p)
+	}
 }
 
 func TestInducedSubgraphProperty(t *testing.T) {

@@ -131,15 +131,3 @@ func LevelNames(k int) []string {
 		return names
 	}
 }
-
-// ToLogical converts a numeric reading into a logical level word using
-// natural breaks computed over the historical values.
-func ToLogical(v float64, history []float64, k int) string {
-	breaks := Breaks(history, k)
-	names := LevelNames(len(breaks) + 1)
-	idx := Classify(v, breaks)
-	if idx >= len(names) {
-		idx = len(names) - 1
-	}
-	return names[idx]
-}

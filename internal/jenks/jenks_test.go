@@ -124,14 +124,17 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestToLogical composes the three calls the way eventlog.Clean turns a
+// numeric reading into a level word.
 func TestToLogical(t *testing.T) {
 	history := []float64{20, 22, 25, 30, 31, 33, 60, 62, 65, 70}
 	// 20s-30s cluster vs 60-70 cluster with k=2.
-	if got := ToLogical(25, history, 2); got != "low" {
-		t.Errorf("ToLogical(25) = %q", got)
-	}
-	if got := ToLogical(65, history, 2); got != "high" {
-		t.Errorf("ToLogical(65) = %q", got)
+	breaks := Breaks(history, 2)
+	names := LevelNames(len(breaks) + 1)
+	for v, want := range map[float64]string{25: "low", 65: "high"} {
+		if got := names[Classify(v, breaks)]; got != want {
+			t.Errorf("%v → %q, want %q", v, got, want)
+		}
 	}
 }
 

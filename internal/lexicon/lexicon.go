@@ -297,30 +297,3 @@ func (l *Lexicon) RelationFeatures(as, bs []string) []float64 {
 	}
 	return out
 }
-
-// Vocabulary returns every word known to the lexicon (synset members plus
-// relation endpoints), useful to seed the embedding table.
-func (l *Lexicon) Vocabulary() []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(w string) {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	for _, ss := range synsets {
-		for _, w := range ss {
-			add(normalize(w))
-		}
-	}
-	for k, v := range hypernymEdges {
-		add(k)
-		add(v)
-	}
-	for k, v := range meronymEdges {
-		add(k)
-		add(v)
-	}
-	return out
-}

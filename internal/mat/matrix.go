@@ -170,15 +170,6 @@ func (m *Dense) Equalish(b *Dense, tol float64) bool {
 	return true
 }
 
-// Norm returns the Frobenius norm.
-func (m *Dense) Norm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Sum returns the sum of all elements.
 func (m *Dense) Sum() float64 {
 	var s float64

@@ -136,8 +136,8 @@ func TestScaleAddScaledApply(t *testing.T) {
 
 func TestNormSumMaxAbs(t *testing.T) {
 	m := NewDenseData(1, 3, []float64{3, -4, 0})
-	if !almost(m.Norm(), 5, 1e-12) {
-		t.Fatalf("Norm = %v", m.Norm())
+	if n := Norm2(m.Data()); !almost(n, 5, 1e-12) {
+		t.Fatalf("Norm2 = %v", n)
 	}
 	if m.Sum() != -1 {
 		t.Fatalf("Sum = %v", m.Sum())

@@ -179,13 +179,6 @@ func SpMMTo(dst *Dense, s *CSR, b *Dense) {
 	}
 }
 
-// SpMM computes S·B into a new dense matrix.
-func SpMM(s *CSR, b *Dense) *Dense {
-	out := NewDense(s.rows, b.cols)
-	SpMMTo(out, s, b)
-	return out
-}
-
 // ToDense expands the sparse matrix into dense form (for tests).
 func (m *CSR) ToDense() *Dense {
 	out := NewDense(m.rows, m.cols)

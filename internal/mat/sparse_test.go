@@ -55,7 +55,8 @@ func TestSpMMMatchesDense(t *testing.T) {
 		for i := range b.Data() {
 			b.Data()[i] = float64(i%7) - 3
 		}
-		got := SpMM(s, b)
+		got := NewDense(n, c)
+		SpMMTo(got, s, b)
 		want := Mul(s.ToDense(), b)
 		return got.Equalish(want, 1e-10)
 	}

@@ -74,23 +74,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// Variance returns the population variance of v.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// Std returns the population standard deviation of v.
-func Std(v []float64) float64 { return math.Sqrt(Variance(v)) }
-
 // Median returns the median of v without modifying it.
 func Median(v []float64) float64 {
 	if len(v) == 0 {

@@ -111,36 +111,3 @@ func KFold(factory func() Classifier, x [][]float64, y []int, k int, seed int64)
 	sum.F1 /= float64(k)
 	return sum
 }
-
-// TrainTestSplit shuffles and splits a dataset; frac is the training
-// fraction (the paper uses 80/20, §IV-C).
-func TrainTestSplit(x [][]float64, y []int, frac float64, seed int64) (trX [][]float64, trY []int, teX [][]float64, teY []int) {
-	perm := rng.New(seed).Perm(len(x))
-	cut := int(frac * float64(len(x)))
-	for i, idx := range perm {
-		if i < cut {
-			trX = append(trX, x[idx])
-			trY = append(trY, y[idx])
-		} else {
-			teX = append(teX, x[idx])
-			teY = append(teY, y[idx])
-		}
-	}
-	return
-}
-
-// GridSearch evaluates factory(param) for each candidate parameter value by
-// k-fold CV and returns the parameter with the best F1 plus its metrics —
-// the "grid search method" the paper uses for hyperparameters (§IV-B).
-func GridSearch(factory func(param float64) Classifier, params []float64,
-	x [][]float64, y []int, k int, seed int64) (best float64, bestM Metrics) {
-	first := true
-	for _, p := range params {
-		m := KFold(func() Classifier { return factory(p) }, x, y, k, seed)
-		if first || m.F1 > bestM.F1 {
-			first = false
-			best, bestM = p, m
-		}
-	}
-	return
-}

@@ -47,6 +47,19 @@ func xorData(n int, seed int64) ([][]float64, []int) {
 	return x, y
 }
 
+// newTree is a lone tree as a forest grows one: every feature, no bootstrap.
+func newTree(maxDepth int) *DecisionTree {
+	return &DecisionTree{MaxDepth: maxDepth, MinSamples: 2}
+}
+
+// depth is the tree depth below n (0 for a lone leaf).
+func depth(n *treeNode) int {
+	if n == nil || n.isLeaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
 func TestEvaluateKnownConfusion(t *testing.T) {
 	pred := []int{1, 1, 0, 0, 1}
 	truth := []int{1, 0, 0, 1, 1}
@@ -78,7 +91,7 @@ func TestClassifiersSeparateBlobs(t *testing.T) {
 	trX, trY := x[:150], y[:150]
 	cases := map[string]Classifier{
 		"knn":    NewKNN(5),
-		"tree":   NewDecisionTree(6),
+		"tree":   newTree(6),
 		"forest": NewRandomForest(20, 6, 7),
 		"gboost": NewGradientBoost(30, 3, 0.2),
 		"sgd":    NewSGDClassifier(50, 0.1, 3),
@@ -98,7 +111,7 @@ func TestNonlinearModelsSolveXOR(t *testing.T) {
 	teX, teY := x[300:], y[300:]
 	nonlinear := map[string]Classifier{
 		"knn":    NewKNN(7),
-		"tree":   NewDecisionTree(8),
+		"tree":   newTree(8),
 		"forest": NewRandomForest(30, 8, 11),
 		"gboost": NewGradientBoost(60, 3, 0.3),
 	}
@@ -125,33 +138,11 @@ func TestKFoldAveragesReasonably(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplitProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		x, y := blobs(50, 0.3, seed)
-		trX, trY, teX, teY := TrainTestSplit(x, y, 0.8, seed)
-		return len(trX) == 40 && len(teX) == 10 &&
-			len(trY) == 40 && len(teY) == 10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGridSearchPicksWorkingDepth(t *testing.T) {
-	x, y := xorData(200, 13)
-	best, m := GridSearch(func(p float64) Classifier {
-		return NewDecisionTree(int(p))
-	}, []float64{1, 8}, x, y, 5, 7)
-	if best != 8 {
-		t.Fatalf("grid search picked depth %v (metrics %+v)", best, m)
-	}
-}
-
 func TestDecisionTreeDepthBound(t *testing.T) {
 	x, y := xorData(300, 17)
-	tree := NewDecisionTree(3)
+	tree := newTree(3)
 	tree.Fit(x, y)
-	if d := tree.Depth(); d > 3 {
+	if d := depth(tree.root); d > 3 {
 		t.Fatalf("depth %d exceeds bound", d)
 	}
 }
@@ -159,9 +150,9 @@ func TestDecisionTreeDepthBound(t *testing.T) {
 func TestDecisionTreePureLeafShortCircuit(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}}
 	y := []int{1, 1, 1}
-	tree := NewDecisionTree(5)
+	tree := newTree(5)
 	tree.Fit(x, y)
-	if tree.Depth() != 0 {
+	if depth(tree.root) != 0 {
 		t.Fatal("pure dataset should produce a lone leaf")
 	}
 	if tree.Predict([]float64{9}) != 1 {
@@ -249,7 +240,7 @@ func TestGradientBoostProbabilityBounds(t *testing.T) {
 func TestEmptyFitSafety(t *testing.T) {
 	// Fitting on empty data must not panic, and prediction stays defined.
 	for _, c := range []Classifier{
-		NewDecisionTree(3), NewRandomForest(5, 3, 1),
+		newTree(3), NewRandomForest(5, 3, 1),
 		NewGradientBoost(5, 2, 0.1), NewSGDClassifier(5, 0.1, 1),
 	} {
 		c.Fit(nil, nil)

@@ -75,10 +75,6 @@ func (c *SGDClassifier) Predict(q []float64) int {
 	return 0
 }
 
-// Weights exposes the linear coefficients (used by the SHAP bridge, which
-// reads φ_j = w_j (x_j − E[x_j]) off a linear model).
-func (c *SGDClassifier) Weights() ([]float64, float64) { return c.w, c.b }
-
 // Clone returns a deep copy of the classifier, including the fitted
 // weights. Serving snapshots freeze classifier state with it so a later
 // Fit on the original can never reach into an in-flight request.

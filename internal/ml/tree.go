@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"sort"
 
 	"fexiot/internal/rng"
@@ -25,11 +24,6 @@ type DecisionTree struct {
 	Seed        int64
 
 	root *treeNode
-}
-
-// NewDecisionTree creates a tree with the given depth bound.
-func NewDecisionTree(maxDepth int) *DecisionTree {
-	return &DecisionTree{MaxDepth: maxDepth, MinSamples: 2}
 }
 
 // Fit grows the tree on the dataset.
@@ -186,17 +180,4 @@ func (t *DecisionTree) Predict(q []float64) int {
 		return 1
 	}
 	return 0
-}
-
-// Depth returns the tree depth (0 for a lone leaf).
-func (t *DecisionTree) Depth() int {
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		if n == nil || n.isLeaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		return 1 + int(math.Max(float64(l), float64(r)))
-	}
-	return walk(t.root)
 }

@@ -229,15 +229,6 @@ func (l *LSTM) AnomalyRate(seq []int) float64 {
 	return float64(anomalies) / float64(total)
 }
 
-// NumParams reports the parameter count (used in the Table III model-size
-// accounting).
-func (l *LSTM) NumParams() int {
-	if l.params == nil {
-		return 0
-	}
-	return l.params.NumElements()
-}
-
 // String describes the architecture.
 func (l *LSTM) String() string {
 	return fmt.Sprintf("LSTM(V=%d,H=%d,W=%d)", l.Vocab, l.Hidden, l.Window)

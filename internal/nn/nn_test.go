@@ -128,7 +128,7 @@ func TestLSTMNumParams(t *testing.T) {
 	l := NewLSTM(4, 8, 3, 1, 0.01, 1)
 	l.Fit([][]int{{0, 1, 2, 3, 0, 1, 2, 3}})
 	want := 4*((4+8)*8+8) + 8*4 + 4 // 4 gates + output head
-	if got := l.NumParams(); got != want {
-		t.Fatalf("NumParams = %d want %d", got, want)
+	if got := l.params.NumElements(); got != want {
+		t.Fatalf("%d parameters, want %d", got, want)
 	}
 }

@@ -292,25 +292,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.with(labelValues).counter
 }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family for name.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.lookup(name, help, kindGauge, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values (nil on a nil vec).
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.with(labelValues).gauge
-}
-
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }
 

@@ -70,7 +70,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	h := r.Histogram("h", "", nil)
 	h.Observe(3)
 	r.CounterVec("cv", "", "l").With("x").Inc()
-	r.GaugeVec("gv", "", "l").With("x").Set(1)
 	r.HistogramVec("hv", "", nil, "l").With("x").Observe(1)
 	sp := StartSpan(h)
 	sp.End()

@@ -1,12 +1,10 @@
-// Package rng provides deterministic, splittable pseudo-random streams so
-// that every experiment in the repository is exactly reproducible from a
-// single seed. It wraps math/rand with domain-separated sub-seeds and adds
-// the samplers the learning substrates need (Gaussian matrices, Dirichlet
-// draws, permutations, categorical sampling).
+// Package rng provides deterministic pseudo-random streams so that every
+// experiment in the repository is exactly reproducible from a single seed.
+// It wraps math/rand and adds the samplers the learning substrates need
+// (Gaussian matrices, Dirichlet draws, permutations, categorical sampling).
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -28,31 +26,11 @@ func New(seed int64) *RNG {
 // is 5 KB): a caller that needs a fresh stream per item keeps one RNG.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
-// Split derives an independent child stream identified by name. The child is
-// a pure function of (parent seed state, name), so call order on siblings
-// does not matter as long as Split calls themselves are ordered identically.
-func (g *RNG) Split(name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return New(int64(h.Sum64()) ^ g.r.Int63())
-}
-
-// SplitStable derives a child stream from name alone plus a fixed salt drawn
-// once; unlike Split it does not advance the parent stream.
-func SplitStable(seed int64, name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return New(seed ^ int64(h.Sum64()))
-}
-
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform int in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
@@ -192,11 +170,6 @@ func (g *RNG) Poisson(lambda float64) int {
 			return k
 		}
 	}
-}
-
-// Exp samples from an exponential distribution with the given rate.
-func (g *RNG) Exp(rate float64) float64 {
-	return g.r.ExpFloat64() / rate
 }
 
 // SampleWithoutReplacement returns k distinct indices from [0,n).

@@ -352,18 +352,3 @@ func Label(g *graph.Graph) []Finding {
 	}
 	return findings
 }
-
-// PrimaryType returns the dominant vulnerability type of a labelled graph
-// (the first tag), or -1 for benign graphs. Used by the drift experiment to
-// colour clusters (Fig. 6).
-func PrimaryType(g *graph.Graph) Type {
-	if len(g.Tags) == 0 {
-		return -1
-	}
-	for t := Type(0); t < numTypes; t++ {
-		if g.Tags[0] == t.String() {
-			return t
-		}
-	}
-	return -1
-}

@@ -181,16 +181,6 @@ func TestLabelSetsTags(t *testing.T) {
 	if len(g.Tags) == 0 || g.Tags[0] != "action_loop" {
 		t.Fatalf("tags = %v", g.Tags)
 	}
-	if PrimaryType(g) != ActionLoop {
-		t.Fatalf("primary type = %v", PrimaryType(g))
-	}
-}
-
-func TestPrimaryTypeBenign(t *testing.T) {
-	g := &graph.Graph{}
-	if PrimaryType(g) != -1 {
-		t.Fatal("benign primary type should be -1")
-	}
 }
 
 func TestDetectDeterministicOrder(t *testing.T) {
