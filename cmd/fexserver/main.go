@@ -51,8 +51,9 @@ func main() {
 	clients := flag.Int("clients", 2, "clients to wait for before round 0")
 	rounds := flag.Int("rounds", 10, "federated rounds")
 	layers := flag.Int("layers", 4, "model layer count (must match clients)")
-	eps1 := flag.Float64("eps1", 0.6, "clustering gate ε1 (relative)")
-	eps2 := flag.Float64("eps2", 0.95, "clustering gate ε2 (relative)")
+	gate := fed.DefaultConfig(0)
+	eps1 := flag.Float64("eps1", gate.Eps1, "clustering gate ε1 (relative)")
+	eps2 := flag.Float64("eps2", gate.Eps2, "clustering gate ε2 (relative)")
 	timeout := flag.Duration("timeout", fedproto.DefaultRoundTimeout,
 		"per-client read/write deadline per round (negative disables)")
 	quorum := flag.Float64("quorum", fedproto.DefaultQuorum,

@@ -32,7 +32,6 @@ import (
 	"fexiot/internal/eventlog"
 	"fexiot/internal/explain"
 	"fexiot/internal/fed"
-	"fexiot/internal/fedproto/codec"
 	"fexiot/internal/fusion"
 	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
@@ -78,11 +77,6 @@ type Options struct {
 	// registry (serve it with obs.StartHTTP). Nil disables instrumentation
 	// at unmeasurable cost.
 	Metrics *obs.Registry
-	// Codec selects the simulated federated update encoding ("raw64",
-	// "f32", "q8", "topk"; empty = raw64): lossy schemes shrink upload
-	// bytes by compressing per-round deltas at a bounded accuracy cost,
-	// mirroring the networked protocol's -codec flag.
-	Codec string
 }
 
 // DefaultOptions returns the documented defaults: a compact GIN sized for
@@ -110,9 +104,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("fexiot: dimensions must be positive "+
 			"(WordDim=%d SentenceDim=%d Hidden=%d EmbedDim=%d); start from DefaultOptions",
 			o.WordDim, o.SentenceDim, o.Hidden, o.EmbedDim)
-	}
-	if _, err := codec.New(o.Codec); err != nil {
-		return fmt.Errorf("fexiot: %w", err)
 	}
 	return nil
 }
@@ -268,7 +259,6 @@ func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 	cfg := fed.DefaultConfig(s.opts.Seed)
 	cfg.Rounds = rounds
 	cfg.Metrics = s.opts.Metrics
-	cfg.Codec = s.opts.Codec
 	res := a.Run(clients, cfg)
 
 	var all []*Graph
@@ -400,8 +390,8 @@ type ServeOptions struct {
 
 // StreamOptions tunes the streaming detection sessions (see
 // internal/stream). Zero values use the documented stream defaults:
-// 256 sessions, 4096-event windows, 3600 simulated seconds of age,
-// 10-minute idle eviction swept every 15 seconds.
+// 256 sessions, 4096-event windows, 3600 simulated seconds of age and
+// 10-minute idle eviction.
 type StreamOptions struct {
 	// MaxSessions bounds concurrent sessions; creation beyond it fails
 	// with 429 overloaded.
@@ -411,10 +401,9 @@ type StreamOptions struct {
 	// MaxWindowAge bounds the window by event-time age in simulated
 	// seconds.
 	MaxWindowAge int64
-	// IdleTimeout evicts sessions with no ingest or read for this long.
+	// IdleTimeout evicts sessions with no ingest or read for this long;
+	// the eviction sweep runs every min(15 s, IdleTimeout/4).
 	IdleTimeout time.Duration
-	// JanitorInterval is the idle-eviction sweep cadence.
-	JanitorInterval time.Duration
 }
 
 // Server is a running inference endpoint: /v1/detect, /v1/explain,
@@ -485,7 +474,6 @@ func Serve(ctx context.Context, sys *System, opts ServeOptions) (*Server, error)
 		MaxWindowEvents: opts.Streams.MaxWindowEvents,
 		MaxWindowAge:    opts.Streams.MaxWindowAge,
 		IdleTimeout:     opts.Streams.IdleTimeout,
-		JanitorInterval: opts.Streams.JanitorInterval,
 		MaxBodyBytes:    opts.MaxBodyBytes,
 		Metrics:         sys.opts.Metrics,
 		CacheStats:      sys.builder.FeatureCacheStats,

@@ -267,11 +267,3 @@ func (a *Adam) Step(params *ParamSet, grads map[string]*mat.Dense) {
 		}
 	}
 }
-
-// Reset clears the optimiser state (used when the FL server replaces a
-// client's weights wholesale).
-func (a *Adam) Reset() {
-	a.step = 0
-	a.m = map[string]*mat.Dense{}
-	a.v = map[string]*mat.Dense{}
-}

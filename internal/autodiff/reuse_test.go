@@ -172,8 +172,8 @@ func TestRecycleForgetsTransposes(t *testing.T) {
 		t.Fatalf("Reset dropped the transpose cache (%d left)", len(tape.csrT))
 	}
 	tape.Recycle()
-	if len(tape.csrT) != 0 || tape.Len() != 0 {
-		t.Fatalf("a recycled tape still holds %d transposes and %d nodes", len(tape.csrT), tape.Len())
+	if len(tape.csrT) != 0 || len(tape.nodes) != 0 {
+		t.Fatalf("a recycled tape still holds %d transposes and %d nodes", len(tape.csrT), len(tape.nodes))
 	}
 	for i := range ops {
 		for j, g := range pass(i) {

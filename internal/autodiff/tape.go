@@ -63,9 +63,6 @@ type Node struct {
 	vhdr, ghdr, ahdr mat.Dense
 }
 
-// Dims returns the node's value dimensions.
-func (n *Node) Dims() (int, int) { return n.Value.Dims() }
-
 // Tape records operations for reverse-mode differentiation and owns the
 // recycled memory behind them.
 type Tape struct {
@@ -142,9 +139,6 @@ func (t *Tape) Recycle() {
 
 // ArenaStats exposes the tape arena's counters (tests).
 func (t *Tape) ArenaStats() mat.ArenaStats { return t.arena.Stats() }
-
-// Len reports the number of recorded nodes.
-func (t *Tape) Len() int { return len(t.nodes) }
 
 // alloc takes a node struct from the free list or the heap.
 func (t *Tape) alloc() *Node {

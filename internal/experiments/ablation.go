@@ -5,6 +5,7 @@ import (
 
 	"fexiot/internal/autodiff"
 	"fexiot/internal/datasets"
+	"fexiot/internal/drift"
 	"fexiot/internal/explain"
 	"fexiot/internal/fed"
 	"fexiot/internal/gnn"
@@ -54,11 +55,10 @@ func AblationContrastive(s Setup) *Table {
 	// Supervised CE, same budget.
 	model := s.newModel("GIN", d.Encoder, 100+s.Seed)
 	head := gnn.NewSupervisedHead(model.EmbedDim(), 4)
-	opt := autodiff.NewAdam(s.LR)
+	opt := autodiff.NewAdam(lr)
 	opt.WeightDecay = 1e-4
-	hOpt := autodiff.NewAdam(s.LR)
+	hOpt := autodiff.NewAdam(lr)
 	cfg := gnn.DefaultTrainConfig(s.Seed)
-	cfg.LR = s.LR
 	cfg.PairsPerEpoch = s.PairsPerRound * 2
 	for r := 0; r < s.Rounds; r++ {
 		cfg.Seed = s.Seed + int64(r)
@@ -124,7 +124,7 @@ func AblationMAD(s Setup) *Table {
 			labels[i] = 1
 		}
 	}
-	dd := driftFitHelper(emb, labels)
+	dd := drift.Fit(emb, labels)
 	test := gnn.EmbedAll(det.Model, d.Unlabeled[:min(len(d.Unlabeled), 400)])
 	t := &Table{
 		Title:  "Ablation — MAD threshold T_M for drift filtering",

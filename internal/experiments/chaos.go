@@ -10,6 +10,7 @@ import (
 	"fexiot/internal/autodiff"
 	"fexiot/internal/chaos"
 	"fexiot/internal/embed"
+	"fexiot/internal/fed"
 	"fexiot/internal/fedproto"
 	"fexiot/internal/fusion"
 	"fexiot/internal/gnn"
@@ -56,12 +57,13 @@ func ChaosFederation(s Setup) *Table {
 
 	dim := fusion.WordFeatureDim(enc)
 	base := gnn.NewGIN(dim, 8, 4, 100)
+	gate := fed.DefaultConfig(s.Seed)
 	srv := fedproto.NewServer(fedproto.ServerConfig{
 		Addr:         addr,
 		Clients:      clients,
 		Rounds:       rounds,
-		Eps1:         s.Eps1,
-		Eps2:         s.Eps2,
+		Eps1:         gate.Eps1,
+		Eps2:         gate.Eps2,
 		NumLayers:    base.Params().NumLayers(),
 		RoundTimeout: 10 * time.Second,
 		Quorum:       quorum,
@@ -86,7 +88,7 @@ func ChaosFederation(s Setup) *Table {
 			m := base.Fresh(int64(id))
 			m.Params().CopyFrom(base.Params())
 			data := datasets[id]
-			opt := autodiff.NewAdam(0.005)
+			opt := autodiff.NewAdam(lr)
 			cfg := gnn.DefaultTrainConfig(int64(id))
 			cfg.PairsPerEpoch = 8
 

@@ -20,16 +20,17 @@ import (
 	"fexiot/internal/obs"
 )
 
+// lr is the Adam learning rate every experiment trains with.
+const lr = 0.005
+
 // Setup bundles the shared configuration of the federated experiments.
 type Setup struct {
 	Scale datasets.Scale
 	// Federated training shape.
 	Rounds        int
 	PairsPerRound int
-	LR            float64
 	Hidden        int
 	EmbedDim      int
-	Eps1, Eps2    float64
 	Seed          int64
 	// Metrics, when non-nil, threads an observability registry through
 	// every experiment's simulator, trainer and networked-federation
@@ -44,11 +45,8 @@ func DefaultSetup() Setup {
 		Scale:         sc,
 		Rounds:        22,
 		PairsPerRound: 150,
-		LR:            0.005,
 		Hidden:        24,
 		EmbedDim:      16,
-		Eps1:          0.4,
-		Eps2:          0.95,
 		Seed:          1,
 	}
 	if sc.Name == "paper" {
@@ -62,8 +60,6 @@ func DefaultSetup() Setup {
 func (s Setup) fedConfig() fed.Config {
 	cfg := fed.DefaultConfig(s.Seed)
 	cfg.Rounds = s.Rounds
-	cfg.Eps1, cfg.Eps2 = s.Eps1, s.Eps2
-	cfg.Train.LR = s.LR
 	cfg.Train.PairsPerEpoch = s.PairsPerRound
 	cfg.Metrics = s.Metrics
 	return cfg
@@ -110,7 +106,7 @@ func (s Setup) splitClients(labeled []*graph.Graph, n int, alpha float64, seed i
 // metrics plus the training result.
 func (s Setup) runFederated(algo fed.Algorithm, base gnn.Model,
 	cd clientData) ([]ml.Metrics, *fed.Result) {
-	clients := fed.NewClients(base, cd.train, s.LR)
+	clients := fed.NewClients(base, cd.train, lr)
 	res := algo.Run(clients, s.fedConfig())
 	metrics := make([]ml.Metrics, len(clients))
 	// Bounded by the shared mat parallelism knob: one goroutine per client

@@ -108,7 +108,7 @@ func FigureVII(s Setup, clientCounts []int) *Table {
 		for _, algo := range []fed.Algorithm{fed.FedAvg{}, fed.FMTL(), fed.GCFL(), fed.NewFexIoT()} {
 			cd := s.splitClients(labeled, n, 1.0, s.Seed+int64(n))
 			base := s.newModel("GIN", d.Encoder, 100)
-			clients := fed.NewClients(base, cd.train, s.LR)
+			clients := fed.NewClients(base, cd.train, lr)
 			res := algo.Run(clients, s.fedConfig())
 			mb := float64(res.Comm.Total()) / 1e6
 			row = append(row, fmt.Sprintf("%.1f", mb))

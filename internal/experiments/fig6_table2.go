@@ -22,9 +22,8 @@ func trainDetectorOn(s Setup, model string, d *datasets.Dataset,
 	graphs []*graph.Graph) *gnn.Detector {
 	m := s.newModel(model, d.Encoder, 100+s.Seed)
 	cfg := gnn.DefaultTrainConfig(s.Seed)
-	cfg.LR = s.LR
 	cfg.PairsPerEpoch = s.PairsPerRound * 2
-	opt := autodiff.NewAdam(cfg.LR)
+	opt := autodiff.NewAdam(lr)
 	opt.WeightDecay = 1e-4
 	rounds := s.Rounds
 	for r := 0; r < rounds; r++ {

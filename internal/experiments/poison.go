@@ -54,7 +54,7 @@ func PoisonSweep(s Setup, attacks, aggs []string, nClients, nByz int) (*Table, *
 			}
 			cd := s.splitClients(labeled, nClients, 1.0, s.Seed+7)
 			base := s.newModel("GIN", d.Encoder, 100)
-			clients := fed.NewClients(base, cd.train, s.LR)
+			clients := fed.NewClients(base, cd.train, lr)
 			if atkName != "none" {
 				for i := nHonest; i < nClients; i++ {
 					// Fresh attack instance per client: replay is stateful.

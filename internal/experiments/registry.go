@@ -3,14 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"fexiot/internal/drift"
 )
-
-// driftFitHelper keeps the drift import local to the ablation file's user.
-func driftFitHelper(emb [][]float64, labels []int) *drift.Detector {
-	return drift.Fit(emb, labels)
-}
 
 // Runner executes one experiment and returns its printable output.
 type Runner func(s Setup) string

@@ -147,13 +147,6 @@ type Config struct {
 	// propagated into every client's local training config. Nil keeps the
 	// simulator on the zero-overhead path.
 	Metrics *obs.Registry
-	// Codec simulates the wire update codec of the networked protocol
-	// ("raw64", "f32", "q8", "topk"; empty = raw64): each round every
-	// client's update is replaced by its encode→decode reconstruction —
-	// exactly what the server would aggregate — and upload accounting uses
-	// the encoded wire size instead of dense float64 bytes. Unknown names
-	// fall back to raw64 (the facade validates before running).
-	Codec string
 }
 
 // roundTrain derives round r's local training config: the round-keyed seed

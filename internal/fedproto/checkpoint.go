@@ -26,9 +26,7 @@ type Checkpoint struct {
 	Global []LayerPayload
 	// Strikes maps client id → consecutive missed rounds at snapshot time.
 	Strikes map[int]int
-	// Sizes maps client id → |G_c|, informational (hellos re-announce it).
-	Sizes map[int]int
-	Stats ServerStats
+	Stats   ServerStats
 }
 
 // Checkpoint files end in a 40-byte integrity footer: the SHA-256 of the
@@ -160,14 +158,12 @@ func (s *Server) saveCheckpoint(nextRound int) error {
 		Names:   s.names,
 		Global:  s.global,
 		Strikes: map[int]int{},
-		Sizes:   map[int]int{},
 		Stats:   s.stats,
 	}
 	ck.Stats.Responders = append([]int(nil), s.stats.Responders...)
 	for _, st := range s.clients {
 		if st.alive {
 			ck.Strikes[st.id] = st.strikes
-			ck.Sizes[st.id] = st.size
 		}
 	}
 	s.mu.Unlock()

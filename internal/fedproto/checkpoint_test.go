@@ -23,7 +23,6 @@ func testCheckpoint(round int) *Checkpoint {
 		Names:   [][]string{{"l0.w"}, {"l1.w"}},
 		Global:  EncodeLayers(p, []int{0, 1}, zeroNorms(p)),
 		Strikes: map[int]int{1: 2},
-		Sizes:   map[int]int{0: 10, 1: 10},
 		Stats:   ServerStats{RoundsCompleted: round, Responders: []int{2, 2}},
 	}
 }

@@ -204,7 +204,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // sameCheckpoint compares two checkpoints field by field, floats by bits.
 func sameCheckpoint(a, b *Checkpoint) bool {
 	if a.Round != b.Round || !reflect.DeepEqual(a.Shapes, b.Shapes) || !reflect.DeepEqual(a.Names, b.Names) ||
-		!reflect.DeepEqual(a.Strikes, b.Strikes) || !reflect.DeepEqual(a.Sizes, b.Sizes) ||
+		!reflect.DeepEqual(a.Strikes, b.Strikes) ||
 		!reflect.DeepEqual(a.Stats, b.Stats) || len(a.Global) != len(b.Global) {
 		return false
 	}

@@ -158,7 +158,6 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 		Global: append(EncodeLayers(p, []int{0, 1}, zeroNorms(p)), LayerPayload{Layer: 2,
 			Names: []string{"l2.w"}, Shapes: [][2]int{{1, len(special)}}, Data: []Floats{special}}),
 		Strikes: map[int]int{2: 1},
-		Sizes:   map[int]int{0: 10, 1: 10, 2: 10},
 		Stats: ServerStats{RoundsCompleted: 3, Evicted: 1, Rejoined: 1,
 			Responders: []int{3, 2, 3}},
 	}
@@ -169,7 +168,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Round != ck.Round || got.Strikes[2] != 1 || got.Sizes[1] != 10 {
+	if got.Round != ck.Round || got.Strikes[2] != 1 {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
 	if got.Stats.RoundsCompleted != 3 || len(got.Stats.Responders) != 3 {

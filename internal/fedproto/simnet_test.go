@@ -84,7 +84,6 @@ func TestSimNetDifferential(t *testing.T) {
 				cfg.Train.LR = 0.005
 				cfg.Eps1, cfg.Eps2 = gate.eps1, gate.eps2
 				cfg.Aggregator = agg
-				cfg.Codec = codec.Raw64
 
 				// Simulated, stepped one round at a time (round r of Run uses
 				// seed cfg.Seed+r) so every round's models and leaves show.

@@ -30,10 +30,6 @@ type EdgeOracle func(a, b *rules.Rule) rules.MatchKind
 type Builder struct {
 	Encoder *embed.Encoder
 	Oracle  EdgeOracle
-	// InjectProb is the probability that a generated graph receives one
-	// crafted vulnerability pattern on top of organic interactions,
-	// ensuring all six types appear in the corpus.
-	InjectProb float64
 	// InjectPlatforms restricts the platforms of injected rules (nil = the
 	// three app platforms); homogeneous datasets set a single platform.
 	InjectPlatforms []rules.Platform
@@ -176,13 +172,12 @@ func (b *Builder) indexFor(pool []*rules.Rule) *PoolIndex {
 // NewBuilder creates a graph builder with ground-truth edges.
 func NewBuilder(seed int64, enc *embed.Encoder) *Builder {
 	return &Builder{
-		Encoder:    enc,
-		Oracle:     rules.RuleCanTrigger,
-		InjectProb: 0.18,
-		r:          rng.New(seed),
-		featSeed:   uint64(seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
-		featCache:  map[uint64]featEntry{},
-		sigs:       map[sigKey][]float64{},
+		Encoder:   enc,
+		Oracle:    rules.RuleCanTrigger,
+		r:         rng.New(seed),
+		featSeed:  uint64(seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
+		featCache: map[uint64]featEntry{},
+		sigs:      map[sigKey][]float64{},
 	}
 }
 
@@ -374,6 +369,11 @@ func (b *Builder) connect(x, y int) {
 	}
 }
 
+// injectProb is the probability that an offline graph receives one crafted
+// vulnerability pattern on top of organic interactions, ensuring all six
+// types appear in the corpus.
+const injectProb = 0.18
+
 // Offline chains rules from pool into an interaction graph with about
 // `size` nodes (2–50), per §III-A3: random seed rule, grown by sampling
 // action-trigger correlated partners, with all oracle edges added among the
@@ -446,7 +446,7 @@ func (b *Builder) Offline(pool []*rules.Rule, size int) *graph.Graph {
 	// Optionally graft a crafted vulnerability pattern; pattern rules are
 	// fully wired among themselves and to the member whose action roots
 	// them.
-	if b.r.Bool(b.InjectProb) {
+	if b.r.Bool(injectProb) {
 		first := len(sc.members)
 		sc.members = append(sc.members, b.injectPattern(sc.members)...)
 		for pr := first; pr < len(sc.members); pr++ {

@@ -183,7 +183,7 @@ func TestPoolIndexMatchesOracle(t *testing.T) {
 			fwd[r] = true
 		}
 		bwd := map[*rules.Rule]bool{}
-		for _, r := range ix.Backward(nil, anchor) {
+		for _, r := range backwardRules(ix, anchor) {
 			bwd[r] = true
 		}
 		for _, r := range pool {

@@ -207,10 +207,3 @@ func (ix *PoolIndex) Forward(dst []*rules.Rule, anchor *rules.Rule) []*rules.Rul
 	ix.numbers = ix.forward(ix.numbers[:0], anchor)
 	return ix.rulesOf(dst)
 }
-
-// Backward appends to dst the pool rules whose actions can trigger anchor.
-func (ix *PoolIndex) Backward(dst []*rules.Rule, anchor *rules.Rule) []*rules.Rule {
-	ix.begin(ix.numberOf(anchor))
-	ix.numbers = ix.backward(ix.numbers[:0], anchor)
-	return ix.rulesOf(dst)
-}

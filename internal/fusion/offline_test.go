@@ -359,7 +359,7 @@ func TestPoolIndexOrderMatchesReference(t *testing.T) {
 				got, want []*rules.Rule
 			}{
 				{"Forward", ix.Forward(nil, anchor), ref.Forward(anchor)},
-				{"Backward", ix.Backward(nil, anchor), ref.Backward(anchor)},
+				{"Backward", backwardRules(ix, anchor), ref.Backward(anchor)},
 				{"neighbors", near, ref.Neighbors(anchor)},
 			} {
 				if !reflect.DeepEqual(c.got, c.want) {
@@ -368,6 +368,14 @@ func TestPoolIndexOrderMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// backwardRules returns the pool rules whose actions can trigger anchor:
+// the backward half of neighbors on its own, as Forward returns the other.
+func backwardRules(ix *PoolIndex, anchor *rules.Rule) []*rules.Rule {
+	ix.begin(ix.numberOf(anchor))
+	ix.numbers = ix.backward(ix.numbers[:0], anchor)
+	return ix.rulesOf(nil)
 }
 
 func ids(rs []*rules.Rule) []string {

@@ -9,6 +9,7 @@ import (
 	"fexiot/internal/fusion"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
+	"fexiot/internal/obs"
 	"fexiot/internal/rng"
 	"fexiot/internal/rules"
 )
@@ -121,7 +122,6 @@ func TestContrastiveTrainingSeparatesClasses(t *testing.T) {
 	m := NewGIN(featDim, 16, 8, 7)
 	cfg := DefaultTrainConfig(11)
 	cfg.LR = 0.005
-	cfg.Epochs = 1
 	cfg.PairsPerEpoch = 400
 	opt := autodiff.NewAdam(cfg.LR)
 
@@ -152,6 +152,39 @@ func TestContrastiveTrainingSeparatesClasses(t *testing.T) {
 	if after <= before {
 		t.Fatalf("contrastive training should widen the class gap: before %v after %v",
 			before, after)
+	}
+}
+
+// TestTrainContrastiveRollsBackNonFinite pins the divergence gate: a round
+// that meets a non-finite loss or gradient — here from one graph's NaN node
+// feature, first drawn after the optimiser has already stepped — returns
+// false, leaves every weight bit for bit as it was at entry and counts one
+// divergence, while the same graphs without the NaN train through.
+func TestTrainContrastiveRollsBackNonFinite(t *testing.T) {
+	for _, poisoned := range []bool{true, false} {
+		gs := sizedGraphs(9, 24, 4)
+		if poisoned {
+			gs[7].Nodes[0].Feature[0] = math.NaN()
+		}
+		m := NewGIN(featDim, 16, 8, 7)
+		entry := m.Params().Clone()
+		cfg := DefaultTrainConfig(3)
+		cfg.Metrics = obs.NewRegistry()
+		ok := TrainContrastive(m, gs, cfg, autodiff.NewAdam(0.005))
+		diverged := cfg.Metrics.Counter("fexiot_train_divergence_total", "").Value()
+		if !poisoned {
+			if !ok || diverged != 0 {
+				t.Fatalf("finite graphs: completed = %v, divergences = %d; want true, 0", ok, diverged)
+			}
+			continue
+		}
+		if ok || diverged != 1 {
+			t.Fatalf("NaN feature: completed = %v, divergences = %d; want false, 1", ok, diverged)
+		}
+		if cfg.Metrics.Gauge("fexiot_train_grad_norm", "").Value() == 0 {
+			t.Fatal("the NaN graph was drawn in the first batch: nothing stepped, so nothing was rolled back")
+		}
+		paramsBitEqual(t, "rolled-back round", m.Params(), entry)
 	}
 }
 

@@ -1,8 +1,6 @@
 package gnn
 
 import (
-	"math"
-
 	"fexiot/internal/autodiff"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
@@ -13,22 +11,12 @@ import (
 
 // TrainConfig controls contrastive representation learning (Eq. 2).
 type TrainConfig struct {
-	Margin        float64 // the distance threshold k in Eq. (2)
-	LR            float64 // Adam learning rate (paper: 0.001)
-	Epochs        int     // local passes
-	PairsPerEpoch int     // contrastive pairs sampled per pass
-	BatchPairs    int     // pairs accumulated per optimiser step
+	// LR is the learning rate the caller builds its Adam with (paper:
+	// 0.001); training never reads it, since the caller's optimiser
+	// carries the rate.
+	LR            float64
+	PairsPerEpoch int // pairs sampled per call (TrainSupervised: graphs)
 	Seed          int64
-	// GradClip bounds the global gradient norm of every optimiser step.
-	// Zero selects the historical default of 5; negative disables clipping.
-	GradClip float64
-	// DivergeFactor aborts the round when a batch loss exceeds
-	// DivergeFactor × the round's first batch loss — the signature of a
-	// numerically diverging model. Zero disables the ratio check; the
-	// non-finite (NaN/Inf) loss and gradient checks are always on. An
-	// aborted round restores the weights captured at entry, so divergence
-	// never propagates NaN into the federation.
-	DivergeFactor float64
 	// Metrics, when non-nil, receives training telemetry: contrastive loss,
 	// gradient norm, clip and divergence events, and per-round training
 	// time. Nil (the default) keeps training on the zero-overhead path.
@@ -58,22 +46,16 @@ func newTrainMetrics(r *obs.Registry) trainMetrics {
 	}
 }
 
+// The training settings every caller runs with.
+const (
+	margin     = 2.0 // the distance threshold k in Eq. (2)
+	batchPairs = 8   // pairs accumulated per optimiser step
+	gradClip   = 5.0 // bound on the global gradient norm of every step
+)
+
 // DefaultTrainConfig mirrors the paper's training setup.
 func DefaultTrainConfig(seed int64) TrainConfig {
-	return TrainConfig{Margin: 2.0, LR: 0.001, Epochs: 1,
-		PairsPerEpoch: 64, BatchPairs: 8, Seed: seed}
-}
-
-// gradClip resolves the configured clip bound (0 = disabled).
-func (c TrainConfig) gradClip() float64 {
-	switch {
-	case c.GradClip < 0:
-		return 0
-	case c.GradClip == 0:
-		return 5
-	default:
-		return c.GradClip
-	}
+	return TrainConfig{LR: 0.001, PairsPerEpoch: 64, Seed: seed}
 }
 
 // gradsFinite reports whether every accumulated gradient is finite.
@@ -91,10 +73,10 @@ func gradsFinite(grads map[string]*mat.Dense) bool {
 // proportion. The optimiser is owned by the caller so federated clients
 // keep momentum state across rounds.
 //
-// The loop is divergence-safe: a non-finite batch loss or gradient — or,
-// with cfg.DivergeFactor set, a loss blow-up past DivergeFactor × the first
-// batch loss — aborts the round and restores the weights captured at entry.
-// It returns false on such an abort and true when the round completed.
+// The loop is divergence-safe: a non-finite batch loss or gradient aborts
+// the round and restores the weights captured at entry, so divergence
+// never propagates NaN into the federation. It returns false on such an
+// abort and true when the round completed.
 //
 // The tape comes from the package's workspace pool and goes back when the
 // round ends, so a caller that returns once per federated round finds its
@@ -114,7 +96,6 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 	sp := obs.StartSpan(tm.roundDur)
 	defer sp.End()
 	snapshot := m.Params().Clone()
-	firstLoss := math.NaN()
 	r := rng.New(cfg.Seed)
 	var pos, neg []int
 	for i, g := range graphs {
@@ -170,54 +151,38 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 		// AddScaled on later touches matches exactly.
 		buf.AddScaled(g, 1)
 	}
-	for e := 0; e < cfg.Epochs; e++ {
-		remaining := cfg.PairsPerEpoch
-		for remaining > 0 {
-			batch := cfg.BatchPairs
-			if batch > remaining {
-				batch = remaining
-			}
-			remaining -= batch
-			clear(grads)
-			batchLoss := 0.0
-			for k := 0; k < batch; k++ {
-				ga, gb, diff := samplePair()
-				tape.Reset()
-				binder.Rebind(tape, m.Params())
-				za := m.Forward(tape, binder, ga)
-				zb := m.Forward(tape, binder, gb)
-				loss := tape.ContrastiveLoss(za, zb, diff, cfg.Margin)
-				loss = tape.Scale(loss, 1/float64(batch))
-				batchLoss += loss.Value.At(0, 0)
-				tape.Backward(loss)
-				binder.EachGrad(accumulate)
-			}
-			// Divergence gate: a NaN/Inf loss or gradient, or a loss
-			// blow-up past the configured factor, means this round is
-			// poisoning the weights — roll back instead of propagating.
-			diverged := !mat.AllFinite([]float64{batchLoss}) || !gradsFinite(grads)
-			if !diverged && cfg.DivergeFactor > 0 {
-				if math.IsNaN(firstLoss) {
-					firstLoss = batchLoss
-				} else if firstLoss > 0 && batchLoss > cfg.DivergeFactor*firstLoss {
-					diverged = true
-				}
-			}
-			if diverged {
-				tm.diverged.Inc()
-				m.Params().CopyFrom(snapshot)
-				return false
-			}
-			tm.loss.Set(batchLoss)
-			if clip := cfg.gradClip(); clip > 0 {
-				norm := autodiff.ClipGrads(grads, clip)
-				tm.gradNorm.Set(norm)
-				if norm > clip {
-					tm.clips.Inc()
-				}
-			}
-			opt.Step(m.Params(), grads)
+	remaining := cfg.PairsPerEpoch
+	for remaining > 0 {
+		batch := min(batchPairs, remaining)
+		remaining -= batch
+		clear(grads)
+		batchLoss := 0.0
+		for k := 0; k < batch; k++ {
+			ga, gb, diff := samplePair()
+			tape.Reset()
+			binder.Rebind(tape, m.Params())
+			za := m.Forward(tape, binder, ga)
+			zb := m.Forward(tape, binder, gb)
+			loss := tape.ContrastiveLoss(za, zb, diff, margin)
+			loss = tape.Scale(loss, 1/float64(batch))
+			batchLoss += loss.Value.At(0, 0)
+			tape.Backward(loss)
+			binder.EachGrad(accumulate)
 		}
+		// Divergence gate: a NaN/Inf loss or gradient means this round is
+		// poisoning the weights — roll back instead of propagating.
+		if !mat.AllFinite([]float64{batchLoss}) || !gradsFinite(grads) {
+			tm.diverged.Inc()
+			m.Params().CopyFrom(snapshot)
+			return false
+		}
+		tm.loss.Set(batchLoss)
+		norm := autodiff.ClipGrads(grads, gradClip)
+		tm.gradNorm.Set(norm)
+		if norm > gradClip {
+			tm.clips.Inc()
+		}
+		opt.Step(m.Params(), grads)
 	}
 	tm.rounds.Inc()
 	return true
@@ -257,38 +222,33 @@ func (ws *Workspace) trainSupervised(m Model, head *SupervisedHead, graphs []*gr
 	tape, binder := ws.tape, ws.binder
 	hb := autodiff.Bind(tape, head.params)
 	lab := make([]int, 1)
-	for e := 0; e < cfg.Epochs; e++ {
-		remaining := cfg.PairsPerEpoch
-		for remaining > 0 {
-			batch := cfg.BatchPairs
-			if batch > remaining {
-				batch = remaining
+	remaining := cfg.PairsPerEpoch
+	for remaining > 0 {
+		batch := min(batchPairs, remaining)
+		remaining -= batch
+		grads := map[string]*mat.Dense{}
+		headGrads := map[string]*mat.Dense{}
+		for k := 0; k < batch; k++ {
+			g := graphs[r.Intn(len(graphs))]
+			lab[0] = 0
+			if g.Label {
+				lab[0] = 1
 			}
-			remaining -= batch
-			grads := map[string]*mat.Dense{}
-			headGrads := map[string]*mat.Dense{}
-			for k := 0; k < batch; k++ {
-				g := graphs[r.Intn(len(graphs))]
-				lab[0] = 0
-				if g.Label {
-					lab[0] = 1
-				}
-				tape.Reset()
-				binder.Rebind(tape, m.Params())
-				hb.Rebind(tape, head.params)
-				z := m.Forward(tape, binder, g)
-				logits := tape.AddRowBroadcast(tape.MatMul(z, hb.Node("head.w")), hb.Node("head.b"))
-				loss := tape.SoftmaxCrossEntropy(logits, lab, classWeights)
-				loss = tape.Scale(loss, 1/float64(batch))
-				tape.Backward(loss)
-				binder.AccumulateGrads(grads)
-				hb.AccumulateGrads(headGrads)
-			}
-			autodiff.ClipGrads(grads, 5)
-			autodiff.ClipGrads(headGrads, 5)
-			opt.Step(m.Params(), grads)
-			headOpt.Step(head.params, headGrads)
+			tape.Reset()
+			binder.Rebind(tape, m.Params())
+			hb.Rebind(tape, head.params)
+			z := m.Forward(tape, binder, g)
+			logits := tape.AddRowBroadcast(tape.MatMul(z, hb.Node("head.w")), hb.Node("head.b"))
+			loss := tape.SoftmaxCrossEntropy(logits, lab, classWeights)
+			loss = tape.Scale(loss, 1/float64(batch))
+			tape.Backward(loss)
+			binder.AccumulateGrads(grads)
+			hb.AccumulateGrads(headGrads)
 		}
+		autodiff.ClipGrads(grads, gradClip)
+		autodiff.ClipGrads(headGrads, gradClip)
+		opt.Step(m.Params(), grads)
+		headOpt.Step(head.params, headGrads)
 	}
 }
 

@@ -274,19 +274,3 @@ func (g *Graph) ComponentOf(seed int) []int {
 	}
 	return order
 }
-
-// Clone deep-copies the graph (rules are shared; features are copied; the
-// structural caches are not carried over).
-func (g *Graph) Clone() *Graph {
-	out := &Graph{ID: g.ID, Label: g.Label, Online: g.Online,
-		Tags: append([]string(nil), g.Tags...)}
-	for _, n := range g.Nodes {
-		out.Nodes = append(out.Nodes, Node{
-			Rule:    n.Rule,
-			Feature: append([]float64(nil), n.Feature...),
-			Space:   n.Space,
-		})
-	}
-	out.Edges = append(out.Edges, g.Edges...)
-	return out
-}

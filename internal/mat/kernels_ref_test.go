@@ -348,7 +348,7 @@ func checkTermEdges(t *testing.T, r *rand.Rand) {
 			a.Set(3, k-1, math.NaN())
 			a.Set(4, k/2, 0)
 			b.Set(k/2, n-1, math.Inf(1))
-			at := a.T()
+			at := transpose(a)
 
 			got, want := NewDense(5, n), NewDense(5, n)
 			for _, kernel := range []string{"MulTo", "MulTTo"} {

@@ -93,19 +93,6 @@ func (m *Dense) CopyFrom(src *Dense) {
 	copy(m.data, src.data)
 }
 
-// T returns the transpose as a newly allocated matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.cols, m.rows)
-	countDispatch()
-	for j := 0; j < m.cols; j++ {
-		oj := out.data[j*m.rows : (j+1)*m.rows]
-		for i := range oj {
-			oj[i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Dense) Scale(s float64) *Dense {
 	countDispatch()

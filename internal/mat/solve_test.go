@@ -12,7 +12,7 @@ func randSPD(n int, seed int64) *Dense {
 	for i := range b.Data() {
 		b.Data()[i] = math.Sin(float64(i)*1.37 + float64(seed))
 	}
-	spd := Mul(b.T(), b)
+	spd := Mul(transpose(b), b)
 	for i := 0; i < n; i++ {
 		spd.Add(i, i, float64(n)) // ensure strict positive definiteness
 	}
@@ -25,7 +25,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon := Mul(l, l.T())
+	recon := Mul(l, transpose(l))
 	if !recon.Equalish(a, 1e-9) {
 		t.Fatalf("LLᵀ != A:\n%v\n%v", recon, a)
 	}

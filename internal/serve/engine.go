@@ -158,10 +158,6 @@ func (e *Engine) Publish(s *Snapshot) {
 	e.m.snapshotAge.Set(time.Since(s.Created()).Seconds())
 }
 
-// Snapshot returns the live snapshot (nil before the first Publish) —
-// callers that want several reads from one consistent model pin it once.
-func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
-
 // SnapshotSeq reports the live snapshot's publish sequence number and
 // whether one has been published at all. Streaming sessions poll it to
 // decide whether a cached rolling verdict still tracks the live model.

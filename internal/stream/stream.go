@@ -64,10 +64,8 @@ type Options struct {
 	// replayed and accelerated streams behave identically.
 	MaxWindowAge int64
 	// IdleTimeout evicts sessions with no ingest or read for this long
-	// (0 = 10m).
+	// (0 = 10m). The eviction sweep runs every min(15s, IdleTimeout/4).
 	IdleTimeout time.Duration
-	// JanitorInterval is the eviction sweep cadence (0 = 15s).
-	JanitorInterval time.Duration
 	// MaxBodyBytes bounds HTTP request bodies on the mounted endpoints
 	// (0 = 1 MiB).
 	MaxBodyBytes int64
@@ -109,11 +107,11 @@ func (o Options) idleTimeout() time.Duration {
 	return 10 * time.Minute
 }
 
+// janitorInterval is the eviction sweep cadence: a session outlives its
+// idle timeout by at most a quarter of it, and by at most 15 s. The 1 ms
+// floor keeps a nanosecond timeout from handing NewTicker a zero.
 func (o Options) janitorInterval() time.Duration {
-	if o.JanitorInterval > 0 {
-		return o.JanitorInterval
-	}
-	return 15 * time.Second
+	return min(15*time.Second, max(o.idleTimeout()/4, time.Millisecond))
 }
 
 func (o Options) maxBodyBytes() int64 {

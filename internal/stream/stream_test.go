@@ -298,9 +298,8 @@ func TestStreamIdleEviction(t *testing.T) {
 		return now
 	}
 	m, _, _ := testManager(t, Options{
-		IdleTimeout:     time.Minute,
-		JanitorInterval: time.Hour, // sweeps driven manually
-		now:             clock,
+		IdleTimeout: time.Minute, // the janitor's 15 s ticker never fires; sweeps are manual
+		now:         clock,
 	})
 	idle, _ := m.Create(testRules())
 	active, _ := m.Create(testRules())

@@ -257,7 +257,7 @@ func TestLabelMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		ref := g.Clone()
+		ref := cloneGraph(g)
 		want, got := refLabel(ref), Label(g)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d nodes, %d edges): findings\n got %v\nwant %v", trial, n, len(g.Edges), got, want)
@@ -286,4 +286,21 @@ func TestLabelMatchesReference(t *testing.T) {
 	if cyclic < 20 || labelled == 400 {
 		t.Errorf("%d cyclic and %d labelled graphs of 400: the corpus is lopsided", cyclic, labelled)
 	}
+}
+
+// cloneGraph deep-copies g for the reference labeller (rules are shared,
+// features and tags copied, structural caches not carried over), so Label's
+// writes to g cannot reach the oracle's input.
+func cloneGraph(g *graph.Graph) *graph.Graph {
+	out := &graph.Graph{ID: g.ID, Label: g.Label, Online: g.Online,
+		Tags: append([]string(nil), g.Tags...)}
+	for _, n := range g.Nodes {
+		out.Nodes = append(out.Nodes, graph.Node{
+			Rule:    n.Rule,
+			Feature: append([]float64(nil), n.Feature...),
+			Space:   n.Space,
+		})
+	}
+	out.Edges = append(out.Edges, g.Edges...)
+	return out
 }

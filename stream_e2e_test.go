@@ -334,8 +334,7 @@ func TestStreamIdleEvictionEndToEnd(t *testing.T) {
 	sys, train := smallSystem(t, 19)
 	sys.TrainCentral(train, 1, 20)
 	base := streamServer(t, sys, fexiot.StreamOptions{
-		IdleTimeout:     200 * time.Millisecond,
-		JanitorInterval: 50 * time.Millisecond,
+		IdleTimeout: 200 * time.Millisecond, // swept every 50 ms
 	})
 
 	home := fexiot.GenerateHome("safety", 10, 47)
