@@ -122,7 +122,7 @@ bench-agg:
 	$(GO) test -run XXX -bench 'Aggregators' .
 
 # Update-codec encode/decode throughput and wire-byte footprint (raw64 vs
-# f32/q8/topk), plus the ≥4x q8 compression pin as a hard test. Fast: a
+# q8/topk), plus the ≥4x q8 compression pin as a hard test. Fast: a
 # bounded benchtime keeps this inside the `make check` budget.
 bench-codecs:
 	$(GO) test -count=1 -run 'TestQ8BeatsRaw64ByFourX' \

@@ -30,7 +30,6 @@ import (
 	"fexiot/internal/embed"
 	"fexiot/internal/fed"
 	"fexiot/internal/fedproto"
-	"fexiot/internal/fedproto/codec"
 	"fexiot/internal/fusion"
 	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
@@ -57,9 +56,6 @@ func main() {
 	attackName := flag.String("attack", "",
 		"run as a Byzantine client: "+strings.Join(fed.AttackNames(), ", ")+
 			" (empty = honest; for robustness testing)")
-	codecName := flag.String("codec", "",
-		"restrict update encoding to one of "+strings.Join(codec.Names(), ", ")+
-			" (empty offers all and accepts the server's choice)")
 	httpAddr := flag.String("http", "",
 		"observability address serving /metrics, /statusz and /debug/pprof/ (empty disables)")
 	flag.Parse()
@@ -68,10 +64,6 @@ func main() {
 	}
 	attack, err := fed.NewAttack(*attackName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if _, err := codec.New(*codecName); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -146,7 +138,6 @@ func main() {
 		MaxAttempts:    *retries,
 		OpTimeout:      *opTimeout,
 		Seed:           *seed,
-		Codec:          *codecName,
 	}, model.Params(), func(round int) map[int]float64 {
 		before := model.Params().Clone()
 		cfg.Seed = *seed + int64(round)

@@ -55,16 +55,15 @@ func main() {
 	eps1 := flag.Float64("eps1", gate.Eps1, "clustering gate ε1 (relative)")
 	eps2 := flag.Float64("eps2", gate.Eps2, "clustering gate ε2 (relative)")
 	timeout := flag.Duration("timeout", fedproto.DefaultRoundTimeout,
-		"per-client read/write deadline per round (negative disables)")
+		"per-client read/write deadline per message (0 or less: the default)")
 	quorum := flag.Float64("quorum", fedproto.DefaultQuorum,
 		"fraction of admitted clients required to close a round")
 	strikes := flag.Int("strikes", fedproto.DefaultMaxStrikes,
-		"consecutive missed rounds before eviction (negative disables)")
+		"consecutive missed rounds before eviction (0 or less: the default)")
 	aggName := flag.String("agg", "fedavg",
 		"aggregation rule: "+strings.Join(fed.AggregatorNames(), ", "))
 	codecName := flag.String("codec", codec.Raw64,
-		"preferred update encoding: "+strings.Join(codec.Names(), ", ")+
-			" (per session; clients that don't offer it fall back to raw64)")
+		"update encoding assigned to every client: "+strings.Join(codec.Names(), ", "))
 	checkpoint := flag.String("checkpoint", "",
 		"checkpoint file; resumes from it when present (empty disables)")
 	checkpointEvery := flag.Int("checkpoint-every", 1,

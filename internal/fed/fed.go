@@ -204,18 +204,20 @@ func DefaultConfig(seed int64) Config {
 // of sizes; a zero total degrades to uniform weights. It is the single
 // weighting rule shared by the in-process simulator and the networked
 // fedproto server, so quorum rounds that aggregate only the surviving
-// subset of clients weight them exactly as the simulation would.
+// subset of clients weight them exactly as the simulation would. The sum
+// runs in float64, exact below 2^53 and immune to int overflow on sizes a
+// remote client announced.
 func QuorumWeights(sizes []int, idx []int) []float64 {
-	total := 0
+	total := 0.0
 	for _, i := range idx {
-		total += sizes[i]
+		total += float64(sizes[i])
 	}
 	w := make([]float64, len(idx))
 	for k, i := range idx {
 		if total == 0 {
 			w[k] = 1 / float64(len(idx))
 		} else {
-			w[k] = float64(sizes[i]) / float64(total)
+			w[k] = float64(sizes[i]) / total
 		}
 	}
 	return w

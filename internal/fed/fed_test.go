@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -296,5 +297,10 @@ func TestQuorumWeights(t *testing.T) {
 	u := QuorumWeights([]int{0, 0}, []int{0, 1})
 	if u[0] != 0.5 || u[1] != 0.5 {
 		t.Fatalf("zero-total weights %v, want uniform", u)
+	}
+	// Sizes whose int sum overflows still weight by proportion.
+	big := QuorumWeights([]int{math.MaxInt, math.MaxInt}, []int{0, 1})
+	if big[0] != 0.5 || big[1] != 0.5 {
+		t.Fatalf("weights of two math.MaxInt sizes %v, want [0.5 0.5]", big)
 	}
 }

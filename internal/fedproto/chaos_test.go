@@ -105,9 +105,9 @@ func TestQuorumSurvivesKilledClient(t *testing.T) {
 				fc = chaos.NewConn(raw)
 				raw = fc
 			}
-			conn := Wrap(raw)
+			conn := Wrap(raw, 0)
 			defer conn.Close()
-			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p,
 				func(round int) map[int]float64 {
 					if id == 3 && round == 1 {
 						fc.Kill() // crash mid-federation, mid-round

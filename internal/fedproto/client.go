@@ -27,25 +27,19 @@ const (
 // announcements, so a client that reconnects mid-federation resumes at the
 // federation's round rather than its own.
 //
-// offered is the codec offer: the schemes advertised in the hello, in
-// preference order (nil offers everything this build supports). The
-// server's sync reply assigns one; lossy schemes make the loop keep a clone
-// of each model the server sends (the delta base) and echo its ModelSeq
-// stamp with every update.
+// The server's sync reply assigns the session's update codec; a lossy one
+// makes the loop keep a clone of each model the server sends (the delta
+// base) and echo its ModelSeq stamp with every update.
 //
 // Cancelling ctx closes the connection, unblocking any in-flight Send or
 // Recv; the loop then returns context.Cause(ctx) instead of the socket
 // error the teardown provoked.
 func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
-	params *autodiff.ParamSet, offered []string,
-	localRound func(round int) map[int]float64) error {
+	params *autodiff.ParamSet, localRound func(round int) map[int]float64) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	if offered == nil {
-		offered = codec.Names()
-	}
 	if err := conn.Send(&Message{Kind: MsgHello, ClientID: clientID,
-		DataSize: dataSize, Codecs: offered}); err != nil {
+		DataSize: dataSize}); err != nil {
 		return loopErr(ctx, err)
 	}
 	syncMsg, err := conn.Recv()
@@ -91,10 +85,9 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 		if baseSeq == 0 {
 			from = nil
 		}
-		lay, scheme, isDelta := encodeUpdate(params, from, layers, norms, cdc)
-		up := &Message{Kind: MsgUpdate, ClientID: clientID, Round: round,
-			Layers: lay, Codec: scheme, Delta: isDelta}
-		if isDelta {
+		up := &Message{Kind: MsgUpdate, ClientID: clientID, Round: round}
+		up.Layers, up.Codec = encodeUpdate(params, from, layers, norms, cdc)
+		if up.Codec != "" {
 			up.BaseSeq = baseSeq
 		}
 		if err := conn.Send(up); err != nil {
@@ -103,9 +96,6 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 		reply, err := conn.Recv()
 		if err != nil {
 			return loopErr(ctx, err)
-		}
-		if reply.Kind == MsgDone {
-			return nil
 		}
 		if reply.Kind != MsgModel {
 			return fmt.Errorf("fedproto: unexpected reply kind %d", reply.Kind)
@@ -172,10 +162,6 @@ type ClientConfig struct {
 	OpTimeout time.Duration
 	// Seed drives the backoff jitter deterministically per client.
 	Seed int64
-	// Codec restricts the update schemes advertised in the hello to this
-	// one ("raw64", "f32", "q8", "topk"); empty advertises everything this
-	// build supports and lets the server pick.
-	Codec string
 	// Dial overrides net.Dial("tcp", addr); tests inject fault-wrapped
 	// connections here.
 	Dial func(addr string) (net.Conn, error)
@@ -194,7 +180,7 @@ type SessionStats struct {
 // connection failure: any error short of federation completion tears the
 // connection down and reconnects with exponential backoff plus jitter,
 // resuming at the server-announced round. It returns once the server
-// declares the federation finished (a Final or MsgDone reply), after
+// declares the federation finished (a Final reply), after
 // MaxAttempts consecutive attempts that made no progress, or as soon as
 // ctx is cancelled — cancellation interrupts both in-flight protocol
 // exchanges and backoff sleeps, and the session reports
@@ -228,13 +214,6 @@ func RunClientSession(ctx context.Context, cfg ClientConfig, params *autodiff.Pa
 			}
 		}
 	}
-	var offered []string
-	if cfg.Codec != "" {
-		if _, err := codec.New(cfg.Codec); err != nil {
-			return SessionStats{}, err
-		}
-		offered = []string{cfg.Codec}
-	}
 	rng := rand.New(rand.NewSource(mixSeed(cfg.Seed, cfg.ID)))
 
 	var stats SessionStats
@@ -249,11 +228,8 @@ func RunClientSession(ctx context.Context, cfg ClientConfig, params *autodiff.Pa
 		if err != nil {
 			lastErr = err
 		} else {
-			conn := Wrap(raw)
-			if cfg.OpTimeout > 0 {
-				conn.SetOpDeadline(cfg.OpTimeout)
-			}
-			err = runClientLoop(ctx, conn, cfg.ID, cfg.DataSize, params, offered, localRound)
+			conn := Wrap(raw, cfg.OpTimeout)
+			err = runClientLoop(ctx, conn, cfg.ID, cfg.DataSize, params, localRound)
 			in, out := conn.Bytes()
 			stats.InBytes += in
 			stats.OutBytes += out

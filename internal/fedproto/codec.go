@@ -9,51 +9,34 @@ import (
 
 // The update-codec layer of the wire protocol.
 //
-// Negotiation: a client's MsgHello advertises the schemes it can encode
-// (Message.Codecs); the server answers in the sync MsgModel with its
-// assignment (Message.Codec) — its configured scheme when the client
-// offers it, raw64 otherwise. A client that advertises nothing is assigned
-// raw64, and an assignment left empty reads as raw64.
+// Assignment: the server names the session's update scheme in the sync
+// MsgModel (Message.Codec, its -codec setting). A federation upgrades its
+// server and clients together, so there is no offer to negotiate; a client
+// that does not know the assigned name answers with raw64, always a legal
+// encoding, and an assignment left empty reads as raw64.
 //
-// Delta semantics: lossy schemes (f32, q8, topk) only ever encode
-// element-wise deltas against a model the server previously sent — deltas
+// Delta semantics: lossy schemes (q8, topk) only ever encode element-wise
+// deltas against the model the server last sent on this session — deltas
 // are small and centred near zero, which is what makes quantisation and
 // sparsification cheap in accuracy. The server stamps every MsgModel it
-// sends with a session-unique ModelSeq and remembers the last few
-// snapshots per client; a delta update echoes the stamp as BaseSeq, so the
-// server reconstructs against the exact base the client encoded against
-// even when a reply and the next update cross on the wire. An update with
-// no shared base (a fresh round-0 join, or a server that never stamped a
-// model) falls back to dense raw64, and a delta naming an unknown base is
-// rejected as malformed — never misapplied.
-//
-// Every MsgUpdate is self-describing (Codec, Delta, BaseSeq), so the
-// server decodes whatever arrives regardless of what it assigned;
-// assignment only steers well-behaved clients.
+// sends with a unique ModelSeq and keeps the last one it sent on each
+// session as that session's base; a delta update echoes the stamp as
+// BaseSeq. The exchange strictly alternates — the client sends one update,
+// then reads one reply — and every reply goes out on the conn whose update
+// it answers, so a well-behaved client always names the session's base. An
+// update with no shared base (a fresh round-0 join) goes dense raw64, and
+// a delta naming any other base is rejected as malformed — never
+// misapplied.
 
-// negotiateCodec picks the update scheme for one session: the server's
-// preferred scheme when the client advertises it, raw64 otherwise.
-func negotiateCodec(preferred string, offered []string) string {
-	if preferred == "" || preferred == codec.Raw64 {
-		return codec.Raw64
-	}
-	for _, o := range offered {
-		if o == preferred {
-			return preferred
-		}
-	}
-	return codec.Raw64
-}
-
-// encodeUpdate builds one round's update payloads under the negotiated
+// encodeUpdate builds one round's update payloads under the session's
 // codec: per-tensor deltas of p against base under a lossy scheme, or the
 // dense raw64 layers when the scheme is raw64 or no base is shared yet. It
-// returns the payloads, the wire scheme name (empty for raw64, which
-// decodeUpdate reads as raw64) and whether the values are deltas.
+// returns the payloads and the wire scheme name (empty for raw64, which
+// decodeUpdate reads as raw64).
 func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float64,
-	cdc codec.Codec) ([]LayerPayload, string, bool) {
+	cdc codec.Codec) ([]LayerPayload, string) {
 	if cdc == nil || cdc.Name() == codec.Raw64 || base == nil {
-		return EncodeLayers(p, layers, norms), "", false
+		return EncodeLayers(p, layers, norms), ""
 	}
 	out := make([]LayerPayload, 0, len(layers))
 	for _, l := range layers {
@@ -73,25 +56,18 @@ func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float6
 		}
 		out = append(out, pl)
 	}
-	return out, cdc.Name(), true
+	return out, cdc.Name()
 }
 
 // decodeUpdate validates an update's codec framing and reconstructs the
 // dense absolute weights in place: after it returns nil, m.Layers carries
 // Data exactly as a raw64 client would have sent it, so ValidateUpdate,
 // CheckFiniteUpdate, the shape pin and every aggregator run unchanged.
-// base is the model snapshot the update moved from (clientState.base); a
-// delta must name it by a non-zero BaseSeq. Remote input that fails any
-// check is rejected with an error wrapping ErrMalformedUpdate.
-func decodeUpdate(m *Message, base []LayerPayload) error {
-	scheme := m.Codec
-	if scheme == "" {
-		scheme = codec.Raw64
-	}
-	if scheme == codec.Raw64 {
-		if m.Delta {
-			return fmt.Errorf("%w: raw64 update flagged as delta", ErrMalformedUpdate)
-		}
+// base is the session's base model and baseSeq its stamp; a lossy update
+// is a delta that must name it. Remote input that fails any check is
+// rejected with an error wrapping ErrMalformedUpdate.
+func decodeUpdate(m *Message, base []LayerPayload, baseSeq uint64) error {
+	if m.Codec == "" || m.Codec == codec.Raw64 {
 		for l := range m.Layers {
 			if len(m.Layers[l].Enc) != 0 {
 				return fmt.Errorf("%w: raw64 update carries encoded tensors", ErrMalformedUpdate)
@@ -99,18 +75,19 @@ func decodeUpdate(m *Message, base []LayerPayload) error {
 		}
 		return nil
 	}
-	cdc, err := codec.New(scheme)
+	cdc, err := codec.New(m.Codec)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformedUpdate, err)
 	}
-	if m.Delta && (m.BaseSeq == 0 || base == nil) {
-		return fmt.Errorf("%w: delta update against unknown base %d", ErrMalformedUpdate, m.BaseSeq)
+	if base == nil || m.BaseSeq != baseSeq {
+		return fmt.Errorf("%w: delta update against base %d, the session's base is %d",
+			ErrMalformedUpdate, m.BaseSeq, baseSeq)
 	}
 	for l := range m.Layers {
 		pl := &m.Layers[l]
 		if len(pl.Data) != 0 {
 			return fmt.Errorf("%w: %s update mixes dense and encoded tensors",
-				ErrMalformedUpdate, scheme)
+				ErrMalformedUpdate, m.Codec)
 		}
 		pl.Data = make([]Floats, len(pl.Enc))
 		for i, t := range pl.Enc {
@@ -118,15 +95,13 @@ func decodeUpdate(m *Message, base []LayerPayload) error {
 			if err != nil {
 				return fmt.Errorf("%w: layer %d tensor %d: %v", ErrMalformedUpdate, l, i, err)
 			}
-			if m.Delta {
-				if l >= len(base) || i >= len(base[l].Data) || len(base[l].Data[i]) != len(vals) {
-					return fmt.Errorf("%w: layer %d tensor %d delta does not match the synced base",
-						ErrMalformedUpdate, l, i)
-				}
-				bd := base[l].Data[i]
-				for j := range vals {
-					vals[j] += bd[j]
-				}
+			if l >= len(base) || i >= len(base[l].Data) || len(base[l].Data[i]) != len(vals) {
+				return fmt.Errorf("%w: layer %d tensor %d delta does not match the synced base",
+					ErrMalformedUpdate, l, i)
+			}
+			bd := base[l].Data[i]
+			for j := range vals {
+				vals[j] += bd[j]
 			}
 			pl.Data[i] = vals
 		}

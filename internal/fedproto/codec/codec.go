@@ -10,12 +10,10 @@
 // Schemes:
 //
 //	raw64  verbatim float64 values — lossless
-//	f32    values truncated to float32 precision (~relative 2^-24 error);
-//	       gob's trailing-zero float compression shrinks them to ≈5 bytes
 //	q8     per-tensor affine int8 quantisation: v ≈ Offset + Scale·q with
 //	       Scale = (max−min)/255, so the per-coordinate error is ≤ Scale/2
 //	topk   magnitude sparsification: the top ⌈Ratio·N⌉ coordinates by |v|
-//	       survive (f32-truncated), the rest decode to zero
+//	       survive (float32-truncated), the rest decode to zero
 //
 // Decode validates the frame before touching it — malformed tensors from
 // untrusted peers must produce an error, never a panic — and every scheme
@@ -29,10 +27,9 @@ import (
 	"strings"
 )
 
-// Scheme names, as negotiated on the wire.
+// Scheme names, as assigned on the wire.
 const (
 	Raw64 = "raw64"
-	F32   = "f32"
 	Q8    = "q8"
 	TopK  = "topk"
 )
@@ -43,10 +40,9 @@ const DefaultTopKRatio = 0.1
 // Tensor is one encoded weight tensor. Exactly one representation is
 // populated, selected by the codec that produced it:
 //
-//	raw64/f32: Vals (f32 stores float32-truncated float64s — same values,
-//	           ~5 wire bytes each under gob's float compression)
-//	q8:        Q plus the affine dequantisation parameters Scale/Offset
-//	topk:      Idx (strictly ascending coordinates) and Vals (their values)
+//	raw64: Vals
+//	q8:    Q plus the affine dequantisation parameters Scale/Offset
+//	topk:  Idx (strictly ascending coordinates) and Vals (their values)
 type Tensor struct {
 	// N is the decoded element count.
 	N      int
@@ -67,8 +63,8 @@ type Codec interface {
 	Decode(t Tensor) ([]float64, error)
 }
 
-// Names lists the registered schemes in negotiation-preference order.
-func Names() []string { return []string{Raw64, F32, Q8, TopK} }
+// Names lists the registered schemes.
+func Names() []string { return []string{Raw64, Q8, TopK} }
 
 // New resolves a scheme by name; the empty string selects raw64, the
 // dense format an update with no Codec declares.
@@ -76,8 +72,6 @@ func New(name string) (Codec, error) {
 	switch name {
 	case "", Raw64:
 		return raw64Codec{}, nil
-	case F32:
-		return f32Codec{}, nil
 	case Q8:
 		return q8Codec{}, nil
 	case TopK:
@@ -100,28 +94,6 @@ func (raw64Codec) Encode(v []float64) Tensor {
 func (raw64Codec) Decode(t Tensor) ([]float64, error) {
 	if len(t.Vals) != t.N || len(t.Q) != 0 || len(t.Idx) != 0 {
 		return nil, fmt.Errorf("codec: raw64 frame has %d values, %d bytes, %d indices for N=%d",
-			len(t.Vals), len(t.Q), len(t.Idx), t.N)
-	}
-	return append([]float64(nil), t.Vals...), nil
-}
-
-// --- f32 ---------------------------------------------------------------------
-
-type f32Codec struct{}
-
-func (f32Codec) Name() string { return F32 }
-
-func (f32Codec) Encode(v []float64) Tensor {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(float32(x))
-	}
-	return Tensor{N: len(v), Vals: out}
-}
-
-func (f32Codec) Decode(t Tensor) ([]float64, error) {
-	if len(t.Vals) != t.N || len(t.Q) != 0 || len(t.Idx) != 0 {
-		return nil, fmt.Errorf("codec: f32 frame has %d values, %d bytes, %d indices for N=%d",
 			len(t.Vals), len(t.Q), len(t.Idx), t.N)
 	}
 	return append([]float64(nil), t.Vals...), nil
@@ -263,7 +235,7 @@ func (topkCodec) Decode(t Tensor) ([]float64, error) {
 
 // WireBytes estimates the gob payload cost of the tensor in bytes: floats
 // cost one length byte plus their significant bytes after gob's byte
-// reversal (so f32-truncated values cost ≈5, full-entropy float64s ≈9),
+// reversal (so float32-truncated values cost ≈5, full-entropy float64s ≈9),
 // quantised bytes cost one each, and indices cost their varint size. The
 // in-process simulator uses this estimate for Fig. 7-style communication
 // accounting; the networked server measures real socket bytes instead.

@@ -70,7 +70,7 @@ func TestQ8BeatsRaw64ByFourX(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		min  float64
-	}{{Q8, 4}, {TopK, 2}, {F32, 1.2}} {
+	}{{Q8, 4}, {TopK, 2}} {
 		wire := mustWire(t, tc.name, delta)
 		ratio := float64(raw) / float64(wire)
 		if ratio < tc.min {
@@ -85,20 +85,18 @@ func TestQ8BeatsRaw64ByFourX(t *testing.T) {
 // ratios above are earned on decodable, not degenerate, frames.
 func TestBenchDeltaReconstructs(t *testing.T) {
 	delta := benchDelta(4096)
-	for _, name := range []string{F32, Q8} {
-		cdc, _ := New(name)
-		got, err := cdc.Decode(cdc.Encode(delta))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var worst float64
-		for i := range delta {
-			worst = math.Max(worst, math.Abs(got[i]-delta[i]))
-		}
-		// q8 bound: half a quantisation step over the ±0.1 spike range.
-		if worst > 0.1/255+1e-9 {
-			t.Fatalf("%s worst-case error %v", name, worst)
-		}
+	cdc, _ := New(Q8)
+	got, err := cdc.Decode(cdc.Encode(delta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worst float64
+	for i := range delta {
+		worst = math.Max(worst, math.Abs(got[i]-delta[i]))
+	}
+	// q8 bound: half a quantisation step over the ±0.1 spike range.
+	if worst > 0.1/255+1e-9 {
+		t.Fatalf("q8 worst-case error %v", worst)
 	}
 	if t.Failed() {
 		fmt.Println("benchmark corpus no longer representative")

@@ -70,22 +70,6 @@ func TestRaw64BitIdentical(t *testing.T) {
 	}
 }
 
-func TestF32WithinFloat32Rounding(t *testing.T) {
-	cdc, _ := New(F32)
-	for name, v := range vectors() {
-		got, err := cdc.Decode(cdc.Encode(v))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range v {
-			if got[i] != float64(float32(v[i])) {
-				t.Fatalf("%s[%d]: %v is not the float32 rounding of %v",
-					name, i, got[i], v[i])
-			}
-		}
-	}
-}
-
 func TestQ8ErrorWithinHalfScale(t *testing.T) {
 	cdc, _ := New(Q8)
 	for name, v := range vectors() {
@@ -250,7 +234,7 @@ func TestTopKSelectMatchesSort(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	// Ties in topk and boundary values in q8 must break identically across
-	// encodes — negotiation and checkpoint identity depend on it.
+	// encodes — reproducible wire bytes depend on it.
 	v := []float64{1, -1, 1, -1, 0.5, 0.5, 0, 0}
 	for _, name := range Names() {
 		cdc, _ := New(name)
@@ -272,7 +256,6 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	}{
 		"raw64 short":       {Raw64, Tensor{N: 3, Vals: []float64{1}}},
 		"raw64 stray q":     {Raw64, Tensor{N: 1, Vals: []float64{1}, Q: []byte{1}}},
-		"f32 long":          {F32, Tensor{N: 1, Vals: []float64{1, 2}}},
 		"q8 short":          {Q8, Tensor{N: 4, Q: []byte{1, 2}}},
 		"q8 nan scale":      {Q8, Tensor{N: 1, Q: []byte{0}, Scale: math.NaN()}},
 		"q8 neg scale":      {Q8, Tensor{N: 1, Q: []byte{0}, Scale: -1}},
@@ -310,9 +293,9 @@ func TestWireBytesMatchesGobCosts(t *testing.T) {
 	if n := gobFloatBytes(1.0); n != 3 {
 		t.Fatalf("float 1.0 costs %d", n)
 	}
-	// An f32-truncated value keeps ≤4 mantissa bytes → ≤6 wire bytes.
+	// A float32-truncated value keeps ≤4 mantissa bytes → ≤6 wire bytes.
 	if n := gobFloatBytes(float64(float32(0.1234567))); n > 6 {
-		t.Fatalf("f32-truncated float costs %d", n)
+		t.Fatalf("float32-truncated float costs %d", n)
 	}
 	// A q8 tensor's cost is dominated by one byte per element.
 	cdc, _ := New(Q8)

@@ -91,7 +91,7 @@ func runScriptedCodecFed(t *testing.T, codecName string, newParams func(int64) *
 			for try := 0; try < 100; try++ {
 				raw, err := net.Dial("tcp", addr)
 				if err == nil {
-					conn = Wrap(raw)
+					conn = Wrap(raw, 0)
 					break
 				}
 				time.Sleep(10 * time.Millisecond)
@@ -101,7 +101,7 @@ func runScriptedCodecFed(t *testing.T, codecName string, newParams func(int64) *
 				return
 			}
 			defer conn.Close()
-			errs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
+			errs[id] = runClientLoop(context.Background(), conn, id, 10, p,
 				func(round int) map[int]float64 {
 					varyDelta(p, id, round)
 					return zeroNorms(p)
@@ -189,9 +189,9 @@ func TestDenseWireBytesMatchSimulator(t *testing.T) {
 }
 
 // TestDecodeUpdateDeltaReconstruction pins the codec layer against the
-// server's base bookkeeping: a delta decodes to base+delta exactly (raw64
-// framing) or within quantisation error, a delta naming no base is
-// malformed, and a base of the wrong shape is rejected before indexing.
+// session's base: a delta decodes to base+delta within quantisation error,
+// a delta naming any base but the session's is malformed, and a base of
+// the wrong shape is rejected before indexing.
 func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 	p := scriptParams()
 	addDelta(p, 0.5)
@@ -199,12 +199,12 @@ func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 	basePayloads := EncodeLayers(base, []int{0, 1}, zeroNorms(base))
 
 	cdc, _ := codec.New(codec.Q8)
-	lay, scheme, isDelta := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
-	if scheme != codec.Q8 || !isDelta {
-		t.Fatalf("encodeUpdate scheme=%q delta=%v", scheme, isDelta)
+	lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+	if scheme != codec.Q8 {
+		t.Fatalf("encodeUpdate scheme=%q", scheme)
 	}
-	m := &Message{Kind: MsgUpdate, Layers: lay, Codec: scheme, Delta: isDelta, BaseSeq: 9}
-	if err := decodeUpdate(m, basePayloads); err != nil {
+	m := &Message{Kind: MsgUpdate, Layers: lay, Codec: scheme, BaseSeq: 9}
+	if err := decodeUpdate(m, basePayloads, 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateUpdate(m, 2); err != nil {
@@ -221,27 +221,33 @@ func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 		}
 	}
 
-	// No base: the update is undecodable and must be named malformed.
-	lay2, scheme2, _ := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
-	m2 := &Message{Kind: MsgUpdate, Layers: lay2, Codec: scheme2, Delta: true, BaseSeq: 404}
-	if err := decodeUpdate(m2, nil); !errors.Is(err, ErrMalformedUpdate) {
-		t.Fatalf("unknown base: %v, want ErrMalformedUpdate", err)
+	// No base, or a base other than the session's: the update is
+	// undecodable and must be named malformed.
+	for _, c := range []struct {
+		base    []LayerPayload
+		baseSeq uint64
+	}{{nil, 0}, {basePayloads, 8}} {
+		lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+		m := &Message{Kind: MsgUpdate, Layers: lay, Codec: scheme, BaseSeq: 9}
+		if err := decodeUpdate(m, c.base, c.baseSeq); !errors.Is(err, ErrMalformedUpdate) {
+			t.Fatalf("session base %d: %v, want ErrMalformedUpdate", c.baseSeq, err)
+		}
 	}
 
 	// Wrong-shape base: rejected, never indexed out of range.
 	small := autodiff.NewParamSet()
 	small.Register("l0.w", 0, mat.NewDenseData(1, 1, []float64{1}))
-	lay3, scheme3, _ := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
-	m3 := &Message{Kind: MsgUpdate, Layers: lay3, Codec: scheme3, Delta: true}
-	if err := decodeUpdate(m3, EncodeLayers(small, []int{0}, nil)); !errors.Is(err, ErrMalformedUpdate) {
+	lay3, scheme3 := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+	m3 := &Message{Kind: MsgUpdate, Layers: lay3, Codec: scheme3, BaseSeq: 9}
+	if err := decodeUpdate(m3, EncodeLayers(small, []int{0}, nil), 9); !errors.Is(err, ErrMalformedUpdate) {
 		t.Fatalf("mismatched base: %v, want ErrMalformedUpdate", err)
 	}
 
 	// No-base encode falls back to dense raw64 — lossy absolute weights
 	// would corrupt a fresh joiner's first round.
-	lay4, scheme4, isDelta4 := encodeUpdate(p, nil, []int{0, 1}, zeroNorms(p), cdc)
-	if scheme4 != "" || isDelta4 {
-		t.Fatalf("no-base encode: scheme=%q delta=%v, want dense raw64", scheme4, isDelta4)
+	lay4, scheme4 := encodeUpdate(p, nil, []int{0, 1}, zeroNorms(p), cdc)
+	if scheme4 != "" {
+		t.Fatalf("no-base encode: scheme=%q, want dense raw64", scheme4)
 	}
 	for _, pl := range lay4 {
 		if len(pl.Enc) != 0 || len(pl.Data) == 0 {
@@ -302,9 +308,9 @@ func TestCodecChaosKillQ8(t *testing.T) {
 				fc = chaos.NewConn(raw)
 				raw = fc
 			}
-			conn := Wrap(raw)
+			conn := Wrap(raw, 0)
 			defer conn.Close()
-			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p,
 				func(round int) map[int]float64 {
 					if id == 3 && round == 1 {
 						fc.Kill()
@@ -415,7 +421,7 @@ func TestCodecPoisonF1Parity(t *testing.T) {
 				for try := 0; try < 100; try++ {
 					raw, err := net.Dial("tcp", addr)
 					if err == nil {
-						conn = Wrap(raw)
+						conn = Wrap(raw, 0)
 						break
 					}
 					time.Sleep(10 * time.Millisecond)
@@ -425,7 +431,7 @@ func TestCodecPoisonF1Parity(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(), nil,
+				errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(),
 					func(round int) map[int]float64 {
 						before := m.Params().Clone()
 						cfg.Seed = int64(id*100 + round)

@@ -10,8 +10,8 @@ import (
 
 // pipeConns builds a connected pair of protocol conns over loopback TCP
 // (net.Pipe has no deadline support, so deadline semantics need a real
-// socket).
-func pipeConns(t *testing.T) (*Conn, *Conn) {
+// socket). The first conn is wrapped with timeout, the second with none.
+func pipeConns(t *testing.T, timeout time.Duration) (*Conn, *Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,95 +35,55 @@ func pipeConns(t *testing.T) (*Conn, *Conn) {
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	ca, cb := Wrap(cli), Wrap(a.c)
+	ca, cb := Wrap(cli, timeout), Wrap(a.c, 0)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb
 }
 
-// TestOpDeadlineClearedAfterDisable is the stale-deadline regression test:
-// Recv under an armed op deadline used to leave the socket deadline in
-// place, so after SetOpDeadline(0) a later blocking Recv died with a
-// spurious i/o timeout the moment the old deadline expired — exactly the
-// fate of a client idling for the next round's MsgModel. With the fix, the
-// deadline-free Recv clears the stale deadline and blocks until the
-// message arrives well past it.
-func TestOpDeadlineClearedAfterDisable(t *testing.T) {
-	cli, srv := pipeConns(t)
-
-	const short = 80 * time.Millisecond
-	cli.SetOpDeadline(short)
-	if err := srv.Send(&Message{Kind: MsgModel, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Recv(); err != nil {
-		t.Fatalf("deadline-armed recv: %v", err)
-	}
-
-	// Disable per-op deadlines, then block well past the old deadline.
-	cli.SetOpDeadline(0)
-	go func() {
-		time.Sleep(3 * short)
-		srv.Send(&Message{Kind: MsgModel, Round: 2})
-	}()
-	m, err := cli.Recv()
-	if err != nil {
-		t.Fatalf("blocking recv after SetOpDeadline(0): %v (stale deadline not cleared)", err)
-	}
-	if m.Round != 2 {
-		t.Fatalf("got round %d want 2", m.Round)
-	}
-}
-
-// TestOpDeadlineClearedAfterDisableSend is the write-side twin: a Send
-// after SetOpDeadline(0) must not inherit the previous Send's deadline.
-func TestOpDeadlineClearedAfterDisableSend(t *testing.T) {
-	cli, srv := pipeConns(t)
-
-	const short = 80 * time.Millisecond
-	cli.SetOpDeadline(short)
-	if err := cli.Send(&Message{Kind: MsgHello}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Recv(); err != nil {
-		t.Fatal(err)
-	}
-
-	cli.SetOpDeadline(0)
-	time.Sleep(2 * short) // let the stale write deadline expire
-	if err := cli.Send(&Message{Kind: MsgUpdate}); err != nil {
-		t.Fatalf("send after SetOpDeadline(0): %v (stale deadline not cleared)", err)
-	}
-	if m, err := srv.Recv(); err != nil || m.Kind != MsgUpdate {
-		t.Fatalf("recv: %v %v", m, err)
-	}
-}
-
-// TestExternalDeadlineSurvivesOpFreeRecv guards the server's round-timeout
-// pattern: a deadline armed directly via SetReadDeadline is the caller's,
-// and a Recv with no op deadline must honour it rather than clear it.
-func TestExternalDeadlineSurvivesOpFreeRecv(t *testing.T) {
-	cli, srv := pipeConns(t)
-
-	// Genuinely arm the internal read deadline (a successful Recv under an
-	// op deadline), then hand ownership to an external deadline: the next
-	// op-free Recv must not treat it as its own stale deadline and clear it.
-	cli.SetOpDeadline(50 * time.Millisecond)
-	if err := srv.Send(&Message{Kind: MsgModel}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	cli.SetOpDeadline(0)
-	cli.SetReadDeadline(time.Now().Add(60 * time.Millisecond))
-	start := time.Now()
-	_, err := cli.Recv()
-	var nerr net.Error
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("recv = %v, want timeout from the externally armed deadline", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("external deadline was cleared by an op-deadline-free Recv")
+// TestConnTimeout pins the one deadline rule: every Recv arms the timeout
+// the conn was wrapped with, so a Recv that waits past it fails with a
+// net.Error timeout, and a conn wrapped with 0 waits as long as it takes.
+// Each conn first receives one message, so the rule is checked on a Recv
+// that follows an earlier one. wait bounds the timeout case generously and
+// is how long the other case must stay blocked.
+func TestConnTimeout(t *testing.T) {
+	const short = 60 * time.Millisecond
+	for _, tc := range []struct {
+		name          string
+		timeout, wait time.Duration
+	}{{"timeout", short, 2 * time.Second}, {"none", 0, 5 * short}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := pipeConns(t, tc.timeout)
+			if err := srv.Send(&Message{Kind: MsgModel, Round: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Recv(); err != nil {
+				t.Fatalf("first recv: %v", err)
+			}
+			got := make(chan error, 1)
+			go func() {
+				_, err := cli.Recv()
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				var nerr net.Error
+				if tc.timeout == 0 || !errors.As(err, &nerr) || !nerr.Timeout() {
+					t.Fatalf("recv with timeout %v returned %v before any message", tc.timeout, err)
+				}
+				return
+			case <-time.After(tc.wait):
+				if tc.timeout > 0 {
+					t.Fatalf("recv still blocked after %v with a %v timeout", tc.wait, tc.timeout)
+				}
+			}
+			if err := srv.Send(&Message{Kind: MsgModel, Round: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-got; err != nil {
+				t.Fatalf("recv on a conn without timeout: %v", err)
+			}
+		})
 	}
 }
 
@@ -132,7 +92,7 @@ func TestExternalDeadlineSurvivesOpFreeRecv(t *testing.T) {
 // old implementation took the same mutex for both, so a blocked decode
 // could starve readers).
 func TestBytesConcurrentWithBlockedRecv(t *testing.T) {
-	cli, srv := pipeConns(t)
+	cli, srv := pipeConns(t, 0)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -154,7 +114,7 @@ func TestBytesConcurrentWithBlockedRecv(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Bytes() blocked behind a parked Recv")
 	}
-	srv.Send(&Message{Kind: MsgDone})
+	srv.Send(&Message{Kind: MsgModel})
 	wg.Wait()
 	if in := cli.InBytes(); in <= 0 {
 		t.Fatalf("InBytes = %d after a received message", in)

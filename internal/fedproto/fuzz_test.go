@@ -86,17 +86,16 @@ func FuzzDecodeUpdate(f *testing.F) {
 	short := &Message{Kind: MsgUpdate, ClientID: 1,
 		Layers: EncodeLayers(p, []int{0}, zeroNorms(p))}
 	f.Add(encodeFrame(f, short))
-	// Codec frames: a well-formed q8 delta, a topk delta naming a base the
-	// server does not have, and a frame whose quantised byte count lies
-	// about N.
+	// Codec frames: well-formed q8 and topk deltas against base 7, and a
+	// frame whose quantised byte count lies about N.
 	for _, name := range []string{codec.Q8, codec.TopK} {
 		cdc, err := codec.New(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		lay, scheme, delta := encodeUpdate(p, scriptParams(), []int{0, 1}, zeroNorms(p), cdc)
+		lay, scheme := encodeUpdate(p, scriptParams(), []int{0, 1}, zeroNorms(p), cdc)
 		f.Add(encodeFrame(f, &Message{Kind: MsgUpdate, ClientID: 1, Round: 2,
-			Layers: lay, Codec: scheme, Delta: delta, BaseSeq: 7}))
+			Layers: lay, Codec: scheme, BaseSeq: 7}))
 	}
 	truncated := &Message{Kind: MsgUpdate, ClientID: 1, Codec: codec.Q8,
 		Layers: []LayerPayload{{Layer: 0, Names: []string{"l0.w"},
@@ -118,13 +117,16 @@ func FuzzDecodeUpdate(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 			return
 		}
-		// Run the codec reconstruction both ways a server could: the named
-		// base is unknown (nil) or resolves to a plausible snapshot. Decode
-		// mutates the message, so each path gets its own copy.
-		for _, b := range [][]LayerPayload{nil, base} {
+		// Run the codec reconstruction both ways a server could: the
+		// session has no base yet (nil) or a plausible snapshot stamped 7.
+		// Decode mutates the message, so each path gets its own copy.
+		for _, s := range []struct {
+			b   []LayerPayload
+			seq uint64
+		}{{nil, 0}, {base, 7}} {
 			m := m
 			m.Layers = append([]LayerPayload(nil), m.Layers...)
-			if err := decodeUpdate(&m, b); err != nil {
+			if err := decodeUpdate(&m, s.b, s.seq); err != nil {
 				continue
 			}
 			if err := ValidateUpdate(&m, 2); err != nil {
@@ -135,7 +137,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 			}
 			// A message that passed every gate must be safely flattened and
 			// diffed against the base — what the round does with it next.
-			_ = updateOf(flatLayers(m.Layers), b)
+			_ = updateOf(flatLayers(m.Layers), s.b)
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -32,7 +31,6 @@ const (
 	MsgHello  MsgKind = iota // client → server: join with dataset size
 	MsgUpdate                // client → server: layer payloads after local training
 	MsgModel                 // server → client: aggregated layer payloads
-	MsgDone                  // server → client: training finished
 )
 
 // Floats is one dense tensor. On the wire and in checkpoints it is a gob
@@ -86,21 +84,16 @@ type LayerPayload struct {
 type Message struct {
 	Kind     MsgKind
 	ClientID int
-	DataSize int // |G_c| for FedAvg weighting (MsgHello)
+	DataSize int // |G_c| for FedAvg weighting (MsgHello; never negative)
 	Round    int
 	Final    bool           // set on the last MsgModel of a session
 	Layers   []LayerPayload // MsgUpdate / MsgModel
-	// Codecs (MsgHello) advertises the update schemes the client can
-	// encode, in preference order; absent means raw64 only.
-	Codecs []string
 	// Codec names the scheme: on the sync MsgModel it is the server's
 	// assignment for the session's updates, on a MsgUpdate it declares how
-	// the payloads are encoded (empty = raw64).
+	// the payloads are encoded (empty = raw64). A lossy scheme's payloads
+	// are element-wise deltas against the model BaseSeq names.
 	Codec string
-	// Delta marks MsgUpdate payloads as element-wise deltas against the
-	// model snapshot BaseSeq names.
-	Delta bool
-	// ModelSeq (MsgModel) identifies this model snapshot session-uniquely;
+	// ModelSeq (MsgModel) identifies this model snapshot server-uniquely;
 	// BaseSeq (MsgUpdate) echoes the stamp of the model a delta update was
 	// encoded against.
 	ModelSeq uint64
@@ -164,29 +157,25 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Conn is a counted, gob-framed protocol connection.
+// Conn is a counted, gob-framed protocol connection. Every Send and Recv
+// arms a fresh socket deadline of the timeout the conn was wrapped with,
+// so one peer that goes silent costs at most that long per message.
 type Conn struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	raw net.Conn
+	enc     *gob.Encoder
+	dec     *gob.Decoder
+	raw     net.Conn
+	timeout time.Duration
 
 	sendMu sync.Mutex // serialises Send: gob encoders are not goroutine-safe
 
 	inBytes, outBytes atomic.Int64
 	obsIn, obsOut     atomic.Pointer[obs.Counter]
-
-	mu         sync.Mutex
-	opDeadline time.Duration
-	// readArmed/writeArmed record that the deadline currently on the socket
-	// was armed by Recv/Send itself (not by an explicit SetReadDeadline /
-	// SetWriteDeadline caller), so the next op-deadline-free call knows to
-	// clear it instead of letting it poison a blocking read or write.
-	readArmed, writeArmed bool
 }
 
-// Wrap builds a protocol connection over a raw socket.
-func Wrap(c net.Conn) *Conn {
-	pc := &Conn{raw: c}
+// Wrap builds a protocol connection over a raw socket whose every Send and
+// Recv must finish within timeout; zero or less never times out.
+func Wrap(c net.Conn, timeout time.Duration) *Conn {
+	pc := &Conn{raw: c, timeout: timeout}
 	counted := countingConn{Conn: c, pc: pc}
 	pc.enc = gob.NewEncoder(counted)
 	pc.dec = gob.NewDecoder(counted)
@@ -202,91 +191,31 @@ func (c *Conn) Instrument(in, out *obs.Counter) {
 	c.obsOut.Store(out)
 }
 
-// armWrite arms the socket write deadline for one Send when a per-op
-// deadline is configured — and, crucially, clears a deadline a previous
-// Send armed when it no longer is: after SetOpDeadline(0) a stale deadline
-// must not fail a later blocking Send with a spurious timeout. Deadlines
-// armed directly via SetWriteDeadline are the caller's to manage and are
-// left alone.
-func (c *Conn) armWrite() {
-	c.mu.Lock()
-	d := c.opDeadline
-	wasArmed := c.writeArmed
-	c.writeArmed = d > 0
-	c.mu.Unlock()
-	if d > 0 {
-		c.raw.SetWriteDeadline(time.Now().Add(d))
-	} else if wasArmed {
-		c.raw.SetWriteDeadline(time.Time{})
-	}
-}
-
-// armRead is armWrite for the read side.
-func (c *Conn) armRead() {
-	c.mu.Lock()
-	d := c.opDeadline
-	wasArmed := c.readArmed
-	c.readArmed = d > 0
-	c.mu.Unlock()
-	if d > 0 {
-		c.raw.SetReadDeadline(time.Now().Add(d))
-	} else if wasArmed {
-		c.raw.SetReadDeadline(time.Time{})
-	}
-}
-
 // Send writes one message.
 func (c *Conn) Send(m *Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	c.armWrite()
+	if c.timeout > 0 {
+		c.raw.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
 	return c.enc.Encode(m)
 }
 
-// Recv reads one message.
+// Recv reads one message. A Recv past the conn's timeout fails with a
+// net.Error whose Timeout() is true.
 func (c *Conn) Recv() (*Message, error) {
-	c.armRead()
+	if c.timeout > 0 {
+		c.raw.SetReadDeadline(time.Now().Add(c.timeout))
+	}
 	var m Message
 	if err := c.dec.Decode(&m); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		return nil, err
 	}
 	return &m, nil
 }
 
-// SetOpDeadline makes every subsequent Send and Recv arm a fresh deadline
-// of d on the socket (zero disables). Client sessions use it so a server
-// that silently evicts them cannot park them in Recv forever.
-func (c *Conn) SetOpDeadline(d time.Duration) {
-	c.mu.Lock()
-	c.opDeadline = d
-	c.mu.Unlock()
-}
-
 // Close closes the underlying socket.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// SetReadDeadline bounds the next Recv; a zero time clears the deadline.
-// A Recv past the deadline fails with a net timeout error. The caller owns
-// a deadline set this way: Recv will not clear it even with a zero op
-// deadline (the server's round-timeout pattern depends on that).
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readArmed = false
-	c.mu.Unlock()
-	return c.raw.SetReadDeadline(t)
-}
-
-// SetWriteDeadline bounds the next Send; a zero time clears the deadline.
-// As with SetReadDeadline, the caller owns it.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.writeArmed = false
-	c.mu.Unlock()
-	return c.raw.SetWriteDeadline(t)
-}
 
 // Bytes reports (received, sent) byte counts.
 func (c *Conn) Bytes() (in, out int64) {

@@ -177,7 +177,7 @@ func TestEndToEndTCP(t *testing.T) {
 			for try := 0; try < 50; try++ {
 				raw, err := net.Dial("tcp", addr)
 				if err == nil {
-					conn = Wrap(raw)
+					conn = Wrap(raw, 0)
 					break
 				}
 				// The server goroutine may not be listening yet: 50 refused
@@ -190,7 +190,7 @@ func TestEndToEndTCP(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(), nil,
+			errs[id] = runClientLoop(context.Background(), conn, id, len(data), m.Params(),
 				func(round int) map[int]float64 {
 					before := m.Params().Clone()
 					cfg.Seed = int64(id*100 + round)
@@ -269,7 +269,7 @@ func sameBits(a, b []float64) bool {
 // pattern through a real Conn pair and compares what arrives bit for bit,
 // twice: the second message rides the stream without type descriptors.
 func TestConnDenseBitsRoundTrip(t *testing.T) {
-	a, b := pipeConns(t)
+	a, b := pipeConns(t, 0)
 	special := specialBits()
 	msg := &Message{Kind: MsgModel, Round: 1, Layers: []LayerPayload{{
 		Layer: 0, Names: []string{"w", "e"}, Shapes: [][2]int{{1, len(special)}, {0, 0}},

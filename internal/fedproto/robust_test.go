@@ -82,9 +82,9 @@ func TestNaNClientEvicted(t *testing.T) {
 				clientErrs[id] = err
 				return
 			}
-			conn := Wrap(raw)
+			conn := Wrap(raw, 0)
 			defer conn.Close()
-			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p, nil,
+			clientErrs[id] = runClientLoop(context.Background(), conn, id, 10, p,
 				func(round int) map[int]float64 {
 					addDelta(p, float64(id+1)*0.1)
 					if id == 3 && round == 1 {

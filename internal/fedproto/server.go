@@ -54,8 +54,7 @@ type ServerConfig struct {
 	NumLayers int
 	// RoundTimeout is the per-client read/write deadline applied to every
 	// protocol exchange (hello, per-round update receive, model send).
-	// Zero selects DefaultRoundTimeout; a negative value disables
-	// deadlines entirely (the pre-timeout behaviour).
+	// Zero or less selects DefaultRoundTimeout.
 	RoundTimeout time.Duration
 	// Quorum is the fraction of the round's admitted clients whose valid
 	// updates must arrive before the deadline for the round to close; the
@@ -63,17 +62,15 @@ type ServerConfig struct {
 	// DefaultQuorum; values above 1 clamp to 1 (every client required).
 	Quorum float64
 	// MaxStrikes evicts a client after this many consecutive missed
-	// rounds. Zero selects DefaultMaxStrikes; negative disables eviction,
-	// so silent clients keep costing the round deadline forever.
+	// rounds. Zero or less selects DefaultMaxStrikes.
 	MaxStrikes int
 	// Aggregator combines the responders' layer weights each round. Nil
 	// selects the FedAvg quorum-weighted mean (the historical behaviour);
 	// the robust alternatives from internal/fed (trimmed mean, median,
 	// norm-clipped mean, Krum) bound a Byzantine client's influence.
 	Aggregator fed.Aggregator
-	// Codec is the update scheme the server prefers clients to use
-	// ("raw64", "f32", "q8", "topk"); each session gets it iff the client's
-	// hello advertises it, raw64 otherwise. Empty selects raw64: dense
+	// Codec is the update scheme the server assigns every session in its
+	// sync reply ("raw64", "q8", "topk"). Empty selects raw64: dense
 	// updates, 8 bytes a parameter on the wire.
 	Codec string
 	// CheckpointPath, when set, makes the server durable: every
@@ -102,14 +99,9 @@ type ServerConfig struct {
 }
 
 // withDefaults resolves every zero-value convention documented on
-// ServerConfig, once, so the round loop reads plain fields: afterwards a
-// zero RoundTimeout means "no deadlines" and a zero MaxStrikes "never
-// evict".
+// ServerConfig, once, so the round loop reads plain fields.
 func (c ServerConfig) withDefaults() ServerConfig {
-	switch {
-	case c.RoundTimeout < 0:
-		c.RoundTimeout = 0
-	case c.RoundTimeout == 0:
+	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = DefaultRoundTimeout
 	}
 	switch {
@@ -118,10 +110,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	case c.Quorum > 1:
 		c.Quorum = 1
 	}
-	switch {
-	case c.MaxStrikes < 0:
-		c.MaxStrikes = 0
-	case c.MaxStrikes == 0:
+	if c.MaxStrikes <= 0 {
 		c.MaxStrikes = DefaultMaxStrikes
 	}
 	if c.CheckpointEvery <= 0 {
@@ -145,71 +134,20 @@ func quorumCount(frac float64, n int) int {
 	return need
 }
 
-// recvDeadline arms the read deadline on c according to the round policy.
-func (s *Server) recvDeadline(c *Conn) {
-	if d := s.cfg.RoundTimeout; d > 0 {
-		c.SetReadDeadline(time.Now().Add(d))
-	}
-}
-
-// sendDeadline arms the write deadline on c according to the round policy.
-func (s *Server) sendDeadline(c *Conn) {
-	if d := s.cfg.RoundTimeout; d > 0 {
-		c.SetWriteDeadline(time.Now().Add(d))
-	}
-}
-
-// maxBases bounds the per-client cache of model snapshots kept as delta
-// bases. A well-behaved client encodes against the last model it received,
-// so one live base would almost always suffice; a few more absorb replies
-// and updates crossing on the wire without unbounded memory.
-const maxBases = 4
-
 // clientState is the server's view of one (possibly reconnecting)
-// federation member, keyed by the ClientID it announced in MsgHello.
+// federation member, keyed by the ClientID it announced in MsgHello. Its
+// conn is the member's current session; base is the last model sent on
+// that session, stamped baseSeq (0 before any model): a delta update
+// decodes against it, and every update's ΔW — what the Eq. (3) gate
+// reads — is measured against it. Guarded by Server.mu.
 type clientState struct {
 	id      int
 	conn    *Conn
 	size    int // |G_c| for FedAvg weighting
 	strikes int // consecutive missed rounds
 	alive   bool
-	// codec is the update scheme negotiated at this session's admission.
-	codec string
-	// bases remembers the last maxBases model snapshots sent to this
-	// client, keyed by their ModelSeq stamp: a delta update decodes against
-	// the exact base it was encoded against, and every update's ΔW — what
-	// the Eq. (3) gate reads — is measured against the model the client
-	// trained from. baseOrder tracks insertion order for pruning. Guarded
-	// by Server.mu.
-	bases     map[uint64][]LayerPayload
-	baseOrder []uint64
-}
-
-// rememberBase records one sent model snapshot as a future delta base,
-// pruning the oldest past maxBases. Caller holds Server.mu.
-func (st *clientState) rememberBase(seq uint64, layers []LayerPayload) {
-	if len(layers) == 0 {
-		return
-	}
-	if st.bases == nil {
-		st.bases = map[uint64][]LayerPayload{}
-	}
-	st.bases[seq] = layers
-	st.baseOrder = append(st.baseOrder, seq)
-	for len(st.baseOrder) > maxBases {
-		delete(st.bases, st.baseOrder[0])
-		st.baseOrder = st.baseOrder[1:]
-	}
-}
-
-// base returns the model snapshot an update moved away from: the one it
-// names, or — unnamed (seq 0), as raw64 updates are — the last model sent
-// on this session. Nil when there is none. Caller holds Server.mu.
-func (st *clientState) base(seq uint64) []LayerPayload {
-	if seq == 0 && len(st.baseOrder) > 0 {
-		seq = st.baseOrder[len(st.baseOrder)-1]
-	}
-	return st.bases[seq]
+	base    []LayerPayload
+	baseSeq uint64
 }
 
 // ServerStats summarises a federation run for logs and tests.
@@ -249,7 +187,7 @@ type Server struct {
 	acceptErr error
 	closed    bool
 	stats     ServerStats
-	// seq stamps every model snapshot sent to a client (session-unique,
+	// seq stamps every model snapshot sent to a client (server-unique,
 	// monotonic, 0 = "no stamp") so delta updates can name their base.
 	seq uint64
 	// startRound is where Run's round loop begins — nonzero after a
@@ -460,11 +398,12 @@ func (s *Server) isClosed() bool {
 // (or re-registers) the client, and replays the current aggregated model
 // so a rejoiner resumes at the server's round instead of desyncing.
 func (s *Server) admit(raw net.Conn) {
-	c := Wrap(raw)
+	c := Wrap(raw, s.cfg.RoundTimeout)
 	c.Instrument(s.metrics.bytesIn, s.metrics.bytesOut)
-	s.recvDeadline(c)
 	hello, err := c.Recv()
-	if err != nil || hello.Kind != MsgHello {
+	// A negative |G_c| would turn into a negative FedAvg weight: the
+	// member's model would be subtracted from the mean.
+	if err != nil || hello.Kind != MsgHello || hello.DataSize < 0 {
 		raw.Close()
 		return
 	}
@@ -498,28 +437,24 @@ func (s *Server) admit(raw net.Conn) {
 		st.strikes = n
 		delete(s.restoredStrikes, hello.ClientID)
 	}
-	st.codec = negotiateCodec(s.cfg.Codec, hello.Codecs)
-	// A fresh session starts from the sync model; bases the previous
-	// session encoded against are dead weight.
-	st.bases, st.baseOrder = nil, nil
 	// Sync reply: the round to resume at plus the current aggregated
 	// model (nil before the first round closes — fresh joiners start from
 	// their own initialisation like the in-process simulator). A server
 	// resumed past its final round tells the client the federation is
 	// already over. The reply also assigns the session's update codec and,
-	// when a model ships, stamps it as a delta base.
+	// when a model ships, stamps it as the new session's base.
 	syncMsg := &Message{Kind: MsgModel, Round: s.round, Layers: s.global,
-		Codec: st.codec,
+		Codec: s.cfg.Codec,
 		Final: s.cfg.Rounds > 0 && s.round >= s.cfg.Rounds}
+	st.base, st.baseSeq = nil, 0
 	if len(s.global) > 0 {
 		s.seq++
 		syncMsg.ModelSeq = s.seq
-		st.rememberBase(s.seq, s.global)
+		st.base, st.baseSeq = s.global, s.seq
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	s.sendDeadline(c)
 	if err := c.Send(syncMsg); err != nil {
 		s.mu.Lock()
 		s.dropIfCurrent(st, c)
@@ -602,7 +537,6 @@ func (s *Server) runRound(round int) error {
 		wg.Add(1)
 		go func(r *recvResult) {
 			defer wg.Done()
-			s.recvDeadline(r.conn)
 			before := r.conn.InBytes()
 			m, err := r.conn.Recv()
 			if err != nil {
@@ -613,10 +547,16 @@ func (s *Server) runRound(round int) error {
 			// Reconstruct dense absolute weights from whatever codec the
 			// update declares before any further validation — downstream
 			// checks and the aggregator only ever see raw64-shaped data.
+			// The base belongs to the session: once the member has rejoined
+			// on a fresh conn, this one has none.
+			var base []LayerPayload
+			var baseSeq uint64
 			s.mu.Lock()
-			base := r.st.base(m.BaseSeq)
+			if r.st.conn == r.conn {
+				base, baseSeq = r.st.base, r.st.baseSeq
+			}
 			s.mu.Unlock()
-			if err := decodeUpdate(m, base); err != nil {
+			if err := decodeUpdate(m, base, baseSeq); err != nil {
 				r.err = err
 				return
 			}
@@ -649,7 +589,7 @@ func (s *Server) runRound(round int) error {
 	}
 	wg.Wait()
 
-	var responders []*clientState
+	var responders []*recvResult
 	var tmpl []LayerPayload // tensor layout of the round (pinned: any responder's)
 	var in fed.RoundInput
 	var errs []error
@@ -657,7 +597,7 @@ func (s *Server) runRound(round int) error {
 	for i := range live {
 		r := &live[i]
 		if r.err == nil {
-			responders = append(responders, r.st)
+			responders = append(responders, r)
 			tmpl = r.layers
 			in.Weights = append(in.Weights, r.weights)
 			in.Updates = append(in.Updates, r.update)
@@ -677,7 +617,7 @@ func (s *Server) runRound(round int) error {
 			// Silence: strike, evict only after MaxStrikes in a row.
 			r.st.strikes++
 			s.metrics.strikes.Inc()
-			if ms := s.cfg.MaxStrikes; ms > 0 && r.st.strikes >= ms {
+			if r.st.strikes >= s.cfg.MaxStrikes {
 				s.dropIfCurrent(r.st, r.conn)
 			}
 		} else {
@@ -740,24 +680,25 @@ func (s *Server) runRound(round int) error {
 	}
 
 	final := round == s.cfg.Rounds-1
-	for k, st := range responders {
+	for k, r := range responders {
 		msg := &Message{Kind: MsgModel, Round: round, Final: final, Layers: replies[k]}
-		// Stamp and remember the snapshot before sending: the client cannot
-		// echo a stamp it has not received, so remembering first means a
-		// delta naming this base always resolves. The conn is captured under
-		// mu so a concurrent rejoin cannot swap it mid-send.
+		// The reply goes on the conn whose update it answers. It becomes
+		// that session's base before it is sent — the client cannot echo a
+		// stamp it has not received — unless the member has rejoined since:
+		// the new session's base is its sync model, and the old conn is
+		// closed, so the send fails harmlessly.
 		s.mu.Lock()
 		s.seq++
 		msg.ModelSeq = s.seq
-		st.rememberBase(s.seq, replies[k])
-		conn := st.conn
+		if r.st.conn == r.conn {
+			r.st.base, r.st.baseSeq = replies[k], s.seq
+		}
 		s.mu.Unlock()
-		s.sendDeadline(conn)
-		if err := conn.Send(msg); err != nil {
+		if err := r.conn.Send(msg); err != nil {
 			// A failed reply is that client's problem, not the round's: it
 			// will miss the next collection and rejoin through admit.
 			s.mu.Lock()
-			s.dropIfCurrent(st, conn)
+			s.dropIfCurrent(r.st, r.conn)
 			s.mu.Unlock()
 		}
 	}

@@ -137,7 +137,7 @@ func TestSimNetDifferential(t *testing.T) {
 						defer wg.Done()
 						params := c.Model.Params()
 						_, errs[id] = RunClientSession(context.Background(), ClientConfig{
-							Addr: addr, ID: id, DataSize: len(c.Train), Codec: codec.Raw64,
+							Addr: addr, ID: id, DataSize: len(c.Train),
 							MaxAttempts: 100, InitialBackoff: 10 * time.Millisecond,
 						}, params, func(round int) map[int]float64 {
 							if round > 0 { // the previous round's reply is installed

@@ -62,7 +62,7 @@ func BenchmarkWire(b *testing.B) {
 	}
 	b.Run("dims=paper/send", func(b *testing.B) {
 		a := peerDo(b, func(p net.Conn) { io.Copy(io.Discard, p) })
-		c := Wrap(a)
+		c := Wrap(a, 0)
 		if err := c.Send(msg); err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkWire(b *testing.B) {
 				}
 			}
 		})
-		c := Wrap(a)
+		c := Wrap(a, 0)
 		if _, err := c.Recv(); err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ go build -o "$WORKDIR/fexclient" ./cmd/fexclient
 # address.
 FED_ADDR=127.0.0.1:$(python3 -c 'import socket; s=socket.socket(); s.bind(("127.0.0.1",0)); print(s.getsockname()[1]); s.close()')
 
-# -codec q8 makes the federation negotiate quantised deltas, so the scrape
+# -codec q8 assigns every client quantised deltas, so the scrape
 # below can assert the compression metrics on a live run, not just their
 # TYPE lines.
 "$WORKDIR/fexserver" -addr "$FED_ADDR" -clients 2 -rounds 3 -layers 4 \

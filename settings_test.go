@@ -49,7 +49,62 @@ func TestConfigurationTableMatchesSettings(t *testing.T) {
 			return false
 		})
 	}
-	for _, f := range parseDir(t, filepath.Join("cmd", "fexserve")) {
+	for _, name := range flagsOf(t, filepath.Join("cmd", "fexserve")) {
+		have[name] = true
+	}
+	if len(have) == 0 {
+		t.Fatal("found no option fields and no fexserve flags")
+	}
+
+	documented := map[string]bool{}
+	for _, row := range tableRows(t, "Configuration") {
+		for _, span := range codeSpan.FindAllStringSubmatch(row, -1) {
+			if flagName.MatchString(span[1]) {
+				documented[span[1]] = true
+			}
+			for _, m := range optionName.FindAllStringSubmatch(span[1], -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	compareSettings(t, "Configuration", have, documented)
+}
+
+// TestFederationFlagsTableMatchesBinaries holds README's "Federation flags"
+// table to the flag.* calls of cmd/fexserver and cmd/fexclient: each row
+// names its binaries in the first column and its flags in the second, and
+// every flag must have a row, every row a flag.
+func TestFederationFlagsTableMatchesBinaries(t *testing.T) {
+	binaries := []string{"fexserver", "fexclient"}
+	have := map[string]bool{} // "fexclient -op-timeout"
+	for _, bin := range binaries {
+		for _, name := range flagsOf(t, filepath.Join("cmd", bin)) {
+			have[bin+" "+name] = true
+		}
+	}
+	documented := map[string]bool{}
+	for _, row := range tableRows(t, "Federation flags") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, bin := range codeSpan.FindAllStringSubmatch(cells[1], -1) {
+			for _, span := range codeSpan.FindAllStringSubmatch(cells[2], -1) {
+				if flagName.MatchString(span[1]) {
+					documented[bin[1]+" "+span[1]] = true
+				}
+			}
+		}
+	}
+	compareSettings(t, "Federation flags", have, documented)
+}
+
+// flagsOf returns the names, dash included, that the flag.* calls in one
+// command's non-test files declare.
+func flagsOf(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	for _, f := range parseDir(t, dir) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -69,40 +124,43 @@ func TestConfigurationTableMatchesSettings(t *testing.T) {
 			if len(call.Args) > at {
 				if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					name, _ := strconv.Unquote(lit.Value)
-					have["-"+name] = true
+					names = append(names, "-"+name)
 				}
 			}
 			return true
 		})
 	}
-	if len(have) == 0 {
-		t.Fatal("found no option fields and no fexserve flags")
+	if len(names) == 0 {
+		t.Fatalf("found no flags in %s", dir)
 	}
+	return names
+}
 
+// tableRows returns the table lines of one "## " section of README.md.
+func tableRows(t *testing.T, heading string) []string {
+	t.Helper()
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(readme), "\n## Configuration\n")
+	_, section, ok := strings.Cut(string(readme), "\n## "+heading+"\n")
 	if !ok {
-		t.Fatal(`README.md has no "## Configuration" section`)
+		t.Fatalf("README.md has no %q section", "## "+heading)
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	documented := map[string]bool{}
+	var rows []string
 	for _, line := range strings.Split(section, "\n") {
-		if !strings.HasPrefix(line, "|") {
-			continue
-		}
-		for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
-			if flagName.MatchString(span[1]) {
-				documented[span[1]] = true
-			}
-			for _, m := range optionName.FindAllStringSubmatch(span[1], -1) {
-				documented[m[1]] = true
-			}
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
 		}
 	}
+	return rows
+}
 
+// compareSettings reports each setting the code has and the table lacks,
+// and each the table names and the code no longer has.
+func compareSettings(t *testing.T, table string, have, documented map[string]bool) {
+	t.Helper()
 	var missing, stale []string
 	for name := range have {
 		if !documented[name] {
@@ -117,10 +175,10 @@ func TestConfigurationTableMatchesSettings(t *testing.T) {
 	sort.Strings(missing)
 	sort.Strings(stale)
 	for _, name := range missing {
-		t.Errorf("%s has no row in README's Configuration table", name)
+		t.Errorf("%s has no row in README's %s table", name, table)
 	}
 	for _, name := range stale {
-		t.Errorf("README's Configuration table names %s, which no longer exists", name)
+		t.Errorf("README's %s table names %s, which no longer exists", table, name)
 	}
 }
 
