@@ -53,7 +53,7 @@ type Node struct {
 	// Per-op state read by the static back functions.
 	scalar  float64   // Scale factor, AddConst c, 1/n, wsum…
 	ints    []int     // node-owned scratch (MaxRows argmax); capacity reused
-	idx     []int     // caller-owned indices or labels (Scatter/SCE)
+	idx     []int     // caller-owned labels (SCE)
 	weights []float64 // caller-owned class weights (SCE)
 	sparse  *mat.CSR  // SpMM operator
 
@@ -648,33 +648,5 @@ func backConcatCols(out *Node) {
 			}
 		}
 		off += c
-	}
-}
-
-// ScatterRows builds an n×c node whose rows at idx come from a (len(idx)×c)
-// and whose other rows are zero, used to merge per-type projections in
-// heterogeneous GNNs. idx is caller-owned and must stay valid until Reset.
-func (t *Tape) ScatterRows(a *Node, idx []int, n int) *Node {
-	ar, c := a.Value.Dims()
-	if ar != len(idx) {
-		panic(fmt.Sprintf("autodiff: ScatterRows %d rows with %d indices", ar, len(idx)))
-	}
-	out := t.op(n, c, a.needs, backScatterRows)
-	out.a = a
-	out.idx = idx
-	for i, r := range idx {
-		copy(out.Value.Row(r), a.Value.Row(i))
-	}
-	return out
-}
-
-func backScatterRows(out *Node) {
-	a := out.a
-	if !a.needs {
-		return
-	}
-	ensureGrad(a)
-	for i, r := range out.idx {
-		mat.Axpy(a.Grad.Row(i), out.Grad.Row(r), 1)
 	}
 }

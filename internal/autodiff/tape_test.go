@@ -268,28 +268,6 @@ func TestMaxRowsMatchesColumnScan(t *testing.T) {
 	}
 }
 
-func TestScatterRowsGradAndForward(t *testing.T) {
-	g := rng.New(12)
-	w := g.Gaussian(2, 3, 1)
-	checkGrad(t, "scatter", w, func() (*Tape, *Node, *Node) {
-		tape := NewTape()
-		wn := tape.Param(w)
-		sc := tape.ScatterRows(wn, []int{3, 1}, 5)
-		sq := tape.Hadamard(sc, sc)
-		return tape, wn, tape.SumAll(sq)
-	})
-	// Forward: rows land at the right indices, rest zero.
-	x := mat.NewDenseData(1, 2, []float64{7, 8})
-	tape := NewTape()
-	out := tape.ScatterRows(tape.Constant(x), []int{2}, 4)
-	if out.Value.At(2, 0) != 7 || out.Value.At(2, 1) != 8 {
-		t.Fatalf("scatter misplaced: %v", out.Value)
-	}
-	if out.Value.At(0, 0) != 0 || out.Value.At(3, 1) != 0 {
-		t.Fatal("scatter should zero-fill other rows")
-	}
-}
-
 func TestAddSubScaleGrads(t *testing.T) {
 	g := rng.New(13)
 	w := g.Gaussian(2, 2, 1)

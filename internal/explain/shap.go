@@ -7,7 +7,7 @@
 // Everything here asks one question of the detection model — the score of
 // the subgraph induced on a node subset of one fixed graph — through the
 // Scorer interface. A model that can answer it cheaply (gnn.Detector's
-// scorer remembers first-layer rows between coalitions) implements Scorer
+// scorer remembers every layer's rows between coalitions) implements Scorer
 // directly; any other h(·) is adapted as a black box over masked copies of
 // the graph, which is what the ScoreFunc entry points do.
 package explain

@@ -91,9 +91,10 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 // way: a warmed workspace embed must stay within a handful of allocations —
 // none of them a parameter name, which every model formats at construction.
 // GIN and GCN measure 0, and their bound sees the six names GCN's three
-// convolutions would format per pass. MAGNN's bound is its own: its Forward
-// builds two per-kind adjacencies and gathers each node type's features
-// into a fresh matrix, per graph (65), and its eight names would make 73.
+// convolutions would format per pass. MAGNN's bound is what it measures:
+// its operators are built per graph — the identity, two per-kind
+// multiplicity counts and the three row-normalised copies — and so is each
+// node type's feature matrix.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	gs := makeGraphs(4)
 	for _, c := range []struct {
@@ -102,7 +103,7 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	}{
 		{NewGIN(featDim, 32, 16, 7), 4},
 		{NewGCN(featDim, 32, 16, 7), 4},
-		{NewMAGNN(featDim, featDim, 32, 16, 7), 72},
+		{NewMAGNN(featDim, featDim, 32, 16, 7), 53},
 	} {
 		ws := NewWorkspace()
 		for i := 0; i < 8; i++ {

@@ -60,10 +60,10 @@ func (m *GCN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *aut
 	return forward(m, t, b, g)
 }
 
-// layer is convolution l after its aggregation: ReLU(agg·W_l + b_l), each
-// output row from its own input row only (see GIN.layer).
-func (m *GCN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg *autodiff.Node) *autodiff.Node {
-	h := t.MatMul(agg, b.Node(m.names[l].w))
+// layer is convolution l after its aggregation: ReLU(Â·H·W_l + b_l), each
+// output row from its own aggregated row only (see GIN.layer).
+func (m *GCN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg aggs) *autodiff.Node {
+	h := t.MatMul(agg[0], b.Node(m.names[l].w))
 	h = t.AddRowBroadcast(h, b.Node(m.names[l].b))
 	return t.ReLU(h)
 }

@@ -71,81 +71,110 @@ func (m *MAGNN) Fresh(seed int64) Model {
 	return NewMAGNN(m.WordDim, m.SentDim, m.HiddenDim, m.OutDim, seed)
 }
 
-// kindAdjacency builds the row-normalised undirected adjacency over edges of
-// one relation kind (no self loops; the self transform handles identity).
-func kindAdjacency(g *graph.Graph, kind rules.MatchKind) *mat.CSR {
-	n := g.N()
-	var is, js []int
-	for _, e := range g.Edges {
-		if e.Kind != kind {
-			continue
+// Forward builds the embedding computation for one heterogeneous graph.
+func (m *MAGNN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return forward(m, t, b, g)
+}
+
+// input is the type projection ReLU(X_word·W_word + X_sent·W_sent + b):
+// X_space has the space's nodes' features, padded or truncated to its
+// width, and zero rows, which MulTo skips, for the other space's nodes. A
+// space with no node in g adds no term, so its weight gets no gradient.
+func (m *MAGNN) input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	var h *autodiff.Node
+	for space, w := range [2]string{"proj.word", "proj.sent"} {
+		x, found := mat.NewDense(g.N(), [2]int{m.WordDim, m.SentDim}[space]), false
+		for i, n := range g.Nodes {
+			if (n.Space == graph.SentenceSpace) == (space == 1) {
+				copy(x.Row(i), n.Feature)
+				found = true
+			}
 		}
-		is = append(is, e.From, e.To)
-		js = append(js, e.To, e.From)
+		if found {
+			p := t.MatMul(t.Constant(x), b.Node(w))
+			if h != nil {
+				p = t.Add(h, p)
+			}
+			h = p
+		}
 	}
+	if h == nil {
+		return t.Constant(mat.NewDense(g.N(), m.HiddenDim))
+	}
+	return t.ReLU(t.AddRowBroadcast(h, b.Node("proj.b")))
+}
+
+// operators are the self term's identity, its own parent, and the direct
+// and environmental edges' row-normalised undirected adjacencies.
+func (m *MAGNN) operators(g *graph.Graph) (ops, parents operators) {
+	self, ones := make([]int, g.N()), make([]float64, g.N())
+	for i := range self {
+		self[i], ones[i] = i, 1
+	}
+	ops[0] = mat.NewCSR(g.N(), g.N(), self, self, ones)
+	parents[0] = ops[0]
+	for k, kind := range [2]rules.MatchKind{rules.DirectMatch, rules.EnvMatch} {
+		is, js := make([]int, 0, 2*len(g.Edges)), make([]int, 0, 2*len(g.Edges))
+		for _, e := range g.Edges {
+			if e.Kind == kind {
+				is, js = append(is, e.From, e.To), append(js, e.To, e.From)
+			}
+		}
+		ops[k+1], parents[k+1] = adjacency(g.N(), is, js)
+	}
+	return ops, parents
+}
+
+// adjacency is the n×n operator with 1/deg(i) at each (is[k], js[k]),
+// which NewCSR sums where a coordinate repeats (a self-loop edge, an edge
+// each way). Its parent counts the repeats, which a coalition's 1/deg needs.
+func adjacency(n int, is, js []int) (op, parent *mat.CSR) {
 	deg := make([]float64, n)
 	for _, i := range is {
 		deg[i]++
 	}
-	vs := make([]float64, len(is))
-	for k := range is {
-		vs[k] = 1 / deg[is[k]]
+	vs, ones := make([]float64, len(is)), make([]float64, len(is))
+	for k, i := range is {
+		vs[k], ones[k] = 1/deg[i], 1
 	}
-	return mat.NewCSR(n, n, is, js, vs)
+	return mat.NewCSR(n, n, is, js, vs), mat.NewCSR(n, n, is, js, ones)
 }
 
-// Forward builds the embedding computation for one heterogeneous graph.
-func (m *MAGNN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	n := g.N()
-	// Type-specific projections scattered into a shared latent matrix.
-	var wordIdx, sentIdx []int
-	for i, node := range g.Nodes {
-		if node.Space == graph.SentenceSpace {
-			sentIdx = append(sentIdx, i)
-		} else {
-			wordIdx = append(wordIdx, i)
+// renormalise computes adjacency's coefficients over a coalition from its
+// parent's counts: a row's degree is the sum of its counts, and an entry's
+// coefficient is 1/deg added once a count, the sum NewCSR makes.
+func (m *MAGNN) renormalise(indptr, _ []int, vals []float64) {
+	for r := 0; r+1 < len(indptr); r++ {
+		row, deg := vals[indptr[r]:indptr[r+1]], 0.0
+		for _, c := range row {
+			deg += c
 		}
-	}
-	var h *autodiff.Node
-	addSpace := func(idx []int, dim int, w string) {
-		if len(idx) == 0 {
-			return
-		}
-		sub := mat.NewDense(len(idx), dim)
-		for k, i := range idx {
-			row := sub.Row(k)
-			f := g.Nodes[i].Feature
-			for j := 0; j < dim && j < len(f); j++ {
-				row[j] = f[j]
+		for i, c := range row {
+			for row[i] = 0; c > 0; c-- {
+				row[i] += 1 / deg
 			}
 		}
-		proj := t.MatMul(t.Constant(sub), b.Node(w))
-		scattered := t.ScatterRows(proj, idx, n)
-		if h == nil {
-			h = scattered
-		} else {
-			h = t.Add(h, scattered)
-		}
 	}
-	addSpace(wordIdx, m.WordDim, "proj.word")
-	addSpace(sentIdx, m.SentDim, "proj.sent")
-	if h == nil {
-		h = t.Constant(mat.NewDense(n, m.HiddenDim))
-	} else {
-		h = t.AddRowBroadcast(h, b.Node("proj.b"))
-		h = t.ReLU(h)
-	}
+}
 
-	aDirect := kindAdjacency(g, rules.DirectMatch)
-	aEnv := kindAdjacency(g, rules.EnvMatch)
-	for _, n := range m.names {
-		self := t.MatMul(h, b.Node(n.self))
-		dir := t.MatMul(t.SpMM(aDirect, h), b.Node(n.direct))
-		env := t.MatMul(t.SpMM(aEnv, h), b.Node(n.env))
-		sum := t.Add(t.Add(self, dir), env)
-		sum = t.AddRowBroadcast(sum, b.Node(n.b))
-		h = t.ReLU(sum)
+func (m *MAGNN) width() int { return m.HiddenDim }
+func (m *MAGNN) depth() int { return m.NumLayers }
+
+// layer is aggregation layer l: ReLU(H·W_self + (A_direct·H)·W_direct +
+// (A_env·H)·W_env + b), the terms added in that order.
+func (m *MAGNN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg aggs) *autodiff.Node {
+	n := m.names[l]
+	self := t.MatMul(agg[0], b.Node(n.self))
+	dir := t.MatMul(agg[1], b.Node(n.direct))
+	env := t.MatMul(agg[2], b.Node(n.env))
+	return t.ReLU(t.AddRowBroadcast(t.Add(t.Add(self, dir), env), b.Node(n.b)))
+}
+
+// readout pools the last layer's output, mean and max, projected to the
+// output width; the layers below it add nothing.
+func (m *MAGNN) readout(l int, t *autodiff.Tape, b *autodiff.Binder, h, _ *autodiff.Node) *autodiff.Node {
+	if l < m.NumLayers-1 {
+		return nil
 	}
-	pooled := t.ConcatCols(t.MeanRows(h), t.MaxRows(h))
-	return t.MatMul(pooled, b.Node("out.w"))
+	return t.MatMul(t.ConcatCols(t.MeanRows(h), t.MaxRows(h)), b.Node("out.w"))
 }

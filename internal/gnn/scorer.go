@@ -18,27 +18,33 @@ const memoMaxRows = 4096
 // outgrown, so what a search allocates for its rows is what it keeps.
 const memoChunk = 16
 
-// rowwise is a model that is depth() layers, each an aggregation S·H
-// followed by ops that compute each output row from its own aggregated row
-// only, so a row of a layer's output depends on nothing but the matching
-// row of S and the input rows it names. GIN and GCN are; their Forward is
-// forward.
+// A layer's operators (unused ones nil) and their products with its input
+// come in arrays of MAGNN's three, so GIN and GCN, with one, allocate none.
+type operators [3]*mat.CSR
+type aggs [3]*autodiff.Node
+
+// rowwise is a model that is a per-node input map followed by depth()
+// layers, each a few aggregations S_k·H followed by ops that compute each
+// output row from its own aggregated rows only, so a row of a layer's
+// output depends on nothing but the matching rows of the S_k and the input
+// rows they name. GIN, GCN and MAGNN are; their Forward is forward.
 type rowwise interface {
 	Model
-	// operator is the whole graph's aggregation operator S. A coalition's
-	// operator has the rows of its members with the entries of its members,
-	// in the same order: NewCSR keeps a row's entries in insertion order —
-	// self loop first, then g.Edges order, which InducedSubgraph preserves.
-	operator(g *graph.Graph) *mat.CSR
+	// input computes a node's row from that node alone.
+	input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node
+	// operators are the whole graph's, and the parents a coalition's are
+	// restricted from: its members' rows with its members' entries, in the
+	// same order (NewCSR keeps a row's entries in insertion order — self
+	// loop first, then g.Edges order, which InducedSubgraph preserves).
+	operators(g *graph.Graph) (ops, parents operators)
 	// renormalise rewrites the coefficients of a coalition's operator, given
-	// as CSR arrays carrying the whole graph's values, where they depend on
-	// the coalition (GCN's in-coalition degrees).
+	// as CSR arrays carrying its parent's values, where they depend on the
+	// coalition (GCN's and MAGNN's degrees).
 	renormalise(indptr, indices []int, vals []float64)
-	// widths are the input feature width and every layer's output width.
-	widths() (input, hidden int)
+	width() int // every layer's output width
 	depth() int
-	// layer is layer l after its aggregation agg.
-	layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg *autodiff.Node) *autodiff.Node
+	// layer is layer l after its aggregations.
+	layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg aggs) *autodiff.Node
 	// readout folds layer l's output h into acc, the readout of the layers
 	// below (nil at layer 0); the last layer's is the embedding. It takes
 	// the layers one at a time so that Forward's tape keeps each layer's
@@ -49,25 +55,40 @@ type rowwise interface {
 
 // forward is Forward for a rowwise model.
 func forward(m rowwise, t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	op := m.operator(g)
-	in, _ := m.widths()
-	h := t.Constant(g.CachedPadFeatures(in))
+	ops, _ := m.operators(g)
+	h := m.input(t, b, g)
 	var out *autodiff.Node
 	for l := 0; l < m.depth(); l++ {
-		h = m.layer(l, t, b, t.SpMM(op, h))
+		var agg aggs
+		for k := 0; k < len(ops) && ops[k] != nil; k++ {
+			agg[k] = t.SpMM(ops[k], h)
+		}
+		h = m.layer(l, t, b, agg)
 		out = m.readout(l, t, b, h, out)
 	}
 	return out
 }
 
-func (m *GIN) operator(g *graph.Graph) *mat.CSR    { return g.CachedSumAdjacency(m.Eps) }
+func (m *GIN) input(t *autodiff.Tape, _ *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return t.Constant(g.CachedPadFeatures(m.InputDim))
+}
+func (m *GIN) operators(g *graph.Graph) (ops, parents operators) {
+	ops[0] = g.CachedSumAdjacency(m.Eps)
+	return ops, ops
+}
 func (m *GIN) renormalise([]int, []int, []float64) {}
-func (m *GIN) widths() (int, int)                  { return m.InputDim, m.HiddenDim }
+func (m *GIN) width() int                          { return m.HiddenDim }
 func (m *GIN) depth() int                          { return m.NumLayers }
 
-func (m *GCN) operator(g *graph.Graph) *mat.CSR { return g.CachedNormalizedAdjacency() }
-func (m *GCN) widths() (int, int)               { return m.InputDim, m.HiddenDim }
-func (m *GCN) depth() int                       { return m.NumConv }
+func (m *GCN) input(t *autodiff.Tape, _ *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return t.Constant(g.CachedPadFeatures(m.InputDim))
+}
+func (m *GCN) operators(g *graph.Graph) (ops, parents operators) {
+	ops[0] = g.CachedNormalizedAdjacency()
+	return ops, ops
+}
+func (m *GCN) width() int { return m.HiddenDim }
+func (m *GCN) depth() int { return m.NumConv }
 
 // renormalise recomputes D^{-1/2}(A + Aᵀ + I)D^{-1/2} for the coalition: a
 // member's degree is the length of its row (the operator holds each
@@ -82,8 +103,8 @@ func (m *GCN) renormalise(indptr, indices []int, vals []float64) {
 	}
 }
 
-// ScorerStats counts what one GraphScorer did. The row counts are per layer
-// of a GIN or GCN, bottom first, and nil for a black box.
+// ScorerStats counts what one GraphScorer did. The row counts are per
+// layer, bottom first.
 type ScorerStats struct {
 	Calls        int   // Score calls
 	RowsReused   []int // rows served from the layer's memo
@@ -93,37 +114,38 @@ type ScorerStats struct {
 // GraphScorer scores node subsets of one graph for the explanation search
 // (it implements explain.Scorer): Score(keep) is bit for bit
 // Detector.Score(g.InducedSubgraph(keep)), and 0 for the empty subset. It
-// holds one Workspace for all its scores and, for GIN and GCN, remembers
-// every layer's output rows: a memoised row is the same sum of the same
-// products in the same order as a recomputed one, because the row's entries
-// keep the whole graph's order whatever keep's order is, every op between
-// the aggregation and the layer's output is row-independent, and the rows
-// it reads are, by their own memo slots, the same bits. Other models
-// (MAGNN, whose first layer scatters per-type projections) are scored on
-// masked copies of the graph, still on the one workspace.
+// holds one Workspace for all its scores, computes the model's input map
+// once, and remembers every layer's output rows: a memoised row is the same
+// sum of the same products in the same order as a recomputed one, because
+// the row's entries keep the whole graph's order whatever keep's order is,
+// every op between the aggregations and the layer's output is
+// row-independent, and the rows it reads are, by their own memo slots, the
+// same bits.
 //
 // A GraphScorer lives for one explanation and is not safe for concurrent
 // use; nothing in it is shared, so there is nothing to invalidate.
 type GraphScorer struct {
 	det    *Detector
-	g      *graph.Graph
 	ws     *Workspace
 	pooled bool
 	stats  ScorerStats
 
-	model    rowwise // nil: black box
-	parent   *mat.CSR
-	features *mat.Dense
+	model    rowwise
+	features *mat.Dense // the whole graph's input map
 	width    int
 	maxRows  int
 	layers   []layerMemo
+	parents  []*mat.CSR // a layer's operators' parents
 	key      []byte
 
+	// The coalition's operators, one after another: operator k's row r is
+	// row k·len(keep) + r.
+	indptr, indices []int
+	vals            []float64
+
 	pos               []int // node → 1 + its position in keep, 0 when absent
-	indptr, indices   []int // the coalition's operator
-	vals              []float64
 	missRow           []int // coalition rows the layer at hand must compute
-	mIndptr, mIndices []int // their operator, over the columns of the layer's input
+	mIndptr, mIndices []int // their rows of one operator, over the columns of the layer's input
 	mVals             []float64
 	missOp            mat.CSR
 }
@@ -146,21 +168,23 @@ func (ly *layerMemo) row(at, w int) []float64 {
 // Scorer returns a scorer of g's node subsets on ws, or on a pooled
 // workspace when ws is nil; Release hands a pooled one back.
 func (d *Detector) Scorer(ws *Workspace, g *graph.Graph) *GraphScorer {
-	s := &GraphScorer{det: d, g: g, ws: ws, maxRows: memoMaxRows}
+	m := d.Model.(rowwise)
+	s := &GraphScorer{det: d, ws: ws, model: m, width: m.width(), maxRows: memoMaxRows}
 	if ws == nil {
 		s.ws, s.pooled = borrowWorkspace(), true
 	}
-	if m, ok := d.Model.(rowwise); ok && g.N() > 0 {
-		s.model, s.parent = m, m.operator(g)
-		in, width := m.widths()
-		s.features, s.width = g.CachedPadFeatures(in), width
-		s.layers = make([]layerMemo, m.depth())
-		for l := range s.layers { // room for the largest coalition, every node
-			s.layers[l] = layerMemo{memo: map[string]int{}, hbuf: make([]float64, g.N()*width)}
-		}
-		s.stats.RowsReused, s.stats.RowsComputed = make([]int, m.depth()), make([]int, m.depth())
-		s.pos = make([]int, g.N())
+	s.ws.binder.Rebind(s.ws.tape, d.Model.Params())
+	s.features = m.input(s.ws.tape, s.ws.binder, g).Value.Clone() // the tape's value dies at Score's Reset
+	_, parents := m.operators(g)
+	for k := 0; k < len(parents) && parents[k] != nil; k++ {
+		s.parents = append(s.parents, parents[k])
 	}
+	s.layers = make([]layerMemo, m.depth())
+	for l := range s.layers { // room for the largest coalition, every node
+		s.layers[l] = layerMemo{memo: map[string]int{}, hbuf: make([]float64, g.N()*s.width)}
+	}
+	s.stats.RowsReused, s.stats.RowsComputed = make([]int, m.depth()), make([]int, m.depth())
+	s.pos = make([]int, g.N())
 	return s
 }
 
@@ -183,9 +207,6 @@ func (s *GraphScorer) Score(keep []int) float64 {
 	if len(keep) == 0 {
 		return 0
 	}
-	if s.model == nil {
-		return s.det.Clf.Score(s.ws.Embed(s.det.Model, s.g.InducedSubgraph(keep)))
-	}
 	s.restrict(keep)
 
 	t, b := s.ws.tape, s.ws.binder
@@ -197,11 +218,14 @@ func (s *GraphScorer) Score(keep []int) float64 {
 		ly := &s.layers[l]
 		s.lookup(l, keep)
 		if len(s.missRow) > 0 {
-			// One small SpMM against the layer's input — the whole graph's
-			// features at layer 0, the coalition's previous layer above it —
-			// and one layer for just the rows the memo lacks.
-			s.missOp.Remake(len(s.missRow), input.Value.Rows(), s.mIndptr, s.mIndices, s.mVals)
-			got := s.model.layer(l, t, b, t.SpMM(&s.missOp, input)).Value
+			// One small SpMM an operator against the layer's input — the
+			// whole graph's input map at layer 0, the coalition's previous
+			// layer above it — and one layer for just the rows the memo lacks.
+			var agg aggs
+			for k := range s.parents {
+				agg[k] = t.SpMM(s.missing(k, keep, l == 0, input.Value.Rows()), input)
+			}
+			got := s.model.layer(l, t, b, agg).Value
 			for k, r := range s.missRow {
 				copy(ly.h.Row(r), got.Row(k))
 				if at := ly.slot[r]; at >= 0 {
@@ -215,40 +239,44 @@ func (s *GraphScorer) Score(keep []int) float64 {
 	return s.det.Clf.Score(out.Value.Row(0))
 }
 
-// restrict builds the coalition's aggregation operator from the whole
-// graph's: member rows, member entries, columns renumbered to positions in
-// keep — what the model's operator method would return for
-// g.InducedSubgraph(keep), without the subgraph.
+// restrict builds the coalition's aggregation operators from their
+// parents: member rows, member entries, columns renumbered to positions in
+// keep, coefficients renormalised — what the model's operators method
+// would return for g.InducedSubgraph(keep), without the subgraph.
 func (s *GraphScorer) restrict(keep []int) {
 	for r, v := range keep {
 		s.pos[v] = r + 1
 	}
 	s.indptr = append(s.indptr[:0], 0)
 	s.indices, s.vals = s.indices[:0], s.vals[:0]
-	for _, v := range keep {
-		cols, vals := s.parent.Row(v)
-		for k, j := range cols {
-			if p := s.pos[j]; p != 0 {
-				s.indices = append(s.indices, p-1)
-				s.vals = append(s.vals, vals[k])
+	for _, parent := range s.parents {
+		from := len(s.indptr) - 1
+		for _, v := range keep {
+			cols, vals := parent.Row(v)
+			for k, j := range cols {
+				if p := s.pos[j]; p != 0 {
+					s.indices = append(s.indices, p-1)
+					s.vals = append(s.vals, vals[k])
+				}
 			}
+			s.indptr = append(s.indptr, len(s.indices))
 		}
-		s.indptr = append(s.indptr, len(s.indices))
+		s.model.renormalise(s.indptr[from:], s.indices, s.vals)
 	}
 	for _, v := range keep {
 		s.pos[v] = 0
 	}
-	s.model.renormalise(s.indptr, s.indices, s.vals)
 }
 
 // lookup fills layer l's output with the coalition's memoised rows and
-// lists the rest in missRow, with their operator rows in
-// mIndptr/mIndices/mVals. A row's key is the (input row, coefficient bits)
-// sequence of its operator row — all its value depends on — where an input
-// row is named by its node at layer 0, whose input is the features, and by
-// its slot in the memo of the layer below above that: a slot is filled
-// once, so it names the row's bits. A row reading an input without a slot
-// (the layer below was full) has no key; it is computed and not stored.
+// lists the rest in missRow. A row's key is the (input row, coefficient
+// bits) sequence of its row of every operator — all its value depends on —
+// each operator's closed by MaxUint32, which no input row's name equals.
+// An input row is named by its node at layer 0, whose input is the whole
+// graph's input map, and by its slot in the memo of the layer below above
+// that: a slot is filled once, so it names the row's bits. A row reading an
+// input without a slot (the layer below was full) has no key; it is
+// computed and not stored.
 func (s *GraphScorer) lookup(l int, keep []int) {
 	ly, n, w := &s.layers[l], len(keep), s.width
 	ly.h.Remake(n, w, ly.hbuf[:n*w])
@@ -258,16 +286,16 @@ func (s *GraphScorer) lookup(l int, keep []int) {
 		ids = s.layers[l-1].slot
 	}
 	s.missRow = s.missRow[:0]
-	s.mIndptr = append(s.mIndptr[:0], 0)
-	s.mIndices, s.mVals = s.mIndices[:0], s.mVals[:0]
 	for r := range keep {
-		lo, hi := s.indptr[r], s.indptr[r+1]
 		key, keyed := s.key[:0], true
-		for k := lo; k < hi && keyed; k++ {
-			id := ids[s.indices[k]]
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(s.vals[k]))
-			keyed = id >= 0
+		for row := r; row < len(s.indptr)-1 && keyed; row += n {
+			for i := s.indptr[row]; i < s.indptr[row+1] && keyed; i++ {
+				id := ids[s.indices[i]]
+				key = binary.LittleEndian.AppendUint32(key, uint32(id))
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(s.vals[i]))
+				keyed = id >= 0
+			}
+			key = binary.LittleEndian.AppendUint32(key, math.MaxUint32)
 		}
 		s.key = key
 		at := -1
@@ -289,9 +317,19 @@ func (s *GraphScorer) lookup(l int, keep []int) {
 		s.stats.RowsComputed[l]++
 		ly.slot = append(ly.slot, at)
 		s.missRow = append(s.missRow, r)
-		for k := lo; k < hi; k++ {
-			col := s.indices[k] // the input's row: a position in keep, a node at layer 0
-			if l == 0 {
+	}
+}
+
+// missing is operator k's missRow rows, over the columns of a layer input
+// of cols rows: positions in keep, or, for the whole graph's input map,
+// nodes. The operator is read by one SpMM before the next call reuses it.
+func (s *GraphScorer) missing(k int, keep []int, nodes bool, cols int) *mat.CSR {
+	s.mIndptr = append(s.mIndptr[:0], 0)
+	s.mIndices, s.mVals = s.mIndices[:0], s.mVals[:0]
+	for _, r := range s.missRow {
+		lo, hi := s.indptr[k*len(keep)+r], s.indptr[k*len(keep)+r+1]
+		for _, col := range s.indices[lo:hi] {
+			if nodes {
 				col = keep[col]
 			}
 			s.mIndices = append(s.mIndices, col)
@@ -299,4 +337,6 @@ func (s *GraphScorer) lookup(l int, keep []int) {
 		s.mVals = append(s.mVals, s.vals[lo:hi]...)
 		s.mIndptr = append(s.mIndptr, len(s.mIndices))
 	}
+	s.missOp.Remake(len(s.missRow), cols, s.mIndptr, s.mIndices, s.mVals)
+	return &s.missOp
 }

@@ -160,7 +160,7 @@ func FuzzScorer(f *testing.F) {
 // harness's 12 nodes leave out: a sparse graph of more than 64 nodes, and a
 // complete graph, where every hidden-layer row reads every other member's
 // and so repeats only when the whole coalition does — for GIN's three
-// layers and GCN's three convolutions.
+// layers, GCN's three convolutions and MAGNN's two aggregation layers.
 func TestScorerLargeGraphs(t *testing.T) {
 	sparse := scorerTestGraph(rng.New(41), 70, 90)
 	complete := scorerTestGraph(rng.New(43), 9, 0)
@@ -169,7 +169,8 @@ func TestScorerLargeGraphs(t *testing.T) {
 			complete.AddEdge(i, j, rules.DirectMatch)
 		}
 	}
-	for _, det := range scorerTestDetectors()[:2] {
+	for _, det := range scorerTestDetectors() {
+		depth := det.Model.(rowwise).depth()
 		for _, g := range []*graph.Graph{sparse, complete} {
 			r := rng.New(47)
 			sc := det.Scorer(nil, g)
@@ -186,9 +187,9 @@ func TestScorerLargeGraphs(t *testing.T) {
 			}
 			st := sc.Stats()
 			sc.Release()
-			if len(st.RowsReused) != 3 || st.RowsReused[2] == 0 {
-				t.Fatalf("%T, %d nodes: rows reused per layer %v, want three layers, each with reuse",
-					det.Model, g.N(), st.RowsReused)
+			if len(st.RowsReused) != depth || st.RowsReused[depth-1] == 0 {
+				t.Fatalf("%T, %d nodes: rows reused per layer %v, want %d layers, each with reuse",
+					det.Model, g.N(), st.RowsReused, depth)
 			}
 			for l := range st.RowsReused {
 				if got, want := st.RowsReused[l]+st.RowsComputed[l], st.RowsReused[0]+st.RowsComputed[0]; got != want {
@@ -205,7 +206,7 @@ func TestScorerLargeGraphs(t *testing.T) {
 func TestScorerMemoBound(t *testing.T) {
 	r := rng.New(17)
 	cfg := explain.DefaultSearchConfig(3)
-	for _, det := range scorerTestDetectors()[:2] {
+	for _, det := range scorerTestDetectors() {
 		for i := 0; i < 12; i++ {
 			g := scorerTestGraph(r, 6+r.Intn(6), 8+r.Intn(10))
 			var want explain.Explanation

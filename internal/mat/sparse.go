@@ -53,14 +53,16 @@ func (m *CSR) sumDuplicates() {
 	newIndices := m.indices[:0]
 	newVals := m.vals[:0]
 	pos := 0
+	// Rows are short (graph degree ≤ 50); simple insertion merge, in one
+	// buffer for every row.
+	type ent struct {
+		j int
+		v float64
+	}
+	var row []ent
 	for i := 0; i < m.rows; i++ {
 		start, end := m.indptr[i], m.indptr[i+1]
-		// Rows are short (graph degree ≤ 50); simple insertion merge.
-		type ent struct {
-			j int
-			v float64
-		}
-		var row []ent
+		row = row[:0]
 		for k := start; k < end; k++ {
 			j, v := m.indices[k], m.vals[k]
 			merged := false
