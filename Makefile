@@ -28,14 +28,17 @@ test-debugarena:
 	$(GO) test -tags=debugarena -count=1 ./internal/mat/ \
 		./internal/autodiff/ ./internal/gnn/ ./internal/nn/
 
-# The portable fallback of the row routine under every product
-# (internal/mat/rowterms_generic.go), on this host: purego is a build
-# constraint for CI, not a user option. The kernel oracle, the tape/GNN
-# suites and the pinned-F1 experiment constants must hold on the generic
-# loop exactly as on the assembly.
+# The portable fallback of the row routines under every product and
+# readout (internal/mat/rowterms_generic.go), on this host: purego is a
+# build constraint for CI, not a user option. The kernel oracle, the
+# tape/GNN suites, the pinned-F1 experiment constants and the two end-to-end
+# hashes — the pinned explanations and a federation's global model — must
+# hold on the generic loops exactly as on the assembly.
 test-purego:
 	$(GO) test -tags purego ./internal/mat ./internal/autodiff ./internal/gnn \
 		./internal/nn ./internal/experiments
+	$(GO) test -tags purego -run '^TestExplanationsPinned$$' .
+	$(GO) test -tags purego -run '^TestFedRoundModelHashPinned$$' ./internal/fedproto
 
 # Every other GOARCH takes the same fallback: prove it still builds (the
 # module has no dependencies, so this works offline) and that vet accepts

@@ -321,14 +321,22 @@ type Verdict = serve.Verdict
 // via TrainCentral or TrainFederated to clear it.
 var ErrNotTrained = errors.New("fexiot: system not trained; call TrainCentral or TrainFederated first")
 
+// errEmptyGraph reports a detection or evaluation request for a graph with
+// no nodes, which the model's readout cannot pool — the online graph of a
+// log in which no deployed rule ran, for one.
+var errEmptyGraph = errors.New("fexiot: graph has no nodes")
+
 // Detect classifies an interaction graph. It fails with ErrNotTrained
-// until the system has been trained. The verdict is computed entirely on
-// one frozen snapshot, so Detect is safe to call concurrently with
-// training and with other requests.
+// until the system has been trained, and for a graph with no nodes. The
+// verdict is computed entirely on one frozen snapshot, so Detect is safe
+// to call concurrently with training and with other requests.
 func (s *System) Detect(g *Graph) (Verdict, error) {
 	snap := s.state.Load()
 	if snap == nil {
 		return Verdict{}, ErrNotTrained
+	}
+	if g.N() == 0 {
+		return Verdict{}, errEmptyGraph
 	}
 	return snap.Detect(g), nil
 }
@@ -350,11 +358,17 @@ func (s *System) Explain(g *Graph) (Explanation, error) {
 }
 
 // Evaluate computes detection metrics over labelled graphs. It fails with
-// ErrNotTrained until the system has been trained.
+// ErrNotTrained until the system has been trained, and when any graph has
+// no nodes.
 func (s *System) Evaluate(graphs []*Graph) (Metrics, error) {
 	snap := s.state.Load()
 	if snap == nil {
 		return Metrics{}, ErrNotTrained
+	}
+	for i, g := range graphs {
+		if g.N() == 0 {
+			return Metrics{}, fmt.Errorf("graph %d: %w", i, errEmptyGraph)
+		}
 	}
 	return snap.Evaluate(graphs), nil
 }

@@ -179,3 +179,24 @@ func TestArchetypeNames(t *testing.T) {
 		t.Fatal("fallback generation failed")
 	}
 }
+
+// TestEmptyGraphErrors: a graph with no nodes — the online graph of a log
+// in which no deployed rule ran — is an error from Detect and Evaluate, not
+// a panic, and Explain answers it with an empty explanation.
+func TestEmptyGraphErrors(t *testing.T) {
+	sys, train := trainedSystem(t)
+	empty := sys.BuildOnlineGraph(fexiot.GenerateHome("safety", 12, 5), nil)
+	if empty.N() != 0 {
+		t.Fatalf("online graph of an empty log has %d nodes", empty.N())
+	}
+	if _, err := sys.Detect(empty); err == nil {
+		t.Fatal("Detect: want an error for a graph with no nodes")
+	}
+	if _, err := sys.Evaluate([]*fexiot.Graph{train[0], empty}); err == nil {
+		t.Fatal("Evaluate: want an error for a graph with no nodes")
+	}
+	ex, err := sys.Explain(empty)
+	if err != nil || len(ex.NodeIndices) != 0 {
+		t.Fatalf("Explain = %+v, %v; want an empty explanation", ex, err)
+	}
+}

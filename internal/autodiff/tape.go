@@ -52,7 +52,6 @@ type Node struct {
 
 	// Per-op state read by the static back functions.
 	scalar  float64   // Scale factor, AddConst c, 1/n, wsum…
-	ints    []int     // node-owned scratch (MaxRows argmax); capacity reused
 	idx     []int     // caller-owned labels (SCE)
 	weights []float64 // caller-owned class weights (SCE)
 	sparse  *mat.CSR  // SpMM operator
@@ -520,16 +519,18 @@ func backTanh(out *Node) {
 	}
 }
 
+// The three readouts below pool an n×c node into one 1×c row. They need
+// n ≥ 1: MaxRows reads row 0 and panics on an empty node, so a caller
+// rejects a graph with no nodes before it reaches a model.
+
 // MeanRows returns the 1×c column-mean of an n×c node (graph mean readout).
 func (t *Tape) MeanRows(a *Node) *Node {
 	n, c := a.Value.Dims()
-	out := t.op(1, c, a.needs, backMeanRows)
+	out := t.opFull(1, c, a.needs, backMeanRows) // SumRowsTo clears the row first
 	out.a = a
 	inv := 1 / float64(n)
 	out.scalar = inv
-	for i := 0; i < n; i++ {
-		mat.Axpy(out.Value.Row(0), a.Value.Row(i), inv)
-	}
+	mat.SumRowsTo(out.Value.Row(0), a.Value, inv)
 	return out
 }
 
@@ -550,12 +551,10 @@ func backMeanRows(out *Node) {
 // SumRows returns the 1×c column-sum of an n×c node (graph sum readout, as
 // used by GIN).
 func (t *Tape) SumRows(a *Node) *Node {
-	n, c := a.Value.Dims()
-	out := t.op(1, c, a.needs, backSumRows)
+	_, c := a.Value.Dims()
+	out := t.opFull(1, c, a.needs, backSumRows) // SumRowsTo clears the row first
 	out.a = a
-	for i := 0; i < n; i++ {
-		mat.Axpy(out.Value.Row(0), a.Value.Row(i), 1)
-	}
+	mat.SumRowsTo(out.Value.Row(0), a.Value, 1)
 	return out
 }
 
@@ -575,39 +574,39 @@ func backSumRows(out *Node) {
 // MaxRows returns the 1×c column-wise maximum of an n×c node; the gradient
 // routes to the arg-max row per column. Max readout preserves "a node with
 // this pattern exists" signals that mean pooling dilutes on large graphs.
+// The forward records no arg-max: explanation scoring runs it without a
+// backward, so backMaxRows finds the row instead.
 func (t *Tape) MaxRows(a *Node) *Node {
-	n, c := a.Value.Dims()
-	out := t.op(1, c, a.needs, backMaxRows)
+	_, c := a.Value.Dims()
+	out := t.opFull(1, c, a.needs, backMaxRows) // MaxRowsTo assigns every element
 	out.a = a
-	if cap(out.ints) < c {
-		out.ints = make([]int, c)
-	}
-	out.ints = out.ints[:c]
-	// One pass over the rows, each column keeping the first row that
-	// strictly beats the ones before it — the column-at-a-time scan's
-	// answer (ties to the lowest row, a NaN never winning nor, once in row
-	// 0, losing) without its stride.
-	best := out.Value.Row(0)
-	copy(best, a.Value.Row(0))
-	clear(out.ints)
-	for i := 1; i < n; i++ {
-		for j, v := range a.Value.Row(i) {
-			if v > best[j] {
-				best[j], out.ints[j] = v, i
-			}
-		}
-	}
+	mat.MaxRowsTo(out.Value.Row(0), a.Value)
 	return out
 }
 
+// backMaxRows routes each column's gradient to the first row equal to the
+// maximum, or to row 0 when the maximum is NaN. That is the row the forward's
+// strict `>` scan settled on: the running maximum never falls, so a row
+// equal to the final maximum (±0 compare equal) stops every later row from
+// beating it, and a NaN maximum can only be row 0's, since a later NaN
+// never wins.
 func backMaxRows(out *Node) {
 	a := out.a
 	if !a.needs {
 		return
 	}
 	ensureGrad(a)
-	for j, bi := range out.ints {
-		a.Grad.Add(bi, j, out.Grad.At(0, j))
+	c := a.Value.Cols()
+	av, ag, g := a.Value.Data(), a.Grad.Data(), out.Grad.Row(0)
+	for j, m := range out.Value.Row(0) {
+		k := j
+		for k < len(av) && av[k] != m {
+			k += c
+		}
+		if k >= len(av) {
+			k = j
+		}
+		ag[k] += g[j]
 	}
 }
 

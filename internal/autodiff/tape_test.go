@@ -236,14 +236,15 @@ func TestMaxRowsGradAndForward(t *testing.T) {
 	}
 }
 
-// TestMaxRowsMatchesColumnScan: the row-wise pass picks the value and the
-// arg-max row the column-at-a-time scan picked — ties to the lowest row,
-// NaN never winning and never losing from row 0, ±0 and ±Inf as compared.
+// TestMaxRowsMatchesColumnScan: the row-wise pass picks the value the
+// column-at-a-time scan picked, and Backward routes each column's gradient
+// to the scan's arg-max row — ties to the lowest row, NaN never winning and
+// never losing from row 0, ±0 and ±Inf as compared.
 func TestMaxRowsMatchesColumnScan(t *testing.T) {
 	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, -2}
 	g := rng.New(21)
-	for trial := 0; trial < 200; trial++ {
-		n, c := 1+g.Intn(9), 1+g.Intn(7)
+	for trial := 0; trial < 400; trial++ {
+		n, c := 1+g.Intn(9), 1+g.Intn(19)
 		x := mat.NewDense(n, c)
 		for i := range x.Data() {
 			x.Data()[i] = float64(g.Intn(5)) - 2
@@ -251,8 +252,14 @@ func TestMaxRowsMatchesColumnScan(t *testing.T) {
 				x.Data()[i] = special[g.Intn(len(special))]
 			}
 		}
+		w := mat.NewDense(1, c)
+		for j := range w.Data() {
+			w.Data()[j] = float64(j + 1)
+		}
 		tape := NewTape()
-		out := tape.MaxRows(tape.Constant(x))
+		xn := tape.Param(x)
+		out := tape.MaxRows(xn)
+		tape.Backward(tape.SumAll(tape.Hadamard(out, tape.Constant(w))))
 		for j := 0; j < c; j++ {
 			best, bi := x.At(0, j), 0
 			for i := 1; i < n; i++ {
@@ -260,9 +267,18 @@ func TestMaxRowsMatchesColumnScan(t *testing.T) {
 					best, bi = v, i
 				}
 			}
-			if math.Float64bits(out.Value.At(0, j)) != math.Float64bits(best) || out.ints[j] != bi {
-				t.Fatalf("trial %d column %d of %v: max %v at row %d, column scan %v at row %d",
-					trial, j, x, out.Value.At(0, j), out.ints[j], best, bi)
+			if math.Float64bits(out.Value.At(0, j)) != math.Float64bits(best) {
+				t.Fatalf("trial %d column %d of %v: max %v, column scan %v", trial, j, x, out.Value.At(0, j), best)
+			}
+			for i := 0; i < n; i++ {
+				want := 0.0
+				if i == bi {
+					want = w.At(0, j)
+				}
+				if math.Float64bits(xn.Grad.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("trial %d column %d of %v: gradient %v at row %d, want the column scan's row %d",
+						trial, j, x, xn.Grad.At(i, j), i, bi)
+				}
 			}
 		}
 	}

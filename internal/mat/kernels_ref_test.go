@@ -324,6 +324,89 @@ func TestKernelsMatchReference(t *testing.T) {
 	checkTermEdges(t, r)
 }
 
+// refSumRows and refMaxRows are the readout loops as Tape.SumRows,
+// MeanRows and MaxRows ran them before SumRowsTo and MaxRowsTo: one Axpy a
+// row into a cleared dst, and the strict `>` row pass.
+func refSumRows(dst []float64, a *Dense, s float64) {
+	clear(dst)
+	for i := 0; i < a.rows; i++ {
+		for j, v := range a.Row(i) {
+			dst[j] += s * v
+		}
+	}
+}
+
+func refMaxRows(dst []float64, a *Dense) {
+	copy(dst, a.Row(0))
+	for i := 1; i < a.rows; i++ {
+		for j, v := range a.Row(i) {
+			if v > dst[j] {
+				dst[j] = v
+			}
+		}
+	}
+}
+
+// TestRowReadoutsMatchReference holds SumRowsTo (coefficients 1 and 1/n)
+// and MaxRowsTo to those loops at every kernel width, rows 1–40 and either
+// side of one and two term chunks, at even and odd element offsets, over
+// values drawn to tie: small integers, ±0, ±Inf and NaN, with later rows'
+// NaNs carrying a payload of their own so that MaxRowsTo must keep exactly
+// row 0's. The maximum is compared bit for bit, NaN payload included.
+func TestRowReadoutsMatchReference(t *testing.T) {
+	laterNaN := math.Float64frombits(0x7ff8000000000b0b)
+	pool := []float64{-2, -1, 0, math.Copysign(0, -1), 1, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+	r := rand.New(rand.NewSource(23))
+	check := func(rows, n, off int) {
+		name := fmt.Sprintf("%dx%d/off=%d", rows, n, off)
+		a, aIntact := paddedDense(rows, n, off)
+		for i := range a.data {
+			a.data[i] = r.NormFloat64()
+			if r.Intn(2) == 0 {
+				a.data[i] = pool[r.Intn(len(pool))]
+			}
+			if math.IsNaN(a.data[i]) && i >= n {
+				a.data[i] = laterNaN
+			}
+		}
+		before := append([]float64(nil), a.data...)
+		want := make([]float64, n)
+		for _, s := range []float64{1, 1 / float64(rows)} {
+			got, intact := paddedDense(1, n, off)
+			got.Fill(7) // the routine must overwrite, never accumulate into, dst
+			SumRowsTo(got.data, a, s)
+			refSumRows(want, a, s)
+			if i := sameBits(got.data, want); i >= 0 || !intact() {
+				t.Fatalf("SumRowsTo %s s=%v: element %d got %v want %v (canaries intact: %v)",
+					name, s, i, got.data[max(i, 0)], want[max(i, 0)], intact())
+			}
+		}
+		got, intact := paddedDense(1, n, off)
+		got.Fill(7)
+		MaxRowsTo(got.data, a)
+		refMaxRows(want, a)
+		for j, v := range got.data {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("MaxRowsTo %s: column %d got %v (%#x) want %v (%#x)",
+					name, j, v, math.Float64bits(v), want[j], math.Float64bits(want[j]))
+			}
+		}
+		if !intact() || !aIntact() || sameBits(a.data, before) >= 0 {
+			t.Fatalf("%s: wrote outside dst", name)
+		}
+	}
+	for wi, n := range kernelWidths() {
+		for off := 0; off <= 1; off++ {
+			check(1+wi%40, n, off)
+		}
+	}
+	for _, rows := range []int{termChunk - 1, termChunk, termChunk + 1, 2*termChunk + 3} {
+		for _, n := range []int{1, 5, 16, 27, 64, 300} {
+			check(rows, n, 1)
+		}
+	}
+}
+
 // checkTermEdges holds MulTo and MulTTo to their references where the
 // compaction of A's terms could go wrong: inner dimensions either side of
 // one and two stack chunks, and at 300 columns across the shorter chunks

@@ -144,6 +144,39 @@ func ReLUTo(dst, src *Dense) {
 	}
 }
 
+// SumRowsTo sets dst to Σᵢ s·(row i of a), rows ascending from +0: the
+// terms of one product row whose coefficients are all s, so each element
+// receives what a.rows Axpy calls from a cleared dst gave it, bit for bit,
+// held in registers across the rows. As in MulTo, a zero s drops every row.
+// dst must be a.cols long and must not overlap a.
+func SumRowsTo(dst []float64, a *Dense, s float64) {
+	checkRowDst("SumRowsTo", dst, a)
+	var t terms
+	coef := [1]float64{s}
+	t.product(dst, coef[:], 0, 0, a.rows, a)
+}
+
+// MaxRowsTo sets dst to the column-wise maximum of a's rows: row 0, then
+// every later element that is strictly greater. So a NaN in row 0 is kept,
+// a NaN in a later row is never taken, and of equal values (±0 included)
+// the earliest row's stays: the column scan `if v > best`, which
+// rowmax_amd64.s computes without a branch. a must have at least one row;
+// dst must be a.cols long and must not overlap a.
+func MaxRowsTo(dst []float64, a *Dense) {
+	checkRowDst("MaxRowsTo", dst, a)
+	copy(dst, a.Row(0))
+	rowMax(dst, a.data[a.cols:])
+}
+
+func checkRowDst(op string, dst []float64, a *Dense) {
+	if len(dst) != a.cols {
+		panic(fmt.Sprintf("mat: %s dst length %d want %d", op, len(dst), a.cols))
+	}
+	if sharesBacking(dst, a.data) {
+		panic("mat: " + op + ": dst shares backing memory with the input")
+	}
+}
+
 // Equalish reports whether m and b agree element-wise within tol.
 func (m *Dense) Equalish(b *Dense, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -228,7 +261,8 @@ type terms struct {
 }
 
 // product sets dst to Σ a[off+k·step]·(row k of b) over k < nk, in ascending
-// k from +0 — row i of A (off i·cols, step 1) or column i (off i, step cols).
+// k from +0 — row i of A (off i·cols, step 1), column i (off i, step cols)
+// or one coefficient for every row (off 0, step 0: SumRowsTo).
 // A term whose coefficient is ±0 is dropped, exactly what the scalar kernels'
 // `av == 0` skip dropped (NaN stays), but without a branch per term: every
 // term is written and the count only advances past a non-zero one.

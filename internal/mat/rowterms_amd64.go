@@ -7,3 +7,9 @@ package mat
 //
 //go:noescape
 func rowTerms(dst, b []float64, offs []int, coef []float64)
+
+// rowMax is the column-wise maximum routine in rowmax_amd64.s;
+// rowterms_generic.go documents the contract.
+//
+//go:noescape
+func rowMax(best, b []float64)

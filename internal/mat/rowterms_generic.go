@@ -20,3 +20,19 @@ func rowTerms(dst, b []float64, offs []int, coef []float64) {
 		}
 	}
 }
+
+// rowMax sets best[j] to b[r·len(best)+j] wherever that is strictly
+// greater, for each row r of b ascending — the loop under MaxRowsTo. A NaN
+// in b never wins and a NaN in best never loses; ties and ±0 keep best.
+// rowmax_amd64.s computes the same thing with MAXPD, whose operand rule is
+// this comparison (DESIGN §4.5). The caller guarantees that len(b) is a
+// multiple of len(best) and that best does not overlap b.
+func rowMax(best, b []float64) {
+	for o := 0; o < len(b); o += len(best) {
+		for j, v := range b[o:][:len(best)] {
+			if v > best[j] {
+				best[j] = v
+			}
+		}
+	}
+}
