@@ -31,14 +31,16 @@ test-debugarena:
 # The portable fallback of the row routines under every product and
 # readout (internal/mat/rowterms_generic.go), on this host: purego is a
 # build constraint for CI, not a user option. The kernel oracle, the
-# tape/GNN suites, the pinned-F1 experiment constants and the two end-to-end
-# hashes — the pinned explanations and a federation's global model — must
-# hold on the generic loops exactly as on the assembly.
+# tape/GNN suites, the pinned-F1 experiment constants and the end-to-end
+# hashes — the pinned explanations, a federation's global model and the
+# in-process simulator's five algorithms — must hold on the generic loops
+# exactly as on the assembly.
 test-purego:
 	$(GO) test -tags purego ./internal/mat ./internal/autodiff ./internal/gnn \
 		./internal/nn ./internal/experiments
 	$(GO) test -tags purego -run '^TestExplanationsPinned$$' .
 	$(GO) test -tags purego -run '^TestFedRoundModelHashPinned$$' ./internal/fedproto
+	$(GO) test -tags purego -run '^TestSimulatorPinned$$' ./internal/fed
 
 # Every other GOARCH takes the same fallback: prove it still builds (the
 # module has no dependencies, so this works offline) and that vet accepts

@@ -144,7 +144,9 @@ func main() {
 		gnn.TrainContrastive(model, train, cfg, opt)
 		// Model-poisoning attacks corrupt the round's update after honest
 		// local training, exactly like the in-process simulator's hook.
-		fed.CorruptUpdate(attack, before, model.Params())
+		if attack != nil {
+			attack.Corrupt(before, model.Params())
+		}
 		return fedproto.LayerNorms(before, model.Params())
 	})
 	if err != nil {

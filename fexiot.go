@@ -221,17 +221,17 @@ const (
 func (a FederatedAlgorithm) build() (fed.Algorithm, error) {
 	switch a {
 	case AlgoFexIoT, "":
-		return fed.NewFexIoT(), nil
+		return fed.FexIoT(), nil
 	case AlgoGCFL:
 		return fed.GCFL(), nil
 	case AlgoFMTL:
 		return fed.FMTL(), nil
 	case AlgoFedAvg:
-		return fed.FedAvg{}, nil
+		return fed.FedAvg(), nil
 	case AlgoClient:
-		return fed.ClientOnly{}, nil
+		return fed.ClientOnly(), nil
 	default:
-		return nil, fmt.Errorf("fexiot: unknown federated algorithm %q", a)
+		return fed.Algorithm{}, fmt.Errorf("fexiot: unknown federated algorithm %q", a)
 	}
 }
 
@@ -247,12 +247,16 @@ type FederatedResult struct {
 // (paper's Algorithm 1 by default) and installs client 0's model as the
 // system detector. The per-client detectors are returned via the clients'
 // own heads when needed; use the experiments package for full Fig. 4 style
-// evaluation.
+// evaluation. It fails, and leaves the system as it was, when clientData
+// holds no client.
 func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 	rounds int) (*FederatedResult, error) {
 	a, err := algo.build()
 	if err != nil {
 		return nil, err
+	}
+	if len(clientData) == 0 {
+		return nil, errors.New("fexiot: federated training needs at least one client dataset")
 	}
 	base := s.newModel(100 + s.opts.Seed)
 	clients := fed.NewClients(base, clientData, 0.005)
@@ -268,7 +272,7 @@ func (s *System) TrainFederated(clientData [][]*Graph, algo FederatedAlgorithm,
 	det := gnn.NewDetector(clients[0].Model, 3)
 	s.install(det, fitDrift(det.FitClassifier(all), all))
 	return &FederatedResult{
-		TransferredBytes: res.Comm.Total(),
+		TransferredBytes: res.CommBytes,
 		Clusters:         res.FinalClusters,
 	}, nil
 }

@@ -180,6 +180,29 @@ func TestArchetypeNames(t *testing.T) {
 	}
 }
 
+// TestTrainFederatedNoClientsErrors: federated training over no client
+// datasets is an error from every algorithm, not a panic, and leaves the
+// system untrained.
+func TestTrainFederatedNoClientsErrors(t *testing.T) {
+	opts := fexiot.DefaultOptions()
+	opts.Seed, opts.WordDim, opts.SentenceDim = 3, 24, 32
+	opts.Hidden, opts.EmbedDim = 12, 8
+	sys, err := fexiot.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []fexiot.FederatedAlgorithm{fexiot.AlgoFexIoT, fexiot.AlgoGCFL,
+		fexiot.AlgoFMTL, fexiot.AlgoFedAvg, fexiot.AlgoClient} {
+		if res, err := sys.TrainFederated(nil, algo, 2); err == nil {
+			t.Fatalf("%s: TrainFederated(nil) = %+v, want an error", algo, res)
+		}
+	}
+	g := sys.BuildGraph(fexiot.GenerateHome("safety", 12, 5))
+	if _, err := sys.Detect(g); !errors.Is(err, fexiot.ErrNotTrained) {
+		t.Fatalf("Detect after failed training: %v, want ErrNotTrained", err)
+	}
+}
+
 // TestEmptyGraphErrors: a graph with no nodes — the online graph of a log
 // in which no deployed rule ran — is an error from Detect and Evaluate, not
 // a panic, and Explain answers it with an empty explanation.

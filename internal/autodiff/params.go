@@ -121,7 +121,7 @@ func (p *ParamSet) FlattenLayer(l int) []float64 {
 
 // Flatten concatenates all parameters into one vector.
 func (p *ParamSet) Flatten() []float64 {
-	var out []float64
+	out := make([]float64, 0, p.NumElements())
 	for _, n := range p.names {
 		out = append(out, p.vals[n].Data()...)
 	}
@@ -196,21 +196,6 @@ func (p *ParamSet) LayerDiffNorms(q *ParamSet) map[int]float64 {
 		out[l] = math.Sqrt(s)
 	}
 	return out
-}
-
-// WeightedAverage overwrites dst with Σ w_i · sets_i (weights should sum to
-// 1 for a convex combination, as in FedAvg).
-func WeightedAverage(dst *ParamSet, sets []*ParamSet, weights []float64) {
-	if len(sets) != len(weights) {
-		panic("autodiff: WeightedAverage length mismatch")
-	}
-	for _, n := range dst.names {
-		d := dst.vals[n]
-		d.Zero()
-		for i, s := range sets {
-			d.AddScaled(s.vals[n], weights[i])
-		}
-	}
 }
 
 // Adam is the Adam optimiser over a ParamSet, with the paper's default

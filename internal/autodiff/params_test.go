@@ -3,10 +3,8 @@ package autodiff
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fexiot/internal/mat"
-	"fexiot/internal/rng"
 )
 
 func demoParams() *ParamSet {
@@ -51,29 +49,6 @@ func TestParamSetCloneAndCopy(t *testing.T) {
 	p.CopyFrom(q)
 	if p.Get("l0.w").At(0, 0) != 99 {
 		t.Fatal("CopyFrom failed")
-	}
-}
-
-func TestWeightedAverageIdentityProperty(t *testing.T) {
-	// FedAvg of k identical models is the model itself.
-	f := func(seed int64) bool {
-		g := rng.New(seed)
-		base := NewParamSet()
-		base.Register("w", 0, g.Gaussian(3, 3, 1))
-		k := int(seed%4+4) % 4
-		k += 2
-		sets := make([]*ParamSet, k)
-		weights := make([]float64, k)
-		for i := range sets {
-			sets[i] = base.Clone()
-			weights[i] = 1 / float64(k)
-		}
-		dst := base.Clone()
-		WeightedAverage(dst, sets, weights)
-		return dst.Get("w").Equalish(base.Get("w"), 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

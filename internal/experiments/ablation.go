@@ -24,13 +24,13 @@ func AblationLayerwise(s Setup) *Table {
 		Title:  "Ablation — layer-wise vs whole-model clustering (α=0.1)",
 		Header: []string{"Variant", "Accuracy", "F1", "Clusters"},
 	}
-	for _, algo := range []fed.Algorithm{fed.NewFexIoT(), fed.GCFL()} {
+	for _, algo := range []fed.Algorithm{fed.FexIoT(), fed.GCFL()} {
 		cd := s.splitClients(labeled, 10, 0.1, s.Seed+7)
 		base := s.newModel("GIN", d.Encoder, 100)
 		ms, res := s.runFederated(algo, base, cd)
 		m := meanMetrics(ms)
 		t.Add(algo.Name(), f3(m.Accuracy), f3(m.F1),
-			fmt.Sprint(res.Rounds[len(res.Rounds)-1].NumClusters))
+			fmt.Sprint(clusterCount(res)))
 	}
 	return t
 }

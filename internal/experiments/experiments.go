@@ -117,6 +117,16 @@ func (s Setup) runFederated(algo fed.Algorithm, base gnn.Model,
 	return metrics, res
 }
 
+// clusterCount is the number of clusters a run ended with: the distinct
+// ids of its final partition.
+func clusterCount(res *fed.Result) int {
+	ids := map[int]bool{}
+	for _, id := range res.FinalClusters {
+		ids[id] = true
+	}
+	return len(ids)
+}
+
 // meanMetrics averages client metrics.
 func meanMetrics(ms []ml.Metrics) ml.Metrics {
 	var out ml.Metrics

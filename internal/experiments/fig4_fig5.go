@@ -11,7 +11,7 @@ import (
 // fig4Algorithms lists the Fig. 4 systems in the paper's order.
 func fig4Algorithms() []fed.Algorithm {
 	return []fed.Algorithm{
-		fed.NewFexIoT(), fed.GCFL(), fed.FMTL(), fed.FedAvg{}, fed.ClientOnly{},
+		fed.FexIoT(), fed.GCFL(), fed.FMTL(), fed.FedAvg(), fed.ClientOnly(),
 	}
 }
 
@@ -39,7 +39,7 @@ func FigureIV(s Setup, model string, alphas []float64) *Table {
 			m := meanMetrics(ms)
 			t.Add(fmt.Sprintf("%.1f", alpha), algo.Name(), f3(m.Accuracy),
 				f3(m.Precision), f3(m.Recall), f3(m.F1),
-				fmt.Sprint(res.Rounds[len(res.Rounds)-1].NumClusters))
+				fmt.Sprint(clusterCount(res)))
 		}
 	}
 	t.Add("(paper)", "FexIoT", "0.891-0.919", "", "", "0.89-0.92", "")
@@ -74,7 +74,7 @@ func FigureV(s Setup, clientCounts []int) *Table {
 		for _, n := range clientCounts {
 			cd := s.splitClients(labeled, n, 1.0, s.Seed+int64(n))
 			base := s.newModel(j.model, j.data.Encoder, 100)
-			ms, _ := s.runFederated(fed.NewFexIoT(), base, cd)
+			ms, _ := s.runFederated(fed.FexIoT(), base, cd)
 			accs := make([]float64, len(ms))
 			for i, m := range ms {
 				accs[i] = m.Accuracy
@@ -105,12 +105,12 @@ func FigureVII(s Setup, clientCounts []int) *Table {
 	for _, n := range clientCounts {
 		row := []string{fmt.Sprint(n)}
 		var fedavgMB, fexMB float64
-		for _, algo := range []fed.Algorithm{fed.FedAvg{}, fed.FMTL(), fed.GCFL(), fed.NewFexIoT()} {
+		for _, algo := range []fed.Algorithm{fed.FedAvg(), fed.FMTL(), fed.GCFL(), fed.FexIoT()} {
 			cd := s.splitClients(labeled, n, 1.0, s.Seed+int64(n))
 			base := s.newModel("GIN", d.Encoder, 100)
 			clients := fed.NewClients(base, cd.train, lr)
 			res := algo.Run(clients, s.fedConfig())
-			mb := float64(res.Comm.Total()) / 1e6
+			mb := float64(res.CommBytes) / 1e6
 			row = append(row, fmt.Sprintf("%.1f", mb))
 			switch algo.Name() {
 			case "FedAvg":

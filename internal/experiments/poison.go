@@ -68,7 +68,7 @@ func PoisonSweep(s Setup, attacks, aggs []string, nClients, nByz int) (*Table, *
 			}
 			cfg := s.fedConfig()
 			cfg.Aggregator = agg
-			fed.FedAvg{}.Run(clients, cfg)
+			fed.FedAvg().Run(clients, cfg)
 			metrics := make([]ml.Metrics, nHonest)
 			mat.ParallelFor(nHonest, func(i int) {
 				metrics[i] = fed.EvaluateClient(clients[i], cd.test[i], 3)

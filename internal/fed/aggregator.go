@@ -326,15 +326,11 @@ func aggregatorOr(a Aggregator) Aggregator {
 }
 
 // AggregateParams overwrites dst with the aggregate of the given parameter
-// sets under agg — the whole-model counterpart of autodiff.WeightedAverage
-// that every simulator algorithm routes through.
+// sets under agg, over the whole flattened model — the combine step of the
+// whole-model algorithms (FedAvg, FMTL, GCFL+).
 func AggregateParams(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.ParamSet, weights []float64) {
 	if len(sets) != len(weights) {
 		panic("fed: AggregateParams length mismatch")
-	}
-	if _, ok := agg.(MeanAgg); ok || agg == nil {
-		autodiff.WeightedAverage(dst, sets, weights)
-		return
 	}
 	vecs := make([][]float64, len(sets))
 	for i, s := range sets {

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"fexiot/internal/autodiff"
 	"fexiot/internal/mat"
+	"fexiot/internal/rng"
 )
 
 // uniformW builds uniform normalised weights for n clients.
@@ -207,7 +209,7 @@ func TestNewAggregatorRegistry(t *testing.T) {
 
 // TestAggregateParamsRoundTrip checks the flatten/aggregate/unflatten path
 // writes robust aggregates back into the right tensors, and that the
-// FedAvg path stays bit-identical to autodiff.WeightedAverage.
+// FedAvg path is Σ wᵢ·vᵢ from zero in client order, bit for bit.
 func TestAggregateParamsRoundTrip(t *testing.T) {
 	mk := func(a, b, c, d float64) *autodiff.ParamSet {
 		p := autodiff.NewParamSet()
@@ -227,14 +229,41 @@ func TestAggregateParamsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// FedAvg path must equal WeightedAverage exactly.
-	a1, a2 := mk(0, 0, 0, 0), mk(0, 0, 0, 0)
-	AggregateParams(MeanAgg{}, a1, sets, w)
-	autodiff.WeightedAverage(a2, sets, w)
-	for i, v := range a1.Flatten() {
-		if v != a2.Flatten()[i] {
-			t.Fatalf("mean path diverged from WeightedAverage at %d", i)
+	// The FedAvg path against the scalar oracle: one separately rounded
+	// multiply and add a client (float64() forbids fusing them).
+	mean := mk(0, 0, 0, 0)
+	AggregateParams(MeanAgg{}, mean, sets, w)
+	for j, v := range mean.Flatten() {
+		var s float64
+		for i, set := range sets {
+			s += float64(w[i] * set.Flatten()[j])
 		}
+		if math.Float64bits(v) != math.Float64bits(s) {
+			t.Fatalf("mean coordinate %d = %v, oracle Σ wᵢ·vᵢ = %v", j, v, s)
+		}
+	}
+}
+
+// TestAggregateParamsMeanIdentityProperty: FedAvg of k identical models is
+// the model itself.
+func TestAggregateParamsMeanIdentityProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		g := rng.New(seed)
+		base := autodiff.NewParamSet()
+		base.Register("w", 0, g.Gaussian(3, 3, 1))
+		k := int(seed%4+4)%4 + 2
+		sets := make([]*autodiff.ParamSet, k)
+		weights := make([]float64, k)
+		for i := range sets {
+			sets[i] = base.Clone()
+			weights[i] = 1 / float64(k)
+		}
+		dst := base.Clone()
+		AggregateParams(MeanAgg{}, dst, sets, weights)
+		return dst.Get("w").Equalish(base.Get("w"), 1e-12)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 

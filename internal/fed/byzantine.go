@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"fexiot/internal/autodiff"
-	"fexiot/internal/gnn"
-	"fexiot/internal/graph"
 )
 
 // The attacker model of the robustness evaluation: a Byzantine client runs
@@ -16,13 +14,14 @@ import (
 // from the FL robustness literature; together with the Aggregator menu they
 // span the poison experiment's attack × defence table.
 
-// Attack corrupts one client's pending update after local training. prev is
-// the weight snapshot before the round's training (never nil when invoked);
-// implementations mutate c.Model.Params() in place, so the server-facing
-// weights are the corrupted ones.
+// Attack corrupts one client's pending update after local training: prev is
+// the weight snapshot before the round's training and w the trained
+// weights, which Corrupt rewrites in place, so the server-facing weights are
+// the corrupted ones. The simulator's Client.LocalTrain and a networked
+// client (fexclient -attack) call it alike.
 type Attack interface {
 	Name() string
-	Corrupt(c *Client)
+	Corrupt(prev, w *autodiff.ParamSet)
 }
 
 // AttackNames lists the selectable attack names accepted by NewAttack (and
@@ -61,8 +60,8 @@ type SignFlip struct{}
 func (SignFlip) Name() string { return "sign-flip" }
 
 // Corrupt reverses the round's update.
-func (SignFlip) Corrupt(c *Client) {
-	applyDelta(c, func(d float64) float64 { return -d })
+func (SignFlip) Corrupt(prev, w *autodiff.ParamSet) {
+	applyDelta(prev, w, func(d float64) float64 { return -d })
 }
 
 // ScaleAttack sends W ← prev + K·ΔW: a boosted update that dominates any
@@ -73,8 +72,8 @@ type ScaleAttack struct{ K float64 }
 func (a ScaleAttack) Name() string { return fmt.Sprintf("scale-%g", a.K) }
 
 // Corrupt scales the round's update by K.
-func (a ScaleAttack) Corrupt(c *Client) {
-	applyDelta(c, func(d float64) float64 { return a.K * d })
+func (a ScaleAttack) Corrupt(prev, w *autodiff.ParamSet) {
+	applyDelta(prev, w, func(d float64) float64 { return a.K * d })
 }
 
 // NaNInject poisons the update with NaN/Inf values — the numerically
@@ -86,9 +85,9 @@ type NaNInject struct{}
 func (NaNInject) Name() string { return "nan" }
 
 // Corrupt overwrites part of the weights with non-finite values.
-func (NaNInject) Corrupt(c *Client) {
-	for _, name := range c.Model.Params().Names() {
-		d := c.Model.Params().Get(name).Data()
+func (NaNInject) Corrupt(_, w *autodiff.ParamSet) {
+	for _, name := range w.Names() {
+		d := w.Get(name).Data()
 		for i := range d {
 			switch i % 3 {
 			case 0:
@@ -111,16 +110,16 @@ type StaleReplay struct {
 func (*StaleReplay) Name() string { return "replay" }
 
 // Corrupt replaces the round's update with the recorded first-round update.
-func (s *StaleReplay) Corrupt(c *Client) {
+func (s *StaleReplay) Corrupt(prev, w *autodiff.ParamSet) {
 	if s.first == nil {
-		s.first = c.Update().Clone()
+		s.first = w.Sub(prev)
 		return // round 0 is replayed faithfully
 	}
-	w := c.prev.Clone()
-	for _, name := range w.Names() {
-		w.Get(name).AddScaled(s.first.Get(name), 1)
+	replay := prev.Clone()
+	for _, name := range replay.Names() {
+		replay.Get(name).AddScaled(s.first.Get(name), 1)
 	}
-	c.Model.Params().CopyFrom(w)
+	w.CopyFrom(replay)
 }
 
 // LabelFlip flips every local training label before training — data
@@ -133,23 +132,17 @@ type LabelFlip struct{}
 func (LabelFlip) Name() string { return "label-flip" }
 
 // Corrupt does nothing: the poison is in the flipped dataset.
-func (LabelFlip) Corrupt(c *Client) {}
+func (LabelFlip) Corrupt(_, _ *autodiff.ParamSet) {}
 
-// applyDelta rewrites the pending update: W ← prev + f(ΔW) element-wise.
-func applyDelta(c *Client, f func(float64) float64) {
-	if c.prev == nil {
-		return
-	}
-	update := c.Model.Params().Sub(c.prev)
-	w := c.prev.Clone()
+// applyDelta rewrites the pending update in place: w ← prev + f(w − prev)
+// element-wise.
+func applyDelta(prev, w *autodiff.ParamSet, f func(float64) float64) {
 	for _, name := range w.Names() {
-		wd := w.Get(name).Data()
-		ud := update.Get(name).Data()
+		wd, pd := w.Get(name).Data(), prev.Get(name).Data()
 		for i := range wd {
-			wd[i] += f(ud[i])
+			wd[i] = pd[i] + f(wd[i]-pd[i])
 		}
 	}
-	c.Model.Params().CopyFrom(w)
 }
 
 // MakeByzantine turns a client hostile: atk corrupts every subsequent
@@ -163,25 +156,3 @@ func MakeByzantine(c *Client, atk Attack) {
 		}
 	}
 }
-
-// CorruptUpdate applies atk to a parameter set holding prev + ΔW, returning
-// the corrupted weights — the connection-free form used by networked
-// clients (fexclient -attack) that own raw ParamSets instead of *Client.
-func CorruptUpdate(atk Attack, prev, after *autodiff.ParamSet) {
-	if atk == nil {
-		return
-	}
-	shim := &Client{Model: paramModel{after}, prev: prev}
-	atk.Corrupt(shim)
-}
-
-// paramModel adapts a bare ParamSet to the slice of gnn.Model the attacks
-// touch (Params only). The remaining methods are never called by attacks.
-type paramModel struct{ p *autodiff.ParamSet }
-
-func (m paramModel) Params() *autodiff.ParamSet { return m.p }
-func (m paramModel) Forward(*autodiff.Tape, *autodiff.Binder, *graph.Graph) *autodiff.Node {
-	panic("fed: paramModel is aggregation-only")
-}
-func (m paramModel) EmbedDim() int              { return 0 }
-func (m paramModel) Fresh(seed int64) gnn.Model { return m }

@@ -18,7 +18,7 @@ func twoParam(a, b float64) *autodiff.ParamSet {
 
 func TestSignFlipReversesUpdate(t *testing.T) {
 	prev, after := twoParam(1, 1), twoParam(3, 0)
-	CorruptUpdate(SignFlip{}, prev, after) // Δ = (2, −1) → W = prev − Δ
+	SignFlip{}.Corrupt(prev, after) // Δ = (2, −1) → W = prev − Δ
 	got := after.Flatten()
 	if got[0] != -1 || got[1] != 2 {
 		t.Fatalf("sign-flipped weights %v, want [-1 2]", got)
@@ -27,7 +27,7 @@ func TestSignFlipReversesUpdate(t *testing.T) {
 
 func TestScaleAttackBoostsUpdate(t *testing.T) {
 	prev, after := twoParam(1, 1), twoParam(2, 1.5)
-	CorruptUpdate(ScaleAttack{K: 10}, prev, after) // Δ = (1, 0.5) → prev + 10Δ
+	ScaleAttack{K: 10}.Corrupt(prev, after) // Δ = (1, 0.5) → prev + 10Δ
 	got := after.Flatten()
 	if got[0] != 11 || got[1] != 6 {
 		t.Fatalf("scaled weights %v, want [11 6]", got)
@@ -36,7 +36,7 @@ func TestScaleAttackBoostsUpdate(t *testing.T) {
 
 func TestNaNInjectPoisonsWeights(t *testing.T) {
 	prev, after := twoParam(1, 1), twoParam(2, 2)
-	CorruptUpdate(NaNInject{}, prev, after)
+	NaNInject{}.Corrupt(prev, after)
 	if mat.AllFinite(after.Flatten()) {
 		t.Fatalf("NaN injection left finite weights %v", after.Flatten())
 	}
@@ -46,14 +46,14 @@ func TestStaleReplayPinsFirstUpdate(t *testing.T) {
 	atk := &StaleReplay{}
 	// Round 0: Δ₀ = (1, 0) is recorded and passed through.
 	prev, after := twoParam(0, 0), twoParam(1, 0)
-	CorruptUpdate(atk, prev, after)
+	atk.Corrupt(prev, after)
 	if got := after.Flatten(); got[0] != 1 || got[1] != 0 {
 		t.Fatalf("round 0 must replay faithfully, got %v", got)
 	}
 	// Round 1: honest training moved to (5, 5), but the replay sends
 	// prev + Δ₀ instead.
 	prev, after = twoParam(2, 2), twoParam(5, 5)
-	CorruptUpdate(atk, prev, after)
+	atk.Corrupt(prev, after)
 	if got := after.Flatten(); got[0] != 3 || got[1] != 2 {
 		t.Fatalf("replayed weights %v, want prev+Δ₀ = [3 2]", got)
 	}

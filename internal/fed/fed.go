@@ -67,7 +67,7 @@ func (c *Client) LocalTrain(cfg gnn.TrainConfig) {
 	cfg.Seed = cfg.Seed*1000003 + int64(c.ID)
 	gnn.TrainContrastive(c.Model, c.Train, cfg, c.Opt)
 	if c.byz != nil {
-		c.byz.Corrupt(c)
+		c.byz.Corrupt(c.prev, c.Model.Params())
 	}
 }
 
@@ -93,41 +93,17 @@ func EvaluateClient(c *Client, test []*graph.Graph, seed int64) ml.Metrics {
 	return gnn.EvaluateDetector(d, test)
 }
 
-// CommStats tracks transferred bytes during federated training.
-type CommStats struct {
-	UploadBytes   int64
-	DownloadBytes int64
-	Rounds        int
-}
-
-// Total returns upload + download bytes.
-func (s *CommStats) Total() int64 { return s.UploadBytes + s.DownloadBytes }
-
 // bytesFor counts the wire size of n float64 parameters.
 func bytesFor(nParams int) int64 { return int64(nParams) * 8 }
 
-// RoundInfo captures per-round diagnostics for convergence plots.
-type RoundInfo struct {
-	Round       int
-	NumClusters int
-	CommBytes   int64
-}
-
 // Result is the outcome of a federated training run.
 type Result struct {
-	Comm   CommStats
-	Rounds []RoundInfo
-	// FinalClusters maps client index → cluster id at the bottom layer
-	// (diagnostic; -1 when the algorithm does not cluster).
+	// CommBytes is the run's communication cost, upload plus download.
+	CommBytes int64
+	// FinalClusters maps client index → cluster id after the last round
+	// (for FexIoT, the bottom-layer leaves); a run of 0 rounds reports the
+	// algorithm's starting partition.
 	FinalClusters []int
-}
-
-// Algorithm is a federated training strategy over a fixed client
-// population.
-type Algorithm interface {
-	Name() string
-	// Run trains the clients in place for cfg.Rounds rounds.
-	Run(clients []*Client, cfg Config) *Result
 }
 
 // Config holds shared federated training settings.
@@ -176,13 +152,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		clusters: r.Gauge("fexiot_sim_clusters", "client clusters at the bottom layer after the most recent round"),
 		roundDur: r.Histogram("fexiot_sim_round_duration_seconds", "wall time of one simulated federated round (local training + aggregation)", nil),
 	}
-}
-
-// record logs one closed simulator round.
-func (m simMetrics) record(info RoundInfo) {
-	m.rounds.Inc()
-	m.comm.Add(info.CommBytes)
-	m.clusters.Set(float64(info.NumClusters))
 }
 
 // DefaultConfig mirrors the paper's settings (ε1 = 1.2, ε2 = 0.8, Adam with

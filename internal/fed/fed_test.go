@@ -10,6 +10,7 @@ import (
 	"fexiot/internal/gnn"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
+	"fexiot/internal/obs"
 )
 
 var testEnc = embed.NewEncoder(24, 32)
@@ -114,7 +115,7 @@ func TestNewClientsShareInitialWeights(t *testing.T) {
 func TestFedAvgSynchronisesModels(t *testing.T) {
 	gs := testGraphs(60)
 	clients := NewClients(testBase(), splitFour(gs), 0.005)
-	res := FedAvg{}.Run(clients, smallConfig())
+	res := FedAvg().Run(clients, smallConfig())
 	// After a FedAvg round every client holds the same weights.
 	w0 := clients[0].Model.Params().Flatten()
 	for _, c := range clients[1:] {
@@ -125,19 +126,16 @@ func TestFedAvgSynchronisesModels(t *testing.T) {
 			}
 		}
 	}
-	if res.Comm.Total() <= 0 {
+	if res.CommBytes <= 0 {
 		t.Fatal("FedAvg must account transferred bytes")
-	}
-	if len(res.Rounds) != 3 {
-		t.Fatalf("round records %d", len(res.Rounds))
 	}
 }
 
 func TestClientOnlyNeverCommunicates(t *testing.T) {
 	gs := testGraphs(60)
 	clients := NewClients(testBase(), splitFour(gs), 0.005)
-	res := ClientOnly{}.Run(clients, smallConfig())
-	if res.Comm.Total() != 0 {
+	res := ClientOnly().Run(clients, smallConfig())
+	if res.CommBytes != 0 {
 		t.Fatal("isolated clients must not transfer bytes")
 	}
 	// Models must diverge (no aggregation).
@@ -165,17 +163,17 @@ func TestFexIoTRunsAndSavesBytes(t *testing.T) {
 	clientsA := NewClients(testBase(), shards, 0.005)
 	cfg := smallConfig()
 	cfg.Rounds = 5
-	resFex := NewFexIoT().Run(clientsA, cfg)
+	resFex := FexIoT().Run(clientsA, cfg)
 
 	clientsB := NewClients(testBase(), shards, 0.005)
-	resAvg := FedAvg{}.Run(clientsB, cfg)
+	resAvg := FedAvg().Run(clientsB, cfg)
 
-	if resFex.Comm.Total() <= 0 {
+	if resFex.CommBytes <= 0 {
 		t.Fatal("FexIoT must account bytes")
 	}
-	if resFex.Comm.Total() > resAvg.Comm.Total() {
+	if resFex.CommBytes > resAvg.CommBytes {
 		t.Fatalf("layer-wise staleness should not exceed FedAvg cost: %d vs %d",
-			resFex.Comm.Total(), resAvg.Comm.Total())
+			resFex.CommBytes, resAvg.CommBytes)
 	}
 	// Cluster assignment is a valid partition.
 	if len(resFex.FinalClusters) != 4 {
@@ -202,6 +200,37 @@ func TestClusteredBaselinesProducePartitions(t *testing.T) {
 			if n < 2 {
 				t.Fatalf("%s produced singleton cluster %d", algo.Name(), id)
 			}
+		}
+	}
+}
+
+// TestEveryAlgorithmRecordsSimMetrics: the one round loop records the
+// simulator telemetry once a round for every algorithm — n round spans, n
+// rounds, the run's bytes and its last cluster count.
+func TestEveryAlgorithmRecordsSimMetrics(t *testing.T) {
+	const rounds = 2
+	gs := testGraphs(40)
+	for _, algo := range []Algorithm{FexIoT(), GCFL(), FMTL(), FedAvg(), ClientOnly()} {
+		reg := obs.NewRegistry()
+		cfg := smallConfig()
+		cfg.Rounds, cfg.Metrics = rounds, reg
+		res := algo.Run(NewClients(testBase(), splitFour(gs), 0.005), cfg)
+		sm := newSimMetrics(reg)
+		ids := map[int]bool{}
+		for _, id := range res.FinalClusters {
+			ids[id] = true
+		}
+		if n := sm.roundDur.Count(); n != rounds {
+			t.Errorf("%s: fexiot_sim_round_duration_seconds holds %d observations, want %d", algo.Name(), n, rounds)
+		}
+		if n := sm.rounds.Value(); n != rounds {
+			t.Errorf("%s: fexiot_sim_rounds_total = %d, want %d", algo.Name(), n, rounds)
+		}
+		if b := sm.comm.Value(); b != res.CommBytes {
+			t.Errorf("%s: fexiot_sim_comm_bytes_total = %d, want the run's %d", algo.Name(), b, res.CommBytes)
+		}
+		if c := sm.clusters.Value(); c != float64(len(ids)) {
+			t.Errorf("%s: fexiot_sim_clusters = %v, want %d", algo.Name(), c, len(ids))
 		}
 	}
 }

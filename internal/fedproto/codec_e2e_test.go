@@ -439,7 +439,7 @@ func TestCodecPoisonF1Parity(t *testing.T) {
 						if id == nClients-1 {
 							// The Byzantine member: honest training, poisoned
 							// update — the adversary of the poison suite.
-							fed.CorruptUpdate(fed.SignFlip{}, before, m.Params())
+							fed.SignFlip{}.Corrupt(before, m.Params())
 						}
 						return LayerNorms(before, m.Params())
 					})

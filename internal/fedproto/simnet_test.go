@@ -39,7 +39,7 @@ func partition[T any](of []T, same func(a, b T) bool) []int {
 
 // TestSimNetDifferential is the "simulated federation ≡ networked
 // federation" equivalence as a differential test: the same seed and the
-// same fed.Client.LocalTrain calls, once through fed.FexIoT.Run and once
+// same fed.Client.LocalTrain calls, once through fed.FexIoT().Run and once
 // through a loopback Server with one RunClientSession per client, end
 // every round in the bit-identical model on every client and in the same
 // leaf clusters — under every aggregator, on a gate that never opens and
@@ -88,7 +88,7 @@ func TestSimNetDifferential(t *testing.T) {
 				// Simulated, stepped one round at a time (round r of Run uses
 				// seed cfg.Seed+r) so every round's models and leaves show.
 				sim := fed.NewClients(base, datasets, cfg.Train.LR)
-				algo := fed.NewFexIoT()
+				algo := fed.FexIoT()
 				simModels := make([][][]float64, rounds) // [round][client]
 				simLeaves := make([][]int, rounds)
 				split := false
@@ -97,7 +97,9 @@ func TestSimNetDifferential(t *testing.T) {
 					step.Rounds, step.Seed = 1, cfg.Seed+int64(r)
 					res := algo.Run(sim, step)
 					simLeaves[r] = partition(res.FinalClusters, func(a, b int) bool { return a == b })
-					split = split || res.Rounds[0].NumClusters > 1
+					for _, leaf := range simLeaves[r] {
+						split = split || leaf > 0 // a second leaf
+					}
 					for _, c := range sim {
 						simModels[r] = append(simModels[r], c.Model.Params().Flatten())
 					}
