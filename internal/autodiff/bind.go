@@ -1,11 +1,6 @@
 package autodiff
 
-import (
-	"math"
-	"sort"
-
-	"fexiot/internal/mat"
-)
+import "slices"
 
 // Binder binds a ParamSet onto a tape for one forward pass, memoising the
 // parameter nodes so each matrix appears once per pass (gradients then
@@ -13,106 +8,38 @@ import (
 type Binder struct {
 	tape   *Tape
 	params *ParamSet
-	nodes  map[string]*Node
+	nodes  []*Node // per parameter position; nil until bound this pass
 }
 
 // Bind creates a Binder for params on tape.
 func Bind(t *Tape, params *ParamSet) *Binder {
-	return &Binder{tape: t, params: params, nodes: map[string]*Node{}}
+	b := &Binder{}
+	b.Rebind(t, params)
+	return b
 }
 
 // Rebind points the binder at a (usually freshly Reset) tape for the next
-// pass, forgetting the previous pass's parameter nodes but keeping the map
+// pass, forgetting the previous pass's parameter nodes but keeping their
 // storage. Training loops call Reset+Rebind per pass instead of allocating
 // a new tape and binder per pass.
 func (b *Binder) Rebind(t *Tape, params *ParamSet) {
 	b.tape = t
 	b.params = params
-	clear(b.nodes)
-}
-
-// EachGrad calls fn for every bound parameter that accumulated a gradient
-// this pass. Unlike Grads it allocates nothing; the *mat.Dense handed to fn
-// is tape-owned and dies at the next Reset, so fn must consume it (copy or
-// accumulate), not retain it.
-func (b *Binder) EachGrad(fn func(name string, g *mat.Dense)) {
-	for name, n := range b.nodes {
-		if n.Grad != nil {
-			fn(name, n.Grad)
-		}
+	clear(b.nodes) // every element past len is nil already
+	b.nodes = b.nodes[:0]
+	if params != nil {
+		b.nodes = slices.Grow(b.nodes, len(params.params))[:len(params.params)]
 	}
 }
 
 // Node returns the tape node for the named parameter, creating it on first
 // use in this pass.
 func (b *Binder) Node(name string) *Node {
-	if n, ok := b.nodes[name]; ok {
+	i := b.params.pos(name)
+	if n := b.nodes[i]; n != nil {
 		return n
 	}
-	n := b.tape.Param(b.params.Get(name))
-	b.nodes[name] = n
+	n := b.tape.Param(b.params.vals[i])
+	b.nodes[i] = n
 	return n
-}
-
-// Grads collects the gradients accumulated on the bound parameter nodes.
-func (b *Binder) Grads() map[string]*mat.Dense {
-	out := make(map[string]*mat.Dense, len(b.nodes))
-	for name, n := range b.nodes {
-		if n.Grad != nil {
-			out[name] = n.Grad
-		}
-	}
-	return out
-}
-
-// AccumulateGrads merges this pass's gradients into acc (allocating entries
-// as needed), used when a batch is composed of several per-graph passes.
-func (b *Binder) AccumulateGrads(acc map[string]*mat.Dense) {
-	for name, n := range b.nodes {
-		if n.Grad == nil {
-			continue
-		}
-		if g, ok := acc[name]; ok {
-			g.AddScaled(n.Grad, 1)
-		} else {
-			acc[name] = n.Grad.Clone()
-		}
-	}
-}
-
-// ScaleGrads multiplies every gradient in grads by s.
-func ScaleGrads(grads map[string]*mat.Dense, s float64) {
-	for _, g := range grads {
-		g.Scale(s)
-	}
-}
-
-// ClipGrads rescales gradients so the global norm does not exceed maxNorm.
-// It returns the pre-clip global norm, which callers feed into training
-// telemetry (a clipped step is one where the return value exceeds maxNorm).
-//
-// The squared-norm sum runs over sorted parameter names: summing in map
-// iteration order made the clip factor — and therefore the trained weights
-// — differ in the last few ulps between otherwise identical runs, which
-// breaks the serving layer's bit-identical republish guarantee.
-func ClipGrads(grads map[string]*mat.Dense, maxNorm float64) float64 {
-	names := make([]string, 0, len(grads))
-	for name := range grads {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var total float64
-	for _, name := range names {
-		for _, x := range grads[name].Data() {
-			total += x * x
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm {
-		ScaleGrads(grads, maxNorm/norm)
-	}
-	return norm
 }

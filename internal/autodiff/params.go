@@ -2,200 +2,283 @@ package autodiff
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sort"
 
 	"fexiot/internal/mat"
 )
 
-// ParamSet is an ordered collection of named trainable matrices. Each
-// parameter is tagged with the model layer it belongs to, which is what the
-// paper's layer-wise clustered federated aggregation (Algorithm 1) operates
-// on.
+// ParamSet is an ordered collection of named trainable matrices stored in
+// one slab: the parameters' values lie end to end in registration order,
+// and each parameter's *mat.Dense is a view of its range. Each parameter is
+// tagged with the model layer it belongs to, which is what the paper's
+// layer-wise clustered federated aggregation (Algorithm 1) operates on; a
+// layer is the list of its parameters' ranges.
 type ParamSet struct {
-	names   []string
-	vals    map[string]*mat.Dense
-	layerOf map[string]int
+	*layout
+	data []float64    // the slab
+	vals []*mat.Dense // per parameter, a capacity-capped view of data
 }
+
+// layout is the structure a ParamSet's clones share. Register replaces it
+// instead of extending it, so a clone never sees a later registration.
+type layout struct {
+	params []param
+	index  map[string]int // name → position in params
+	layers [][]span       // per layer, its parameters' ranges, adjacent ones merged
+	sorted []int          // positions in params by sorted name (ClipGrads)
+}
+
+// param is one parameter's place in the slab.
+type param struct {
+	name  string
+	layer int
+	span
+}
+
+// span is the range [lo, hi) of a slab.
+type span struct{ lo, hi int }
+
+func (s span) of(slab []float64) []float64 { return slab[s.lo:s.hi:s.hi] }
 
 // NewParamSet creates an empty parameter set.
-func NewParamSet() *ParamSet {
-	return &ParamSet{vals: map[string]*mat.Dense{}, layerOf: map[string]int{}}
-}
+func NewParamSet() *ParamSet { return &ParamSet{layout: &layout{index: map[string]int{}}} }
 
-// Register adds a parameter under name, associated with layer index layer.
+// Register appends a copy of v to the slab under name, associated with
+// layer index layer, and returns the parameter's view.
 func (p *ParamSet) Register(name string, layer int, v *mat.Dense) *mat.Dense {
-	if _, ok := p.vals[name]; ok {
+	if _, ok := p.index[name]; ok {
 		panic(fmt.Sprintf("autodiff: duplicate parameter %q", name))
 	}
-	p.names = append(p.names, name)
-	p.vals[name] = v
-	p.layerOf[name] = layer
-	return v
+	r, c := v.Dims()
+	k, s := len(p.params), span{len(p.data), len(p.data) + r*c}
+	l := &layout{
+		params: append(slices.Clip(p.params), param{name, layer, s}),
+		index:  maps.Clone(p.index),
+		layers: slices.Clone(p.layers),
+	}
+	l.index[name] = k
+	for len(l.layers) <= layer {
+		l.layers = append(l.layers, nil)
+	}
+	ranges := slices.Clone(l.layers[layer])
+	if n := len(ranges); n > 0 && ranges[n-1].hi == s.lo {
+		ranges[n-1].hi = s.hi
+	} else {
+		ranges = append(ranges, s)
+	}
+	l.layers[layer] = ranges
+	at := sort.Search(k, func(i int) bool { return p.params[p.sorted[i]].name > name })
+	l.sorted = slices.Insert(slices.Clone(p.sorted), at, k)
+	p.layout = l
+
+	data := append(p.data, v.Data()...)
+	if cap(data) != cap(p.data) { // moved: point the earlier views at the new slab
+		for i, m := range p.vals {
+			m.Remake(m.Rows(), m.Cols(), p.params[i].of(data))
+		}
+	}
+	p.data = data
+	p.vals = append(p.vals, mat.NewDenseData(r, c, s.of(data)))
+	return p.vals[k]
 }
 
 // Get returns the parameter value by name.
-func (p *ParamSet) Get(name string) *mat.Dense {
-	v, ok := p.vals[name]
+func (p *ParamSet) Get(name string) *mat.Dense { return p.vals[p.pos(name)] }
+
+// pos returns the position of the named parameter in registration order.
+func (p *ParamSet) pos(name string) int {
+	i, ok := p.index[name]
 	if !ok {
 		panic(fmt.Sprintf("autodiff: unknown parameter %q", name))
 	}
-	return v
+	return i
 }
 
 // Names returns the parameter names in registration order.
-func (p *ParamSet) Names() []string { return append([]string(nil), p.names...) }
-
-// NumLayers returns 1 + the largest layer index.
-func (p *ParamSet) NumLayers() int {
-	max := -1
-	for _, l := range p.layerOf {
-		if l > max {
-			max = l
-		}
+func (p *ParamSet) Names() []string {
+	out := make([]string, len(p.params))
+	for i, pr := range p.params {
+		out[i] = pr.name
 	}
-	return max + 1
+	return out
 }
 
+// NumLayers returns 1 + the largest layer index.
+func (p *ParamSet) NumLayers() int { return len(p.layers) }
+
 // LayerNames returns the names of parameters in layer l in registration
-// order — the coordinate order of FlattenLayer, so a layer shipped tensor
-// by tensor and a layer flattened in place are the same vector.
+// order, the coordinate order of FlattenLayer: a layer shipped tensor by
+// tensor and a layer gathered from the slab are the same vector.
 func (p *ParamSet) LayerNames(l int) []string {
 	var out []string
-	for _, n := range p.names {
-		if p.layerOf[n] == l {
-			out = append(out, n)
+	for _, pr := range p.params {
+		if pr.layer == l {
+			out = append(out, pr.name)
 		}
 	}
 	return out
 }
 
 // NumElements returns the total scalar count across all parameters.
-func (p *ParamSet) NumElements() int {
-	total := 0
-	for _, v := range p.vals {
-		r, c := v.Dims()
-		total += r * c
-	}
-	return total
-}
+func (p *ParamSet) NumElements() int { return len(p.data) }
 
 // LayerElements returns the scalar count of parameters in layer l.
 func (p *ParamSet) LayerElements(l int) int {
-	total := 0
-	for _, n := range p.names {
-		if p.layerOf[n] == l {
-			r, c := p.vals[n].Dims()
-			total += r * c
-		}
+	n := 0
+	for _, s := range p.layers[l] {
+		n += s.hi - s.lo
 	}
-	return total
+	return n
 }
 
-// Clone returns a deep copy sharing names and layer assignment.
+// Data returns the slab itself: every parameter's values in registration
+// order. Writes through it are writes to the parameters.
+func (p *ParamSet) Data() []float64 { return p.data }
+
+// Flatten returns a caller-owned copy of the slab.
+func (p *ParamSet) Flatten() []float64 { return slices.Clone(p.data) }
+
+// SetFlatten writes a flat vector into the slab — the inverse of Flatten.
+func (p *ParamSet) SetFlatten(v []float64) {
+	if len(v) != len(p.data) {
+		panic(fmt.Sprintf("autodiff: SetFlatten got %d values, set holds %d", len(v), len(p.data)))
+	}
+	copy(p.data, v)
+}
+
+// FlattenLayer gathers layer l's ranges into one vector; this is the
+// representation the FL server clusters by cosine similarity.
+func (p *ParamSet) FlattenLayer(l int) []float64 {
+	out := make([]float64, 0, p.LayerElements(l))
+	for _, s := range p.layers[l] {
+		out = append(out, s.of(p.data)...)
+	}
+	return out
+}
+
+// SetFlattenLayer scatters a flat vector into layer l's ranges — the
+// inverse of FlattenLayer.
+func (p *ParamSet) SetFlattenLayer(l int, v []float64) {
+	if n := p.LayerElements(l); len(v) != n {
+		panic(fmt.Sprintf("autodiff: SetFlattenLayer got %d values, layer %d holds %d", len(v), l, n))
+	}
+	for _, s := range p.layers[l] {
+		v = v[copy(s.of(p.data), v):]
+	}
+}
+
+// Clone returns a deep copy sharing the layout.
 func (p *ParamSet) Clone() *ParamSet {
-	out := NewParamSet()
-	for _, n := range p.names {
-		out.Register(n, p.layerOf[n], p.vals[n].Clone())
+	out := &ParamSet{layout: p.layout, data: p.Flatten(), vals: make([]*mat.Dense, len(p.vals))}
+	for i, m := range p.vals {
+		out.vals[i] = mat.NewDenseData(m.Rows(), m.Cols(), p.params[i].of(out.data))
 	}
 	return out
 }
 
 // CopyFrom copies values from src (same structure) into p.
-func (p *ParamSet) CopyFrom(src *ParamSet) {
-	for _, n := range p.names {
-		p.vals[n].CopyFrom(src.vals[n])
-	}
-}
+func (p *ParamSet) CopyFrom(src *ParamSet) { p.SetFlatten(src.data) }
 
-// FlattenLayer concatenates the layer-l parameters into one vector; this is
-// the representation the FL server clusters by cosine similarity.
-func (p *ParamSet) FlattenLayer(l int) []float64 {
-	out := make([]float64, 0, p.LayerElements(l))
-	for _, n := range p.names {
-		if p.layerOf[n] == l {
-			out = append(out, p.vals[n].Data()...)
-		}
-	}
-	return out
-}
-
-// Flatten concatenates all parameters into one vector.
-func (p *ParamSet) Flatten() []float64 {
-	out := make([]float64, 0, p.NumElements())
-	for _, n := range p.names {
-		out = append(out, p.vals[n].Data()...)
-	}
-	return out
-}
-
-// SetFlattenLayer writes a flat vector back into the layer-l parameters —
-// the inverse of FlattenLayer, used by robust aggregators that operate on
-// flattened coordinates.
-func (p *ParamSet) SetFlattenLayer(l int, v []float64) {
-	off := 0
-	for _, n := range p.names {
-		if p.layerOf[n] != l {
-			continue
-		}
-		d := p.vals[n].Data()
-		copy(d, v[off:off+len(d)])
-		off += len(d)
-	}
-	if off != len(v) {
-		panic(fmt.Sprintf("autodiff: SetFlattenLayer got %d values, layer %d holds %d", len(v), l, off))
-	}
-}
-
-// SetFlatten writes a flat vector back into all parameters — the inverse of
-// Flatten.
-func (p *ParamSet) SetFlatten(v []float64) {
-	off := 0
-	for _, n := range p.names {
-		d := p.vals[n].Data()
-		copy(d, v[off:off+len(d)])
-		off += len(d)
-	}
-	if off != len(v) {
-		panic(fmt.Sprintf("autodiff: SetFlatten got %d values, set holds %d", len(v), off))
-	}
-}
-
-// Sub returns the element-wise difference p − q as flat-layer vectors are
-// needed; it produces a new ParamSet with the same structure.
+// Sub returns the element-wise difference p − q as a new ParamSet with the
+// same structure.
 func (p *ParamSet) Sub(q *ParamSet) *ParamSet {
 	out := p.Clone()
-	for _, n := range out.names {
-		out.vals[n].AddScaled(q.vals[n], -1)
-	}
+	mat.Axpy(out.data, q.data, -1)
 	return out
 }
 
 // LayerDiffNorms returns, per layer, the Euclidean norm of p − q over the
-// layer's coordinates in FlattenLayer order — mat.Norm2 of
-// p.Sub(q).FlattenLayer(l), bit for bit (each coordinate is a + (−1·b),
-// squared and summed in registration order), without materialising the
-// difference or the flat vector: the result map is its only allocation.
+// layer's ranges — mat.Norm2 of p.Sub(q).FlattenLayer(l), bit for bit (each
+// coordinate is a + (−1·b), squared and summed in slab order), without
+// materialising the difference: the result map is its only allocation.
 func (p *ParamSet) LayerDiffNorms(q *ParamSet) map[int]float64 {
-	layers := p.NumLayers()
-	out := make(map[int]float64, layers)
-	for l := 0; l < layers; l++ {
-		var s float64
-		for _, n := range p.names {
-			if p.layerOf[n] != l {
-				continue
-			}
-			a, b := p.vals[n].Data(), q.vals[n].Data()
-			if len(a) != len(b) {
-				panic(fmt.Sprintf("autodiff: LayerDiffNorms %q holds %d and %d values", n, len(a), len(b)))
-			}
-			for i, av := range a {
-				x := av + -1*b[i]
-				s += x * x
+	if len(p.data) != len(q.data) {
+		panic(fmt.Sprintf("autodiff: LayerDiffNorms of sets holding %d and %d values", len(p.data), len(q.data)))
+	}
+	out := make(map[int]float64, len(p.layers))
+	for l, ranges := range p.layers {
+		var sum float64
+		for _, s := range ranges {
+			b := s.of(q.data)
+			for i, a := range s.of(p.data) {
+				x := a + -1*b[i]
+				sum += x * x
 			}
 		}
-		out[l] = math.Sqrt(s)
+		out[l] = math.Sqrt(sum)
 	}
 	return out
+}
+
+// Grads is the gradient slab of a ParamSet — the same layout, so a
+// parameter's gradient lies in the range its value does — with a mask of
+// the parameters some pass has touched since Reset. Untouched ranges hold
+// zeros.
+type Grads struct {
+	*layout
+	data    []float64
+	touched []bool
+}
+
+// NewGrads creates an empty gradient slab for p.
+func NewGrads(p *ParamSet) *Grads {
+	return &Grads{layout: p.layout, data: make([]float64, len(p.data)), touched: make([]bool, len(p.params))}
+}
+
+// Reset zeroes every gradient: the next Add starts a new batch.
+func (g *Grads) Reset() {
+	clear(g.data)
+	clear(g.touched)
+}
+
+// Add adds the gradients of the pass b recorded into the slab, so a
+// parameter's first touch since Reset stores 0 + ∂. The tape's gradients
+// are consumed: the tape may be Reset afterwards.
+func (g *Grads) Add(b *Binder) {
+	if b.params.layout != g.layout {
+		panic("autodiff: Grads.Add from a binder over another parameter set")
+	}
+	for i, n := range b.nodes {
+		if n != nil && n.Grad != nil {
+			mat.Axpy(g.params[i].of(g.data), n.Grad.Data(), 1)
+			g.touched[i] = true
+		}
+	}
+}
+
+// Finite reports whether every gradient is finite.
+func (g *Grads) Finite() bool { return mat.AllFinite(g.data) }
+
+// ClipGrads rescales the gradients so their global norm does not exceed
+// maxNorm. It returns the pre-clip global norm, which callers feed into
+// training telemetry (a clipped step is one where the return value exceeds
+// maxNorm).
+//
+// The squared-norm sum runs over the parameters in sorted-name order, the
+// order the trained weights of every pinned federation and explanation were
+// recorded in: summing in slab order instead moves the last bits of the
+// clip factor, and with it every trained weight.
+func ClipGrads(g *Grads, maxNorm float64) float64 {
+	var total float64
+	for _, i := range g.sorted {
+		for _, x := range g.params[i].of(g.data) {
+			total += x * x
+		}
+	}
+	if total <= 0 {
+		return 0
+	}
+	norm := math.Sqrt(total)
+	if norm > maxNorm {
+		s := maxNorm / norm
+		for i := range g.data {
+			g.data[i] *= s
+		}
+	}
+	return norm
 }
 
 // Adam is the Adam optimiser over a ParamSet, with the paper's default
@@ -208,37 +291,33 @@ type Adam struct {
 	WeightDecay float64
 
 	step int
-	m    map[string]*mat.Dense
-	v    map[string]*mat.Dense
+	m, v []float64 // moment slabs, laid out like the parameters'
 }
 
 // NewAdam creates an Adam optimiser with standard hyperparameters.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[string]*mat.Dense{}, v: map[string]*mat.Dense{}}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update using the gradients stored in grads, a map
-// from parameter name to the gradient matrix accumulated by the tape.
-func (a *Adam) Step(params *ParamSet, grads map[string]*mat.Dense) {
+// Step applies one Adam update to the parameters grads touched; the others
+// keep their weights and moments.
+func (a *Adam) Step(params *ParamSet, grads *Grads) {
+	if grads.layout != params.layout {
+		panic("autodiff: Adam.Step with gradients of another parameter set")
+	}
+	if a.m == nil {
+		a.m = make([]float64, len(params.data))
+		a.v = make([]float64, len(params.data))
+	}
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, name := range params.names {
-		g, ok := grads[name]
-		if !ok || g == nil {
+	for k, t := range grads.touched {
+		if !t {
 			continue
 		}
-		w := params.vals[name]
-		mm, ok := a.m[name]
-		if !ok {
-			r, c := w.Dims()
-			mm = mat.NewDense(r, c)
-			a.m[name] = mm
-			a.v[name] = mat.NewDense(r, c)
-		}
-		vv := a.v[name]
-		wd, gd, md, vd := w.Data(), g.Data(), mm.Data(), vv.Data()
+		s := params.params[k].span
+		wd, gd, md, vd := s.of(params.data), s.of(grads.data), s.of(a.m), s.of(a.v)
 		for i := range wd {
 			gi := gd[i]
 			if a.WeightDecay > 0 {

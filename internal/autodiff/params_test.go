@@ -78,7 +78,9 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		d := tape.Sub(b.Node("w"), tape.Constant(target))
 		loss := tape.SumAll(tape.Hadamard(d, d))
 		tape.Backward(loss)
-		opt.Step(p, b.Grads())
+		g := NewGrads(p)
+		g.Add(b)
+		opt.Step(p, g)
 	}
 	if !p.Get("w").Equalish(target, 1e-2) {
 		t.Fatalf("Adam failed to converge: %v", p.Get("w"))
@@ -89,32 +91,61 @@ func TestAdamSkipsMissingGrads(t *testing.T) {
 	p := demoParams()
 	before := p.Get("l1.w").Clone()
 	opt := NewAdam(0.1)
-	opt.Step(p, map[string]*mat.Dense{}) // no gradients at all
+	opt.Step(p, NewGrads(p)) // no gradients at all
 	if !p.Get("l1.w").Equalish(before, 0) {
 		t.Fatal("parameters changed without gradients")
 	}
 }
 
+// gradsOf returns a gradient slab for p with the given parameters touched
+// and holding the given values.
+func gradsOf(p *ParamSet, touched map[string][]float64) *Grads {
+	g := NewGrads(p)
+	for name, v := range touched {
+		i := p.pos(name)
+		copy(g.params[i].of(g.data), v)
+		g.touched[i] = true
+	}
+	return g
+}
+
 func TestClipGrads(t *testing.T) {
-	g := map[string]*mat.Dense{
-		"a": mat.NewDenseData(1, 2, []float64{3, 0}),
-		"b": mat.NewDenseData(1, 2, []float64{0, 4}),
+	p := NewParamSet()
+	p.Register("a", 0, mat.NewDense(1, 2))
+	p.Register("b", 0, mat.NewDense(1, 2))
+	g := gradsOf(p, map[string][]float64{"a": {3, 0}, "b": {0, 4}})
+	if norm := ClipGrads(g, 1); norm != 5 {
+		t.Fatalf("pre-clip norm = %v, want 5", norm)
 	}
-	ClipGrads(g, 1) // global norm is 5
-	var total float64
-	for _, m := range g {
-		for _, x := range m.Data() {
-			total += x * x
-		}
-	}
-	if math.Abs(math.Sqrt(total)-1) > 1e-9 {
-		t.Fatalf("clipped norm = %v", math.Sqrt(total))
+	if n := mat.Norm2(g.data); math.Abs(n-1) > 1e-9 {
+		t.Fatalf("clipped norm = %v", n)
 	}
 	// Below threshold: untouched.
-	h := map[string]*mat.Dense{"a": mat.NewDenseData(1, 1, []float64{0.5})}
+	h := gradsOf(p, map[string][]float64{"a": {0.5, 0}})
 	ClipGrads(h, 1)
-	if h["a"].At(0, 0) != 0.5 {
+	if h.data[0] != 0.5 {
 		t.Fatal("small grads must not change")
+	}
+}
+
+// TestClipGradsSumsInSortedNameOrder pins the order of ClipGrads' squared
+// sum: sorted parameter names, not registration (slab) order. Summing in
+// slab order was measured to move 30 of TestSimulatorPinned's 35 case
+// digests, TestFedRoundModelHashPinned and TestExplanationsPinned, because
+// the clip factor feeds every trained weight.
+func TestClipGradsSumsInSortedNameOrder(t *testing.T) {
+	p := NewParamSet()
+	p.Register("z", 0, mat.NewDense(1, 2)) // registered first, sorts last
+	p.Register("a", 1, mat.NewDense(1, 1))
+	g := gradsOf(p, map[string][]float64{"z": {1, 1}, "a": {1e8}})
+	big, one := 1e8*1e8, 1.0                     // float64 sums, not exact constants
+	sorted := math.Sqrt(((0 + big) + one) + one) // a, then z
+	slab := math.Sqrt(((0 + one) + one) + big)   // z, then a
+	if sorted == slab {
+		t.Fatal("the test values do not tell the two orders apart")
+	}
+	if got := ClipGrads(g, math.Inf(1)); math.Float64bits(got) != math.Float64bits(sorted) {
+		t.Fatalf("ClipGrads norm = %v, want the sorted-name sum %v (slab order gives %v)", got, sorted, slab)
 	}
 }
 
@@ -130,17 +161,28 @@ func TestBinderMemoisesNodes(t *testing.T) {
 func TestAccumulateGrads(t *testing.T) {
 	p := NewParamSet()
 	p.Register("w", 0, mat.NewDenseData(1, 1, []float64{2}))
-	acc := map[string]*mat.Dense{}
-	for i := 0; i < 3; i++ {
+	p.Register("unused", 0, mat.NewDense(1, 1))
+	g := NewGrads(p)
+	pass := func() {
 		tape := NewTape()
 		b := Bind(tape, p)
 		y := b.Node("w")
-		sq := tape.Hadamard(y, y)
-		tape.Backward(tape.SumAll(sq))
-		b.AccumulateGrads(acc)
+		tape.Backward(tape.SumAll(tape.Hadamard(y, y)))
+		g.Add(b)
+	}
+	for i := 0; i < 3; i++ {
+		pass()
 	}
 	// d(w²)/dw = 4 per pass, 3 passes.
-	if got := acc["w"].At(0, 0); math.Abs(got-12) > 1e-12 {
+	if got := g.data[0]; got != 12 {
 		t.Fatalf("accumulated grad = %v want 12", got)
+	}
+	if g.touched[1] {
+		t.Fatal("a parameter no pass used is marked touched")
+	}
+	g.Reset()
+	pass()
+	if got := g.data[0]; got != 4 {
+		t.Fatalf("grad after Reset = %v want 4", got)
 	}
 }

@@ -20,9 +20,9 @@
 //
 //   - Param/Constant values are caller-owned; the tape never recycles them.
 //   - Every other node's Value and Grad die at Reset. Any reference held
-//     across Reset — including a Grads() map or a Node pointer — is invalid.
+//     across Reset — a Node pointer or its Grad — is invalid.
 //   - To keep a result past Reset, copy it (Value.Clone()) first.
-//   - Gradients must be consumed (opt.Step, AccumulateGrads) before Reset.
+//   - Gradients must be consumed (Grads.Add) before Reset.
 //
 // Backward dispatch is closure-free: each op stores a package-level back
 // function and keeps its state (parents, scalars, index slices) in Node
@@ -94,7 +94,7 @@ func NewTape() *Tape {
 // Reset recycles every recorded node: tape-owned Value/Grad backing arrays
 // return to the arena (parameters and constants are skipped) and the node
 // structs go to the free list for the next pass. Everything obtained from
-// the tape — Node pointers, Grads() maps — is invalid afterwards; see the
+// the tape — Node pointers and their gradients — is invalid afterwards; see the
 // package doc for the ownership rules.
 func (t *Tape) Reset() {
 	for _, n := range t.nodes {

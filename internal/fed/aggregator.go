@@ -326,15 +326,15 @@ func aggregatorOr(a Aggregator) Aggregator {
 }
 
 // AggregateParams overwrites dst with the aggregate of the given parameter
-// sets under agg, over the whole flattened model — the combine step of the
-// whole-model algorithms (FedAvg, FMTL, GCFL+).
+// sets under agg, over each set's whole slab — the combine step of the
+// whole-model algorithms (FedAvg, FMTL, GCFL+). dst may be one of sets.
 func AggregateParams(agg Aggregator, dst *autodiff.ParamSet, sets []*autodiff.ParamSet, weights []float64) {
 	if len(sets) != len(weights) {
 		panic("fed: AggregateParams length mismatch")
 	}
 	vecs := make([][]float64, len(sets))
 	for i, s := range sets {
-		vecs[i] = s.Flatten()
+		vecs[i] = s.Data()
 	}
 	dst.SetFlatten(agg.Aggregate(vecs, weights))
 }

@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/embed"
+	"fexiot/internal/fusion"
+	"fexiot/internal/gnn"
 	"fexiot/internal/mat"
 	"fexiot/internal/rng"
 )
@@ -241,6 +244,23 @@ func TestAggregateParamsRoundTrip(t *testing.T) {
 		if math.Float64bits(v) != math.Float64bits(s) {
 			t.Fatalf("mean coordinate %d = %v, oracle Σ wᵢ·vᵢ = %v", j, v, s)
 		}
+	}
+}
+
+// TestAggregateParamsAllocs pins AggregateParams to reading each set's slab
+// in place: four GIN sets at the paper's 64/32 widths cost one slice of
+// views and the aggregator's output, where flattening every set cost six
+// allocations and about 1 MB a call.
+func TestAggregateParamsAllocs(t *testing.T) {
+	dim := fusion.WordFeatureDim(embed.NewEncoder(300, 512))
+	sets := make([]*autodiff.ParamSet, 4)
+	for i := range sets {
+		sets[i] = gnn.NewGIN(dim, 64, 32, int64(i+1)).Params()
+	}
+	dst := sets[0].Clone()
+	w := uniformW(len(sets))
+	if avg := testing.AllocsPerRun(10, func() { AggregateParams(MeanAgg{}, dst, sets, w) }); avg > 2 {
+		t.Fatalf("AggregateParams allocates %.1f/op, want ≤ 2", avg)
 	}
 }
 

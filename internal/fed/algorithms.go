@@ -93,7 +93,7 @@ func wholeModel(name string, window int) Algorithm {
 				signals := make([][]float64, len(clients))
 				updates := make([][]float64, len(clients))
 				for i, c := range clients {
-					u := c.Update().Flatten()
+					u := c.Update().Data()
 					updates[i] = u
 					w := append(recent[i], u)
 					if len(w) > window {
@@ -119,9 +119,9 @@ func wholeModel(name string, window int) Algorithm {
 			}
 			agg := aggregatorOr(cfg.Aggregator)
 			for _, cluster := range clusters {
-				avg := clients[cluster[0]].Model.Params().Clone()
+				avg := clients[cluster[0]].Model.Params()
 				AggregateParams(agg, avg, paramsOf(clients, cluster), QuorumWeights(sizes, cluster))
-				for _, i := range cluster {
+				for _, i := range cluster[1:] {
 					clients[i].Model.Params().CopyFrom(avg)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"fexiot/internal/autodiff"
+	"fexiot/internal/mat"
 )
 
 // The attacker model of the robustness evaluation: a Byzantine client runs
@@ -84,17 +85,16 @@ type NaNInject struct{}
 // Name identifies the attack.
 func (NaNInject) Name() string { return "nan" }
 
-// Corrupt overwrites part of the weights with non-finite values.
+// Corrupt overwrites every third weight with NaN and the one after it with
+// +Inf.
 func (NaNInject) Corrupt(_, w *autodiff.ParamSet) {
-	for _, name := range w.Names() {
-		d := w.Get(name).Data()
-		for i := range d {
-			switch i % 3 {
-			case 0:
-				d[i] = math.NaN()
-			case 1:
-				d[i] = math.Inf(1)
-			}
+	d := w.Data()
+	for i := range d {
+		switch i % 3 {
+		case 0:
+			d[i] = math.NaN()
+		case 1:
+			d[i] = math.Inf(1)
 		}
 	}
 }
@@ -115,11 +115,8 @@ func (s *StaleReplay) Corrupt(prev, w *autodiff.ParamSet) {
 		s.first = w.Sub(prev)
 		return // round 0 is replayed faithfully
 	}
-	replay := prev.Clone()
-	for _, name := range replay.Names() {
-		replay.Get(name).AddScaled(s.first.Get(name), 1)
-	}
-	w.CopyFrom(replay)
+	w.CopyFrom(prev)
+	mat.Axpy(w.Data(), s.first.Data(), 1)
 }
 
 // LabelFlip flips every local training label before training — data
@@ -137,11 +134,9 @@ func (LabelFlip) Corrupt(_, _ *autodiff.ParamSet) {}
 // applyDelta rewrites the pending update in place: w ← prev + f(w − prev)
 // element-wise.
 func applyDelta(prev, w *autodiff.ParamSet, f func(float64) float64) {
-	for _, name := range w.Names() {
-		wd, pd := w.Get(name).Data(), prev.Get(name).Data()
-		for i := range wd {
-			wd[i] = pd[i] + f(wd[i]-pd[i])
-		}
+	wd, pd := w.Data(), prev.Data()
+	for i := range wd {
+		wd[i] = pd[i] + f(wd[i]-pd[i])
 	}
 }
 

@@ -97,8 +97,10 @@ func TestNewAttackRegistry(t *testing.T) {
 }
 
 // TestByzantineHookFiresInLocalTrain checks the wrapper corrupts updates
-// through LocalTrain's hook: after a real LocalTrain the sign-flip
-// client's update is the exact negation of its honest twin's.
+// through LocalTrain's hook: after a real LocalTrain the sign-flip client's
+// weights are prev + −(W_honest − prev), bit for bit, where W_honest is its
+// honest twin's (the kernels are serial, so the twins train identically).
+// A literal −ΔW_honest comparison would not hold: (p + (−d)) − p rounds.
 func TestByzantineHookFiresInLocalTrain(t *testing.T) {
 	ds := [][]*graph.Graph{testGraphs(20)}
 	honest := NewClients(testBase(), ds, 0.005)[0]
@@ -109,13 +111,10 @@ func TestByzantineHookFiresInLocalTrain(t *testing.T) {
 	honest.LocalTrain(cfg)
 	evil.LocalTrain(cfg)
 
-	hu := honest.Update().Flatten()
-	eu := evil.Update().Flatten()
-	// The parallel mat kernels are not bit-deterministic across schedules,
-	// so twin runs agree only to ~1e-10 on near-zero elements.
-	for i := range hu {
-		if math.Abs(hu[i]+eu[i]) > 1e-9 {
-			t.Fatalf("element %d: evil update %v is not the negation of honest %v", i, eu[i], hu[i])
+	prev, hw, ew := honest.prev.Data(), honest.Model.Params().Data(), evil.Model.Params().Data()
+	for i := range hw {
+		if want := prev[i] + -(hw[i] - prev[i]); math.Float64bits(ew[i]) != math.Float64bits(want) {
+			t.Fatalf("element %d: evil weight %v, want prev + −(honest − prev) = %v", i, ew[i], want)
 		}
 	}
 }

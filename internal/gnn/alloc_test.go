@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fexiot/internal/autodiff"
-	"fexiot/internal/mat"
 )
 
 // BenchmarkTrainStepAllocs pins the steady-state allocation cost of one
@@ -16,7 +15,7 @@ func BenchmarkTrainStepAllocs(b *testing.B) {
 	m := NewGIN(featDim, 32, 16, 7)
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, m.Params())
-	sink := func(string, *mat.Dense) {}
+	grads := autodiff.NewGrads(m.Params())
 	step := func(i int) {
 		tape.Reset()
 		binder.Rebind(tape, m.Params())
@@ -24,7 +23,8 @@ func BenchmarkTrainStepAllocs(b *testing.B) {
 		zb := m.Forward(tape, binder, gs[(i+1)%len(gs)])
 		loss := tape.ContrastiveLoss(za, zb, i%2 == 0, 1.0)
 		tape.Backward(loss)
-		binder.EachGrad(sink)
+		grads.Reset()
+		grads.Add(binder)
 	}
 	for i := 0; i < 8; i++ { // warm the arena and node free lists
 		step(i)
@@ -63,7 +63,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	m := NewGIN(featDim, 32, 16, 7)
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, m.Params())
-	sink := func(string, *mat.Dense) {}
+	grads := autodiff.NewGrads(m.Params())
 	step := func(i int) {
 		tape.Reset()
 		binder.Rebind(tape, m.Params())
@@ -71,7 +71,8 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		zb := m.Forward(tape, binder, gs[(i+1)%len(gs)])
 		loss := tape.ContrastiveLoss(za, zb, i%2 == 0, 1.0)
 		tape.Backward(loss)
-		binder.EachGrad(sink)
+		grads.Reset()
+		grads.Add(binder)
 	}
 	for i := 0; i < 8; i++ {
 		step(i)

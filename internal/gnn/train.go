@@ -58,16 +58,6 @@ func DefaultTrainConfig(seed int64) TrainConfig {
 	return TrainConfig{LR: 0.001, PairsPerEpoch: 64, Seed: seed}
 }
 
-// gradsFinite reports whether every accumulated gradient is finite.
-func gradsFinite(grads map[string]*mat.Dense) bool {
-	for _, g := range grads {
-		if !mat.AllFinite(g.Data()) {
-			return false
-		}
-	}
-	return true
-}
-
 // TrainContrastive runs contrastive training of the model on labelled
 // graphs, sampling same-class and different-class pairs in roughly equal
 // proportion. The optimiser is owned by the caller so federated clients
@@ -127,35 +117,17 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 
 	// The workspace's tape and binder serve the whole round: Reset+Rebind
 	// per pair recycles every node and buffer, so the steady-state loop
-	// allocates nothing. Gradients accumulate into persistent buffers (acc)
-	// with a per-batch view restricted to the parameters actually touched
-	// this batch — Adam must only see touched names, exactly as the seed's
-	// per-batch map gave it (MAGNN legitimately skips a projection when a
-	// graph has no nodes of that space).
+	// allocates nothing. Each pass's gradients add into one slab whose mask
+	// keeps what the batch touched — Adam steps only those (MAGNN
+	// legitimately skips a projection when a graph has no nodes of that
+	// space).
 	tape, binder := ws.tape, ws.binder
-	acc := map[string]*mat.Dense{}
-	grads := map[string]*mat.Dense{}
-	accumulate := func(name string, g *mat.Dense) {
-		buf := grads[name]
-		if buf == nil {
-			if buf = acc[name]; buf == nil {
-				r, c := g.Dims()
-				buf = mat.NewDense(r, c)
-				acc[name] = buf
-			} else {
-				buf.Zero()
-			}
-			grads[name] = buf
-		}
-		// Zero+AddScaled(g,1) ≡ the seed's Clone on first touch;
-		// AddScaled on later touches matches exactly.
-		buf.AddScaled(g, 1)
-	}
+	grads := autodiff.NewGrads(m.Params())
 	remaining := cfg.PairsPerEpoch
 	for remaining > 0 {
 		batch := min(batchPairs, remaining)
 		remaining -= batch
-		clear(grads)
+		grads.Reset()
 		batchLoss := 0.0
 		for k := 0; k < batch; k++ {
 			ga, gb, diff := samplePair()
@@ -167,11 +139,11 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 			loss = tape.Scale(loss, 1/float64(batch))
 			batchLoss += loss.Value.At(0, 0)
 			tape.Backward(loss)
-			binder.EachGrad(accumulate)
+			grads.Add(binder)
 		}
 		// Divergence gate: a NaN/Inf loss or gradient means this round is
 		// poisoning the weights — roll back instead of propagating.
-		if !mat.AllFinite([]float64{batchLoss}) || !gradsFinite(grads) {
+		if !mat.AllFinite([]float64{batchLoss}) || !grads.Finite() {
 			tm.diverged.Inc()
 			m.Params().CopyFrom(snapshot)
 			return false
@@ -221,13 +193,14 @@ func (ws *Workspace) trainSupervised(m Model, head *SupervisedHead, graphs []*gr
 	r := rng.New(cfg.Seed)
 	tape, binder := ws.tape, ws.binder
 	hb := autodiff.Bind(tape, head.params)
+	grads, headGrads := autodiff.NewGrads(m.Params()), autodiff.NewGrads(head.params)
 	lab := make([]int, 1)
 	remaining := cfg.PairsPerEpoch
 	for remaining > 0 {
 		batch := min(batchPairs, remaining)
 		remaining -= batch
-		grads := map[string]*mat.Dense{}
-		headGrads := map[string]*mat.Dense{}
+		grads.Reset()
+		headGrads.Reset()
 		for k := 0; k < batch; k++ {
 			g := graphs[r.Intn(len(graphs))]
 			lab[0] = 0
@@ -242,8 +215,8 @@ func (ws *Workspace) trainSupervised(m Model, head *SupervisedHead, graphs []*gr
 			loss := tape.SoftmaxCrossEntropy(logits, lab, classWeights)
 			loss = tape.Scale(loss, 1/float64(batch))
 			tape.Backward(loss)
-			binder.AccumulateGrads(grads)
-			hb.AccumulateGrads(headGrads)
+			grads.Add(binder)
+			headGrads.Add(hb)
 		}
 		autodiff.ClipGrads(grads, gradClip)
 		autodiff.ClipGrads(headGrads, gradClip)

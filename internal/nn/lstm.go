@@ -38,14 +38,13 @@ func (l *LSTM) initParams() {
 	p := autodiff.NewParamSet()
 	in := l.Vocab + l.Hidden
 	// Gate weights: input, forget, output, candidate.
-	for i, gate := range []string{"i", "f", "o", "g"} {
+	for _, gate := range []string{"i", "f", "o", "g"} {
 		p.Register("w"+gate, 0, r.Glorot(in, l.Hidden))
 		b := mat.NewDense(1, l.Hidden)
 		if gate == "f" {
 			b.Fill(1) // forget-gate bias trick for gradient flow
 		}
 		p.Register("b"+gate, 0, b)
-		_ = i
 	}
 	p.Register("wy", 1, r.Glorot(l.Hidden, l.Vocab))
 	p.Register("by", 1, mat.NewDense(1, l.Vocab))
@@ -150,6 +149,7 @@ func (l *LSTM) Fit(sequences [][]int) {
 	r := rng.New(l.Seed + 3)
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, l.params)
+	grads := autodiff.NewGrads(l.params)
 	scratch := l.newScratch()
 	lab := make([]int, 1)
 	for e := 0; e < l.Epochs; e++ {
@@ -163,7 +163,8 @@ func (l *LSTM) Fit(sequences [][]int) {
 			lab[0] = s.next
 			loss := tape.SoftmaxCrossEntropy(logits, lab, nil)
 			tape.Backward(loss)
-			grads := binder.Grads()
+			grads.Reset()
+			grads.Add(binder)
 			autodiff.ClipGrads(grads, 5)
 			opt.Step(l.params, grads)
 		}

@@ -75,11 +75,12 @@ func (m *MLP) Fit(x [][]float64, y []int) {
 	for i := range order {
 		order[i] = i
 	}
-	// One tape, binder and batch buffer serve every step; Reset+Rebind per
-	// batch recycles the pass's nodes and matrix backings (the gradients
-	// are consumed by Step before the next Reset invalidates them).
+	// One tape, binder, gradient slab and batch buffer serve every step;
+	// Reset+Rebind per batch recycles the pass's nodes and matrix backings
+	// (Grads.Add copies the gradients out before the next Reset).
 	tape := autodiff.NewTape()
 	binder := autodiff.Bind(tape, m.params)
+	grads := autodiff.NewGrads(m.params)
 	var bx *mat.Dense
 	by := make([]int, batch)
 	for e := 0; e < m.Epochs; e++ {
@@ -102,7 +103,8 @@ func (m *MLP) Fit(x [][]float64, y []int) {
 			logits := m.forward(tape, binder, tape.Constant(bx))
 			loss := tape.SoftmaxCrossEntropy(logits, by, m.ClassWeights)
 			tape.Backward(loss)
-			grads := binder.Grads()
+			grads.Reset()
+			grads.Add(binder)
 			autodiff.ClipGrads(grads, 5)
 			opt.Step(m.params, grads)
 		}

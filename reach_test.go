@@ -34,7 +34,6 @@ var reachAllow = map[string]string{
 	"mat.Dense.Equalish":            "tolerance comparison of the kernel and gradient tests",
 	"mat.CSR.ToDense":               "expands a sparse operator for the dense reference in tests",
 	"mat.CSR.NNZ":                   "checks operator rebuilds in the graph cache tests",
-	"mat.NewDenseData":              "builds literal matrices in the kernel, tape and aggregator tests",
 	"rng.RNG.Gaussian":              "draws random test matrices",
 	"experiments.PoisonResult.Cell": "reads one attack × aggregator F1 in the poison acceptance test",
 	"embed.Encoder.RuleEmbedding":   "the reference fusions build node features through it (production calls RuleEmbeddingInto)",
