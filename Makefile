@@ -29,7 +29,8 @@ test-debugarena:
 		./internal/autodiff/ ./internal/gnn/ ./internal/nn/
 
 # The portable fallback of the row routines under every product and
-# readout (internal/mat/rowterms_generic.go), on this host: purego is a
+# readout (internal/mat/rowterms_generic.go) and of the Adam step
+# (internal/autodiff/adam_generic.go), on this host: purego is a
 # build constraint for CI, not a user option. The kernel oracle, the
 # tape/GNN suites, the pinned-F1 experiment constants and the end-to-end
 # hashes — the pinned explanations, a federation's global model and the
@@ -42,12 +43,12 @@ test-purego:
 	$(GO) test -tags purego -run '^TestFedRoundModelHashPinned$$' ./internal/fedproto
 	$(GO) test -tags purego -run '^TestSimulatorPinned$$' ./internal/fed
 
-# Every other GOARCH takes the same fallback: prove it still builds (the
+# Every other GOARCH takes the same fallbacks: prove it still builds (the
 # module has no dependencies, so this works offline) and that vet accepts
-# the package without its assembly file.
+# the packages without their assembly files.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/mat
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/autodiff
 
 # The full suite under the race detector, never from cache — this is the
 # race gate of `make check`. The evaluation package alone (pinned F1 sweeps
@@ -173,7 +174,8 @@ serve-smoke:
 stream-smoke:
 	sh scripts/stream-smoke.sh
 
-# Wire-protocol fuzzers (gob decode must error, never panic), the
+# Wire-protocol fuzzers (a frame read and decode must error, never panic,
+# and what decodes re-encodes to a frame that decodes the same), the
 # checkpoint loader's (any file bytes => no panic, no load without a valid
 # footer, and what loads re-saves and reloads bit-identically), the /v1
 # body decoder's differential fuzzers (answered => deep-equal to

@@ -228,6 +228,16 @@ func NewGrads(p *ParamSet) *Grads {
 	return &Grads{layout: p.layout, data: make([]float64, len(p.data)), touched: make([]bool, len(p.params))}
 }
 
+// Rebind makes g the zeroed gradient slab of p, as NewGrads(p) would,
+// reusing g's storage when it is large enough: a caller that trains one
+// model after another of the same size allocates once.
+func (g *Grads) Rebind(p *ParamSet) {
+	g.layout = p.layout
+	g.data = slices.Grow(g.data[:0], len(p.data))[:len(p.data)]
+	g.touched = slices.Grow(g.touched[:0], len(p.params))[:len(p.params)]
+	g.Reset()
+}
+
 // Reset zeroes every gradient: the next Add starts a new batch.
 func (g *Grads) Reset() {
 	clear(g.data)
@@ -279,55 +289,4 @@ func ClipGrads(g *Grads, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// Adam is the Adam optimiser over a ParamSet, with the paper's default
-// learning rate 0.001.
-type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
-
-	step int
-	m, v []float64 // moment slabs, laid out like the parameters'
-}
-
-// NewAdam creates an Adam optimiser with standard hyperparameters.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// Step applies one Adam update to the parameters grads touched; the others
-// keep their weights and moments.
-func (a *Adam) Step(params *ParamSet, grads *Grads) {
-	if grads.layout != params.layout {
-		panic("autodiff: Adam.Step with gradients of another parameter set")
-	}
-	if a.m == nil {
-		a.m = make([]float64, len(params.data))
-		a.v = make([]float64, len(params.data))
-	}
-	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for k, t := range grads.touched {
-		if !t {
-			continue
-		}
-		s := params.params[k].span
-		wd, gd, md, vd := s.of(params.data), s.of(grads.data), s.of(a.m), s.of(a.v)
-		for i := range wd {
-			gi := gd[i]
-			if a.WeightDecay > 0 {
-				gi += a.WeightDecay * wd[i]
-			}
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*gi
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*gi*gi
-			mhat := md[i] / bc1
-			vhat := vd[i] / bc2
-			wd[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
-	}
 }

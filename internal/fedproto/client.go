@@ -76,6 +76,7 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 	for i := range layers {
 		layers[i] = i
 	}
+	var delta []float64 // encodeUpdate's scratch, kept across rounds
 	for round := syncMsg.Round; ; {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
@@ -86,7 +87,7 @@ func runClientLoop(ctx context.Context, conn *Conn, clientID, dataSize int,
 			from = nil
 		}
 		up := &Message{Kind: MsgUpdate, ClientID: clientID, Round: round}
-		up.Layers, up.Codec = encodeUpdate(params, from, layers, norms, cdc)
+		up.Layers, up.Codec = encodeUpdate(params, from, layers, norms, cdc, &delta)
 		if up.Codec != "" {
 			up.BaseSeq = baseSeq
 		}

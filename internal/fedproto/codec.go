@@ -2,6 +2,7 @@ package fedproto
 
 import (
 	"fmt"
+	"slices"
 
 	"fexiot/internal/autodiff"
 	"fexiot/internal/fedproto/codec"
@@ -30,11 +31,12 @@ import (
 
 // encodeUpdate builds one round's update payloads under the session's
 // codec: per-tensor deltas of p against base under a lossy scheme, or the
-// dense raw64 layers when the scheme is raw64 or no base is shared yet. It
-// returns the payloads and the wire scheme name (empty for raw64, which
-// decodeUpdate reads as raw64).
+// dense raw64 layers (views of p) when the scheme is raw64 or no base is
+// shared yet. It returns the payloads and the wire scheme name (empty for
+// raw64, which decodeUpdate reads as raw64). Each delta is computed into
+// *scratch, which the caller keeps from round to round.
 func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float64,
-	cdc codec.Codec) ([]LayerPayload, string) {
+	cdc codec.Codec, scratch *[]float64) ([]LayerPayload, string) {
 	if cdc == nil || cdc.Name() == codec.Raw64 || base == nil {
 		return EncodeLayers(p, layers, norms), ""
 	}
@@ -46,7 +48,8 @@ func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float6
 			r, c := m.Dims()
 			cur := m.Data()
 			prev := base.Get(name).Data()
-			d := make([]float64, len(cur))
+			d := slices.Grow((*scratch)[:0], len(cur))[:len(cur)]
+			*scratch = d
 			for i := range cur {
 				d[i] = cur[i] - prev[i]
 			}
@@ -64,9 +67,11 @@ func encodeUpdate(p, base *autodiff.ParamSet, layers []int, norms map[int]float6
 // Data exactly as a raw64 client would have sent it, so ValidateUpdate,
 // CheckFiniteUpdate, the shape pin and every aggregator run unchanged.
 // base is the session's base model and baseSeq its stamp; a lossy update
-// is a delta that must name it. Remote input that fails any check is
-// rejected with an error wrapping ErrMalformedUpdate.
-func decodeUpdate(m *Message, base []LayerPayload, baseSeq uint64) error {
+// is a delta that must name it. The reconstructed weights lie end to end in
+// *buf, which the caller keeps from round to round. Remote
+// input that fails any check is rejected with an error wrapping
+// ErrMalformedUpdate.
+func decodeUpdate(m *Message, base []LayerPayload, baseSeq uint64, buf *[]float64) error {
 	if m.Codec == "" || m.Codec == codec.Raw64 {
 		for l := range m.Layers {
 			if len(m.Layers[l].Enc) != 0 {
@@ -83,29 +88,43 @@ func decodeUpdate(m *Message, base []LayerPayload, baseSeq uint64) error {
 		return fmt.Errorf("%w: delta update against base %d, the session's base is %d",
 			ErrMalformedUpdate, m.BaseSeq, baseSeq)
 	}
+	// Every tensor must match the base's before anything is sized by it, so
+	// the buffer never outgrows the base.
+	n := 0
 	for l := range m.Layers {
 		pl := &m.Layers[l]
 		if len(pl.Data) != 0 {
 			return fmt.Errorf("%w: %s update mixes dense and encoded tensors",
 				ErrMalformedUpdate, m.Codec)
 		}
-		pl.Data = make([]Floats, len(pl.Enc))
 		for i, t := range pl.Enc {
-			vals, err := cdc.Decode(t)
-			if err != nil {
-				return fmt.Errorf("%w: layer %d tensor %d: %v", ErrMalformedUpdate, l, i, err)
-			}
-			if l >= len(base) || i >= len(base[l].Data) || len(base[l].Data[i]) != len(vals) {
+			if l >= len(base) || i >= len(base[l].Data) || len(base[l].Data[i]) != t.N {
 				return fmt.Errorf("%w: layer %d tensor %d delta does not match the synced base",
 					ErrMalformedUpdate, l, i)
+			}
+			n += t.N
+		}
+	}
+	all := slices.Grow((*buf)[:0], n)[:n]
+	*buf = all
+	off := 0
+	for l := range m.Layers {
+		pl := &m.Layers[l]
+		start := off
+		pl.Data = make([]Floats, len(pl.Enc))
+		for i, t := range pl.Enc {
+			vals := all[off : off+t.N : off+t.N]
+			if err := cdc.DecodeTo(vals, t); err != nil {
+				return fmt.Errorf("%w: layer %d tensor %d: %v", ErrMalformedUpdate, l, i, err)
 			}
 			bd := base[l].Data[i]
 			for j := range vals {
 				vals[j] += bd[j]
 			}
 			pl.Data[i] = vals
+			off += t.N
 		}
-		pl.Enc = nil
+		pl.Enc, pl.flat = nil, all[start:off:off]
 	}
 	return nil
 }

@@ -21,6 +21,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -57,10 +58,43 @@ type Tensor struct {
 // stateless and safe for concurrent use.
 type Codec interface {
 	Name() string
+	// Encode encodes v, which the tensor does not retain.
 	Encode(v []float64) Tensor
 	// Decode reconstructs the vector, or reports why the frame is
 	// malformed. The returned slice is freshly allocated.
 	Decode(t Tensor) ([]float64, error)
+	// DecodeTo is Decode into dst, which must hold exactly t.N values.
+	DecodeTo(dst []float64, t Tensor) error
+}
+
+// scheme is the decoding half of a codec: check validates a frame, and fill
+// decodes a checked one into dst of exactly t.N values.
+type scheme interface {
+	check(t Tensor) error
+	fill(dst []float64, t Tensor)
+}
+
+// decode is every scheme's Decode: the vector is sized only once the frame
+// has been checked.
+func decode(s scheme, t Tensor) ([]float64, error) {
+	if err := s.check(t); err != nil {
+		return nil, err
+	}
+	out := make([]float64, t.N)
+	s.fill(out, t)
+	return out, nil
+}
+
+// decodeTo is every scheme's DecodeTo.
+func decodeTo(s scheme, dst []float64, t Tensor) error {
+	if err := s.check(t); err != nil {
+		return err
+	}
+	if len(dst) != t.N {
+		return fmt.Errorf("codec: decoding N=%d into %d values", t.N, len(dst))
+	}
+	s.fill(dst, t)
+	return nil
 }
 
 // Names lists the registered schemes.
@@ -91,13 +125,18 @@ func (raw64Codec) Encode(v []float64) Tensor {
 	return Tensor{N: len(v), Vals: append([]float64(nil), v...)}
 }
 
-func (raw64Codec) Decode(t Tensor) ([]float64, error) {
+func (c raw64Codec) Decode(t Tensor) ([]float64, error)     { return decode(c, t) }
+func (c raw64Codec) DecodeTo(dst []float64, t Tensor) error { return decodeTo(c, dst, t) }
+
+func (raw64Codec) check(t Tensor) error {
 	if len(t.Vals) != t.N || len(t.Q) != 0 || len(t.Idx) != 0 {
-		return nil, fmt.Errorf("codec: raw64 frame has %d values, %d bytes, %d indices for N=%d",
+		return fmt.Errorf("codec: raw64 frame has %d values, %d bytes, %d indices for N=%d",
 			len(t.Vals), len(t.Q), len(t.Idx), t.N)
 	}
-	return append([]float64(nil), t.Vals...), nil
+	return nil
 }
+
+func (raw64Codec) fill(dst []float64, t Tensor) { copy(dst, t.Vals) }
 
 // --- q8 ----------------------------------------------------------------------
 
@@ -110,25 +149,26 @@ func (q8Codec) Encode(v []float64) Tensor {
 	if len(v) == 0 {
 		return t
 	}
+	// One scan finds the range. NaN compares false both ways, so it would
+	// quantise around one silently: the first comparison that fails for
+	// being below the range or NaN tells the two apart. An infinity shows
+	// in the range itself.
 	lo, hi := v[0], v[0]
-	allFinite := finite(v[0])
-	for _, x := range v[1:] {
-		// NaN compares false both ways, so the min/max scan alone would
-		// silently quantise around it; track finiteness explicitly.
-		if !finite(x) {
-			allFinite = false
-			break
-		}
-		if x < lo {
+	nan := false
+	for _, x := range v {
+		if !(x >= lo) {
+			if x != x {
+				nan = true
+				break
+			}
 			lo = x
-		}
-		if x > hi {
+		} else if x > hi {
 			hi = x
 		}
 	}
 	t.Offset = lo
 	t.Scale = (hi - lo) / 255
-	if !allFinite || !finite(t.Offset) || !finite(t.Scale) {
+	if nan || !finite(lo) || !finite(hi) || !finite(t.Scale) {
 		// Non-finite inputs cannot be quantised; ship a frame the decoder
 		// rejects so the sender is evicted the same way a NaN-poisoned dense
 		// update would be.
@@ -138,31 +178,41 @@ func (q8Codec) Encode(v []float64) Tensor {
 	if t.Scale > 0 {
 		inv := 1 / t.Scale
 		for i, x := range v {
-			q := math.Round((x - lo) * inv)
-			if q < 0 {
-				q = 0
-			} else if q > 255 {
-				q = 255
+			// math.Round clamped to [0, 255]. y ≥ 0, and for 0 ≤ y < 2⁵²
+			// truncating y + (the largest double below ½) rounds half away
+			// from zero exactly: unlike y + ½, the sum never rounds up
+			// across an integer. A NaN y (0·∞ under a denormal scale)
+			// leaves the 0 the reference's conversion gives.
+			y := (x - lo) * inv
+			if y < 254.5 {
+				t.Q[i] = byte(int(y + 0.49999999999999994))
+			} else if y >= 254.5 {
+				t.Q[i] = 255
 			}
-			t.Q[i] = byte(q)
 		}
 	}
 	return t
 }
 
-func (q8Codec) Decode(t Tensor) ([]float64, error) {
+func (c q8Codec) Decode(t Tensor) ([]float64, error)     { return decode(c, t) }
+func (c q8Codec) DecodeTo(dst []float64, t Tensor) error { return decodeTo(c, dst, t) }
+
+func (q8Codec) check(t Tensor) error {
 	if len(t.Q) != t.N || len(t.Vals) != 0 || len(t.Idx) != 0 {
-		return nil, fmt.Errorf("codec: q8 frame has %d bytes, %d values, %d indices for N=%d",
+		return fmt.Errorf("codec: q8 frame has %d bytes, %d values, %d indices for N=%d",
 			len(t.Q), len(t.Vals), len(t.Idx), t.N)
 	}
 	if !finite(t.Scale) || !finite(t.Offset) || t.Scale < 0 {
-		return nil, fmt.Errorf("codec: q8 frame has scale %v offset %v", t.Scale, t.Offset)
+		return fmt.Errorf("codec: q8 frame has scale %v offset %v", t.Scale, t.Offset)
 	}
-	out := make([]float64, t.N)
+	return nil
+}
+
+func (q8Codec) fill(dst []float64, t Tensor) {
+	dst = dst[:len(t.Q)]
 	for i, q := range t.Q {
-		out[i] = t.Offset + t.Scale*float64(q)
+		dst[i] = t.Offset + t.Scale*float64(q)
 	}
-	return out, nil
 }
 
 // --- topk --------------------------------------------------------------------
@@ -213,71 +263,45 @@ func (c topkCodec) Encode(v []float64) Tensor {
 	return t
 }
 
-func (topkCodec) Decode(t Tensor) ([]float64, error) {
+func (c topkCodec) Decode(t Tensor) ([]float64, error)     { return decode(c, t) }
+func (c topkCodec) DecodeTo(dst []float64, t Tensor) error { return decodeTo(c, dst, t) }
+
+func (topkCodec) check(t Tensor) error {
 	if len(t.Idx) != len(t.Vals) || len(t.Idx) > t.N || len(t.Q) != 0 {
-		return nil, fmt.Errorf("codec: topk frame has %d indices, %d values, %d bytes for N=%d",
+		return fmt.Errorf("codec: topk frame has %d indices, %d values, %d bytes for N=%d",
 			len(t.Idx), len(t.Vals), len(t.Q), t.N)
 	}
-	out := make([]float64, t.N)
 	prev := -1
 	for i, j := range t.Idx {
 		if int(j) >= t.N || int(j) <= prev {
-			return nil, fmt.Errorf("codec: topk index %d at position %d (N=%d, previous %d)",
+			return fmt.Errorf("codec: topk index %d at position %d (N=%d, previous %d)",
 				j, i, t.N, prev)
 		}
 		prev = int(j)
-		out[j] = t.Vals[i]
 	}
-	return out, nil
+	return nil
+}
+
+func (topkCodec) fill(dst []float64, t Tensor) {
+	clear(dst)
+	for i, j := range t.Idx {
+		dst[j] = t.Vals[i]
+	}
 }
 
 // --- wire-size accounting ----------------------------------------------------
 
-// WireBytes estimates the gob payload cost of the tensor in bytes: floats
-// cost one length byte plus their significant bytes after gob's byte
-// reversal (so float32-truncated values cost ≈5, full-entropy float64s ≈9),
-// quantised bytes cost one each, and indices cost their varint size. The
-// in-process simulator uses this estimate for Fig. 7-style communication
-// accounting; the networked server measures real socket bytes instead.
+// WireBytes is the tensor's exact size in a fedproto frame: N as a varint,
+// Scale and Offset as 8 bytes each, then Vals at 8 bytes a value, Q at one
+// byte each and Idx at 4, each list after its varint count.
 func (t Tensor) WireBytes() int64 {
-	n := int64(len(t.Q))
-	for _, f := range t.Vals {
-		n += gobFloatBytes(f)
-	}
-	for _, i := range t.Idx {
-		n += gobUintBytes(uint64(i))
-	}
-	if t.Scale != 0 || t.Offset != 0 {
-		n += gobFloatBytes(t.Scale) + gobFloatBytes(t.Offset)
-	}
-	return n
-}
-
-// gobFloatBytes is the wire cost of one float64 under gob: the bits are
-// byte-reversed and sent as an unsigned integer, so trailing zero mantissa
-// bytes are free.
-func gobFloatBytes(f float64) int64 {
-	bits := math.Float64bits(f)
-	var rev uint64
-	for i := 0; i < 8; i++ {
-		rev = rev<<8 | bits&0xff
-		bits >>= 8
-	}
-	return gobUintBytes(rev)
-}
-
-// gobUintBytes is the wire cost of one unsigned integer under gob: one
-// byte below 128, otherwise a count byte plus the minimal big-endian
-// representation.
-func gobUintBytes(u uint64) int64 {
-	if u < 128 {
-		return 1
-	}
-	var n int64
-	for ; u > 0; u >>= 8 {
-		n++
-	}
-	return n + 1
+	var buf [binary.MaxVarintLen64]byte
+	uvarint := func(n int) int { return len(binary.AppendUvarint(buf[:0], uint64(n))) }
+	n := len(binary.AppendVarint(buf[:0], int64(t.N))) + 16 +
+		uvarint(len(t.Vals)) + 8*len(t.Vals) +
+		uvarint(len(t.Q)) + len(t.Q) +
+		uvarint(len(t.Idx)) + 4*len(t.Idx)
+	return int64(n)
 }
 
 func finite(f float64) bool {

@@ -274,38 +274,100 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
-func TestWireBytesMatchesGobCosts(t *testing.T) {
-	// Spot-pin the cost model against gob's documented encoding: small
-	// uints are one byte, byte-reversed floats drop trailing zero bytes.
-	if n := gobUintBytes(0); n != 1 {
-		t.Fatalf("uint 0 costs %d", n)
+// q8Reference is the q8 encoder as first written: a finiteness call per
+// value in the scan and math.Round per value in the quantisation.
+func q8Reference(v []float64) Tensor {
+	t := Tensor{N: len(v), Q: make([]byte, len(v))}
+	if len(v) == 0 {
+		return t
 	}
-	if n := gobUintBytes(127); n != 1 {
-		t.Fatalf("uint 127 costs %d", n)
+	lo, hi := v[0], v[0]
+	allFinite := finite(v[0])
+	for _, x := range v[1:] {
+		if !finite(x) {
+			allFinite = false
+			break
+		}
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
 	}
-	if n := gobUintBytes(128); n != 2 {
-		t.Fatalf("uint 128 costs %d", n)
+	t.Offset = lo
+	t.Scale = (hi - lo) / 255
+	if !allFinite || !finite(t.Offset) || !finite(t.Scale) {
+		t.Scale, t.Offset = math.NaN(), math.NaN()
+		return t
 	}
-	if n := gobFloatBytes(0); n != 1 {
-		t.Fatalf("float 0 costs %d", n)
+	if t.Scale > 0 {
+		inv := 1 / t.Scale
+		for i, x := range v {
+			q := math.Round((x - lo) * inv)
+			if q < 0 {
+				q = 0
+			} else if q > 255 {
+				q = 255
+			}
+			t.Q[i] = byte(q)
+		}
 	}
-	// 1.0 = 0x3FF0000000000000 → reversed 0xF03F → 3 bytes (count + 2).
-	if n := gobFloatBytes(1.0); n != 3 {
-		t.Fatalf("float 1.0 costs %d", n)
+	return t
+}
+
+// TestQ8EncodeMatchesReference: the q8 encoder's frame is the reference's,
+// bit for bit — Q, Scale and Offset — on the corpus, on values that land
+// on and beside every half step, on ±0 ranges, non-finite inputs at every
+// position, a range wide enough to overflow the scale, and a denormal
+// scale whose inverse is infinite.
+func TestQ8EncodeMatchesReference(t *testing.T) {
+	cases := vectors()
+	halves := make([]float64, 0, 3*256)
+	for k := 0; k < 256; k++ {
+		h := float64(k) + 0.5
+		halves = append(halves, h, math.Nextafter(h, 0), math.Nextafter(h, 512))
 	}
-	// A float32-truncated value keeps ≤4 mantissa bytes → ≤6 wire bytes.
-	if n := gobFloatBytes(float64(float32(0.1234567))); n > 6 {
-		t.Fatalf("float32-truncated float costs %d", n)
+	halves = append(halves, 0, 255)
+	cases["halves"] = halves
+	cases["signed zeros"] = []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)}
+	cases["negative zero first"] = []float64{math.Copysign(0, -1), 0, 1}
+	cases["overflowing range"] = []float64{-math.MaxFloat64, math.MaxFloat64, 0}
+	cases["denormal scale"] = []float64{0, 1e-310, 5e-324, 2e-310}
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 1, 3} {
+			v := []float64{0.5, -0.25, 0.75, 0.125}
+			v[at] = bad
+			cases[fmt.Sprintf("non-finite %d at %d", i, at)] = v
+		}
 	}
-	// A q8 tensor's cost is dominated by one byte per element.
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < 50; n++ {
+		v := make([]float64, 1+rng.Intn(300))
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+		}
+		cases[fmt.Sprintf("random %d", n)] = v
+	}
 	cdc, _ := New(Q8)
-	v := make([]float64, 1000)
-	rng := rand.New(rand.NewSource(3))
-	for i := range v {
-		v[i] = rng.NormFloat64()
+	for name, v := range cases {
+		got, want := cdc.Encode(v), q8Reference(v)
+		if got.N != want.N || !slices.Equal(got.Q, want.Q) ||
+			math.Float64bits(got.Scale) != math.Float64bits(want.Scale) ||
+			math.Float64bits(got.Offset) != math.Float64bits(want.Offset) {
+			t.Errorf("%s: encoded N=%d scale %v offset %v Q %v, reference N=%d scale %v offset %v Q %v",
+				name, got.N, got.Scale, got.Offset, got.Q, want.N, want.Scale, want.Offset, want.Q)
+		}
 	}
-	wb := cdc.Encode(v).WireBytes()
-	if wb < 1000 || wb > 1030 {
-		t.Fatalf("q8 of 1000 values costs %d wire bytes, want ≈1000", wb)
+}
+
+// BenchmarkQ8Encode times the q8 encoder alone on one paper-dims GIN's
+// worth of delta (54,400 values).
+func BenchmarkQ8Encode(b *testing.B) {
+	delta := benchDelta(54400)
+	cdc, _ := New(Q8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cdc.Encode(delta)
 	}
 }

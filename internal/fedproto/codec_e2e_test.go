@@ -199,12 +199,12 @@ func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 	basePayloads := EncodeLayers(base, []int{0, 1}, zeroNorms(base))
 
 	cdc, _ := codec.New(codec.Q8)
-	lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+	lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc, new([]float64))
 	if scheme != codec.Q8 {
 		t.Fatalf("encodeUpdate scheme=%q", scheme)
 	}
 	m := &Message{Kind: MsgUpdate, Layers: lay, Codec: scheme, BaseSeq: 9}
-	if err := decodeUpdate(m, basePayloads, 9); err != nil {
+	if err := decodeUpdate(m, basePayloads, 9, new([]float64)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateUpdate(m, 2); err != nil {
@@ -227,9 +227,9 @@ func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 		base    []LayerPayload
 		baseSeq uint64
 	}{{nil, 0}, {basePayloads, 8}} {
-		lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+		lay, scheme := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc, new([]float64))
 		m := &Message{Kind: MsgUpdate, Layers: lay, Codec: scheme, BaseSeq: 9}
-		if err := decodeUpdate(m, c.base, c.baseSeq); !errors.Is(err, ErrMalformedUpdate) {
+		if err := decodeUpdate(m, c.base, c.baseSeq, new([]float64)); !errors.Is(err, ErrMalformedUpdate) {
 			t.Fatalf("session base %d: %v, want ErrMalformedUpdate", c.baseSeq, err)
 		}
 	}
@@ -237,15 +237,15 @@ func TestDecodeUpdateDeltaReconstruction(t *testing.T) {
 	// Wrong-shape base: rejected, never indexed out of range.
 	small := autodiff.NewParamSet()
 	small.Register("l0.w", 0, mat.NewDenseData(1, 1, []float64{1}))
-	lay3, scheme3 := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc)
+	lay3, scheme3 := encodeUpdate(p, base, []int{0, 1}, zeroNorms(p), cdc, new([]float64))
 	m3 := &Message{Kind: MsgUpdate, Layers: lay3, Codec: scheme3, BaseSeq: 9}
-	if err := decodeUpdate(m3, EncodeLayers(small, []int{0}, nil), 9); !errors.Is(err, ErrMalformedUpdate) {
+	if err := decodeUpdate(m3, EncodeLayers(small, []int{0}, nil), 9, new([]float64)); !errors.Is(err, ErrMalformedUpdate) {
 		t.Fatalf("mismatched base: %v, want ErrMalformedUpdate", err)
 	}
 
 	// No-base encode falls back to dense raw64 — lossy absolute weights
 	// would corrupt a fresh joiner's first round.
-	lay4, scheme4 := encodeUpdate(p, nil, []int{0, 1}, zeroNorms(p), cdc)
+	lay4, scheme4 := encodeUpdate(p, nil, []int{0, 1}, zeroNorms(p), cdc, new([]float64))
 	if scheme4 != "" {
 		t.Fatalf("no-base encode: scheme=%q, want dense raw64", scheme4)
 	}

@@ -1,16 +1,16 @@
 // Package fedproto implements a real wire protocol for FexIoT federated
-// training: clients connect to a server over TCP, exchange gob-encoded
-// layer payloads, and the server runs fed.ClusterRound — the same
-// layer-wise clustering aggregation as the in-process simulator — over
-// what arrived. The communication costs of
+// training: clients connect to a server over TCP, exchange layer payloads
+// in length-prefixed binary frames (frame.go), and the server runs
+// fed.ClusterRound — the same layer-wise clustering aggregation as the
+// in-process simulator — over what arrived. The communication costs of
 // Fig. 7 can therefore be measured on actual serialized bytes rather than
 // estimated parameter counts.
 package fedproto
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -33,9 +33,10 @@ const (
 	MsgModel                 // server → client: aggregated layer payloads
 )
 
-// Floats is one dense tensor. On the wire and in checkpoints it is a gob
-// byte string of exactly 8 little-endian bytes per value, so every bit
-// pattern (NaN payloads, −0, denormals) round-trips unchanged.
+// Floats is one dense tensor. On the wire and in checkpoints it is exactly
+// 8 little-endian bytes per value, so every bit pattern (NaN payloads, −0,
+// denormals) round-trips unchanged; in a checkpoint those bytes are one gob
+// byte string.
 type Floats []float64
 
 // GobEncode writes the values' IEEE-754 bits.
@@ -76,11 +77,13 @@ type LayerPayload struct {
 	// Enc carries the codec-encoded tensors of a non-raw64 update, one per
 	// name, in Names order.
 	Enc []codec.Tensor
+	// flat is Data end to end in one array, when they lie so (a decoded
+	// frame, a reconstructed update): flatLayers hands it out instead of a
+	// copy. gob skips it, so checkpoints never carry it.
+	flat []float64
 }
 
-// Message is the single wire envelope. The codec fields gob-encode to
-// nothing at their zero values, so a raw64 update carries only its dense
-// layers.
+// Message is the single wire envelope, one frame per message.
 type Message struct {
 	Kind     MsgKind
 	ClientID int
@@ -100,7 +103,9 @@ type Message struct {
 	BaseSeq  uint64
 }
 
-// EncodeLayers extracts the given layers of a ParamSet into payloads.
+// EncodeLayers lays the given layers of a ParamSet out as payloads. Their
+// Data are views of p's values, not copies: a payload kept while p changes
+// must be copied first.
 func EncodeLayers(p *autodiff.ParamSet, layers []int, updates map[int]float64) []LayerPayload {
 	var out []LayerPayload
 	for _, l := range layers {
@@ -110,7 +115,7 @@ func EncodeLayers(p *autodiff.ParamSet, layers []int, updates map[int]float64) [
 			r, c := m.Dims()
 			pl.Names = append(pl.Names, name)
 			pl.Shapes = append(pl.Shapes, [2]int{r, c})
-			pl.Data = append(pl.Data, append([]float64(nil), m.Data()...))
+			pl.Data = append(pl.Data, m.Data())
 		}
 		out = append(out, pl)
 	}
@@ -157,16 +162,22 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Conn is a counted, gob-framed protocol connection. Every Send and Recv
-// arms a fresh socket deadline of the timeout the conn was wrapped with,
-// so one peer that goes silent costs at most that long per message.
+// Conn is a counted, framed protocol connection. Every Send and Recv arms
+// a fresh socket deadline of the timeout the conn was wrapped with, so one
+// peer that goes silent costs at most that long per message.
+//
+// A conn reuses its buffers from message to message: Send builds each frame
+// in one, and a message Recv returns holds its dense tensors, codec values
+// and q8 bytes in the others, so it is valid only until the next Recv on
+// the conn. Recv is not safe for concurrent use.
 type Conn struct {
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	rw      io.ReadWriter // raw, counted
 	raw     net.Conn
 	timeout time.Duration
 
-	sendMu sync.Mutex // serialises Send: gob encoders are not goroutine-safe
+	sendMu sync.Mutex // serialises Send, which owns frame
+	frame  []byte
+	recv   recvBufs
 
 	inBytes, outBytes atomic.Int64
 	obsIn, obsOut     atomic.Pointer[obs.Counter]
@@ -176,9 +187,7 @@ type Conn struct {
 // Recv must finish within timeout; zero or less never times out.
 func Wrap(c net.Conn, timeout time.Duration) *Conn {
 	pc := &Conn{raw: c, timeout: timeout}
-	counted := countingConn{Conn: c, pc: pc}
-	pc.enc = gob.NewEncoder(counted)
-	pc.dec = gob.NewDecoder(counted)
+	pc.rw = countingConn{Conn: c, pc: pc}
 	return pc
 }
 
@@ -191,27 +200,32 @@ func (c *Conn) Instrument(in, out *obs.Counter) {
 	c.obsOut.Store(out)
 }
 
-// Send writes one message.
+// Send writes one message as one frame, built straight from its tensors.
 func (c *Conn) Send(m *Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	frame, err := appendFrame(c.frame[:0], m)
+	c.frame = frame
+	if err != nil {
+		return err
+	}
 	if c.timeout > 0 {
 		c.raw.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	return c.enc.Encode(m)
+	_, err = c.rw.Write(frame)
+	return err
 }
 
-// Recv reads one message. A Recv past the conn's timeout fails with a
-// net.Error whose Timeout() is true.
+// Recv reads one frame and nothing past it, so InBytes taken around a Recv
+// is that message's size. The message aliases the conn's buffers until the
+// next Recv. A Recv past the conn's timeout fails with a net.Error whose
+// Timeout() is true; a frame that does not parse fails with an error
+// wrapping ErrMalformedUpdate.
 func (c *Conn) Recv() (*Message, error) {
 	if c.timeout > 0 {
 		c.raw.SetReadDeadline(time.Now().Add(c.timeout))
 	}
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return c.recv.read(c.rw)
 }
 
 // Close closes the underlying socket.

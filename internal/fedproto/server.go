@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,7 +140,7 @@ func quorumCount(frac float64, n int) int {
 // conn is the member's current session; base is the last model sent on
 // that session, stamped baseSeq (0 before any model): a delta update
 // decodes against it, and every update's ΔW — what the Eq. (3) gate
-// reads — is measured against it. Guarded by Server.mu.
+// reads — is measured against it. Guarded by Server.mu, except bufs.
 type clientState struct {
 	id      int
 	conn    *Conn
@@ -148,6 +149,10 @@ type clientState struct {
 	alive   bool
 	base    []LayerPayload
 	baseSeq uint64
+	// bufs hold the member's reconstructed weights and ΔW of the round
+	// being collected. Only that round's collection goroutine for the
+	// member writes them, and only the round's aggregation reads them.
+	bufs struct{ weights, update []float64 }
 }
 
 // ServerStats summarises a federation run for logs and tests.
@@ -556,7 +561,7 @@ func (s *Server) runRound(round int) error {
 				base, baseSeq = r.st.base, r.st.baseSeq
 			}
 			s.mu.Unlock()
-			if err := decodeUpdate(m, base, baseSeq); err != nil {
+			if err := decodeUpdate(m, base, baseSeq, &r.st.bufs.weights); err != nil {
 				r.err = err
 				return
 			}
@@ -574,7 +579,7 @@ func (s *Server) runRound(round int) error {
 			}
 			r.layers = m.Layers
 			r.weights = flatLayers(m.Layers)
-			r.update = updateOf(r.weights, base)
+			r.update = updateOf(r.weights, base, &r.st.bufs.update)
 			scheme := m.Codec
 			if scheme == "" {
 				scheme = codec.Raw64
@@ -761,11 +766,17 @@ func (s *Server) totalBytes() int64 {
 	return total
 }
 
-// flatLayers concatenates each layer's tensors into one vector — the form
-// fed.ClusterRound aggregates and clusters.
+// flatLayers gives each layer's tensors as one vector — the form
+// fed.ClusterRound aggregates and clusters. A layer whose tensors lie end to
+// end in its flat array (a decoded frame, a reconstructed update) is that
+// array, not a copy.
 func flatLayers(layers []LayerPayload) [][]float64 {
 	out := make([][]float64, len(layers))
 	for l, pl := range layers {
+		if isFlat(pl) {
+			out[l] = pl.flat
+			continue
+		}
 		n := 0
 		for _, d := range pl.Data {
 			n += len(d)
@@ -776,6 +787,22 @@ func flatLayers(layers []LayerPayload) [][]float64 {
 		}
 	}
 	return out
+}
+
+// isFlat reports whether pl.flat is pl.Data end to end, value for value in
+// the same memory.
+func isFlat(pl LayerPayload) bool {
+	off := 0
+	for _, d := range pl.Data {
+		if len(d) == 0 {
+			continue
+		}
+		if off+len(d) > len(pl.flat) || &pl.flat[off] != &d[0] {
+			return false
+		}
+		off += len(d)
+	}
+	return off == len(pl.flat) && off > 0
 }
 
 // unflatten is the inverse of flatLayers: it splits per-layer vectors back
@@ -794,17 +821,25 @@ func unflatten(tmpl []LayerPayload, vecs [][]float64) []LayerPayload {
 	return out
 }
 
-// updateOf measures ΔW = weights − base per layer. It is nil — ΔW unknown,
-// so the member's cluster is not split this round — when the session has
-// no base yet or the base is laid out differently (a checkpoint from
-// another model).
-func updateOf(weights [][]float64, base []LayerPayload) [][]float64 {
+// updateOf measures ΔW = weights − base per layer, end to end in *buf,
+// which the caller keeps from round to round. It is nil —
+// ΔW unknown, so the member's cluster is not split this round — when the
+// session has no base yet or the base is laid out differently (a checkpoint
+// from another model).
+func updateOf(weights [][]float64, base []LayerPayload, buf *[]float64) [][]float64 {
 	if len(base) != len(weights) {
 		return nil
 	}
+	n := 0
+	for _, w := range weights {
+		n += len(w)
+	}
+	all := slices.Grow((*buf)[:0], n)[:n]
+	*buf = all
 	out := make([][]float64, len(weights))
 	for l, w := range weights {
-		d := make([]float64, len(w))
+		d := all[:len(w):len(w)]
+		all = all[len(w):]
 		off := 0
 		for _, b := range base[l].Data {
 			if off+len(b) > len(w) {

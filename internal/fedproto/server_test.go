@@ -287,7 +287,7 @@ func TestStaleBaseDeltaEvicted(t *testing.T) {
 	exchange := func(round int, base *autodiff.ParamSet, baseSeq uint64) (*Message, error) {
 		addDelta(p, 0.1)
 		up := &Message{Kind: MsgUpdate, Round: round, BaseSeq: baseSeq}
-		up.Layers, up.Codec = encodeUpdate(p, base, layers, zeroNorms(p), cdc)
+		up.Layers, up.Codec = encodeUpdate(p, base, layers, zeroNorms(p), cdc, new([]float64))
 		if err := c.Send(up); err != nil {
 			return nil, err
 		}

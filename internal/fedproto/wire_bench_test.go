@@ -1,8 +1,6 @@
 package fedproto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io"
 	"net"
 	"testing"
@@ -32,24 +30,15 @@ func paperModelMsg() *Message {
 }
 
 // BenchmarkWire times one paper-dims MsgModel through Conn over net.Pipe,
-// in steady state (gob's type descriptors already exchanged): send is
-// Conn.Send against a peer that discards the bytes, recv is Conn.Recv of a
-// frame the peer replays verbatim. wire-B/op is the frame's size.
+// in steady state (the conn's buffers already grown): send is Conn.Send
+// against a peer that discards the bytes, recv is Conn.Recv of a frame the
+// peer replays verbatim. wire-B/op is the frame's size.
 func BenchmarkWire(b *testing.B) {
 	msg := paperModelMsg()
-	// The first frame of a gob stream carries the type descriptors; every
-	// later frame of the same message is the same bytes.
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	if err := enc.Encode(msg); err != nil {
+	frame, err := appendFrame(nil, msg)
+	if err != nil {
 		b.Fatal(err)
 	}
-	first := append([]byte(nil), stream.Bytes()...)
-	stream.Reset()
-	if err := enc.Encode(msg); err != nil {
-		b.Fatal(err)
-	}
-	frame := stream.Bytes()
 
 	// peerDo runs the peer's side of a pipe until the benchmark closes its
 	// own end, then waits for it to stop.
@@ -77,7 +66,6 @@ func BenchmarkWire(b *testing.B) {
 	})
 	b.Run("dims=paper/recv", func(b *testing.B) {
 		a := peerDo(b, func(p net.Conn) {
-			p.Write(first)
 			for {
 				if _, err := p.Write(frame); err != nil {
 					return

@@ -85,7 +85,7 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 	tm := newTrainMetrics(cfg.Metrics)
 	sp := obs.StartSpan(tm.roundDur)
 	defer sp.End()
-	snapshot := m.Params().Clone()
+	ws.snapshot = append(ws.snapshot[:0], m.Params().Data()...)
 	r := rng.New(cfg.Seed)
 	var pos, neg []int
 	for i, g := range graphs {
@@ -120,9 +120,14 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 	// allocates nothing. Each pass's gradients add into one slab whose mask
 	// keeps what the batch touched — Adam steps only those (MAGNN
 	// legitimately skips a projection when a graph has no nodes of that
-	// space).
+	// space). The slab, like the snapshot, is the workspace's from round to
+	// round.
 	tape, binder := ws.tape, ws.binder
-	grads := autodiff.NewGrads(m.Params())
+	if ws.grads == nil {
+		ws.grads = new(autodiff.Grads)
+	}
+	grads := ws.grads
+	grads.Rebind(m.Params())
 	remaining := cfg.PairsPerEpoch
 	for remaining > 0 {
 		batch := min(batchPairs, remaining)
@@ -145,7 +150,7 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 		// poisoning the weights — roll back instead of propagating.
 		if !mat.AllFinite([]float64{batchLoss}) || !grads.Finite() {
 			tm.diverged.Inc()
-			m.Params().CopyFrom(snapshot)
+			m.Params().SetFlatten(ws.snapshot)
 			return false
 		}
 		tm.loss.Set(batchLoss)

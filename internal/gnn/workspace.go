@@ -21,6 +21,10 @@ type Workspace struct {
 	tape   *autodiff.Tape
 	binder *autodiff.Binder
 	emb    []float64
+	// A training round's rollback snapshot and gradient slab, kept for the
+	// next round of a model of the same size.
+	snapshot []float64
+	grads    *autodiff.Grads
 }
 
 // NewWorkspace creates an inference workspace.
@@ -50,7 +54,8 @@ func borrowWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
 // park returns ws to the pool holding nothing of its borrower's: Recycle
 // releases every buffer to the arena and drops the node and transpose-cache
-// references to the caller's graphs and parameters. What a parked workspace
+// references to the caller's graphs and parameters. The training snapshot
+// and gradient slab stay, copies sized for the next round's model. What a parked workspace
 // retains is bounded by the arena's per-class cap and trim epochs
 // (TestTrainTapePoolBounded).
 func (ws *Workspace) park() {

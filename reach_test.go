@@ -40,8 +40,8 @@ var reachAllow = map[string]string{
 	"fusion.SentenceFeatureDim":     "feature width the fusion and gnn tests size sentence-space nodes with",
 
 	// Methods the standard library calls through an interface.
-	"fedproto.Floats.GobEncode": "encoding/gob calls it for every dense tensor on the wire",
-	"fedproto.Floats.GobDecode": "encoding/gob calls it for every dense tensor on the wire",
+	"fedproto.Floats.GobEncode": "encoding/gob calls it for every dense tensor of a checkpoint",
+	"fedproto.Floats.GobDecode": "encoding/gob calls it for every dense tensor of a checkpoint",
 	"obs.checkError.Unwrap":     "errors.Is and errors.As call it on failed health checks",
 
 	// Enum members: named so the set is complete and String covers it.

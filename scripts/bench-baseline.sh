@@ -17,7 +17,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCH_BENCHTIME:-1x}"
-PATTERN="${BENCH_PATTERN:-BenchmarkTrainStepAllocs|BenchmarkDetectAllocs|BenchmarkTrainContrastive|BenchmarkDetect$|BenchmarkMatMulSerial|BenchmarkCodecs|BenchmarkBuildOnline|BenchmarkIngest|BenchmarkOffline|BenchmarkNodeFeature|BenchmarkRuleEmbedding|BenchmarkKernels|BenchmarkEmbed|BenchmarkTrainRound|BenchmarkExplain|BenchmarkKernelSHAP|BenchmarkReLU|BenchmarkReadout|BenchmarkSimulate|BenchmarkClean|BenchmarkAggregators|BenchmarkWire}"
+PATTERN="${BENCH_PATTERN:-BenchmarkTrainStepAllocs|BenchmarkDetectAllocs|BenchmarkTrainContrastive|BenchmarkDetect$|BenchmarkMatMulSerial|BenchmarkCodecs|BenchmarkBuildOnline|BenchmarkIngest|BenchmarkOffline|BenchmarkNodeFeature|BenchmarkRuleEmbedding|BenchmarkKernels|BenchmarkEmbed|BenchmarkTrainRound|BenchmarkExplain|BenchmarkKernelSHAP|BenchmarkReLU|BenchmarkReadout|BenchmarkSimulate|BenchmarkClean|BenchmarkAggregators|BenchmarkWire|BenchmarkAdamStep}"
 OUT="${BENCH_OUT:-BENCH_$(date +%Y-%m-%d).json}"
 
 if [ "${BENCH_SMOKE:-0}" = "1" ]; then
