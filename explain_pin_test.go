@@ -52,11 +52,14 @@ func getExplainFixture(t testing.TB) *explainFixture {
 	return &explainFix
 }
 
-// explanationsPinned is the SHA-256 TestExplanationsPinned computes on
-// commit a126760, before Algorithm 2 scored coalitions through the
-// detector's row memo: every explanation since must reproduce its node
-// list and the bits of its score, fidelity and sparsity.
-const explanationsPinned = "a25ed178ba0b79637ec5a1a994d6ad9ea9f95050305963fcfcedeaa3a51f26a9"
+// explanationsPinned is the SHA-256 TestExplanationsPinned computes: every
+// explanation must reproduce its node list and the bits of its score,
+// fidelity and sparsity. It was a25ed178…, from commit a126760, before
+// Algorithm 2 scored coalitions through the detector's row memo, until the
+// models' input map became the first layer's projection (S·(X·W) for
+// (S·X)·W) and training one tape per optimiser step, which move the
+// detector's last bits.
+const explanationsPinned = "0b3d918252c5ff009fb95ea3209f32d9be880de2298106b2d05273660568ff93"
 
 // TestExplanationsPinned hashes 200 explanations: node lists and the
 // Float64bits of score, fidelity and sparsity.

@@ -4,21 +4,29 @@
 // and the GCN/GIN/MAGNN graph networks — standing in for the PyTorch/DGL
 // stack the paper uses.
 //
-// The tape is rebuilt for every forward pass (define-by-run). Backward walks
-// the nodes in reverse insertion order, which is a valid topological order
-// because operations can only consume previously created nodes.
+// The tape is rebuilt for every pass (define-by-run): an inference pass,
+// or a whole optimiser step — package gnn records every graph a training
+// step draws on one tape, each forwarded once, and sums the step's losses
+// into one Backward. Backward walks the nodes in reverse insertion order,
+// which is a valid topological order because operations can only consume
+// previously created nodes; a node several ops consume (a graph's
+// embedding in two pairs, a row Gather hands to several graphs) collects
+// each consumer's gradient.
 //
 // # Memory model
 //
 // The tape owns a mat.Arena and recycles aggressively: Reset returns every
 // node struct to a free list and every tape-allocated Value/Grad backing
 // array to the arena, so a training step after warm-up runs at ~zero
-// steady-state allocations. A tape is meant to outlive the call that uses
-// it (package gnn parks its tapes in a pool between calls, so a federated
-// client's second round leases what its first released); Recycle is the
-// Reset for that hand-over. The ownership rules (DESIGN.md §4.13):
+// steady-state allocations, and a Reset every arenaTrimNodes recycled
+// nodes trims the arena's idle size classes. A tape is meant to outlive the
+// call that uses it (package gnn parks its tapes in a pool between calls,
+// so a federated client's second round leases what its first released);
+// Recycle is the Reset for that hand-over. The ownership rules (DESIGN.md
+// §4.13):
 //
 //   - Param/Constant values are caller-owned; the tape never recycles them.
+//     A Zeros value is the tape's, filled by the caller, recycled at Reset.
 //   - Every other node's Value and Grad die at Reset. Any reference held
 //     across Reset — a Node pointer or its Grad — is invalid.
 //   - To keep a result past Reset, copy it (Value.Clone()) first.
@@ -52,7 +60,7 @@ type Node struct {
 
 	// Per-op state read by the static back functions.
 	scalar  float64   // Scale factor, AddConst c, 1/n, wsum…
-	idx     []int     // caller-owned labels (SCE)
+	idx     []int     // caller-owned labels (SCE), row indices (Gather)
 	weights []float64 // caller-owned class weights (SCE)
 	sparse  *mat.CSR  // SpMM operator
 
@@ -77,11 +85,13 @@ type Tape struct {
 	// MAGNN path builds throwaway operators that must not pile up).
 	csrT map[*mat.CSR]*mat.CSR
 
-	resets int
+	recycled int // nodes recycled since the last arena Trim
 }
 
-// arenaTrimEvery is how many Resets pass between arena Trim epochs.
-const arenaTrimEvery = 1024
+// arenaTrimNodes is how many recycled nodes pass between arena Trim
+// epochs: a clock of work done, not of passes, since one pass may be one
+// embedding or a whole training step's.
+const arenaTrimNodes = 1 << 14
 
 // csrCacheMax bounds the transpose cache.
 const csrCacheMax = 512
@@ -119,9 +129,10 @@ func (t *Tape) Reset() {
 		n.sparse = nil
 		t.free = append(t.free, n)
 	}
+	t.recycled += len(t.nodes)
 	t.nodes = t.nodes[:0]
-	t.resets++
-	if t.resets%arenaTrimEvery == 0 {
+	if t.recycled >= arenaTrimNodes {
+		t.recycled = 0
 		t.arena.Trim()
 	}
 }
@@ -130,7 +141,8 @@ func (t *Tape) Reset() {
 // caller: it also forgets the sparse-transpose cache, whose keys are the
 // last caller's operators, so a parked tape pins no graph its borrower has
 // dropped. What it keeps is the arena (bounded per size class, trimmed
-// every arenaTrimEvery resets) and the node free list (one pass's worth).
+// every arenaTrimNodes recycled nodes) and the node free list (one pass's
+// worth).
 func (t *Tape) Recycle() {
 	t.Reset()
 	clear(t.csrT)
@@ -647,5 +659,38 @@ func backConcatCols(out *Node) {
 			}
 		}
 		off += c
+	}
+}
+
+// Zeros returns an r×c constant whose zeroed value the tape owns: the
+// caller fills it before any op reads it, and Reset recycles it like an
+// op's value. It is how a pass builds an input matrix without allocating.
+func (t *Tape) Zeros(r, c int) *Node {
+	return t.op(r, c, false, nil)
+}
+
+// Gather returns the rows of a that idx names, in idx's order: row i is a's
+// row idx[i]. Its backward adds each output row's gradient into the row it
+// came from, so a row named twice collects both. idx is caller-owned and
+// must stay valid until Reset.
+func (t *Tape) Gather(a *Node, idx []int) *Node {
+	// opFull: one whole row is copied into every output row.
+	out := t.opFull(len(idx), a.Value.Cols(), a.needs, backGather)
+	out.a = a
+	out.idx = idx
+	for i, j := range idx {
+		copy(out.Value.Row(i), a.Value.Row(j))
+	}
+	return out
+}
+
+func backGather(out *Node) {
+	a := out.a
+	if !a.needs {
+		return
+	}
+	ensureGrad(a)
+	for i, j := range out.idx {
+		mat.Axpy(a.Grad.Row(j), out.Grad.Row(i), 1)
 	}
 }

@@ -106,8 +106,9 @@ func wholeModel(name string, window int) Algorithm {
 					}
 				}
 				var next [][]int
+				var mean []float64
 				for _, cluster := range clusters {
-					if updateGate(at(updates), cluster, sizes, cfg.Eps1, cfg.Eps2) {
+					if updateGate(at(updates), cluster, sizes, cfg.Eps1, cfg.Eps2, &mean) {
 						if c1, c2 := binaryCluster(at(signals), cluster); len(c2) > 0 {
 							next = append(next, c1, c2)
 							continue

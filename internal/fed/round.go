@@ -2,6 +2,7 @@ package fed
 
 import (
 	"math"
+	"slices"
 
 	"fexiot/internal/mat"
 )
@@ -53,6 +54,13 @@ func ClusterRound(in RoundInput, eps1, eps2 float64, agg Aggregator) RoundOutput
 	for i := range out.Layers {
 		out.Layers[i] = make([][]float64, numLayers)
 	}
+	// Every gate's weighted mean update: one buffer a call, as long as the
+	// longest layer.
+	width := 0
+	for _, w := range in.Weights[0] {
+		width = max(width, len(w))
+	}
+	mean := make([]float64, 0, width)
 	var recurse func(l int, cluster []int)
 	recurse = func(l int, cluster []int) {
 		if l >= numLayers {
@@ -67,7 +75,7 @@ func ClusterRound(in RoundInput, eps1, eps2 float64, agg Aggregator) RoundOutput
 		}
 		weights := func(i int) []float64 { return in.Weights[i][l] }
 		parts := [][]int{cluster}
-		if updateGate(update, cluster, in.Sizes, eps1, eps2) {
+		if updateGate(update, cluster, in.Sizes, eps1, eps2, &mean) {
 			if c1, c2 := binaryCluster(weights, cluster); len(c2) > 0 {
 				parts = [][]int{c1, c2}
 			}
@@ -91,27 +99,30 @@ func ClusterRound(in RoundInput, eps1, eps2 float64, agg Aggregator) RoundOutput
 }
 
 // updateGate evaluates Eq. (3) over one cluster's updates (update(i) is
-// member i's ΔW, sizes its data weight). Fewer than two members, or any
-// member whose update is unknown (nil), keeps the gate shut.
-func updateGate(update func(i int) []float64, cluster, sizes []int, eps1, eps2 float64) bool {
+// member i's ΔW, sizes its data weight), summing their weighted mean in
+// *mean, which it grows as needed. Fewer than two members, or any member
+// whose update is unknown (nil), keeps the gate shut.
+func updateGate(update func(i int) []float64, cluster, sizes []int, eps1, eps2 float64, mean *[]float64) bool {
 	if len(cluster) < 2 {
 		return false
 	}
 	w := QuorumWeights(sizes, cluster)
 	norms := make([]float64, len(cluster))
-	var mean []float64
+	var sum []float64
 	for k, i := range cluster {
 		u := update(i)
 		if u == nil {
 			return false
 		}
 		norms[k] = mat.Norm2(u)
-		if mean == nil {
-			mean = make([]float64, len(u))
+		if sum == nil {
+			sum = slices.Grow((*mean)[:0], len(u))[:len(u)]
+			clear(sum)
+			*mean = sum
 		}
-		mat.Axpy(mean, u, w[k])
+		mat.Axpy(sum, u, w[k])
 	}
-	return gateFromNorms(norms, mat.Norm2(mean), eps1, eps2)
+	return gateFromNorms(norms, mat.Norm2(sum), eps1, eps2)
 }
 
 // gateFromNorms applies the Eq. (3) gate: the aggregate update is nearly

@@ -22,9 +22,12 @@ import (
 )
 
 // fedRoundHash is the global model TestFedRoundModelHashPinned's federation
-// ends in, as 6ba3676 — the commit before the vector row update, the
-// four-chain MulBTTo and the pooled training tape — computes it.
-const fedRoundHash = "749660329bea4b78a581531d969e8ae4a73dae6f42b6224f0dbaea9fa3efe095"
+// ends in. It was 74966032…, as 6ba3676 — the commit before the vector row
+// update, the four-chain MulBTTo and the pooled training tape — computes
+// it, until GIN's input map became the first layer's projection (S·(X·W)
+// for (S·X)·W) and training one tape per optimiser step (the gradient
+// terms summed in another order).
+const fedRoundHash = "af486691fd05914a6ee67d3affba4703e83e3dad843c94d549d8214e440eac20"
 
 // TestFedRoundModelHashPinned runs bench/'s fed_round federation in small —
 // four clients over loopback TCP, GIN at the paper's dimensions (332/64/32),

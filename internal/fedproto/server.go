@@ -627,8 +627,9 @@ func (s *Server) runRound(round int) error {
 			}
 		} else {
 			// Broken or untrusted stream (EOF, reset, malformed update):
-			// the gob framing cannot be trusted any more, so evict now and
-			// let the client resync by reconnecting.
+			// a failed read may leave the conn mid-frame, and a peer that
+			// sent a malformed frame is not trusted with the next, so
+			// evict now and let the client resync by reconnecting.
 			s.dropIfCurrent(r.st, r.conn)
 		}
 	}

@@ -94,8 +94,8 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 // GIN and GCN measure 0, and their bound sees the six names GCN's three
 // convolutions would format per pass. MAGNN's bound is what it measures:
 // its operators are built per graph — the identity, two per-kind
-// multiplicity counts and the three row-normalised copies — and so is each
-// node type's feature matrix.
+// multiplicity counts and the three row-normalised copies. (Each node
+// type's feature matrix is a tape lease.)
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	gs := makeGraphs(4)
 	for _, c := range []struct {
@@ -104,7 +104,7 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	}{
 		{NewGIN(featDim, 32, 16, 7), 4},
 		{NewGCN(featDim, 32, 16, 7), 4},
-		{NewMAGNN(featDim, featDim, 32, 16, 7), 53},
+		{NewMAGNN(featDim, featDim, 32, 16, 7), 49},
 	} {
 		ws := NewWorkspace()
 		for i := 0; i < 8; i++ {

@@ -61,9 +61,13 @@ func (m *GCN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *aut
 }
 
 // layer is convolution l after its aggregation: ReLU(Â·H·W_l + b_l), each
-// output row from its own aggregated row only (see GIN.layer).
+// output row from its own aggregated row only (see GIN.layer). Convolution
+// 0 aggregates rows the input map has already multiplied by W_0.
 func (m *GCN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg aggs) *autodiff.Node {
-	h := t.MatMul(agg[0], b.Node(m.names[l].w))
+	h := agg[0]
+	if l > 0 {
+		h = t.MatMul(h, b.Node(m.names[l].w))
+	}
 	h = t.AddRowBroadcast(h, b.Node(m.names[l].b))
 	return t.ReLU(h)
 }

@@ -72,10 +72,14 @@ func (m *GIN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *aut
 
 // layer is layer l's two-layer perceptron over aggregated rows. Every op in
 // it computes an output row from its own input row only, which is what lets
-// an explanation's scorer run it on just the rows it has not seen.
+// an explanation's scorer run it on just the rows it has not seen. Layer
+// 0's first product is the input map's: its rows arrive projected.
 func (m *GIN) layer(l int, t *autodiff.Tape, b *autodiff.Binder, agg aggs) *autodiff.Node {
 	n := m.names[l]
-	h := t.MatMul(agg[0], b.Node(n.w1))
+	h := agg[0]
+	if l > 0 {
+		h = t.MatMul(h, b.Node(n.w1))
+	}
 	h = t.AddRowBroadcast(h, b.Node(n.b1))
 	h = t.ReLU(h)
 	h = t.MatMul(h, b.Node(n.w2))

@@ -188,6 +188,51 @@ func TestTrainContrastiveRollsBackNonFinite(t *testing.T) {
 	}
 }
 
+// TestTrainSupervisedRollsBackNonFinite pins TrainSupervised's divergence
+// gate: one graph's NaN feature, first drawn in the second optimiser step,
+// makes the round return false with the model's and the head's weights
+// bit for bit as they were at entry, while the same graphs without the NaN
+// train through and move both. (ClipGrads' `norm > clip` is false for a
+// NaN norm, so without the gate the NaN reaches Adam.)
+func TestTrainSupervisedRollsBackNonFinite(t *testing.T) {
+	const n = 12
+	cfg := DefaultTrainConfig(4)
+	cfg.PairsPerEpoch = 2 * batchPairs
+	// The graph the second step draws and the first does not.
+	r, first, nan := rng.New(cfg.Seed), map[int]bool{}, -1
+	for k := 0; k < cfg.PairsPerEpoch; k++ {
+		if i := r.Intn(n); k < batchPairs {
+			first[i] = true
+		} else if !first[i] && nan < 0 {
+			nan = i
+		}
+	}
+	if nan < 0 {
+		t.Fatal("every graph the second step draws was drawn in the first: pick another seed")
+	}
+	for _, poisoned := range []bool{true, false} {
+		gs := sizedGraphs(9, n, 4)
+		if poisoned {
+			gs[nan].Nodes[0].Feature[0] = math.NaN()
+		}
+		m := NewGIN(featDim, 16, 8, 7)
+		head := NewSupervisedHead(m.EmbedDim(), 4)
+		entry, headEntry := m.Params().Clone(), head.params.Clone()
+		ok := TrainSupervised(m, head, gs, cfg, autodiff.NewAdam(0.005), autodiff.NewAdam(0.005), nil)
+		if !poisoned {
+			if !ok || m.Params().LayerDiffNorms(entry)[0] == 0 || head.params.LayerDiffNorms(headEntry)[0] == 0 {
+				t.Fatalf("finite graphs: completed = %v, or a weight set did not move", ok)
+			}
+			continue
+		}
+		if ok {
+			t.Fatal("NaN feature: the round completed")
+		}
+		paramsBitEqual(t, "rolled-back model", m.Params(), entry)
+		paramsBitEqual(t, "rolled-back head", head.params, headEntry)
+	}
+}
+
 func TestDetectorPipeline(t *testing.T) {
 	gs := testGraphs(t, 300)
 	m := NewGIN(featDim, 16, 8, 13)

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"fmt"
+	"slices"
 
 	"fexiot/internal/autodiff"
 	"fexiot/internal/graph"
@@ -76,30 +77,31 @@ func (m *MAGNN) Forward(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *a
 	return forward(m, t, b, g)
 }
 
-// input is the type projection ReLU(X_word·W_word + X_sent·W_sent + b):
-// X_space has the space's nodes' features, padded or truncated to its
-// width, and zero rows, which MulTo skips, for the other space's nodes. A
-// space with no node in g adds no term, so its weight gets no gradient.
+// input is the type projection ReLU(X_word·W_word + X_sent·W_sent + b) of
+// g's nodes.
 func (m *MAGNN) input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return m.project(t, b, g.Nodes, g.N())
+}
+
+// project is the type projection of rows: X_space has the space's rows'
+// features, padded or truncated to its width, and zero rows, which MulTo
+// skips, for the other space's rows and the n − len(rows) past them. A
+// space with no row adds no term, so its weight gets no gradient.
+func (m *MAGNN) project(t *autodiff.Tape, b *autodiff.Binder, rows []graph.Node, n int) *autodiff.Node {
 	var h *autodiff.Node
 	for space, w := range [2]string{"proj.word", "proj.sent"} {
-		x, found := mat.NewDense(g.N(), [2]int{m.WordDim, m.SentDim}[space]), false
-		for i, n := range g.Nodes {
-			if (n.Space == graph.SentenceSpace) == (space == 1) {
-				copy(x.Row(i), n.Feature)
-				found = true
-			}
+		in := func(n graph.Node) bool { return (n.Space == graph.SentenceSpace) == (space == 1) }
+		if !slices.ContainsFunc(rows, in) {
+			continue
 		}
-		if found {
-			p := t.MatMul(t.Constant(x), b.Node(w))
-			if h != nil {
-				p = t.Add(h, p)
-			}
-			h = p
+		p := t.MatMul(features(t, rows, n, [2]int{m.WordDim, m.SentDim}[space], in), b.Node(w))
+		if h != nil {
+			p = t.Add(h, p)
 		}
+		h = p
 	}
 	if h == nil {
-		return t.Constant(mat.NewDense(g.N(), m.HiddenDim))
+		return t.Zeros(n, m.HiddenDim)
 	}
 	return t.ReLU(t.AddRowBroadcast(h, b.Node("proj.b")))
 }

@@ -14,11 +14,15 @@ import (
 	"fexiot/internal/rng"
 )
 
-// magnnPinned is the SHA-256 TestMAGNNPinned computes on commit 5aa7b25,
-// where MAGNN had a Forward of its own that scattered each node type's
-// projection into place and was explained on masked copies of the graph.
-// Every MAGNN since must reproduce its bits.
-const magnnPinned = "8533c043a00485a298024ebe94c22ed04a903f299f0f463d392744d410ebfa0b"
+// magnnPinned is the SHA-256 TestMAGNNPinned computes. It was 8533c043…,
+// from commit 5aa7b25, where MAGNN had a Forward of its own that scattered
+// each node type's projection into place and was explained on masked
+// copies of the graph, until training moved to one tape per optimiser
+// step: the embeddings and the per-pair gradients hashed before the
+// TrainContrastive call kept their bits, and what follows it — the trained
+// weights, the scores — moved, as the step sums its gradient terms in
+// another order.
+const magnnPinned = "86e936899db8b83da4512c6d09c981a2eec357e8dba1e6e5fa312d7c3cb0561d"
 
 // TestMAGNNPinned hashes what MAGNN computes on generated five-platform
 // graphs at CI and paper dimensions: every graph's embedding; every

@@ -78,7 +78,7 @@ func TestTrainTapePoolBounded(t *testing.T) {
 		t.Fatalf("a parked workspace retained %d bytes, ceiling %d", peak, poolBytesCeiling)
 	}
 	if st.Trims < 3 {
-		t.Fatalf("360 rounds of 9 resets reached %d arena Trim epochs, want 3", st.Trims)
+		t.Fatalf("360 rounds reached %d arena Trim epochs, want 3", st.Trims)
 	}
 	if st.BytesPooled > peak/2 {
 		t.Fatalf("shapes that stopped recurring two epochs ago are still pooled: %d of a %d-byte peak",
@@ -129,7 +129,7 @@ func TestTrainTapePanicNotReused(t *testing.T) {
 				t.Fatal("the model's panic did not propagate")
 			}
 		}()
-		fuse := 7 // the fourth pair's second forward pass
+		fuse := 7 // the round's eighth graph forward, of 14
 		run(panicModel{NewGIN(featDim, 16, 8, 9), &fuse})
 	}
 	dirty := NewWorkspace()

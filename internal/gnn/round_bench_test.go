@@ -8,16 +8,18 @@ import (
 	"fexiot/internal/embed"
 	"fexiot/internal/fusion"
 	"fexiot/internal/graph"
+	"fexiot/internal/mat"
+	"fexiot/internal/obs"
 	"fexiot/internal/rules"
 )
 
 // paperRound builds one fed_round client exactly as bench/wl_fed.go does —
 // GIN 332/64/32 (300-d word vectors + 2×16 signature), 24 offline graphs
 // of 6–29 nodes from one household's 50-rule pool, Adam kept across rounds,
-// 10 contrastive pairs per TrainContrastive call — and returns the round.
-// It uses only API that exists at 6ba3676, so the same file measures the
-// parent.
-func paperRound() (round func(r int)) {
+// pairs contrastive pairs per TrainContrastive call (fed_round's 10) — and
+// returns the round. It uses only API that exists at 6ba3676, so the same
+// file measures the parent.
+func paperRound(pairs int) (round func(r int)) {
 	const seed = 3
 	enc := embed.NewEncoder(300, 512)
 	pool := rules.NewGenerator(seed, rules.Archetypes()[0], "c0-").RuleSet(50)
@@ -30,7 +32,7 @@ func paperRound() (round func(r int)) {
 	opt := autodiff.NewAdam(0.005)
 	cfg := DefaultTrainConfig(seed)
 	cfg.LR = 0.005
-	cfg.PairsPerEpoch = 10
+	cfg.PairsPerEpoch = pairs
 	return func(r int) {
 		cfg.Seed = seed + int64(r)
 		TrainContrastive(model, graphs, cfg, opt)
@@ -42,7 +44,7 @@ func paperRound() (round func(r int)) {
 // set-up federation gives.
 func BenchmarkTrainRound(b *testing.B) {
 	b.Run("dims=paper", func(b *testing.B) {
-		round := paperRound()
+		round := paperRound(10)
 		round(0)
 		round(1)
 		b.ReportAllocs()
@@ -76,7 +78,7 @@ func TestTrainRoundAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	round := paperRound()
+	round := paperRound(10)
 	round(0)
 	round(1)
 	allocs, bytes := ^uint64(0), ^uint64(0)
@@ -93,5 +95,44 @@ func TestTrainRoundAllocCeiling(t *testing.T) {
 	if allocs > parentRoundAllocs/4 || bytes > roundBytesCeiling {
 		t.Fatalf("warmed round allocates %d times, %d KB; want ≤ %d and ≤ %d KB",
 			allocs, bytes>>10, parentRoundAllocs/4, roundBytesCeiling>>10)
+	}
+}
+
+// The kernel FLOPs (fexiot_mat_flops_total: the dense products) of one
+// warmed client round, round 2 after rounds 0 and 1, with 10 and with 2
+// pairs, as TestTrainRoundFLOPs logs them on the parent commit 630d41b: a
+// tape per pair, each graph's first layer aggregating 332-wide feature rows.
+const (
+	parentRoundFLOPs10 = 63_004_672
+	parentRoundFLOPs2  = 9_025_536
+)
+
+// TestTrainRoundFLOPs pins the work a client round saves by projecting
+// each distinct node row once per optimiser step and forwarding each
+// distinct graph once: a warmed round's kernel FLOPs are at most 0.6 of
+// the parent's at fed_round's 10 pairs (two steps, the first of 16 draws),
+// and at most 0.95 at 2 pairs (one step of four draws, which repeat less).
+// The count is nominal, 2·m·k·n a product: it includes the zero rows that
+// pad a step's row table, whose terms the kernels skip.
+func TestTrainRoundFLOPs(t *testing.T) {
+	for _, c := range []struct {
+		pairs  int
+		parent int64
+		ratio  float64
+	}{{10, parentRoundFLOPs10, 0.6}, {2, parentRoundFLOPs2, 0.95}} {
+		round := paperRound(c.pairs)
+		round(0)
+		round(1)
+		reg := obs.NewRegistry()
+		mat.InstrumentKernels(reg)
+		round(2)
+		mat.InstrumentKernels(nil)
+		got := reg.Counter("fexiot_mat_flops_total", "").Value()
+		t.Logf("%d pairs: %d kernel FLOPs a warmed round (parent %d, ratio %.3f)",
+			c.pairs, got, c.parent, float64(got)/float64(c.parent))
+		if float64(got) > c.ratio*float64(c.parent) {
+			t.Errorf("%d pairs: a warmed round executes %d kernel FLOPs, want ≤ %.1f × the parent's %d",
+				c.pairs, got, c.ratio, c.parent)
+		}
 	}
 }

@@ -28,10 +28,21 @@ type aggs [3]*autodiff.Node
 // output row from its own aggregated rows only, so a row of a layer's
 // output depends on nothing but the matching rows of the S_k and the input
 // rows they name. GIN, GCN and MAGNN are; their Forward is forward.
+//
+// The input map is the first layer's projection of the node features
+// (MAGNN's type projection; GIN's and GCN's first weight), applied before
+// the first aggregation: S·(X·W) instead of (S·X)·W, the same sum
+// reassociated, which projects each node once however many rows name it.
 type rowwise interface {
 	Model
-	// input computes a node's row from that node alone.
+	// input is the projection of g's nodes, one row a node.
 	input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node
+	// project is input over rows that need not be one graph's nodes — a
+	// training step's distinct rows — followed by n − len(rows) rows that
+	// project a zero feature. Each output row is computed from its own row
+	// alone, so a node's row of input is, bit for bit, its row's of
+	// project.
+	project(t *autodiff.Tape, b *autodiff.Binder, rows []graph.Node, n int) *autodiff.Node
 	// operators are the whole graph's, and the parents a coalition's are
 	// restricted from: its members' rows with its members' entries, in the
 	// same order (NewCSR keeps a row's entries in insertion order — self
@@ -55,8 +66,13 @@ type rowwise interface {
 
 // forward is Forward for a rowwise model.
 func forward(m rowwise, t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return propagate(m, t, b, g, m.input(t, b, g))
+}
+
+// propagate runs a rowwise model's layers and readout over g from h, its
+// input map.
+func propagate(m rowwise, t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph, h *autodiff.Node) *autodiff.Node {
 	ops, _ := m.operators(g)
-	h := m.input(t, b, g)
 	var out *autodiff.Node
 	for l := 0; l < m.depth(); l++ {
 		var agg aggs
@@ -69,8 +85,14 @@ func forward(m rowwise, t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *a
 	return out
 }
 
-func (m *GIN) input(t *autodiff.Tape, _ *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	return t.Constant(g.CachedPadFeatures(m.InputDim))
+// GIN's and GCN's input map is the node features, padded or truncated to
+// InputDim, times the first layer's weight: a graph's from its cached
+// feature matrix, a step's rows' from a tape-owned copy.
+func (m *GIN) input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return t.MatMul(t.Constant(g.CachedPadFeatures(m.InputDim)), b.Node(m.names[0].w1))
+}
+func (m *GIN) project(t *autodiff.Tape, b *autodiff.Binder, rows []graph.Node, n int) *autodiff.Node {
+	return t.MatMul(features(t, rows, n, m.InputDim, nil), b.Node(m.names[0].w1))
 }
 func (m *GIN) operators(g *graph.Graph) (ops, parents operators) {
 	ops[0] = g.CachedSumAdjacency(m.Eps)
@@ -80,8 +102,11 @@ func (m *GIN) renormalise([]int, []int, []float64) {}
 func (m *GIN) width() int                          { return m.HiddenDim }
 func (m *GIN) depth() int                          { return m.NumLayers }
 
-func (m *GCN) input(t *autodiff.Tape, _ *autodiff.Binder, g *graph.Graph) *autodiff.Node {
-	return t.Constant(g.CachedPadFeatures(m.InputDim))
+func (m *GCN) input(t *autodiff.Tape, b *autodiff.Binder, g *graph.Graph) *autodiff.Node {
+	return t.MatMul(t.Constant(g.CachedPadFeatures(m.InputDim)), b.Node(m.names[0].w))
+}
+func (m *GCN) project(t *autodiff.Tape, b *autodiff.Binder, rows []graph.Node, n int) *autodiff.Node {
+	return t.MatMul(features(t, rows, n, m.InputDim, nil), b.Node(m.names[0].w))
 }
 func (m *GCN) operators(g *graph.Graph) (ops, parents operators) {
 	ops[0] = g.CachedNormalizedAdjacency()
@@ -103,6 +128,20 @@ func (m *GCN) renormalise(indptr, indices []int, vals []float64) {
 	}
 }
 
+// features is rows' features as a tape-owned n-row matrix, each padded
+// with zeros or truncated to width as graph.PadFeatures lays a graph's out;
+// a row that in (when not nil) leaves out, and every row past rows, stays
+// zero.
+func features(t *autodiff.Tape, rows []graph.Node, n, width int, in func(graph.Node) bool) *autodiff.Node {
+	x := t.Zeros(n, width)
+	for i, row := range rows {
+		if in == nil || in(row) {
+			copy(x.Value.Row(i), row.Feature)
+		}
+	}
+	return x
+}
+
 // ScorerStats counts what one GraphScorer did. The row counts are per
 // layer, bottom first.
 type ScorerStats struct {
@@ -114,8 +153,9 @@ type ScorerStats struct {
 // GraphScorer scores node subsets of one graph for the explanation search
 // (it implements explain.Scorer): Score(keep) is bit for bit
 // Detector.Score(g.InducedSubgraph(keep)), and 0 for the empty subset. It
-// holds one Workspace for all its scores, computes the model's input map
-// once, and remembers every layer's output rows: a memoised row is the same
+// holds one Workspace for all its scores, computes the model's input map —
+// the first layer's projection of every node — once, and remembers every
+// layer's output rows: a memoised row is the same
 // sum of the same products in the same order as a recomputed one, because
 // the row's entries keep the whole graph's order whatever keep's order is,
 // every op between the aggregations and the layer's output is
@@ -131,7 +171,7 @@ type GraphScorer struct {
 	stats  ScorerStats
 
 	model    rowwise
-	features *mat.Dense // the whole graph's input map
+	features *mat.Dense // the whole graph's input map, projected
 	width    int
 	maxRows  int
 	layers   []layerMemo

@@ -1,6 +1,9 @@
 package gnn
 
 import (
+	"math"
+	"slices"
+
 	"fexiot/internal/autodiff"
 	"fexiot/internal/graph"
 	"fexiot/internal/mat"
@@ -85,7 +88,6 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 	tm := newTrainMetrics(cfg.Metrics)
 	sp := obs.StartSpan(tm.roundDur)
 	defer sp.End()
-	ws.snapshot = append(ws.snapshot[:0], m.Params().Data()...)
 	r := rng.New(cfg.Seed)
 	var pos, neg []int
 	for i, g := range graphs {
@@ -115,42 +117,71 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 		return graphs[pool[i]], graphs[pool[j]], false
 	}
 
-	// The workspace's tape and binder serve the whole round: Reset+Rebind
-	// per pair recycles every node and buffer, so the steady-state loop
-	// allocates nothing. Each pass's gradients add into one slab whose mask
-	// keeps what the batch touched — Adam steps only those (MAGNN
-	// legitimately skips a projection when a graph has no nodes of that
-	// space). The slab, like the snapshot, is the workspace's from round to
-	// round.
-	tape, binder := ws.tape, ws.binder
+	// A step's pairs are drawn before any of them is forwarded; the
+	// sampler is the generator's only consumer, so the draws are the ones
+	// a pair-at-a-time loop makes.
+	var diff [batchPairs]bool
+	t := ws.tape
+	ok := ws.train(m, nil, cfg.PairsPerEpoch, tm, opt, func(st *step, batch int) {
+		for k := 0; k < batch; k++ {
+			a, b, d := samplePair()
+			st.draw(a)
+			st.draw(b)
+			diff[k] = d
+		}
+	}, func(st *step, k int) *autodiff.Node {
+		return t.ContrastiveLoss(st.emb(2*k), st.emb(2*k+1), diff[k], margin)
+	})
+	if ok {
+		tm.rounds.Inc()
+	}
+	return ok
+}
+
+// coTrained is a parameter set a round trains alongside the model — the
+// supervised head — with its own binder on the round's tape, gradient
+// slab, optimiser, and the values it rolls back to.
+type coTrained struct {
+	params   *autodiff.ParamSet
+	binder   *autodiff.Binder
+	grads    *autodiff.Grads
+	opt      *autodiff.Adam
+	snapshot []float64
+}
+
+// train is the step loop of both objectives. Each optimiser step draws
+// its batch (draw, up to batchPairs loss terms) and runs backward over it.
+// A non-finite loss or gradient means the round is poisoning the weights:
+// it rolls the model (and head) back to their values at entry and returns
+// false. Otherwise the gradients are clipped and stepped.
+//
+// The workspace's tape, binder and step buffers serve the whole round:
+// Reset+Rebind per step recycles every node and buffer, so the steady-state
+// loop allocates nothing. The gradient slab's mask keeps what the batch
+// touched — Adam steps only those (MAGNN legitimately skips a projection
+// when no drawn graph has nodes of that space). The slab, like the
+// snapshot, is the workspace's from round to round.
+func (ws *Workspace) train(m Model, head *coTrained, terms int, tm trainMetrics, opt *autodiff.Adam,
+	draw func(st *step, batch int), loss func(st *step, k int) *autodiff.Node) bool {
+	ws.snapshot = append(ws.snapshot[:0], m.Params().Data()...)
 	if ws.grads == nil {
 		ws.grads = new(autodiff.Grads)
 	}
 	grads := ws.grads
 	grads.Rebind(m.Params())
-	remaining := cfg.PairsPerEpoch
-	for remaining > 0 {
+	for remaining := terms; remaining > 0; {
 		batch := min(batchPairs, remaining)
 		remaining -= batch
-		grads.Reset()
-		batchLoss := 0.0
-		for k := 0; k < batch; k++ {
-			ga, gb, diff := samplePair()
-			tape.Reset()
-			binder.Rebind(tape, m.Params())
-			za := m.Forward(tape, binder, ga)
-			zb := m.Forward(tape, binder, gb)
-			loss := tape.ContrastiveLoss(za, zb, diff, margin)
-			loss = tape.Scale(loss, 1/float64(batch))
-			batchLoss += loss.Value.At(0, 0)
-			tape.Backward(loss)
-			grads.Add(binder)
-		}
-		// Divergence gate: a NaN/Inf loss or gradient means this round is
-		// poisoning the weights — roll back instead of propagating.
-		if !mat.AllFinite([]float64{batchLoss}) || !grads.Finite() {
+		ws.step.reset()
+		draw(&ws.step, batch)
+		batchLoss := ws.backward(m, head, batch, loss)
+		if math.IsNaN(batchLoss) || math.IsInf(batchLoss, 0) || !grads.Finite() ||
+			head != nil && !head.grads.Finite() {
 			tm.diverged.Inc()
 			m.Params().SetFlatten(ws.snapshot)
+			if head != nil {
+				head.params.SetFlatten(head.snapshot)
+			}
 			return false
 		}
 		tm.loss.Set(batchLoss)
@@ -160,8 +191,149 @@ func (ws *Workspace) trainContrastive(m Model, graphs []*graph.Graph, cfg TrainC
 			tm.clips.Inc()
 		}
 		opt.Step(m.Params(), grads)
+		if head != nil {
+			autodiff.ClipGrads(head.grads, gradClip)
+			head.opt.Step(head.params, head.grads)
+		}
 	}
-	tm.rounds.Inc()
+	return true
+}
+
+// backward is one optimiser step's pass on one tape: it forwards the
+// drawn graphs, each distinct graph once, sums the batch's loss terms —
+// term k is loss(st, k), scaled by 1/batch — into one loss, runs one
+// Backward, and sets the gradient slabs (the model's, and the head's) to
+// its gradients. It returns the loss.
+func (ws *Workspace) backward(m Model, head *coTrained, batch int, loss func(st *step, k int) *autodiff.Node) float64 {
+	t := ws.tape
+	t.Reset()
+	ws.binder.Rebind(t, m.Params())
+	if head != nil {
+		head.binder.Rebind(t, head.params)
+	}
+	ws.step.forward(m, t, ws.binder)
+	var total *autodiff.Node
+	for k := 0; k < batch; k++ {
+		term := t.Scale(loss(&ws.step, k), 1/float64(batch))
+		if total != nil {
+			term = t.Add(total, term)
+		}
+		total = term
+	}
+	t.Backward(total)
+	ws.grads.Reset()
+	ws.grads.Add(ws.binder)
+	if head != nil {
+		head.grads.Reset()
+		head.grads.Add(head.binder)
+	}
+	return total.Value.At(0, 0)
+}
+
+// tableRows is the granule of a step's row table.
+const tableRows = 16
+
+// step is one optimiser step's forward pass: the graphs its draws name,
+// each forwarded once on the step's tape. For a rowwise model the graphs'
+// distinct node rows — rows bitwise equal in feature space and bits, found
+// by the graphs' cached row keys — are projected once, by one product, and
+// each graph takes its nodes' rows of that projection through one Gather,
+// whose backward adds them back. Any other Model forwards each graph alone.
+type step struct {
+	graphs []*graph.Graph   // the distinct graphs drawn, first draw first
+	draws  []int            // each draw's graph, as its position in graphs
+	z      []*autodiff.Node // each graph's embedding
+
+	rows  []graph.Node   // the graphs' distinct node rows, first seen first
+	at    []int          // graph after graph, each node's position in rows
+	ends  []int          // graph i's nodes are at[ends[i-1]:ends[i]]
+	first map[uint64]int // a row key → the latest row with that key
+	next  []int          // a row → the row before it with its key, or −1
+}
+
+// reset forgets the previous step, its graphs and rows included, so a
+// parked workspace holds none of its borrower's.
+func (s *step) reset() {
+	clear(s.graphs)
+	clear(s.z)
+	clear(s.rows)
+	s.graphs, s.draws, s.z = s.graphs[:0], s.draws[:0], s.z[:0]
+	s.rows, s.at, s.ends, s.next = s.rows[:0], s.at[:0], s.ends[:0], s.next[:0]
+	clear(s.first)
+}
+
+// draw adds one draw of g.
+func (s *step) draw(g *graph.Graph) {
+	i := slices.Index(s.graphs, g)
+	if i < 0 {
+		i = len(s.graphs)
+		s.graphs = append(s.graphs, g)
+	}
+	s.draws = append(s.draws, i)
+}
+
+// emb is draw k's embedding.
+func (s *step) emb(k int) *autodiff.Node { return s.z[s.draws[k]] }
+
+// forward puts every drawn graph's embedding on t.
+func (s *step) forward(m Model, t *autodiff.Tape, b *autodiff.Binder) {
+	rm, ok := m.(rowwise)
+	if !ok {
+		for _, g := range s.graphs {
+			s.z = append(s.z, m.Forward(t, b, g))
+		}
+		return
+	}
+	if s.first == nil {
+		s.first = map[uint64]int{}
+	}
+	for _, g := range s.graphs {
+		for v, key := range g.CachedRowKeys() {
+			s.at = append(s.at, s.row(&g.Nodes[v], key))
+		}
+		s.ends = append(s.ends, len(s.at))
+	}
+	// The table's row count is rounded up to a multiple of tableRows, so
+	// that its buffers come in a few sizes the tape's arena keeps rather
+	// than one per count of distinct rows; zero rows add nothing to the
+	// projection's gradient, and no graph gathers them.
+	p := rm.project(t, b, s.rows, (len(s.rows)+tableRows-1)/tableRows*tableRows)
+	lo := 0
+	for i, g := range s.graphs {
+		s.z = append(s.z, propagate(rm, t, b, g, t.Gather(p, s.at[lo:s.ends[i]])))
+		lo = s.ends[i]
+	}
+}
+
+// row is the position in rows of n's row, which has the given key; a row
+// not seen yet this step is appended.
+func (s *step) row(n *graph.Node, key uint64) int {
+	head, ok := s.first[key]
+	if !ok {
+		head = -1
+	}
+	for r := head; r >= 0; r = s.next[r] {
+		if sameRow(&s.rows[r], n) {
+			return r
+		}
+	}
+	s.rows = append(s.rows, *n)
+	s.next = append(s.next, head)
+	s.first[key] = len(s.rows) - 1
+	return len(s.rows) - 1
+}
+
+// sameRow reports whether two nodes' rows are bitwise equal: one feature
+// space, and features of one length whose values have the same bits.
+func sameRow(a, b *graph.Node) bool {
+	if a.Space != b.Space || len(a.Feature) != len(b.Feature) {
+		return false
+	}
+	for i, x := range a.Feature {
+		if math.Float64bits(x) != math.Float64bits(b.Feature[i]) {
+			return false
+		}
+	}
 	return true
 }
 
@@ -182,52 +354,40 @@ func NewSupervisedHead(embedDim int, seed int64) *SupervisedHead {
 }
 
 // TrainSupervised trains model+head jointly with weighted cross-entropy on
-// graph labels. Both optimisers are caller-owned.
+// graph labels, PairsPerEpoch graphs drawn a call. Both optimisers are
+// caller-owned. Like TrainContrastive it is divergence-safe: a non-finite
+// loss or gradient restores the model's and the head's weights at entry
+// and returns false.
 func TrainSupervised(m Model, head *SupervisedHead, graphs []*graph.Graph,
-	cfg TrainConfig, opt, headOpt *autodiff.Adam, classWeights []float64) {
+	cfg TrainConfig, opt, headOpt *autodiff.Adam, classWeights []float64) bool {
 	if len(graphs) == 0 {
-		return
+		return true
 	}
 	ws := borrowWorkspace()
-	ws.trainSupervised(m, head, graphs, cfg, opt, headOpt, classWeights)
+	ok := ws.trainSupervised(m, head, graphs, cfg, opt, headOpt, classWeights)
 	ws.park()
+	return ok
 }
 
 func (ws *Workspace) trainSupervised(m Model, head *SupervisedHead, graphs []*graph.Graph,
-	cfg TrainConfig, opt, headOpt *autodiff.Adam, classWeights []float64) {
+	cfg TrainConfig, opt, headOpt *autodiff.Adam, classWeights []float64) bool {
 	r := rng.New(cfg.Seed)
-	tape, binder := ws.tape, ws.binder
-	hb := autodiff.Bind(tape, head.params)
-	grads, headGrads := autodiff.NewGrads(m.Params()), autodiff.NewGrads(head.params)
-	lab := make([]int, 1)
-	remaining := cfg.PairsPerEpoch
-	for remaining > 0 {
-		batch := min(batchPairs, remaining)
-		remaining -= batch
-		grads.Reset()
-		headGrads.Reset()
+	t := ws.tape
+	h := &coTrained{params: head.params, binder: autodiff.Bind(t, head.params),
+		grads: autodiff.NewGrads(head.params), opt: headOpt, snapshot: head.params.Flatten()}
+	labels := []int{0, 1} // label l is labels[l : l+1], valid until Reset
+	return ws.train(m, h, cfg.PairsPerEpoch, trainMetrics{}, opt, func(st *step, batch int) {
 		for k := 0; k < batch; k++ {
-			g := graphs[r.Intn(len(graphs))]
-			lab[0] = 0
-			if g.Label {
-				lab[0] = 1
-			}
-			tape.Reset()
-			binder.Rebind(tape, m.Params())
-			hb.Rebind(tape, head.params)
-			z := m.Forward(tape, binder, g)
-			logits := tape.AddRowBroadcast(tape.MatMul(z, hb.Node("head.w")), hb.Node("head.b"))
-			loss := tape.SoftmaxCrossEntropy(logits, lab, classWeights)
-			loss = tape.Scale(loss, 1/float64(batch))
-			tape.Backward(loss)
-			grads.Add(binder)
-			headGrads.Add(hb)
+			st.draw(graphs[r.Intn(len(graphs))])
 		}
-		autodiff.ClipGrads(grads, gradClip)
-		autodiff.ClipGrads(headGrads, gradClip)
-		opt.Step(m.Params(), grads)
-		headOpt.Step(head.params, headGrads)
-	}
+	}, func(st *step, k int) *autodiff.Node {
+		lab := 0
+		if st.graphs[st.draws[k]].Label {
+			lab = 1
+		}
+		logits := t.AddRowBroadcast(t.MatMul(st.emb(k), h.binder.Node("head.w")), h.binder.Node("head.b"))
+		return t.SoftmaxCrossEntropy(logits, labels[lab:lab+1], classWeights)
+	})
 }
 
 // PredictSupervised classifies a graph with the trained head.

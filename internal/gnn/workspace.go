@@ -22,9 +22,10 @@ type Workspace struct {
 	binder *autodiff.Binder
 	emb    []float64
 	// A training round's rollback snapshot and gradient slab, kept for the
-	// next round of a model of the same size.
+	// next round of a model of the same size, and its steps' buffers.
 	snapshot []float64
 	grads    *autodiff.Grads
+	step     step
 }
 
 // NewWorkspace creates an inference workspace.
@@ -54,13 +55,15 @@ func borrowWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
 // park returns ws to the pool holding nothing of its borrower's: Recycle
 // releases every buffer to the arena and drops the node and transpose-cache
-// references to the caller's graphs and parameters. The training snapshot
-// and gradient slab stay, copies sized for the next round's model. What a parked workspace
+// references to the caller's graphs and parameters, and the step forgets
+// its graphs and rows. The training snapshot and gradient slab stay,
+// copies sized for the next round's model. What a parked workspace
 // retains is bounded by the arena's per-class cap and trim epochs
 // (TestTrainTapePoolBounded).
 func (ws *Workspace) park() {
 	ws.tape.Recycle()
 	ws.binder.Rebind(ws.tape, nil)
+	ws.step.reset()
 	wsPool.Put(ws)
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"sync"
 
 	"fexiot/internal/mat"
@@ -16,6 +17,7 @@ type structCache struct {
 	normAdj  *mat.CSR
 	sumAdj   map[float64]*mat.CSR
 	features map[int]*mat.Dense
+	rowKeys  []uint64
 }
 
 func (g *Graph) cache() *structCache {
@@ -36,6 +38,7 @@ func (g *Graph) InvalidateCache() {
 	c.normAdj = nil
 	c.sumAdj = map[float64]*mat.CSR{}
 	c.features = map[int]*mat.Dense{}
+	c.rowKeys = nil
 	c.mu.Unlock()
 }
 
@@ -75,4 +78,27 @@ func (g *Graph) CachedPadFeatures(dim int) *mat.Dense {
 	m := g.PadFeatures(dim)
 	c.features[dim] = m
 	return m
+}
+
+// CachedRowKeys memoises a key per node, a hash of its feature space and
+// the bits of its feature: nodes whose rows are bitwise equal share a key,
+// and nodes with different rows almost never do, so a caller that groups
+// nodes by key confirms a match on the rows themselves. The returned slice
+// is shared — callers must not mutate it.
+func (g *Graph) CachedRowKeys() []uint64 {
+	c := g.cache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rowKeys == nil {
+		c.rowKeys = make([]uint64, g.N())
+		for i, n := range g.Nodes {
+			h := uint64(n.Space)<<32 ^ uint64(len(n.Feature))
+			for _, f := range n.Feature {
+				h = (h ^ math.Float64bits(f)) * 0x100000001b3 // FNV-1a's prime, a word at a time
+				h ^= h >> 29
+			}
+			c.rowKeys[i] = h
+		}
+	}
+	return c.rowKeys
 }

@@ -54,11 +54,12 @@ type arenaClass struct {
 	used bool
 }
 
-// arenaCap is the per-class free-list bound. Training keeps at most a few
-// buffers of each shape in flight at once (value + gradient + a backward
-// temporary), so a small cap retains every steady-state buffer while
+// arenaCap is the per-class free-list bound. A training step holds every
+// drawn graph's pass on one tape, so a small shape — a pooled row, a
+// readout — has a value and a gradient in flight per graph and layer, a
+// few hundred at once; the cap retains every steady-state buffer while
 // bounding worst-case retention for one-off shapes.
-const arenaCap = 64
+const arenaCap = 512
 
 // arenaOff is the process-wide arena switch: when set every Lease falls
 // back to a plain make and Release drops the buffer, restoring the exact
@@ -201,7 +202,7 @@ func (a *Arena) Release(buf []float64) {
 // Trim is the epoch hook: it drops the free buffers of every class that has
 // not been leased from since the previous Trim, then starts a new epoch.
 // Callers invoke it at coarse boundaries (the tape does so automatically
-// every arenaTrimEvery resets), so shapes that stopped recurring are
+// every arenaTrimNodes recycled nodes), so shapes that stopped recurring are
 // returned to the GC within two epochs while active shapes are never
 // evicted.
 func (a *Arena) Trim() {
